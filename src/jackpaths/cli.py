@@ -345,11 +345,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         defaults = _load_config(args.config)
-        subparser = _SUBPARSERS[args.command]
-        explicit = set()
-        for action in subparser._actions:
-            if any(opt in argv for opt in action.option_strings):
-                explicit.add(action.dest)
+        # re-parse without defaults: what remains was set on the command line,
+        # in any spelling argparse accepts (--alpha=2, abbreviations)
+        for action in _SUBPARSERS[args.command]._actions:
+            action.default = argparse.SUPPRESS
+        explicit = set(vars(parser.parse_args(argv)))
         for key, val in defaults.items():
             attr = key.replace("-", "_")
             # config fills in flags the user did not pass explicitly

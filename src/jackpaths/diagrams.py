@@ -5,6 +5,7 @@ coordinates, exact transition measures, and the four observable families
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .exactnum import format_rational
@@ -45,9 +46,6 @@ class DiscreteMeasure:
             raise ValueError("moment order must be nonnegative")
         return sum((m * p ** ell for p, m in self.atoms),
                    Fraction(0) if self.exact else 0.0)
-
-    def is_probability(self) -> bool:
-        return all(m >= 0 for _, m in self.atoms) and self.total_mass() == 1
 
     def to_json(self):
         if self.exact:
@@ -224,20 +222,28 @@ def profile(diagram: AnisotropicDiagram) -> StaircaseShape:
 
 def transition_measure(shape: StaircaseShape) -> DiscreteMeasure:
     """Exact partial-fraction decomposition of prod(z - y_j)/prod(z - x_i):
-    the atom at x_i has mass prod_j (x_i - y_j) / prod_{j != i} (x_i - x_j)."""
+    the atom at x_i has mass prod_j (x_i - y_j) / prod_{j != i} (x_i - x_j).
+
+    All extrema are scaled by one common denominator to integers X_i, Y_j;
+    with one maximum fewer than minima its powers cancel from each mass,
+    which is the integer ratio prod_j (X_i - Y_j) / prod_{j != i} (X_i - X_j).
+    """
     if shape.orientation != "finite":
         raise ValueError("exact transition measures need a finite profile")
     xs, ys = shape.minima, shape.maxima
+    den = math.lcm(*(x.denominator for x in xs), *(y.denominator for y in ys))
+    big_x = [x.numerator * (den // x.denominator) for x in xs]
+    big_y = [y.numerator * (den // y.denominator) for y in ys]
     atoms = []
-    for i, x in enumerate(xs):
-        num = Fraction(1)
-        for y in ys:
-            num *= x - y
-        den = Fraction(1)
-        for j, x2 in enumerate(xs):
+    for i, xi in enumerate(big_x):
+        num = 1
+        for yj in big_y:
+            num *= xi - yj
+        rest = 1
+        for j, xj in enumerate(big_x):
             if j != i:
-                den *= x - x2
-        atoms.append((x, num / den))
+                rest *= xi - xj
+        atoms.append((xs[i], Fraction(num, rest)))
     return DiscreteMeasure(atoms)
 
 
@@ -251,14 +257,7 @@ def observables(measure: DiscreteMeasure, kind: str, ell: int):
         raise ValueError(f"kind must be one of {_KINDS}")
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    moments = [measure.moment(k) for k in range(1, ell + 1)]
-    if kind == "moment":
-        return moments[-1]
-    if kind == "boolean":
-        return series.boolean_from_moments(moments)[-1]
-    if kind == "fundamental":
-        return series.shape_functionals_from_moments(moments)[-1]
-    return series.free_from_moments(moments)[-1]
+    return observable_family(measure, kind, ell)[-1]
 
 
 def observable_family(measure: DiscreteMeasure, kind: str, ell: int):
@@ -266,7 +265,21 @@ def observable_family(measure: DiscreteMeasure, kind: str, ell: int):
     calling :func:`observables` per order)."""
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}")
-    moments = [measure.moment(k) for k in range(1, ell + 1)]
+    if measure.exact:
+        # M_k = sum_i W_i P_i^k / (G E^k) over integers P_i = E p_i, W_i = G m_i
+        pos_den = math.lcm(*(p.denominator for p, _ in measure.atoms))
+        mass_den = math.lcm(*(m.denominator for _, m in measure.atoms))
+        big_p = [p.numerator * (pos_den // p.denominator) for p, _ in measure.atoms]
+        weighted = [m.numerator * (mass_den // m.denominator)
+                    for _, m in measure.atoms]
+        moments = []
+        scale = mass_den
+        for _ in range(ell):
+            weighted = [w * p for w, p in zip(weighted, big_p)]
+            scale *= pos_den
+            moments.append(Fraction(sum(weighted), scale))
+    else:
+        moments = [measure.moment(k) for k in range(1, ell + 1)]
     if kind == "moment":
         return moments
     if kind == "boolean":

@@ -103,16 +103,6 @@ def totally_positive_spec(a, c) -> Specialization:
     return spec
 
 
-def check_jack_positive(spec: Specialization, alpha, degree: int = 6) -> bool:
-    """Evaluate the Jack basis under the specialization and verify all
-    values are nonnegative up to the given degree."""
-    for d in range(degree + 1):
-        for lam, poly in jack_basis(d, alpha).items():
-            if spec.apply(poly) < 0:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # v-sequences
 # ---------------------------------------------------------------------------
@@ -224,12 +214,17 @@ class JackSchurWeyl(Ensemble):
     def mass(self, lam: Partition) -> Fraction:
         self._check_domain(lam)
         alpha, K, d = self.alpha, self.K, self.d
-        prod = Fraction(1)
-        for i, j in lam.cells():
-            if self.dual:
-                prod *= (K + 1 - j) * alpha + (i - 1)
-            else:
-                prod *= K + (j - 1) * alpha - (i - 1)
+        # cell factors (K + 1 - j) alpha + (i - 1), resp. K + (j - 1) alpha
+        # - (i - 1), over the denominator q of alpha = a/q
+        a, q = alpha.numerator, alpha.denominator
+        num = 1
+        for i, row in enumerate(lam.parts):
+            for j in range(row):
+                if self.dual:
+                    num *= a * (K - j) + q * i
+                else:
+                    num *= q * (K - i) + a * j
+        prod = Fraction(num, q ** d)
         if self.dual:
             return _factorial(d) * prod / (Fraction(K) ** d * j_alpha(lam, alpha))
         return (_factorial(d) * alpha ** d * prod
@@ -272,10 +267,18 @@ class JackThoma(Ensemble):
             u0 = self.u * v1
             if c == 0:
                 return u0 ** d  # Plancherel direction
-            prod = Fraction(1)
-            for i, j in lam.cells():
-                prod *= u0 / c + self.alpha * (j - 1) - (i - 1)
-            return c ** d * prod
+            # cell factors u0/c + alpha (j - 1) - (i - 1) over the common
+            # denominator L of u0/c and alpha
+            r = u0 / c
+            a, q = self.alpha.numerator, self.alpha.denominator
+            L = math.lcm(r.denominator, q)
+            base, step = r.numerator * (L // r.denominator), a * (L // q)
+            num = 1
+            for i, row in enumerate(lam.parts):
+                start = base - L * i
+                for j in range(row):
+                    num *= start + step * j
+            return c ** d * Fraction(num, L ** d)
         total = Fraction(0)
         for mu in partitions_of(d):
             th = theta_coefficient(lam, mu, self.alpha)
@@ -715,25 +718,33 @@ def poisson_expectation(alpha, u, v, observable, tail_eps,
 
 def ensemble_from_config(cfg: dict) -> Ensemble:
     """Build an ensemble from a JSON/TOML-style mapping: keys variant,
-    alpha ("p/q"), d, K, u, v (list of "p/q"), thoma {a, b, c}."""
-    variant = cfg["variant"]
-    alpha = parse_rational(cfg["alpha"])
+    alpha ("p/q"), d, K, u, v (list of "p/q"), thoma {a, b, c}.  A missing
+    key raises ValueError."""
+
+    def need(key):
+        if key not in cfg:
+            raise ValueError(
+                f"ensemble config {cfg.get('variant')!r} lacks the key {key!r}")
+        return cfg[key]
+
+    variant = need("variant")
+    alpha = parse_rational(need("alpha"))
     if variant == "plancherel":
-        return JackPlancherel(alpha, int(cfg["d"]))
+        return JackPlancherel(alpha, int(need("d")))
     if variant == "schur_weyl":
-        return JackSchurWeyl(alpha, int(cfg["d"]), int(cfg["K"]),
+        return JackSchurWeyl(alpha, int(need("d")), int(need("K")),
                              dual=bool(cfg.get("dual", False)))
     if variant == "thoma":
-        v = [parse_rational(x) for x in cfg["v"]]
-        return JackThoma(alpha, parse_rational(cfg["u"]), v,
+        v = [parse_rational(x) for x in need("v")]
+        return JackThoma(alpha, parse_rational(need("u")), v,
                          check_positivity=bool(cfg.get("check_positivity", True)))
     if variant == "conditional_thoma":
-        v = [parse_rational(x) for x in cfg["v"]]
-        return ConditionalJackThoma(alpha, int(cfg["d"]), v)
+        v = [parse_rational(x) for x in need("v")]
+        return ConditionalJackThoma(alpha, int(need("d")), v)
     if variant == "character":
-        d = int(cfg["d"])
+        d = int(need("d"))
         table = {Partition(eval_key(k)): parse_rational(x)
-                 for k, x in cfg["chi"].items()}
+                 for k, x in need("chi").items()}
         return CharacterMeasure(alpha, d, table)
     if variant == "jack_measure":
         th = cfg.get("thoma", {})
@@ -741,7 +752,7 @@ def ensemble_from_config(cfg: dict) -> Ensemble:
                                 b=[parse_rational(x) for x in th.get("b", [])],
                                 c=parse_rational(th.get("c", 0)))
         rho1 = thoma_specialization(point, alpha)
-        rho2 = Specialization.plancherel(parse_rational(cfg["u"]))
+        rho2 = Specialization.plancherel(parse_rational(need("u")))
         return JackMeasure(alpha, rho1, rho2)
     raise ValueError(f"unknown ensemble variant {variant!r}")
 

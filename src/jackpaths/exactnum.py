@@ -209,7 +209,3 @@ def alpha_half_power(alpha, k: int):
     if k % 2 == 0:
         return alpha ** (k // 2)
     return sqrt_ext(0, alpha ** ((k - 1) // 2), alpha)
-
-
-def exact_to_float(x) -> float:
-    return float(x)

@@ -155,22 +155,25 @@ def partitions_of(n: int):
     return tuple(Partition(p) for p in parts)
 
 
-def partitions_upto(n: int):
-    for d in range(n + 1):
-        yield from partitions_of(d)
-
-
 def j_alpha(p: Partition, alpha) -> Fraction:
     """The norm-square product over cells of p:
     prod (alpha*arm + leg + 1)(alpha*arm + leg + alpha), arm/leg taken
-    from the cell's row rest and column rest.  Strictly positive."""
+    from the cell's row rest and column rest.  Strictly positive.
+
+    With alpha = a/q each factor is (x + q)(x + a)/q^2 for the integer
+    x = a*arm + q*leg, so the product runs over ints and divides once."""
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    conj = p.conjugate()
-    out = Fraction(1)
-    for i, j in p.cells():
-        arm = p.parts[i - 1] - j
-        leg = conj.parts[j - 1] - i
-        out *= (alpha * arm + leg + 1) * (alpha * arm + leg + alpha)
-    return out
+    a, q = alpha.numerator, alpha.denominator
+    parts = p.parts
+    cols = [0] * (parts[0] if parts else 0)
+    for row in parts:
+        for j in range(row):
+            cols[j] += 1
+    num = 1
+    for i, row in enumerate(parts, start=1):
+        for j in range(row):
+            x = a * (row - j - 1) + q * (cols[j] - i)
+            num *= (x + q) * (x + a)
+    return Fraction(num, q ** (2 * sum(parts)))

@@ -127,6 +127,8 @@ def growth_sample(alpha, d: int, rng: SplitMix64,
     masses; the law itself is certified by :func:`validate_growth`)."""
     if d < 1:
         raise ValueError("d must be >= 1")
+    if not alpha > 0:  # also refuses a float NaN
+        raise ValueError("alpha must be positive")
     if not validate_growth():
         raise GrowthUnavailableError(
             "growth chain failed exact validation; use exact_sample")
@@ -223,6 +225,8 @@ def run_sampler(config: dict, seed: int, count: int, method: str = "exact",
                 backend: str | None = None) -> SampleRun:
     """Draw ``count`` partitions; draw i uses the substream (seed, i), so
     runs parallelize and extend deterministically."""
+    if count < 0:
+        raise ValueError("count must be nonnegative")
     root = SplitMix64(seed)
     run = SampleRun(config, seed, count, method, backend)
     if method == "exact":

@@ -4,6 +4,7 @@ defined through Cauchy-transform generating functions."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -19,17 +20,29 @@ def series_mul(a, b, order):
 
 
 def series_inv(a, order):
+    """Coefficients 0..order of 1/a, exactly.
+
+    With a_k = A_k/D over integers, the integers T_0 = 1,
+    T_n = -sum_k A_k A_0^{k-1} T_{n-k} give [t^n] 1/a = D T_n / A_0^{n+1},
+    so the recursion runs over ints and each coefficient divides once."""
     if a[0] == 0:
         raise ZeroDivisionError("series has no inverse (zero constant term)")
-    inv = [Fraction(0)] * (order + 1)
-    inv[0] = 1 / Fraction(a[0])
+    coeffs = a[: order + 1]
+    den = math.lcm(*(x.denominator for x in coeffs))
+    big = [x.numerator * (den // x.denominator) for x in coeffs]
+    powers = [1]  # powers[n] = A_0^n
+    for _ in range(order + 1):
+        powers.append(powers[-1] * big[0])
+    terms = [(k, big[k] * powers[k - 1]) for k in range(1, len(big)) if big[k]]
+    ts = [1]
     for n in range(1, order + 1):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            if k < len(a) and a[k]:
-                acc += Fraction(a[k]) * inv[n - k]
-        inv[n] = -acc / Fraction(a[0])
-    return inv
+        acc = 0
+        for k, c in terms:
+            if k > n:
+                break
+            acc += c * ts[n - k]
+        ts.append(-acc)
+    return [Fraction(den * t, powers[n + 1]) for n, t in enumerate(ts)]
 
 
 def series_log(a, order):

@@ -12,8 +12,8 @@ from fractions import Fraction
 from . import paths
 from .diagrams import AnisotropicDiagram, observable_family, transition_measure
 from .ensembles import (CharacterMeasure, ConditionalJackThoma, JackPlancherel,
-                        JackSchurWeyl, JackThoma, _poisson_tail,
-                        conditional_thoma_character)
+                        JackSchurWeyl, JackThoma, PoissonInterval,
+                        _poisson_tail, conditional_thoma_character)
 from .jack import hall_inner, jack_basis, ns_apply
 from .limitshape import (bessel_order_zeros, functional_equation_check,
                          jacobi_moment_symbolic, moment_consistency)
@@ -214,12 +214,12 @@ def suite_poisson_oracle(total: int = 7, tail_eps=Fraction(1, 10 ** 12)):
                 tm = transition_measure(
                     AnisotropicDiagram(lam, alpha / u, 1 / u).profile())
                 bs = observable_family(tm, "boolean", total)
+                # each multiset extends its prefix, which comes earlier
+                prods = {(): rm}
                 for lengths in multisets:
-                    val = Fraction(1)
-                    for ell in lengths:
-                        val *= bs[ell - 1]
-                    sums[lengths] += rm * val
-        lo, hi = _exp_bracket(U)
+                    val = prods[lengths[:-1]] * bs[lengths[-1] - 1]
+                    prods[lengths] = val
+                    sums[lengths] += val
         for lengths in multisets:
             expect = paths.finite_expectation(lengths, alpha, u, vrule)
             C = Fraction(1)
@@ -228,23 +228,11 @@ def suite_poisson_oracle(total: int = 7, tail_eps=Fraction(1, 10 ** 12)):
             bound, margin = _poisson_tail(U, D, C, sum(lengths))
             if bound > tail_eps:
                 return False, f"radius target missed at {label} {lengths}"
-            gap = max(abs(expect * lo - sums[lengths]),
-                      abs(expect * hi - sums[lengths]))
-            if gap > bound:
+            interval = PoissonInterval(sums[lengths], bound, margin, U, D)
+            if not interval.contains_exact(expect):
                 return False, f"mismatch at {label} {lengths}"
     return True, (f"all multisets sum <= {total}, three parameter sets, "
                   f"radius < {float(tail_eps):.0e}")
-
-
-def _exp_bracket(U: Fraction, extra: int = 40):
-    term = Fraction(1)
-    total = Fraction(1)
-    n = 0
-    while n < 2 * float(U) + extra:
-        n += 1
-        term *= U / n
-        total += term
-    return total, total + 2 * term
 
 
 # The fixed-size measure is parameterized by the character table chi = v_mu

@@ -101,3 +101,26 @@ def test_config_file_defaults(tmp_path: Path):
     # flags override the config
     out2 = run_cli("--config", str(cfg), "moments", "--ell", "4", "--g", "0")
     assert out2.stdout.strip() == "2"
+
+
+def test_equals_form_flag_overrides_config(tmp_path: Path):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"alpha": "3"}))
+    out_file = tmp_path / "s.jsonl"
+    out = run_cli("--config", str(cfg), "sample", "--alpha=2", "--d", "4",
+                  "--out", str(out_file))
+    assert out.returncode == 0
+    header = json.loads(out_file.read_text().splitlines()[0])
+    assert header["config"]["alpha"] == "2"
+
+
+def test_missing_ensemble_key_exits_2():
+    out = run_cli("sample", "--ensemble", "thoma", "--d", "3", "--u", "1")
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert "'v'" in out.stderr
+
+
+def test_negative_sample_count_exits_2():
+    out = run_cli("sample", "--d", "3", "--n", "-3")
+    assert out.returncode == 2

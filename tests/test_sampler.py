@@ -49,6 +49,12 @@ def test_growth_sample_sizes_and_determinism():
     assert growth_sample(Fraction(1, 2), 1, SplitMix64(0)) == Partition([1])
 
 
+def test_growth_sample_rejects_nonpositive_alpha():
+    for alpha in (-1, 0, Fraction(-1, 2)):
+        with pytest.raises(ValueError):
+            growth_sample(alpha, 6, SplitMix64(1))
+
+
 def test_growth_backends_agree_statistically():
     alpha, d, n = Fraction(1, 2), 50, 60
     means = {}
