@@ -1,5 +1,6 @@
-"""Benchmark the growth-chain kernel: numba backend vs the pure-numpy
-fallback (the one selected by JACKPATHS_NO_NUMBA=1), on identical seeds.
+"""Benchmark the growth-chain kernel: the numba-compiled backend vs the same
+kernel source run as plain Python (the one selected by JACKPATHS_NO_NUMBA=1),
+on identical seeds.
 
 Usage: python benchmarks/bench_growth.py [--d 1600] [--draws 50] [--alpha 1/100]
 """
@@ -35,10 +36,10 @@ def main():
     alpha = float(Fraction(args.alpha))
 
     results = {}
-    backends = ["numpy"] + (["numba"] if kernels.HAVE_NUMBA else [])
+    backends = ["python"] + (["numba"] if kernels.HAVE_NUMBA else [])
     if not kernels.HAVE_NUMBA:
         print("numba unavailable (or disabled via JACKPATHS_NO_NUMBA); "
-              "benchmarking the fallback only")
+              "benchmarking the python backend only")
     for backend in backends:
         elapsed, rows = bench(backend, args.d, alpha, args.draws, args.seed)
         mean_row = sum(rows) / len(rows)
@@ -47,8 +48,8 @@ def main():
               f"d={args.d}  ({1e3 * elapsed / args.draws:7.2f} ms/draw), "
               f"mean first row {mean_row:.2f}")
     if len(results) == 2:
-        speedup = results["numpy"][0] / results["numba"][0]
-        drift = abs(results["numpy"][1] - results["numba"][1])
+        speedup = results["python"][0] / results["numba"][0]
+        drift = abs(results["python"][1] - results["numba"][1])
         print(f"numba speedup: {speedup:.1f}x; "
               f"mean-first-row drift between backends: {drift:.3f}")
 

@@ -35,29 +35,24 @@ def _load_config(path):
     return json.loads(text)
 
 
-_SUBPARSERS: dict = {}
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser; its ``subcommands`` attribute maps each
+    subcommand name to its own parser."""
     top = argparse.ArgumentParser(
         prog="jackpaths",
         description="Exact identities and samplers for deformed random "
                     "Young diagrams and weighted lattice paths")
     top.add_argument("--config", help="JSON/TOML file of defaults; flags override")
     top._negative_number_matcher = _NEGATIVE_TOKEN
-    action = top.add_subparsers(dest="command", required=True)
+    commands = top.add_subparsers(dest="command", required=True)
+    top.subcommands = commands.choices
 
-    class _Registry:
-        @staticmethod
-        def add_parser(name, **kw):
-            parser = action.add_parser(name, **kw)
-            parser._negative_number_matcher = _NEGATIVE_TOKEN
-            _SUBPARSERS[name] = parser
-            return parser
+    def add_command(name, **kw):
+        parser = commands.add_parser(name, **kw)
+        parser._negative_number_matcher = _NEGATIVE_TOKEN
+        return parser
 
-    sub = _Registry
-
-    p = sub.add_parser("moments", help="limiting transition-measure moment")
+    p = add_command("moments", help="limiting transition-measure moment")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--g", type=_rational, default=Fraction(0))
     p.add_argument("--v", nargs="*", type=_rational, default=None,
@@ -68,8 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the sparse polynomial instead of a value")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("finite-expectation",
-                       help="exact ribbon-path expectation of Boolean products")
+    p = add_command("finite-expectation",
+                    help="exact ribbon-path expectation of Boolean products")
     p.add_argument("--lengths", nargs="+", type=int, required=True)
     p.add_argument("--alpha", type=_rational, required=True)
     p.add_argument("--u", type=_rational, required=True)
@@ -80,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="condition on fixed size d (falling-factorial formula)")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("clt", help="limiting mean shift / covariance")
+    p = add_command("clt", help="limiting mean shift / covariance")
     p.add_argument("--mean", type=int, metavar="ELL")
     p.add_argument("--cov", nargs=2, type=int, metavar=("K", "L"))
     p.add_argument("--g", type=_rational, default=Fraction(0))
@@ -88,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", nargs="*", type=_rational, default=[Fraction(1)])
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("afp", help="second-order formulas with character data")
+    p = add_command("afp", help="second-order formulas with character data")
     p.add_argument("--mean", type=int, metavar="ELL")
     p.add_argument("--cov", nargs=2, type=int, metavar=("K", "L"))
     p.add_argument("--g", type=_rational, default=Fraction(0))
@@ -99,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help='JSON like {"2,2": "1/3"} for the second-cumulant table')
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("sample", help="draw random diagrams")
+    p = add_command("sample", help="draw random diagrams")
     p.add_argument("--ensemble", default="plancherel")
     p.add_argument("--alpha", type=_rational, default=Fraction(1))
     p.add_argument("--d", type=int, required=True)
@@ -109,26 +104,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--method", choices=("exact", "growth"), default="exact")
-    p.add_argument("--backend", choices=("numba", "numpy"), default=None)
+    p.add_argument("--backend", choices=("numba", "python"), default=None,
+                   help="growth kernel backend (default: numba when importable)")
     p.add_argument("--out", default=None, help="write samples as JSONL")
     p.add_argument("--profile-csv", default=None,
                    help="write the mean scaled profile as CSV")
     p.add_argument("--svg", default=None, help="render the mean profile")
 
-    p = sub.add_parser("limit-shape", help="staircase limit shape")
+    p = add_command("limit-shape", help="staircase limit shape")
     p.add_argument("--g", type=_rational, required=True)
     p.add_argument("--n-steps", type=int, default=8)
     p.add_argument("--csv", default=None, help="write (x, omega) samples")
     p.add_argument("--json-out", default=None, help="write corner coordinates")
     p.add_argument("--svg", default=None, help="render the staircase")
 
-    p = sub.add_parser("bessel-zeros", help="order-zeros of the edge function")
+    p = add_command("bessel-zeros", help="order-zeros of the edge function")
     p.add_argument("--g", type=_rational, required=True)
     p.add_argument("-n", type=int, default=3)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("verify", help="run verification suites")
+    p = add_command("verify", help="run verification suites")
     p.add_argument("--suite", nargs="+", default=["all"])
     p.add_argument("--d", type=int, default=None,
                    help="override the size cap where a suite accepts one")
@@ -136,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory for emitted overlays")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("render", help="render a partition profile as SVG")
+    p = add_command("render", help="render a partition profile as SVG")
     p.add_argument("--partition", required=True,
                    help='comma-separated parts, e.g. "4,3,1,1"')
     p.add_argument("--w", type=_rational, default=Fraction(1))
@@ -338,18 +334,31 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def _explicit_dests(parser, command, argv) -> set:
+    """Destinations set on the command line, in any spelling argparse
+    accepts (--alpha=2, abbreviations): re-parse with the subcommand's
+    defaults suppressed, then restore them."""
+    actions = parser.subcommands[command]._actions
+    saved = [action.default for action in actions]
+    for action in actions:
+        action.default = argparse.SUPPRESS
+    try:
+        return set(vars(parser.parse_args(argv)))
+    finally:
+        for action, default in zip(actions, saved):
+            action.default = default
+
+
+def main(argv=None, parser=None) -> int:
+    """Run one command; ``parser`` defaults to a fresh :func:`build_parser`."""
+    if parser is None:
+        parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(argv)
     try:
         defaults = _load_config(args.config)
-        # re-parse without defaults: what remains was set on the command line,
-        # in any spelling argparse accepts (--alpha=2, abbreviations)
-        for action in _SUBPARSERS[args.command]._actions:
-            action.default = argparse.SUPPRESS
-        explicit = set(vars(parser.parse_args(argv)))
+        explicit = _explicit_dests(parser, args.command, argv) if defaults else set()
         for key, val in defaults.items():
             attr = key.replace("-", "_")
             # config fills in flags the user did not pass explicitly

@@ -5,6 +5,7 @@ against the fixed-size law before use), and empirical-statistics helpers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,6 +20,7 @@ from .rng import SplitMix64, dyadic_fraction
 EXACT_SAMPLE_CAP = 25
 GROWTH_VALIDATION_ALPHAS = (Fraction(1, 3), Fraction(1), Fraction(2))
 GROWTH_VALIDATION_SIZE = 8
+KERNEL_REL_TOL = 1e-12
 
 _growth_validated: bool | None = None
 
@@ -81,39 +83,61 @@ def growth_transitions(lam: Partition, alpha):
     return [(nxt, mass) for (_, nxt), (_, mass) in zip(cands, tm.atoms)]
 
 
-def growth_distribution(alpha, d: int) -> dict:
-    """Exact chain-rule distribution on partitions of d induced by the
-    growth process started from the empty diagram."""
+def _chain_rule(step, d: int):
+    """The growth process from the empty diagram, pushed forward exactly one
+    box at a time with the one-step law ``step(lam)``: yields its
+    distribution on partitions of n for n = 0..d."""
     dist = {Partition(): Fraction(1)}
+    yield dist
     for _ in range(d):
         nxt: dict = {}
         for lam, p in dist.items():
-            for mu, q in growth_transitions(lam, alpha):
+            for mu, q in step(lam):
                 nxt[mu] = nxt.get(mu, Fraction(0)) + p * q
         dist = nxt
+        yield dist
+
+
+def growth_distribution(alpha, d: int) -> dict:
+    """Exact chain-rule distribution on partitions of d induced by the
+    growth process started from the empty diagram."""
+    for dist in _chain_rule(lambda lam: growth_transitions(lam, alpha), d):
+        pass
     return dist
+
+
+def kernel_matches_law(lam: Partition, alpha, law=None) -> bool:
+    """Whether the float kernel's corner masses at ``lam`` agree with the
+    exact one-step law (``growth_transitions(lam, alpha)`` unless given) to
+    KERNEL_REL_TOL relative.  Kernel index i is the i-th minimum
+    descending, which is candidate index m - i."""
+    values, counts = _groups(lam)
+    floats = _kernels.corner_masses(values, counts, float(alpha))
+    if law is None:
+        law = growth_transitions(lam, alpha)
+    m = len(values)
+    return len(floats) == len(law) and all(
+        abs(floats[m - i] - mass) <= KERNEL_REL_TOL * mass
+        for i, (_, mass) in enumerate(law))
 
 
 def validate_growth(alphas=GROWTH_VALIDATION_ALPHAS,
                     size: int = GROWTH_VALIDATION_SIZE) -> bool:
-    """Exact validation contract: the induced distribution must equal the
-    fixed-size deformed-Plancherel law for every size <= ``size`` and every
-    alpha in ``alphas``.  The result is cached per process."""
+    """Exact validation contract, for every alpha in ``alphas``: the induced
+    distribution must equal the fixed-size deformed-Plancherel law at every
+    size <= ``size``, and the float kernel's corner masses must match the
+    exact one-step law at every state of those sizes.  The result is cached
+    per process."""
     global _growth_validated
     if _growth_validated is not None:
         return _growth_validated
     ok = True
     for alpha in alphas:
-        dist = {Partition(): Fraction(1)}
-        for d in range(1, size + 1):
-            nxt: dict = {}
-            for lam, p in dist.items():
-                for mu, q in growth_transitions(lam, alpha):
-                    nxt[mu] = nxt.get(mu, Fraction(0)) + p * q
-            dist = nxt
-            target = JackPlancherel(alpha, d).masses()
-            if dist != target:
-                ok = False
+        step = functools.cache(lambda lam, alpha=alpha: growth_transitions(lam, alpha))
+        for d, dist in enumerate(_chain_rule(step, size)):
+            ok = ((d == 0 or dist == JackPlancherel(alpha, d).masses())
+                  and all(kernel_matches_law(lam, alpha, step(lam)) for lam in dist))
+            if not ok:
                 break
         if not ok:
             break
@@ -211,7 +235,11 @@ def _first_above(cum, x) -> int:
 @dataclass
 class SampleRun:
     """A reproducible batch of draws: identical (config, seed) give
-    identical output within a backend."""
+    identical output within a backend.  ``backend`` is the growth kernel's
+    backend that ran (None for exact draws), ``numba_available`` whether
+    numba was importable and not disabled by JACKPATHS_NO_NUMBA, and
+    ``growth_validated`` the result of :func:`validate_growth` for growth
+    runs (None for exact draws)."""
 
     config: dict
     seed: int
@@ -219,27 +247,38 @@ class SampleRun:
     method: str
     backend: str | None = None
     collected: list = field(default_factory=list)
+    numba_available: bool = _kernels.HAVE_NUMBA
+    growth_validated: bool | None = None
 
 
 def run_sampler(config: dict, seed: int, count: int, method: str = "exact",
                 backend: str | None = None) -> SampleRun:
     """Draw ``count`` partitions; draw i uses the substream (seed, i), so
-    runs parallelize and extend deterministically."""
+    runs parallelize and extend deterministically.  The growth method draws
+    the Jack-Plancherel chain only, so it refuses any other variant."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     root = SplitMix64(seed)
-    run = SampleRun(config, seed, count, method, backend)
+    run = SampleRun(config, seed, count, method)
     if method == "exact":
+        if backend is not None:
+            raise ValueError("a backend applies to the growth method only")
         ensemble = ensemble_from_config(config)
         for i in range(count):
             run.collected.append(exact_sample(ensemble, root.substream(i)))
     elif method == "growth":
+        variant = config.get("variant")
+        if variant != "plancherel":
+            raise ValueError(f"the growth method samples the plancherel "
+                             f"variant only, not {variant!r}; use exact")
         alpha = Fraction(str(config["alpha"])) if not isinstance(
             config["alpha"], (int, Fraction)) else Fraction(config["alpha"])
         d = int(config["d"])
+        run.backend = _kernels.resolve_backend(backend)
+        run.growth_validated = validate_growth()
         for i in range(count):
             run.collected.append(growth_sample(alpha, d, root.substream(i),
-                                               backend=backend))
+                                               backend=run.backend))
     else:
         raise ValueError(f"unknown sampling method {method!r}")
     return run

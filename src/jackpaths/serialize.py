@@ -11,10 +11,17 @@ from .partitions import Partition
 
 
 def samples_to_jsonl(run) -> str:
-    """One JSON record per line: header line then one line per draw."""
-    lines = [json.dumps({"config": run.config, "seed": run.seed,
-                         "count": run.count, "method": run.method,
-                         "backend": run.backend}, sort_keys=True, default=str)]
+    """One JSON record per line: a header line (the run's config, seed,
+    count and method, the growth backend that ran, whether numba was
+    available, the growth validation result and the package version), then
+    one line per draw."""
+    from . import __version__
+
+    header = {"config": run.config, "seed": run.seed, "count": run.count,
+              "method": run.method, "backend": run.backend,
+              "numba_available": run.numba_available,
+              "growth_validated": run.growth_validated, "version": __version__}
+    lines = [json.dumps(header, sort_keys=True, default=str)]
     for lam in run.collected:
         lines.append(json.dumps(lam.to_json()))
     return "\n".join(lines) + "\n"

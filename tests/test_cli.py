@@ -3,6 +3,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import jackpaths
+from jackpaths import _kernels, cli
+
 
 def run_cli(*argv):
     return subprocess.run([sys.executable, "-m", "jackpaths.cli", *argv],
@@ -124,3 +129,55 @@ def test_missing_ensemble_key_exits_2():
 def test_negative_sample_count_exits_2():
     out = run_cli("sample", "--d", "3", "--n", "-3")
     assert out.returncode == 2
+
+
+def test_sample_refuses_what_its_method_would_ignore():
+    for extra in (["--ensemble", "schur_weyl", "--K", "2"],
+                  ["--ensemble", "thoma", "--u", "1", "--v", "1"]):
+        out = run_cli("sample", *extra, "--alpha", "1", "--method", "growth",
+                      "--d", "12")
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert "plancherel" in out.stderr
+        assert out.stdout == ""
+    out = run_cli("sample", "--d", "3", "--backend", "python")
+    assert out.returncode == 2 and "growth method only" in out.stderr
+
+
+def test_growth_header_records_provenance(tmp_path: Path):
+    out_file = tmp_path / "g.jsonl"
+    out = run_cli("sample", "--method", "growth", "--alpha", "1/2", "--d", "30",
+                  "--n", "2", "--out", str(out_file))
+    assert out.returncode == 0
+    header = json.loads(out_file.read_text().splitlines()[0])
+    assert header["backend"] == ("numba" if _kernels.HAVE_NUMBA else "python")
+    assert header["numba_available"] is _kernels.HAVE_NUMBA
+    assert header["growth_validated"] is True
+    assert header["version"] == jackpaths.__version__
+    exact_file = tmp_path / "e.jsonl"
+    out = run_cli("sample", "--d", "3", "--out", str(exact_file))
+    assert out.returncode == 0
+    header = json.loads(exact_file.read_text().splitlines()[0])
+    assert header["backend"] is None and header["growth_validated"] is None
+    assert header["version"] == jackpaths.__version__
+
+
+@pytest.mark.skipif(_kernels.HAVE_NUMBA, reason="numba is available here")
+def test_unavailable_numba_backend_exits_2():
+    out = run_cli("sample", "--method", "growth", "--d", "5", "--backend", "numba")
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+
+
+def test_parsers_keep_their_own_subcommands(tmp_path: Path, capsys):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"g": "1/2", "plancherel": True}))
+    first, second = cli.build_parser(), cli.build_parser()
+    assert first.subcommands["moments"] is not second.subcommands["moments"]
+    argv = ["--config", str(cfg), "moments", "--ell", "4"]
+    for parser in (first, second, first):
+        assert cli.main(argv, parser=parser) == 0
+        assert capsys.readouterr().out.strip() == "9/4"
+    # an explicit flag still beats the config on a parser used before
+    assert cli.main(argv + ["--g=0"], parser=second) == 0
+    assert capsys.readouterr().out.strip() == "2"

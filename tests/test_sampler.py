@@ -1,17 +1,23 @@
 import math
+import os
+import subprocess
+import sys
+import types
 from fractions import Fraction
 
 import pytest
 
 import jackpaths._kernels as kernels
+from jackpaths import sampler
 from jackpaths.diagrams import AnisotropicDiagram, observable_family, transition_measure
 from jackpaths.ensembles import JackPlancherel
 from jackpaths.exactnum import sqrt_ext
 from jackpaths.partitions import Partition, partitions_of
 from jackpaths.rng import SplitMix64, mix64, stream_word
 from jackpaths.sampler import (exact_sample, growth_distribution,
-                               growth_sample, growth_transitions, mean_profile,
-                               run_sampler, scaled_profile, validate_growth)
+                               growth_sample, growth_transitions,
+                               kernel_matches_law, mean_profile, run_sampler,
+                               scaled_profile, validate_growth)
 
 
 def test_rng_is_counter_based_and_stable():
@@ -41,6 +47,64 @@ def test_validate_growth_contract():
     assert validate_growth()
 
 
+def test_kernel_masses_match_law_along_a_long_draw():
+    # the stream is counter-based, so a draw of size k is the first k steps
+    # of the same seed's draw of size 400: its states are checkpoints
+    alpha = Fraction(1, 100)
+    for k in (0, 1, 2, 50, 100, 200, 300, 399):
+        lam = Partition(kernels.growth_draw_parts(k, float(alpha), 20260809))
+        assert lam.size() == k
+        assert kernel_matches_law(lam, alpha)
+    lam = Partition(kernels.growth_draw_parts(400, float(alpha), 20260809))
+    assert lam.parts[0] > 100  # the low-temperature chain grows a long first row
+    assert kernel_matches_law(lam, alpha)
+
+
+def test_validate_growth_catches_a_wrong_kernel_mass(monkeypatch):
+    true_masses = kernels.corner_masses
+
+    def skewed(values, counts, alpha, backend=None):
+        masses = true_masses(values, counts, alpha, backend)
+        if len(masses) == 3:
+            masses[1] *= 1 + 1e-9
+        return masses
+
+    monkeypatch.setattr(sampler, "_growth_validated", None)
+    monkeypatch.setattr(kernels, "corner_masses", skewed)
+    try:
+        assert validate_growth() is False
+    finally:
+        sampler._growth_validated = None
+    monkeypatch.undo()
+    assert validate_growth() is True
+
+
+def test_import_does_not_load_numpy_without_numba():
+    env = dict(os.environ, JACKPATHS_NO_NUMBA="1")
+    code = ("import sys, jackpaths, jackpaths.cli; "
+            "from jackpaths import _kernels; "
+            "assert _kernels.growth_draw_parts(30, 0.5, 1); "
+            "assert 'numpy' not in sys.modules, 'numpy was imported'")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+
+
+def test_numba_backend_code_under_a_stand_in_jit(monkeypatch):
+    # with an identity njit, the numba backend's code (its uint64 stream and
+    # numpy buffers) runs as Python; it must draw what the python backend does
+    np = pytest.importorskip("numpy")
+    stand_in = types.SimpleNamespace(njit=lambda cache: (lambda func: func))
+    monkeypatch.setitem(kernels._BACKENDS, "numba", kernels._numba_backend(stand_in))
+    monkeypatch.setattr(kernels, "HAVE_NUMBA", True)
+    with np.errstate(over="ignore"):
+        for d, alpha, seed in ((120, 0.5, 7), (200, 0.01, 2 ** 63 + 5)):
+            assert (kernels.growth_draw_parts(d, alpha, seed, backend="numba")
+                    == kernels.growth_draw_parts(d, alpha, seed, backend="python"))
+        assert (kernels.corner_masses([3, 1], [1, 2], 1 / 3, backend="numba")
+                == kernels.corner_masses([3, 1], [1, 2], 1 / 3, backend="python"))
+
+
 def test_growth_sample_sizes_and_determinism():
     lam = growth_sample(Fraction(1, 2), 40, SplitMix64(3))
     assert lam.size() == 40
@@ -58,13 +122,13 @@ def test_growth_sample_rejects_nonpositive_alpha():
 def test_growth_backends_agree_statistically():
     alpha, d, n = Fraction(1, 2), 50, 60
     means = {}
-    for backend in ("numpy",) + (("numba",) if kernels.HAVE_NUMBA else ()):
+    for backend in ("python",) + (("numba",) if kernels.HAVE_NUMBA else ()):
         root = SplitMix64(11)
         draws = [growth_sample(alpha, d, root.substream(i), backend=backend)
                  for i in range(n)]
         means[backend] = sum(l.parts[0] for l in draws) / n
     if len(means) == 2:
-        assert abs(means["numba"] - means["numpy"]) < 4.0
+        assert abs(means["numba"] - means["python"]) < 4.0
 
 
 def test_numpy_fallback_env_flag(monkeypatch):
@@ -157,6 +221,6 @@ def test_empirical_stats_table():
 
 def test_sampler_kernels_state_capacity():
     assert kernels.state_capacity(1600) >= 56
-    parts = kernels.growth_draw_parts(25, 0.5, 12345, backend="numpy")
+    parts = kernels.growth_draw_parts(25, 0.5, 12345, backend="python")
     assert sum(parts) == 25
     assert parts == sorted(parts, reverse=True)
