@@ -224,12 +224,14 @@ def growth_draw_parts(d: int, alpha: float, seed: int, backend: str | None = Non
     return parts
 
 
-def corner_masses(values, counts, alpha: float, backend: str | None = None):
+def corner_masses(values, counts, alpha: float):
     """The kernel's normalised transition masses at the state with the
     given groups (descending part values and their multiplicities), in
     kernel order: index i is the minimum xs[i], descending, so index m is
-    the new bottom row."""
-    _, corners, masses, buffers, _ = _BACKENDS[resolve_backend(backend)]
+    the new bottom row.  Computed by the default backend's helpers (the
+    compiled ones when numba is present); the python backend runs the same
+    source uncompiled."""
+    _, corners, masses, buffers, _ = _BACKENDS[resolve_backend()]
     m = len(values)
     vals = buffers(m + 1, "int")
     cnts = buffers(m + 1, "int")

@@ -125,8 +125,9 @@ def validate_growth(alphas=GROWTH_VALIDATION_ALPHAS,
                     size: int = GROWTH_VALIDATION_SIZE) -> bool:
     """Exact validation contract, for every alpha in ``alphas``: the induced
     distribution must equal the fixed-size deformed-Plancherel law at every
-    size <= ``size``, and the float kernel's corner masses must match the
-    exact one-step law at every state of those sizes.  The result is cached
+    size <= ``size``, and the float kernel's corner masses (on the default
+    backend) must match the exact one-step law at every state of those
+    sizes.  The result is cached
     per process."""
     global _growth_validated
     if _growth_validated is not None:
@@ -236,10 +237,10 @@ def _first_above(cum, x) -> int:
 class SampleRun:
     """A reproducible batch of draws: identical (config, seed) give
     identical output within a backend.  ``backend`` is the growth kernel's
-    backend that ran (None for exact draws), ``numba_available`` whether
-    numba was importable and not disabled by JACKPATHS_NO_NUMBA, and
-    ``growth_validated`` the result of :func:`validate_growth` for growth
-    runs (None for exact draws)."""
+    backend that ran (None for exact draws) and ``growth_validated`` the
+    result of :func:`validate_growth` for growth runs (None for exact
+    draws); a completed growth run always records True, because
+    :func:`growth_sample` refuses to draw otherwise."""
 
     config: dict
     seed: int
@@ -247,7 +248,6 @@ class SampleRun:
     method: str
     backend: str | None = None
     collected: list = field(default_factory=list)
-    numba_available: bool = _kernels.HAVE_NUMBA
     growth_validated: bool | None = None
 
 

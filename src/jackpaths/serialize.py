@@ -15,11 +15,11 @@ def samples_to_jsonl(run) -> str:
     count and method, the growth backend that ran, whether numba was
     available, the growth validation result and the package version), then
     one line per draw."""
-    from . import __version__
+    from . import __version__, _kernels
 
     header = {"config": run.config, "seed": run.seed, "count": run.count,
               "method": run.method, "backend": run.backend,
-              "numba_available": run.numba_available,
+              "numba_available": _kernels.HAVE_NUMBA,
               "growth_validated": run.growth_validated, "version": __version__}
     lines = [json.dumps(header, sort_keys=True, default=str)]
     for lam in run.collected:
