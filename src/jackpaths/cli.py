@@ -95,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = add_command("sample", help="draw random diagrams")
-    p.add_argument("--ensemble", default="plancherel")
+    p.add_argument("--ensemble", default="plancherel",
+                   choices=("plancherel", "schur_weyl", "conditional_thoma"))
     p.add_argument("--alpha", type=_rational, default=Fraction(1))
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--K", type=int, default=None)

@@ -1,6 +1,6 @@
 """Probability measures on partitions: the deformed Plancherel and
 Schur-Weyl families, Poissonized and size-conditioned Thoma measures,
-general character measures solved exactly, positive specializations and
+general character measures in closed form, positive specializations and
 asymptotic-regime parameter sequences, conditional cumulants, and a
 tail-certified Poisson truncation oracle."""
 
@@ -304,7 +304,8 @@ class JackThoma(Ensemble):
 
 class ConditionalJackThoma(Ensemble):
     """The Thoma measure conditioned on |lambda| = d; requires v_1 = 1.
-    Masses are exact in Q(sqrt(alpha))."""
+    Masses are exact in Q(sqrt(alpha)): the character measure of the
+    table chi(mu) = prod v_{mu_i}."""
 
     variant = "conditional_thoma"
 
@@ -316,39 +317,21 @@ class ConditionalJackThoma(Ensemble):
         self._vget = _vseq(v)
         if self._vget(1) != 1:
             raise ValueError("conditional Thoma measures require v_1 = 1")
+        self._chi = None  # the table prod v_{mu_i}, built on first use
         if check_positivity:
             self.validate_positivity()
 
     def mass(self, lam: Partition):
         self._check_domain(lam)
-        d = self.d
-        total = Fraction(0)
-        total_sqrt = Fraction(0)  # coefficient of sqrt(alpha)
-        for mu in partitions_of(d):
-            th = theta_coefficient(lam, mu, self.alpha)
-            if not th:
-                continue
-            vmu = Fraction(1)
-            for part in mu.parts:
-                vmu *= self._vget(part)
-            if not vmu:
-                continue
-            # alpha^{-w(mu)/2} with w = |mu| - l(mu)
-            half = alpha_half_power(self.alpha, -mu.weight())
-            term = th * vmu
-            if isinstance(half, SqrtExt):
-                total += term * half.a
-                total_sqrt += term * half.b
-            else:
-                total += term * half
-        pref = self.alpha ** d * _factorial(d) / j_alpha(lam, self.alpha)
-        return sqrt_ext(pref * total, pref * total_sqrt, self.alpha)
+        if self._chi is None:
+            self._chi = conditional_thoma_character(self._vget, self.d)
+        return _character_mass(lam, self.alpha, self._chi)
 
 
 class CharacterMeasure(Ensemble):
-    """Measure defined by expanding a normalized character table over the
-    irreducible character basis; solved by exact dense linear algebra over
-    Q(sqrt(alpha)).  May be signed when the table is not a true character."""
+    """Measure whose normalized character table is chi, from the closed
+    form of :func:`_character_mass` (Jack orthogonality).  May be signed
+    when the table is not a true character."""
 
     variant = "character"
 
@@ -364,56 +347,43 @@ class CharacterMeasure(Ensemble):
         self._solution = self._solve()
 
     def _solve(self):
-        d, alpha = self.d, self.alpha
-        parts = list(partitions_of(d))
-        n = len(parts)
-        # row mu: sum_lam P(lam) theta_mu(lam) z_mu/d! = chi(mu) alpha^{w(mu)/2}
-        rows = []
-        rhs = []
-        for mu in parts:
-            zfac = Fraction(mu.z_factor(), _factorial(d))
-            rows.append([theta_coefficient(lam, mu, alpha) * zfac for lam in parts])
-            rhs.append(self.chi[mu] * alpha_half_power(alpha, mu.weight()))
-        sol = _solve_linear(rows, rhs)
-        if sol is None:
-            raise ArithmeticError("irreducible characters produced a singular system")
-        return dict(zip(parts, sol))
+        return {lam: _character_mass(lam, self.alpha, self.chi)
+                for lam in partitions_of(self.d)}
 
     def mass(self, lam: Partition):
         self._check_domain(lam)
         return self._solution[lam]
 
 
-def _solve_linear(rows, rhs):
-    """Gaussian elimination over a field of Fractions and SqrtExt values."""
-    n = len(rows)
-    aug = [list(map(_lift, rows[i])) + [_lift(rhs[i])] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not _is_zero(aug[r][col])), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [_div(x, pv) for x in aug[col]]
-        for r in range(n):
-            if r != col and not _is_zero(aug[r][col]):
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
-def _lift(x):
-    return x if isinstance(x, SqrtExt) else Fraction(x)
-
-
-def _is_zero(x):
-    return x == 0 if not isinstance(x, SqrtExt) else (x.a == 0 and x.b == 0)
-
-
-def _div(x, y):
-    if isinstance(y, SqrtExt):
-        return y.inverse() * x if not isinstance(x, SqrtExt) else x / y
-    return x / y
+def _character_mass(lam: Partition, alpha: Fraction, chi: dict):
+    """alpha^d d!/j_lam * sum_mu theta_mu(lam) chi(mu) alpha^{-w(mu)/2}: the
+    mass at lam of the measure with normalized character table chi (a dict
+    on the partitions of d = |lam|, values rational or in Q(sqrt(alpha))),
+    exact in Q(sqrt(alpha))."""
+    d = lam.size()
+    rat = irr = Fraction(0)  # the coefficients of 1 and of sqrt(alpha)
+    for mu in partitions_of(d):
+        th = theta_coefficient(lam, mu, alpha)
+        c = chi[mu]
+        if not th or not c:
+            continue
+        if isinstance(c, SqrtExt):
+            if c.alpha != alpha:
+                raise ValueError("character value from another extension")
+            ca, cb = c.a, c.b
+        else:
+            ca, cb = c, 0
+        # th * alpha^{-w/2} is h for even w and h * sqrt(alpha) for odd w
+        w = mu.weight()
+        h = th * alpha ** -((w + 1) // 2)
+        if w % 2:
+            rat += h * cb * alpha
+            irr += h * ca
+        else:
+            rat += h * ca
+            irr += h * cb
+    pref = alpha ** d * _factorial(d) / j_alpha(lam, alpha)
+    return sqrt_ext(pref * rat, pref * irr, alpha)
 
 
 class JackMeasure(Ensemble):

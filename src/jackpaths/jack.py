@@ -1,12 +1,14 @@
 """Symmetric functions in the power-sum basis at rational alpha: the
-deformed Hall product, the Jack basis built by exact Gram-Schmidt against
-dominance order, irreducible/normalized characters, specializations, and
-the band-operator transfer construction acting on the Jack basis."""
+deformed Hall product, the Jack basis from Stanley's triangular recursion
+in the monomial basis, irreducible/normalized characters, specializations,
+and the band-operator transfer construction acting on the Jack basis."""
 
 from __future__ import annotations
 
+import math
 import threading
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactnum import SqrtExt, alpha_half_power, format_rational
 from .partitions import Partition, falling_factorial, partitions_of, _factorial
@@ -15,7 +17,6 @@ DEGREE_CAP = 12
 
 _cache_lock = threading.Lock()
 _basis_cache: dict = {}
-_m_to_p_cache: dict = {}
 
 
 class PowerSumPoly:
@@ -190,44 +191,81 @@ def _powersum_in_monomials(d: int):
     return out
 
 
-def _monomial_in_powersums(d: int):
-    """Inverse change of basis: {nu: PowerSumPoly equal to m_nu}."""
-    with _cache_lock:
-        cached = _m_to_p_cache.get(d)
-    if cached is not None:
-        return cached
-    parts = list(partitions_of(d))
-    index = {mu: i for i, mu in enumerate(parts)}
-    n = len(parts)
+@lru_cache(maxsize=None)
+def _recursion_tables(d: int):
+    """The alpha-free data of Stanley's recursion at degree d, indexed as
+    partitions_of(d): rho_mu = A[mu] - (2/alpha) B[mu] with
+    A = sum mu_i(mu_i - 1) and B = sum (i - 1) mu_i; the raisings of each
+    mu as [(index of nu, summed weight mu_i - mu_j + 2t)] over
+    nu = sort(mu + t(e_i - e_j)), i < j, 1 <= t <= mu_j; and the columns
+    [(index of nu, R[nu][mu])], nu before mu, and the diagonal of the
+    integer matrix R of p_nu = sum R[nu][mu] m_mu."""
+    parts = partitions_of(d)
+    index = {mu.parts: k for k, mu in enumerate(parts)}
+    rho_a = [sum(x * (x - 1) for x in mu.parts) for mu in parts]
+    rho_b = [sum(i * x for i, x in enumerate(mu.parts)) for mu in parts]
+    raisings = []
+    for mu in parts:
+        acc: dict = {}
+        m = list(mu.parts)
+        for i in range(len(m)):
+            for j in range(i + 1, len(m)):
+                for t in range(1, m[j] + 1):
+                    nu = m[:]
+                    nu[i] += t
+                    nu[j] -= t
+                    k = index[tuple(sorted(filter(None, nu), reverse=True))]
+                    acc[k] = acc.get(k, 0) + m[i] - m[j] + 2 * t
+        raisings.append(list(acc.items()))
     p2m = _powersum_in_monomials(d)
-    # rows: p_mu in m-basis; solve the transposed systems by Gaussian elimination
-    mat = [[Fraction(p2m[mu].get(nu, 0)) for nu in parts] for mu in parts]
-    inv = _invert(mat)
-    # m_nu = sum_mu inv[mu][nu] p_mu  (inverse of the transpose relation)
-    result = {}
-    for j, nu in enumerate(parts):
-        result[nu] = PowerSumPoly({parts[i]: inv[j][i] for i in range(n) if inv[j][i]})
-    with _cache_lock:
-        _m_to_p_cache[d] = result
-    return result
+    cols = [[(j, p2m[nu][mu]) for j, nu in enumerate(parts[:k]) if mu in p2m[nu]]
+            for k, mu in enumerate(parts)]
+    diag = [p2m[mu][mu] for mu in parts]
+    return rho_a, rho_b, raisings, cols, diag
 
 
-def _invert(mat):
-    n = len(mat)
-    aug = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular change-of-basis matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+def _monomial_row(d: int, k: int, a: int, q: int) -> list:
+    """Integer multiples s*c_mu, indexed as partitions_of(d), of the
+    monomial coefficients of the Jack element of lam = partitions_of(d)[k]
+    at alpha = a/q, with c_lam = 1.  Walking mu down in lex order,
+    (rho_lam - rho_mu) c_mu = (2/alpha) sum w c_nu over the raisings nu of
+    mu, times a, is the integer equation (a dA - 2q dB) c_mu = 2q sum w c_nu;
+    the common factor s grows only by what each c_mu needs."""
+    rho_a, rho_b, raisings, _, _ = _recursion_tables(d)
+    row = [0] * len(rho_a)
+    row[k] = 1
+    for i in range(k - 1, -1, -1):
+        x = 2 * q * sum(w * row[j] for j, w in raisings[i])
+        if not x:
+            continue  # mu is not dominated by lam, nor is any raising of it
+        den = a * (rho_a[k] - rho_a[i]) - 2 * q * (rho_b[k] - rho_b[i])
+        if not den:
+            raise ArithmeticError(f"rho_lam = rho_mu at lam, mu = "
+                                  f"{partitions_of(d)[k]}, {partitions_of(d)[i]}")
+        if den < 0:
+            x, den = -x, -den
+        g = math.gcd(x, den)
+        if g != den:
+            for j in range(i + 1, k + 1):
+                row[j] *= den // g
+        row[i] = x // g
+    return row
+
+
+def _powersum_row(d: int, c: list) -> list:
+    """Integer multiples of theta with theta R = c, by forward substitution
+    in ascending lex order (R is triangular in dominance order)."""
+    _, _, _, cols, diag = _recursion_tables(d)
+    tau = 1
+    theta = []
+    for ck, col, r in zip(c, cols, diag):
+        y = tau * ck - sum(theta[j] * rjk for j, rjk in col)
+        g = math.gcd(y, r)
+        if g != r:
+            tau *= r // g
+            theta = [t * (r // g) for t in theta]
+        theta.append(y // g)
+    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +275,10 @@ def _invert(mat):
 
 def jack_basis(d: int, alpha, cap: int | None = None):
     """All Jack elements of degree d in the power-sum basis, memoized per
-    (d, alpha).  Built by exact Gram-Schmidt over a linear extension of
-    dominance order in the monomial basis and normalized so the coefficient
-    of p_{1^d} equals 1."""
+    (d, alpha).  Each comes from Stanley's triangular recursion for the
+    eigenfunctions of the Laplace-Beltrami operator in the monomial basis,
+    then a triangular solve back to power sums, in integers; it is
+    normalized so the coefficient of p_{1^d} equals 1."""
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -251,27 +290,14 @@ def jack_basis(d: int, alpha, cap: int | None = None):
         cached = _basis_cache.get(key)
     if cached is not None:
         return cached
-    if d == 0:
-        result = {Partition(): PowerSumPoly.one()}
-        with _cache_lock:
-            _basis_cache[key] = result
-        return result
-    m_in_p = _monomial_in_powersums(d)
-    ones = Partition([1] * d)
+    parts = partitions_of(d)
+    a, q = alpha.numerator, alpha.denominator
     basis = {}
-    norms = {}
-    for lam in partitions_of(d):  # ascending lex extends dominance
-        vec = m_in_p[lam]
-        for mu, jmu in basis.items():
-            coeff = hall_inner(vec, jmu, alpha) / norms[mu]
-            if coeff:
-                vec = vec - jmu.scale(coeff)
-        lead = vec.coefficient(ones)
-        if lead == 0:
-            raise AssertionError(f"vanishing Plancherel coefficient for {lam}")
-        vec = vec.scale(1 / lead)
-        basis[lam] = vec
-        norms[lam] = hall_inner(vec, vec, alpha)
+    for k, lam in enumerate(parts):
+        theta = _powersum_row(d, _monomial_row(d, k, a, q))
+        lead = theta[0]  # the coefficient of p_{1^d}
+        basis[lam] = PowerSumPoly({mu: Fraction(t, lead)
+                                   for mu, t in zip(parts, theta) if t})
     with _cache_lock:
         _basis_cache[key] = basis
     return basis

@@ -120,10 +120,26 @@ def test_equals_form_flag_overrides_config(tmp_path: Path):
 
 
 def test_missing_ensemble_key_exits_2():
-    out = run_cli("sample", "--ensemble", "thoma", "--d", "3", "--u", "1")
+    out = run_cli("sample", "--ensemble", "conditional_thoma", "--d", "3")
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
     assert "'v'" in out.stderr
+
+
+def test_sample_offers_only_drawable_ensembles(capsys):
+    # thoma and jack_measure have no fixed size, and character needs a
+    # table the command line cannot pass: argparse refuses them
+    for name in ("thoma", "jack_measure", "character"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sample", "--ensemble", name, "--d", "3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err
+        for valid in ("plancherel", "schur_weyl", "conditional_thoma"):
+            assert valid in err
+    assert cli.main(["sample", "--ensemble", "conditional_thoma", "--alpha", "2",
+                     "--d", "4", "--v", "1", "1/4", "1/8", "--n", "2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 def test_negative_sample_count_exits_2():
@@ -133,7 +149,7 @@ def test_negative_sample_count_exits_2():
 
 def test_sample_refuses_what_its_method_would_ignore():
     for extra in (["--ensemble", "schur_weyl", "--K", "2"],
-                  ["--ensemble", "thoma", "--u", "1", "--v", "1"]):
+                  ["--ensemble", "conditional_thoma", "--v", "1"]):
         out = run_cli("sample", *extra, "--alpha", "1", "--method", "growth",
                       "--d", "12")
         assert out.returncode == 2

@@ -1,0 +1,160 @@
+"""Stanley's recursion for the Jack basis and the closed-form character
+measure against the algorithms they replace, kept here as oracles: exact
+Gram-Schmidt over the Hall product, and a dense solve over Q(sqrt(alpha))."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from jackpaths.ensembles import CharacterMeasure
+from jackpaths.exactnum import SqrtExt, alpha_half_power
+from jackpaths.jack import (PowerSumPoly, _monomial_row, _powersum_in_monomials,
+                            _recursion_tables, hall_inner, jack_basis,
+                            theta_coefficient)
+from jackpaths.partitions import Partition, _factorial, partitions_of
+
+ALPHAS = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(2, 3),
+          Fraction(3, 2), Fraction(7, 2), Fraction(1, 100)]
+
+
+def _invert(mat):
+    n = len(mat)
+    aug = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+           for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def monomials_in_powersums(d):
+    """{nu: PowerSumPoly equal to m_nu}, by inverting the p -> m matrix."""
+    parts = list(partitions_of(d))
+    p2m = _powersum_in_monomials(d)
+    inv = _invert([[Fraction(p2m[mu].get(nu, 0)) for nu in parts] for mu in parts])
+    return {nu: PowerSumPoly({parts[i]: inv[j][i] for i in range(len(parts))
+                              if inv[j][i]})
+            for j, nu in enumerate(parts)}
+
+
+def gram_schmidt_basis(d, alpha):
+    """Exact Gram-Schmidt of the monomials in ascending lex order (a linear
+    extension of dominance), normalized to p_{1^d} coefficient 1."""
+    m_in_p = monomials_in_powersums(d)
+    ones = Partition([1] * d)
+    basis, norms = {}, {}
+    for lam in partitions_of(d):
+        vec = m_in_p[lam]
+        for mu, jmu in basis.items():
+            coeff = hall_inner(vec, jmu, alpha) / norms[mu]
+            if coeff:
+                vec = vec - jmu.scale(coeff)
+        vec = vec.scale(1 / vec.coefficient(ones))
+        basis[lam] = vec
+        norms[lam] = hall_inner(vec, vec, alpha)
+    return basis
+
+
+def _assert_same_basis(d, alpha):
+    got, want = jack_basis(d, alpha), gram_schmidt_basis(d, alpha)
+    assert list(got) == list(want) == list(partitions_of(d))
+    for lam in want:
+        assert got[lam].terms == want[lam].terms, (d, alpha, lam)
+        assert all(type(c) is Fraction for c in got[lam].terms.values())
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_recursion_equals_gram_schmidt(alpha):
+    for d in range(0, 9):
+        _assert_same_basis(d, alpha)
+
+
+@pytest.mark.parametrize("d", [9, 10])
+def test_recursion_equals_gram_schmidt_high_degree(d):
+    _assert_same_basis(d, Fraction(2, 3))
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_monomial_step_low_degrees(alpha):
+    # J_(2) ~ m_2 + 2/(1+a) m_11, J_(3) ~ m_3 + 3/(1+2a) m_21 + 6/((1+a)(1+2a)) m_111
+    a, q = alpha.numerator, alpha.denominator
+    row = _monomial_row(2, 1, a, q)  # partitions_of(2) = (1,1), (2)
+    assert Fraction(row[0], row[1]) == 2 / (1 + alpha)
+    row = _monomial_row(3, 2, a, q)  # (1,1,1), (2,1), (3)
+    assert Fraction(row[1], row[2]) == 3 / (1 + 2 * alpha)
+    assert Fraction(row[0], row[2]) == 6 / ((1 + alpha) * (1 + 2 * alpha))
+    row = _monomial_row(3, 1, a, q)  # J_(2,1) has no m_3 term
+    assert row[2] == 0
+
+
+def _rho(mu, alpha):
+    return sum(x * (x - 1 - 2 * Fraction(i) / alpha) for i, x in enumerate(mu.parts))
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_rho_increases_along_raisings(alpha):
+    for d in range(1, 9):
+        parts = partitions_of(d)
+        for k, raisings in enumerate(_recursion_tables(d)[2]):
+            mu = parts[k]
+            for j, w in raisings:
+                nu = parts[j]
+                assert w > 0 and nu != mu and nu.dominates(mu)
+                assert _rho(nu, alpha) > _rho(mu, alpha), (mu, nu)
+
+
+def _lift(x):
+    return x if isinstance(x, SqrtExt) else Fraction(x)
+
+
+def _is_zero(x):
+    return x == 0 if not isinstance(x, SqrtExt) else (x.a == 0 and x.b == 0)
+
+
+def _div(x, y):
+    if isinstance(y, SqrtExt):
+        return y.inverse() * x if not isinstance(x, SqrtExt) else x / y
+    return x / y
+
+
+def dense_character_measure(alpha, d, chi):
+    """Solve sum_lam P(lam) theta_mu(lam) z_mu/d! = chi(mu) alpha^{w(mu)/2}
+    for P by Gaussian elimination over Q(sqrt(alpha))."""
+    parts = list(partitions_of(d))
+    n = len(parts)
+    aug = []
+    for mu in parts:
+        zfac = Fraction(mu.z_factor(), _factorial(d))
+        aug.append([_lift(theta_coefficient(lam, mu, alpha) * zfac) for lam in parts]
+                   + [_lift(chi[mu] * alpha_half_power(alpha, mu.weight()))])
+    for col in range(n):
+        piv = next(r for r in range(col, n) if not _is_zero(aug[r][col]))
+        aug[col], aug[piv] = aug[piv], aug[col]
+        pv = aug[col][col]
+        aug[col] = [_div(x, pv) for x in aug[col]]
+        for r in range(n):
+            if r != col and not _is_zero(aug[r][col]):
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return {lam: aug[i][n] for i, lam in enumerate(parts)}
+
+
+@pytest.mark.parametrize("alpha", [Fraction(2), Fraction(1, 3), Fraction(4)])
+def test_character_measure_equals_dense_solve(alpha):
+    rng = random.Random(f"chi:{alpha}")
+    for d in range(1, 8):
+        for _ in range(2):
+            chi = {mu: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                   for mu in partitions_of(d)}
+            chi[Partition([1] * d)] = Fraction(1)
+            got = CharacterMeasure(alpha, d, chi).masses()
+            want = dense_character_measure(alpha, d, chi)
+            assert got == want, (alpha, d)
+            assert all(type(got[lam]) is type(want[lam]) for lam in want)
