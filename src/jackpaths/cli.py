@@ -350,6 +350,34 @@ def _explicit_dests(parser, command, argv) -> set:
             action.default = default
 
 
+def _config_value(action, val):
+    """A config value as the flag would give it: converted by the option's
+    ``type`` (from its text, as on the command line) and checked against
+    its ``choices``, item by item for a list-valued option; raises
+    :class:`argparse.ArgumentError`."""
+
+    def one(item):
+        if action.type is not None:
+            text = item if isinstance(item, str) else str(item)
+            try:
+                item = action.type(text)
+            except argparse.ArgumentTypeError as exc:
+                raise argparse.ArgumentError(action, str(exc))
+            except (TypeError, ValueError):
+                name = getattr(action.type, "__name__", repr(action.type))
+                raise argparse.ArgumentError(
+                    action, f"invalid {name} value: {text!r}")
+        if action.choices is not None and item not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {item!r} (choose from {choices})")
+        return item
+
+    if action.nargs in ("*", "+") or isinstance(action.nargs, int) and action.nargs > 0:
+        return [one(item) for item in (val if isinstance(val, list) else [val])]
+    return one(val)
+
+
 def main(argv=None, parser=None) -> int:
     """Run one command; ``parser`` defaults to a fresh :func:`build_parser`."""
     if parser is None:
@@ -360,13 +388,16 @@ def main(argv=None, parser=None) -> int:
     try:
         defaults = _load_config(args.config)
         explicit = _explicit_dests(parser, args.command, argv) if defaults else set()
+        command = parser.subcommands[args.command]
+        actions = {action.dest: action for action in command._actions}
         for key, val in defaults.items():
             attr = key.replace("-", "_")
             # config fills in flags the user did not pass explicitly
-            if hasattr(args, attr) and attr not in explicit:
-                if isinstance(getattr(args, attr, None), Fraction) or attr in (
-                        "alpha", "g", "gp", "u"):
-                    val = parse_rational(val)
+            if attr in actions and attr not in explicit:
+                try:
+                    val = _config_value(actions[attr], val)
+                except argparse.ArgumentError as exc:
+                    command.error(f"--config: {exc}")
                 setattr(args, attr, val)
         return _COMMANDS[args.command](args)
     except (ValueError, ArithmeticError) as exc:

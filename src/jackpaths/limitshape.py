@@ -8,7 +8,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, isfinite
 
 import mpmath
 
@@ -176,29 +176,32 @@ class PrecisionError(ArithmeticError):
 
 def bessel_j_mp(nu, x, dps: int = 50):
     """Bessel function of the first kind of real order as an mpmath float,
-    by direct power series; 1/Gamma is evaluated through a reflection-safe
-    routine so poles contribute zero terms.  Working precision is raised
-    above dps to absorb the cancellation at negative orders."""
+    by direct power series.  1/Gamma is evaluated once, at the first term
+    that is not zero (at a negative integer order -n the terms below m = n
+    sit on its poles and vanish); each later term is the previous one times
+    -(x/2)^2 / (m (m + nu)).  Working precision is raised above dps to
+    absorb the cancellation at negative orders."""
     if x <= 0:
         raise ValueError("x must be positive")
     work = dps + 10 + (0 if nu >= 0 else int(1.5 * float(-nu)) + 10)
     with mpmath.workdps(work):
         half = mpmath.mpf(x) / 2
+        half2 = half ** 2
         nu_mp = mpmath.mpf(nu)
+        m0 = int(-nu_mp) if nu_mp < 0 and nu_mp == int(nu_mp) else 0
+        term = ((-1) ** m0 * mpmath.rgamma(m0 + nu_mp + 1)
+                * half ** (2 * m0 + nu_mp) / factorial(m0))
         total = mpmath.mpf(0)
-        fact = mpmath.mpf(1)  # m!
         eps = mpmath.mpf(10) ** (-(work - 5))
         converged = False
-        for m in range(BESSEL_TERM_CAP):
-            if m:
-                fact *= m
-            rg = mpmath.rgamma(m + nu_mp + 1)  # zero exactly at the poles
-            term = (-1) ** m / fact * rg * half ** (2 * m + nu_mp)
+        for m in range(m0, BESSEL_TERM_CAP):
+            if m > m0:
+                term *= -half2 / (m * (m + nu_mp))
             total += term
             # terms decay monotonically only once (m+1)(m+1+nu) > (x/2)^2;
             # for nu < -x the dominant hump sits around m ~ -nu, so never
             # stop in the small-term valley before it
-            past_hump = (m + 1) * (m + 1 + nu_mp) > half ** 2
+            past_hump = (m + 1) * (m + 1 + nu_mp) > half2
             if past_hump and abs(term) < eps * (abs(total) + 1):
                 converged = True
                 break
@@ -240,6 +243,8 @@ def bessel_order_zeros(g, n: int, tol: float = 1e-10, dps: int | None = None,
         raise ValueError("g must be nonzero")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not (isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     ag = abs(float(g))
     arg = 2.0 / ag
 
@@ -292,6 +297,8 @@ def _bisect_float(f, lo, hi, tol):
     flo = f(lo)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # no float left between the endpoints
+            return mid
         fm = f(mid)
         if fm == 0.0:
             return mid

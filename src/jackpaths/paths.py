@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .exactnum import sqrt_exact
 from .partitions import falling_factorial
@@ -124,7 +125,8 @@ def _general_steps(y, remaining, cap):
 @lru_cache(maxsize=None)
 def enumerate_lukasiewicz(ell: int):
     """All Lukasiewicz paths of length ell: no horizontal step at height 0,
-    every down step of degree 1.  Deterministic (DFS) order."""
+    every down step of degree 1.  Deterministic (DFS) order.  The path sums
+    come from :func:`_luk_transfer`; this listing is their test oracle."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
     return _enumerate_heights(ell, _luk_steps, ell)
@@ -551,24 +553,58 @@ def _v1_half_power(v, ell: int):
 # ---------------------------------------------------------------------------
 
 
+def _luk_transfer(ell: int) -> dict:
+    """The weighted Lukasiewicz sum of length ell split by the number k of
+    returns to zero, by a transfer over the states (height, returns so far)
+    instead of listing paths.  Maps each k to {key: coefficient}: a key
+    packs the exponents of g and v_1, v_2, ... as digits in base ell + 1
+    (g the units digit, v_j the digit of (ell + 1)^j), and the integer
+    coefficient carries the height factors of the (i*g) weights.  A height
+    above the number of steps left can no longer return, so it is pruned."""
+    base = ell + 1
+    shift = [base ** j for j in range(ell)]
+    states = {(0, 0): {0: 1}}
+    for left in range(ell - 1, -1, -1):  # steps left after this one
+        nxt = {}
+        for (y, k), table in states.items():
+            moves = [(y + j, shift[j], 1) for j in range(1, left - y + 1)]
+            if y:
+                moves.append((y - 1, 0, 1))
+                if y <= left:
+                    moves.append((y, 1, y))  # horizontal at height y: y*g
+            for y2, dkey, factor in moves:
+                target = nxt.setdefault((y2, k + (y2 == 0)), {})
+                for key, c in table.items():
+                    key += dkey
+                    target[key] = target.get(key, 0) + c * factor
+        states = nxt
+    return {k: table for (y, k), table in states.items() if y == 0}
+
+
+def _monomial(key: int, base: int) -> tuple:
+    """Decode a :func:`_luk_transfer` key into a Poly monomial."""
+    key, e = divmod(key, base)
+    mono = [("g", e)] if e else []
+    j = 1
+    while key:
+        key, e = divmod(key, base)
+        if e:
+            mono.append((f"v{j}", e))
+        j += 1
+    return tuple(mono)
+
+
 @lru_cache(maxsize=None)
 def limit_moment_poly(ell: int) -> Poly:
     """Unnormalized limiting moment as a polynomial in g and v1, v2, ...:
     the Lukasiewicz sum of prod (i*g)^{#horiz at height i} * v_j^{#up deg j}."""
-    total = Poly.const(0)
-    g = Poly.var("g")
-    for exc in enumerate_lukasiewicz(ell):
-        term = Poly.const(1)
-        prev = 0
-        for y in exc.heights[1:]:
-            d = y - prev
-            if d == 0:
-                term = term * (y * g)
-            elif d > 0:
-                term = term * Poly.var(f"v{d}")
-            prev = y
-        total = total + term
-    return total
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    total = {}
+    for table in _luk_transfer(ell).values():
+        for key, c in table.items():
+            total[key] = total.get(key, 0) + c
+    return Poly({_monomial(key, ell + 1): c for key, c in total.items()})
 
 
 def limit_moment(ell: int, g, v):
@@ -587,20 +623,16 @@ def limit_moment(ell: int, g, v):
 def shape_sum_poly(ell: int) -> Poly:
     """Like :func:`limit_moment_poly` but with the 1/|S^0| weight of the
     fundamental-functional limit."""
-    total = Poly.const(0)
-    g = Poly.var("g")
-    for exc in enumerate_lukasiewicz(ell):
-        term = Poly.const(Fraction(1, exc.touches_zero()))
-        prev = 0
-        for y in exc.heights[1:]:
-            d = y - prev
-            if d == 0:
-                term = term * (y * g)
-            elif d > 0:
-                term = term * Poly.var(f"v{d}")
-            prev = y
-        total = total + term
-    return total
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    tables = _luk_transfer(ell)
+    den = lcm(*tables)
+    total = {}
+    for k, table in tables.items():
+        for key, c in table.items():
+            total[key] = total.get(key, 0) + c * (den // k)
+    return Poly({_monomial(key, ell + 1): Fraction(c, den)
+                 for key, c in total.items()})
 
 
 def moment_duality_check(ell: int) -> bool:

@@ -27,6 +27,23 @@ def test_moments_symbolic_json():
     assert data == [{"monomial": {"v1": 1}, "coeff": "1"}]
 
 
+def test_moments_symbolic_json_beyond_enumeration():
+    # ell = 14 took minutes by listing paths; the transfer DP answers at once
+    from jackpaths.limitshape import jacobi_moment_symbolic
+
+    out = run_cli("moments", "--ell", "14", "--symbolic", "--json")
+    assert out.returncode == 0
+    assert json.loads(out.stdout) == jacobi_moment_symbolic(14).to_json()
+
+
+def test_python_dash_m_runs_the_cli():
+    out = subprocess.run([sys.executable, "-m", "jackpaths", "moments", "--ell",
+                          "4", "--g", "1/2", "--plancherel"],
+                         capture_output=True, text=True)
+    assert out.returncode == 0
+    assert out.stdout.strip() == "9/4"
+
+
 def test_finite_expectation_and_cumulant():
     out = run_cli("finite-expectation", "--lengths", "2", "2", "--alpha", "2",
                   "--u", "2", "--v", "1", "--json")
@@ -90,6 +107,16 @@ def test_verify_suite_and_exit_codes():
     assert bad.returncode == 2
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_bessel_zeros_bad_tol_exits_2(tol):
+    out = subprocess.run([sys.executable, "-m", "jackpaths.cli", "bessel-zeros",
+                          "--g", "-1/4", "-n", "1", "--tol", tol],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2
+    assert "tol must be finite and positive" in out.stderr
+    assert out.stdout == ""
+
+
 def test_usage_errors_exit_2():
     out = run_cli("moments", "--ell", "4", "--g", "nonsense")
     assert out.returncode == 2
@@ -117,6 +144,34 @@ def test_equals_form_flag_overrides_config(tmp_path: Path):
     assert out.returncode == 0
     header = json.loads(out_file.read_text().splitlines()[0])
     assert header["config"]["alpha"] == "2"
+
+
+def test_config_choice_is_checked(tmp_path: Path, capsys):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"ensemble": "thoma"}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(cfg), "sample", "--d", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'thoma'" in err
+    for valid in ("plancherel", "schur_weyl", "conditional_thoma"):
+        assert valid in err
+
+
+def test_config_value_goes_through_the_option_type(tmp_path: Path, capsys):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"n": "2"}))
+    assert cli.main(["--config", str(cfg), "sample", "--d", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_config_value_the_type_refuses_exits_2(tmp_path: Path, capsys):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"n": "two"}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(cfg), "sample", "--d", "3"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'two'" in capsys.readouterr().err
 
 
 def test_missing_ensemble_key_exits_2():

@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import mpmath
 import pytest
 
 from jackpaths.diagrams import AnisotropicDiagram, transition_measure
-from jackpaths.limitshape import (JacobiOperator, bessel_j,
+from jackpaths.limitshape import (JacobiOperator, bessel_j, bessel_j_mp,
                                   bessel_order_zeros,
                                   functional_equation_check, jacobi_moment,
                                   jacobi_moment_symbolic, moment_consistency,
@@ -28,7 +29,7 @@ def test_jacobi_moment_examples():
 
 
 def test_jacobi_equals_lukasiewicz_symbolically():
-    for ell in range(0, 9):
+    for ell in range(0, 17):
         jac = jacobi_moment_symbolic(ell)
         if ell == 0:
             assert jac == Poly.const(1)
@@ -57,6 +58,28 @@ def test_bessel_closed_forms():
             float(mpmath.besselj(nu, 8.0)), abs=1e-8, rel=1e-8)
     with pytest.raises(ValueError):
         bessel_j(1.0, -1.0)
+
+
+def test_bessel_series_against_mpmath():
+    rng = random.Random(20231)
+    with mpmath.workdps(60):
+        for _ in range(40):
+            nu = rng.uniform(-20, 20)
+            x = rng.uniform(0.1, 20)
+            want = mpmath.besselj(nu, x)
+            assert abs(bessel_j_mp(nu, x) - want) <= 1e-40 * abs(want), (nu, x)
+        # integer orders: the series skips the poles of 1/Gamma
+        for n in range(1, 13):
+            for x in (0.5, 3.0, 8.0, 17.5):
+                jn = bessel_j_mp(n, x)
+                assert abs(bessel_j_mp(-n, x) - (-1) ** n * jn) <= 1e-40 * abs(jn)
+
+
+def test_bessel_zeros_bisection_ends_below_float_spacing():
+    # a tol below the float spacing ends once the midpoint hits an endpoint
+    tiny = bessel_order_zeros(Fraction(-1, 4), 1, tol=1e-300).zeros[0]
+    exact = bessel_order_zeros(Fraction(-1, 4), 1, dps=30).zeros[0]
+    assert abs(tiny - exact) < 1e-13
 
 
 def test_bessel_zero_examples_and_spacing():

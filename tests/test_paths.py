@@ -11,6 +11,7 @@ from jackpaths.paths import (EnumerationCapError, afp_cov, afp_mean, clt_cov,
                              limit_moment, limit_moment_poly,
                              moment_duality_check, ribbon_stats,
                              set_partitions, shape_sum_poly)
+from jackpaths.polynomials import Poly
 
 
 def catalan(n):
@@ -241,6 +242,40 @@ def test_limit_moment_poly_structure():
         {"g": 0, "v1": 1, "v2": 0, "v3": 0}) == 2  # g^2 coefficient 1, twice diff
     s3 = shape_sum_poly(3)
     assert s3.evaluate({"g": Fraction(2), "v1": 1, "v2": Fraction(5)}) == 7
+
+
+def _enumerated_sum(ell, by_returns):
+    """The literal path sum: one Poly product per step of every listed
+    Lukasiewicz path, times 1/|S^0| when ``by_returns``."""
+    total = Poly.const(0)
+    g = Poly.var("g")
+    for exc in enumerate_lukasiewicz(ell):
+        term = Poly.const(Fraction(1, exc.touches_zero()) if by_returns else 1)
+        prev = 0
+        for y in exc.heights[1:]:
+            d = y - prev
+            if d == 0:
+                term = term * (y * g)
+            elif d > 0:
+                term = term * Poly.var(f"v{d}")
+            prev = y
+        total = total + term
+    return total
+
+
+def test_path_sums_match_enumeration():
+    for ell in range(1, 11):
+        for dp, by_returns in ((limit_moment_poly, False), (shape_sum_poly, True)):
+            got, want = dp(ell).terms, _enumerated_sum(ell, by_returns).terms
+            assert got == want, (dp.__name__, ell)
+            assert all(type(c) is Fraction for c in got.values())
+
+
+def test_path_sums_reject_ell_below_one():
+    for dp in (limit_moment_poly, shape_sum_poly):
+        for ell in (0, -1):
+            with pytest.raises(ValueError):
+                dp(ell)
 
 
 def test_set_partitions_counts():
