@@ -11,10 +11,9 @@ from functools import lru_cache
 from math import lcm
 
 from .exactnum import sqrt_exact
-from .partitions import falling_factorial
 from .polynomials import Poly
 
-RIBBON_CAP = 14
+RIBBON_CAP = 14  # largest total length the ribbon enumeration oracle lists
 
 
 class EnumerationCapError(ValueError):
@@ -216,8 +215,11 @@ def count_lukasiewicz(ell: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Ribbon paths
+# Ribbon paths, listed
 # ---------------------------------------------------------------------------
+# No formula lists ribbons: they all come from _ribbon_transfer.  The listing
+# below is the tests' oracle for them, and stays in this module while
+# perfbench/layers.py wraps _all_ribbons and reads its cache counters.
 
 
 @dataclass(frozen=True)
@@ -652,6 +654,110 @@ def moment_duality_check(ell: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Ribbon sums by one transfer
+# ---------------------------------------------------------------------------
+
+# Largest total site length the ribbon transfer takes.  Measured on 2 vCPUs
+# with Python 3.11.7: at total 30 a one- or two-site call takes at most
+# 1 s and a 12-site cumulant, the slowest shape found, 3.7 s; at total 40 a
+# one- or two-site moment takes 8-10 s.
+RIBBON_DP_LIMIT = 30
+
+
+def _ribbon_transfer(lengths, a, b, v, by_returns=False, d=None,
+                     one_pairing=False) -> Fraction:
+    """The weighted sum over the ribbon paths on the given sites, by one
+    transfer over the steps, left to right, instead of listing the ribbons.
+    A set of pairings is recorded as a history (P. Flajolet, 1980;
+    X. G. Viennot, 1983): a down step of degree n >= 2 opens, a degree-1
+    down opens or stays unpaired, and an up step of degree n stays unpaired
+    (weight v_n) or closes one of the c_n open downs of its degree (weight
+    c_n*n*b).  A horizontal step at height i weighs i*a.  The state is
+    (height, sorted open degrees, returns to zero in the current site,
+    unpaired downs so far).
+
+    At each site's end the height is 0, and the site's return count z gives
+    its weight 1/z (``by_returns``) or its filter z = 1.  With ``d`` set,
+    the j-th unpaired down weighs (d - j + 1)*b: the falling factorial of
+    the fixed-size formula.  With ``one_pairing``, one pairing joins two
+    sites: the first site only opens, one down in all, and the second only
+    closes.
+
+    The potential y + sum(n + 1 over open downs n) falls by at most one per
+    step and must reach 0, so a state whose potential exceeds the steps left
+    is pruned.  Values are integers over the common denominator D of a, b
+    and the v_n, with one factor of D per step."""
+    total = sum(lengths)
+    if total > RIBBON_DP_LIMIT:
+        raise ValueError(f"total length {total} exceeds the ribbon limit "
+                         f"{RIBBON_DP_LIMIT}")
+    weights = [a, b] + [_vget(v, n) for n in range(1, total)]
+    D = lcm(*(w.denominator for w in weights))
+    A, B, *V = (w.numerator * (D // w.denominator) for w in weights)
+    V.insert(0, 0)  # V[n] is v_n over D
+    den = D ** total
+    states = {(0, (), 0, 0): 1}
+    left = total
+    for site, length in enumerate(lengths):
+        may_open = not one_pairing or site == 0
+        may_close = not one_pairing or site == 1
+        for s in range(length - 1, -1, -1):  # steps left in the site after this
+            left -= 1
+            nxt = {}
+            for (y, opens, z, k), w in states.items():
+                phi = y + sum(opens) + len(opens)
+                moves = []  # (height, opens, unpaired downs, factor)
+                can_open = may_open and phi < left and not (one_pairing and opens)
+                # the last step of a site lands on 0: a down of degree y
+                for j in range(max(y, 1) if s == 0 else 1, y + 1):
+                    if j == 1:
+                        if d is None:
+                            moves.append((y - 1, opens, k, D))
+                        elif d > k:
+                            moves.append((y - 1, opens, k + 1, (d - k) * B))
+                    if can_open:
+                        moves.append((y - j, tuple(sorted(opens + (j,))), k, D))
+                if s:
+                    if y and A and phi <= left:
+                        moves.append((y, opens, k, y * A))
+                    for j in range(1, left - phi + 1):
+                        if V[j]:
+                            moves.append((y + j, opens, k, V[j]))
+                    if may_close:
+                        for j in set(opens):
+                            i = opens.index(j)
+                            moves.append((y + j, opens[:i] + opens[i + 1:], k,
+                                          opens.count(j) * j * B))
+                for y2, opens2, k2, factor in moves:
+                    if not y2 and s and (s == 1 or not by_returns):
+                        continue  # stuck at 0, or a return the filter forbids
+                    key = (y2, opens2, z + (not y2), k2)
+                    nxt[key] = nxt.get(key, 0) + w * factor
+            states = nxt
+        merged = {}
+        L = lcm(*range(1, length + 1)) if by_returns else 1
+        for (_, opens, z, k), w in states.items():
+            if one_pairing and site == 0 and len(opens) != 1:
+                continue
+            key = (0, opens, 0, k)
+            merged[key] = merged.get(key, 0) + w * (L // z)
+        states = merged
+        den *= L
+    return Fraction(sum(w for (_, opens, _, _), w in states.items()
+                        if not opens), den)
+
+
+def _finite_weights(alpha, u):
+    """Horizontal and pairing weights (alpha-1)/u and alpha/u^2."""
+    alpha, u = Fraction(alpha), Fraction(u)
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    if u <= 0:
+        raise ValueError(f"u must be positive, got {u}")
+    return (alpha - 1) / u, alpha / u ** 2
+
+
+# ---------------------------------------------------------------------------
 # Exact finite-parameter formulas
 # ---------------------------------------------------------------------------
 
@@ -662,34 +768,40 @@ def finite_expectation(lengths, alpha, u, v):
     horizontal weight (alpha-1)/u and pairing weight alpha/u^2, restricted
     to |S^0| = number of sites."""
     lengths = _lengths_tuple(lengths)
-    alpha, u = Fraction(alpha), Fraction(u)
-    a, b = (alpha - 1) / u, alpha / u ** 2
-    n = len(lengths)
-    total = Fraction(0)
-    for rp in _all_ribbons(lengths):
-        stats = ribbon_stats(rp)
-        if stats["s0_total"] != n:
-            continue
-        total += statistic_f(stats, a, b, v)
-    return total
+    return _ribbon_transfer(lengths, *_finite_weights(alpha, u), v)
 
 
 def finite_cumulant_s(lengths, alpha, u, v):
     """Exact joint cumulant of the shape functionals S_{l_i}: the connected
-    ribbon sum with per-site 1/|S^0| weights."""
+    ribbon sum with per-site 1/|S^0| weights.  A ribbon splits into connected
+    ribbons on the blocks of sites its pairings join, so this is the
+    set-partition (Moebius) inversion of :func:`finite_moment_s` over the
+    sub-tuples, taken in site order.  It runs over the block B of the first
+    site: kappa(S) = m(S) - sum over B != S of kappa(B) m(S minus B)."""
     lengths = _lengths_tuple(lengths)
-    alpha, u = Fraction(alpha), Fraction(u)
-    a, b = (alpha - 1) / u, alpha / u ** 2
-    total = Fraction(0)
-    for rp in _all_ribbons(lengths):
-        if not is_pi_connected(rp):
-            continue
-        stats = ribbon_stats(rp)
-        weight = Fraction(1)
-        for z in stats["s0_per_site"]:
-            weight /= z
-        total += weight * statistic_f(stats, a, b, v)
-    return total
+    a, b = _finite_weights(alpha, u)
+    moments, cumulants = {(): Fraction(1)}, {}
+
+    def moment(sub):
+        if sub not in moments:
+            moments[sub] = _ribbon_transfer(sub, a, b, v, by_returns=True)
+        return moments[sub]
+
+    def cumulant(sub):
+        if sub not in cumulants:
+            first, rest = sub[0], sub[1:]
+            total = moment(sub)
+            for mask in range(2 ** len(rest) - 1):
+                block = [first] + [x for i, x in enumerate(rest) if mask >> i & 1]
+                others = [x for i, x in enumerate(rest) if not mask >> i & 1]
+                total -= cumulant(tuple(block)) * moment(tuple(others))
+            cumulants[sub] = total
+        return cumulants[sub]
+
+    moment(lengths)  # first, as it checks the length limit
+    if 1 in lengths:  # a site of length 1 has no excursion: every term is 0
+        return Fraction(0)
+    return cumulant(lengths)
 
 
 def finite_moment_s(lengths, alpha, u, v):
@@ -697,16 +809,8 @@ def finite_moment_s(lengths, alpha, u, v):
     unrestricted ribbon sum with per-site 1/|S^0| weights (cumulants are
     recovered from it by set-partition inversion)."""
     lengths = _lengths_tuple(lengths)
-    alpha, u = Fraction(alpha), Fraction(u)
-    a, b = (alpha - 1) / u, alpha / u ** 2
-    total = Fraction(0)
-    for rp in _all_ribbons(lengths):
-        stats = ribbon_stats(rp)
-        weight = Fraction(1)
-        for z in stats["s0_per_site"]:
-            weight /= z
-        total += weight * statistic_f(stats, a, b, v)
-    return total
+    return _ribbon_transfer(lengths, *_finite_weights(alpha, u), v,
+                            by_returns=True)
 
 
 def depoissonized_expectation(lengths, d: int, alpha, u, v):
@@ -716,18 +820,10 @@ def depoissonized_expectation(lengths, d: int, alpha, u, v):
     lengths = _lengths_tuple(lengths)
     if _vget(v, 1) != 1:
         raise ValueError("depoissonized formulas require v_1 = 1")
-    alpha, u = Fraction(alpha), Fraction(u)
-    a, b = (alpha - 1) / u, alpha / u ** 2
-    n = len(lengths)
-    total = Fraction(0)
-    for rp in _all_ribbons(lengths):
-        stats = ribbon_stats(rp)
-        if stats["s0_total"] != n:
-            continue
-        k = stats["unpaired_downs"]
-        total += (falling_factorial(d, k) * b ** k
-                  * statistic_f(stats, a, b, v))
-    return total
+    a, b = _finite_weights(alpha, u)
+    if d < 0 or d != int(d):
+        raise ValueError(f"d must be a nonnegative integer, got {d}")
+    return _ribbon_transfer(lengths, a, b, v, d=int(d))
 
 
 # ---------------------------------------------------------------------------
@@ -749,26 +845,6 @@ def clt_mean(ell: int, g, gp, v):
             * poly.evaluate(assignment) / (ell - 1))
 
 
-def _one_pairing_cov_sum(k: int, l: int, g, v, v_weight_removal=None):
-    """Shared core of clt_cov/afp_cov: connected two-site sum over exactly
-    one pairing with weights (i*g)^{horiz} * n^{pairing} * v-monomial."""
-    g = Fraction(g)
-    total = Fraction(0)
-    for rp in _all_ribbons((k, l)):
-        if len(rp.pairings) != 1 or not is_pi_connected(rp):
-            continue
-        stats = ribbon_stats(rp)
-        term = Fraction(1, stats["s0_per_site"][0] * stats["s0_per_site"][1])
-        for i, cnt in stats["horizontal_by_height"].items():
-            term *= (i * g) ** cnt
-        for n, cnt in stats["pair_by_degree"].items():
-            term *= Fraction(n) ** cnt
-        for n, cnt in stats["up_by_degree"].items():
-            term *= _vget(v, n) ** cnt
-        total += term
-    return total
-
-
 def clt_cov(k: int, l: int, g, v):
     """Limiting covariance of fluctuation observables (k, l >= 2)."""
     if min(k, l) < 1:
@@ -776,7 +852,9 @@ def clt_cov(k: int, l: int, g, v):
     if min(k, l) == 1:
         return Fraction(0)
     pref = _v1_half_power(v, k + l) / ((k - 1) * (l - 1))
-    return pref * _one_pairing_cov_sum(k, l, g, v)
+    # connected with one pairing: it crosses from the first site to the second
+    return pref * _ribbon_transfer((k, l), Fraction(g), Fraction(1), v,
+                                   by_returns=True, one_pairing=True)
 
 
 def afp_mean(ell: int, g, gp, v, vp):
@@ -813,42 +891,41 @@ def _vkl_lookup(vkl, x: int, y: int):
     return Fraction(dict(vkl).get((x, y), dict(vkl).get((y, x), 0)))
 
 
+def _marked_site_sums(ell: int, g, v) -> dict:
+    """The 1/|S^0|-weighted Lukasiewicz sum of length ell with one marked
+    non-horizontal step, by the step's class: n for an up step of degree n,
+    whose v_n is dropped (d/dv_n of the shape sum), and -1 for a down step.
+    Every down has degree 1, so a path with e_n up steps of degree n has
+    sum_n n*e_n downs."""
+    poly = shape_sum_poly(ell)
+    vs = {name: _vget(v, int(name[1:]))
+          for name in poly.variables() if name.startswith("v")}
+    assignment = {"g": g, **vs}
+    out = {-1: Fraction(0)}
+    for name, vn in vs.items():
+        n = int(name[1:])
+        out[n] = poly.derivative(name).evaluate(assignment)
+        out[-1] += n * vn * out[n]
+    return out
+
+
 def afp_cov(k: int, l: int, g, v, vkl):
     """Covariance with character second-order data: the one-pairing
     connected sum plus the zero-pairing double sum over non-horizontal
-    steps weighted by the v_{(deg|deg)} table (v_1 = 1)."""
+    steps weighted by the v_{(deg|deg)} table (v_1 = 1).  Without pairings
+    every down has degree 1 and the sites are independent, so the double
+    sum factorises over the two sites."""
     if min(k, l) < 2:
         raise ValueError("orders must be >= 2")
     if _vget(v, 1) != 1:
         raise ValueError("afp formulas require v_1 = 1")
     g = Fraction(g)
-    total = _one_pairing_cov_sum(k, l, g, v)
-    for rp in _all_ribbons((k, l)):
-        if rp.pairings:
-            continue
-        stats = ribbon_stats(rp)
-        base = Fraction(1, stats["s0_per_site"][0] * stats["s0_per_site"][1])
-        for i, cnt in stats["horizontal_by_height"].items():
-            base *= (i * g) ** cnt
-        info = _info_of(rp.sites)
-        site_degs = [[], []]
-        for pos in range(1, len(info.degs)):
-            deg = info.degs[pos]
-            if deg != 0:
-                site_degs[info.site_of[pos]].append(-1 if deg < 0 else deg)
-        for d1 in site_degs[0]:
-            for d2 in site_degs[1]:
-                coeff = _vkl_lookup(vkl, d1, d2)
-                if not coeff:
-                    continue
-                removed = {}
-                for deg in (d1, d2):
-                    if deg >= 2:
-                        removed[deg] = removed.get(deg, 0) + 1
-                vterm = Fraction(1)
-                for n, cnt in stats["up_by_degree"].items():
-                    vterm *= _vget(v, n) ** (cnt - removed.get(n, 0))
-                total += coeff * base * vterm
+    total = _ribbon_transfer((k, l), g, Fraction(1), v, by_returns=True,
+                             one_pairing=True)
+    first, second = _marked_site_sums(k, g, v), _marked_site_sums(l, g, v)
+    for c1, s1 in first.items():
+        for c2, s2 in second.items():
+            total += _vkl_lookup(vkl, c1, c2) * s1 * s2
     return total / ((k - 1) * (l - 1))
 
 

@@ -56,6 +56,40 @@ def test_finite_expectation_and_cumulant():
     assert out3.stdout.strip() == "5/2"
 
 
+def test_finite_expectation_beyond_enumeration(capsys):
+    # total 14 was the enumeration cap (exit 2); the transfer takes it
+    from fractions import Fraction
+
+    from jackpaths.exactnum import format_rational
+    from jackpaths.paths import RIBBON_DP_LIMIT, finite_expectation
+
+    assert cli.main(["finite-expectation", "--lengths", "7", "7", "--alpha",
+                     "2", "--u", "3", "--v", "1", "1/2", "--json"]) == 0
+    want = finite_expectation((7, 7), 2, 3, [1, Fraction(1, 2)])
+    assert json.loads(capsys.readouterr().out) == {"value": format_rational(want)}
+    assert cli.main(["finite-expectation", "--lengths", str(RIBBON_DP_LIMIT + 1),
+                     "--alpha", "2", "--u", "3"]) == 2
+    assert "exceeds the ribbon limit" in capsys.readouterr().err
+
+
+FINITE_ARGS = ["finite-expectation", "--lengths", "3"]
+
+
+def test_finite_expectation_negative_d_exits_2(capsys):
+    assert cli.main(FINITE_ARGS + ["--alpha", "2", "--u", "3", "--d", "-1"]) == 2
+    assert "d must be a nonnegative integer" in capsys.readouterr().err
+
+
+def test_finite_expectation_zero_alpha_exits_2(capsys):
+    assert cli.main(FINITE_ARGS + ["--alpha", "0", "--u", "3"]) == 2
+    assert "alpha must be positive" in capsys.readouterr().err
+
+
+def test_finite_expectation_zero_u_exits_2(capsys):
+    assert cli.main(FINITE_ARGS + ["--alpha", "2", "--u", "0"]) == 2
+    assert "u must be positive" in capsys.readouterr().err
+
+
 def test_bessel_zeros_values():
     out = run_cli("bessel-zeros", "--g", "-1/4", "-n", "3", "--json")
     assert out.returncode == 0

@@ -2,15 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from jackpaths.paths import (EnumerationCapError, afp_cov, afp_mean, clt_cov,
-                             clt_mean, count_lukasiewicz,
+from jackpaths.partitions import falling_factorial
+from jackpaths.paths import (RIBBON_DP_LIMIT, EnumerationCapError, afp_cov,
+                             afp_mean, clt_cov, clt_mean, count_lukasiewicz,
                              depoissonized_expectation,
                              enumerate_lukasiewicz, enumerate_motzkin,
                              enumerate_ribbon, finite_cumulant_s,
                              finite_expectation, finite_moment_s,
-                             limit_moment, limit_moment_poly,
+                             is_pi_connected, limit_moment, limit_moment_poly,
                              moment_duality_check, ribbon_stats,
-                             set_partitions, shape_sum_poly)
+                             set_partitions, shape_sum_poly, statistic_f)
 from jackpaths.polynomials import Poly
 
 
@@ -282,3 +283,173 @@ def test_set_partitions_counts():
     # Bell numbers
     for n, b in [(0, 1), (1, 1), (2, 2), (3, 5), (4, 15)]:
         assert sum(1 for _ in set_partitions(range(n))) == b
+
+
+# ---------------------------------------------------------------------------
+# Ribbon transfer against the listed ribbons
+# ---------------------------------------------------------------------------
+
+
+def _compositions(total):
+    """Every ordered tuple of positive lengths summing to total."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, total + 1):
+        for rest in _compositions(total - first):
+            yield (first,) + rest
+
+
+def _enumerated_finite(lengths, alpha, u, v, by_returns=False,
+                       connected=False, d=None):
+    """The literal ribbon sum: every listed ribbon scored by statistic_f,
+    with per-site 1/|S^0| weights (``by_returns``) or the filter
+    |S^0| = #sites, optionally only the connected ribbons, and with ``d``
+    the falling factorial times b per unpaired down step."""
+    from jackpaths.paths import _all_ribbons
+
+    alpha, u = Fraction(alpha), Fraction(u)
+    a, b = (alpha - 1) / u, alpha / u ** 2
+    total = Fraction(0)
+    for rp in _all_ribbons(tuple(lengths)):
+        stats = ribbon_stats(rp)
+        if connected and not is_pi_connected(rp):
+            continue
+        weight = Fraction(1)
+        if by_returns:
+            for z in stats["s0_per_site"]:
+                weight /= z
+        elif stats["s0_total"] != len(lengths):
+            continue
+        if d is not None:
+            k = stats["unpaired_downs"]
+            weight *= falling_factorial(d, k) * b ** k
+        total += weight * statistic_f(stats, a, b, v)
+    return total
+
+
+def _enumerated_cov(k, l, g, v, vkl=None):
+    """The literal two-site sums behind clt_cov/afp_cov, before the
+    prefactor: connected ribbons with one pairing (weight n per pairing),
+    plus, with ``vkl``, the ribbons without pairings summed over every
+    pair of non-horizontal steps on the two sites (class -1 for a down,
+    the degree for an up, whose v factor is dropped)."""
+    from jackpaths.paths import _all_ribbons, _info_of, _vget, _vkl_lookup
+
+    total = Fraction(0)
+    for rp in _all_ribbons((k, l)):
+        if len(rp.pairings) > 1 or (rp.pairings and not is_pi_connected(rp)):
+            continue
+        if not rp.pairings and vkl is None:
+            continue
+        stats = ribbon_stats(rp)
+        base = Fraction(1, stats["s0_per_site"][0] * stats["s0_per_site"][1])
+        for i, cnt in stats["horizontal_by_height"].items():
+            base *= (i * g) ** cnt
+        ups = stats["up_by_degree"]
+        if rp.pairings:
+            (n, _), = stats["pair_by_degree"].items()
+            for m, cnt in ups.items():
+                base *= _vget(v, m) ** cnt
+            total += n * base
+            continue
+        info = _info_of(rp.sites)
+        classes = [[], []]
+        for pos in range(1, len(info.degs)):
+            deg = info.degs[pos]
+            if deg:
+                classes[info.site_of[pos]].append(-1 if deg < 0 else deg)
+        for c1 in classes[0]:
+            for c2 in classes[1]:
+                term = _vkl_lookup(vkl, c1, c2) * base
+                for m, cnt in ups.items():
+                    term *= _vget(v, m) ** (cnt - (c1 == m) - (c2 == m))
+                total += term
+    return total
+
+
+FINITE_SETS = ((Fraction(2), Fraction(3), [1, Fraction(1, 2), Fraction(-1, 3)]),
+               (Fraction(1, 2), Fraction(2), {1: 1, 3: Fraction(2, 7)}))
+
+
+def test_finite_formulas_match_enumeration():
+    for total in range(1, 9):
+        for lengths in _compositions(total):
+            for alpha, u, v in FINITE_SETS:
+                got = (finite_expectation(lengths, alpha, u, v),
+                       finite_moment_s(lengths, alpha, u, v),
+                       finite_cumulant_s(lengths, alpha, u, v),
+                       depoissonized_expectation(lengths, 3, alpha, u, v),
+                       depoissonized_expectation(lengths, 6, alpha, u, v))
+                want = (_enumerated_finite(lengths, alpha, u, v),
+                        _enumerated_finite(lengths, alpha, u, v, by_returns=True),
+                        _enumerated_finite(lengths, alpha, u, v, by_returns=True,
+                                           connected=True),
+                        _enumerated_finite(lengths, alpha, u, v, d=3),
+                        _enumerated_finite(lengths, alpha, u, v, d=6))
+                assert got == want, (lengths, alpha)
+                assert all(type(x) is Fraction for x in got)
+
+
+def test_covariances_match_enumeration():
+    g = Fraction(-1, 3)
+    # sqrt(v_1) is 2 and 1: clt_cov carries v_1^(-(k+l)/2)
+    for root, v in ((2, [Fraction(4), Fraction(1, 3), Fraction(-2, 5)]),
+                    (1, [1, Fraction(1, 2), Fraction(1, 5), Fraction(3, 7)])):
+        for k in range(1, 10):
+            for l in range(1, 11 - k):
+                if min(k, l) == 1:
+                    assert clt_cov(k, l, g, v) == 0
+                    continue
+                pref = Fraction(1, (k - 1) * (l - 1))
+                assert clt_cov(k, l, g, v) * root ** (k + l) == \
+                    pref * _enumerated_cov(k, l, g, v), (k, l)
+                if root != 1:
+                    continue
+                for vkl in ({}, {(2, 2): Fraction(1, 3), (2, 3): Fraction(-1, 5),
+                                 (4, 3): 2}):
+                    assert afp_cov(k, l, g, v, vkl) == \
+                        pref * _enumerated_cov(k, l, g, v, vkl), (k, l, vkl)
+
+
+def test_benchmark_shapes_match_enumeration():
+    alpha, u, v = Fraction(3, 2), Fraction(3), [1, Fraction(1, 4)]
+    assert finite_expectation((6, 4), alpha, u, v) == \
+        _enumerated_finite((6, 4), alpha, u, v)
+    assert depoissonized_expectation((6, 4), 9, alpha, u, v) == \
+        _enumerated_finite((6, 4), alpha, u, v, d=9)
+    assert finite_cumulant_s((4, 4), alpha, u, v) == _enumerated_finite(
+        (4, 4), alpha, u, v, by_returns=True, connected=True)
+    g, v = Fraction(1, 3), [1, Fraction(1, 2), Fraction(1, 5)]
+    assert clt_cov(5, 5, g, v) == _enumerated_cov(5, 5, g, v) / 16
+    vkl = {(2, 2): Fraction(1, 3)}
+    assert afp_cov(4, 4, g, v, vkl) == _enumerated_cov(4, 4, g, v, vkl) / 9
+
+
+def test_ribbon_formulas_reject_totals_above_the_limit():
+    over = (RIBBON_DP_LIMIT // 2, RIBBON_DP_LIMIT - RIBBON_DP_LIMIT // 2 + 1)
+    alpha, u, v = Fraction(2), Fraction(3), [1]
+    for call in (lambda: finite_expectation(over, alpha, u, v),
+                 lambda: finite_moment_s(over, alpha, u, v),
+                 lambda: finite_cumulant_s(over, alpha, u, v),
+                 lambda: finite_cumulant_s(over + (1,), alpha, u, v),
+                 lambda: depoissonized_expectation(over, 5, alpha, u, v),
+                 lambda: clt_cov(*over, Fraction(1, 2), v),
+                 lambda: afp_cov(*over, Fraction(1, 2), v, {})):
+        with pytest.raises(ValueError, match="exceeds the ribbon limit"):
+            call()
+
+
+def test_finite_formulas_reject_bad_parameters():
+    v = [1]
+    for alpha, u, name in ((0, 3, "alpha"), (-1, 3, "alpha"), (2, 0, "u"),
+                           (2, Fraction(-1, 2), "u")):
+        for call in (finite_expectation, finite_moment_s, finite_cumulant_s):
+            with pytest.raises(ValueError, match=name):
+                call((3,), alpha, u, v)
+        with pytest.raises(ValueError, match=name):
+            depoissonized_expectation((3,), 2, alpha, u, v)
+    for d in (-1, Fraction(3, 2)):
+        with pytest.raises(ValueError, match="d must be"):
+            depoissonized_expectation((3,), d, 2, 3, v)
+    assert depoissonized_expectation((2,), 0, 2, 2, v) == 0
