@@ -4,8 +4,8 @@ path formulas for expectations and fluctuations, staircase limit shapes,
 and reproducible samplers."""
 
 from .diagrams import (AnisotropicDiagram, DiscreteMeasure, StaircaseShape,
-                       observable_family, observables, profile,
-                       rescale_observable, transition_measure)
+                       diagram_booleans, observable_family, observables,
+                       profile, rescale_observable, transition_measure)
 from .ensembles import (AsymptoticRegime, CharacterMeasure,
                         ConditionalJackThoma, JackMeasure, JackPlancherel,
                         JackSchurWeyl, JackThoma, PoissonScaled, ThomaPoint,

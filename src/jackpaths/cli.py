@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("verify", help="run verification suites")
     p.add_argument("--suite", nargs="+", default=["all"])
     p.add_argument("--d", type=int, default=None,
-                   help="override the size cap where a suite accepts one")
+                   help="size cap (>= 1) of the normalization suite")
     p.add_argument("--out", default=None,
                    help="directory for emitted overlays")
     p.add_argument("--json", action="store_true")
@@ -283,7 +283,7 @@ def cmd_bessel_zeros(args):
 
 
 def cmd_verify(args):
-    from .verify import SUITES, run_suites
+    from .verify import SIZE_CAP_SUITES, SUITES, run_suites
 
     names = sorted(SUITES) if args.suite == ["all"] else args.suite
     for name in names:
@@ -293,9 +293,16 @@ def cmd_verify(args):
             return 2
     kwargs = {}
     if args.d is not None:
-        for name in names:
-            if name in ("normalization",):
-                kwargs[name] = {"dmax": args.d}
+        takers = [name for name in names if name in SIZE_CAP_SUITES]
+        if args.d < 1:
+            print(f"--d must be >= 1, got {args.d}", file=sys.stderr)
+            return 2
+        if not takers:
+            print(f"--d sets the size cap of {', '.join(SIZE_CAP_SUITES)} "
+                  f"only; no named suite takes it", file=sys.stderr)
+            return 2
+        for name in takers:
+            kwargs[name] = {"dmax": args.d}
     if args.out is not None and "lln-low-temperature" in names:
         kwargs["lln-low-temperature"] = {"out_dir": args.out}
     results = run_suites(names, **kwargs)

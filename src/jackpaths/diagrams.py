@@ -247,6 +247,47 @@ def transition_measure(shape: StaircaseShape) -> DiscreteMeasure:
     return DiscreteMeasure(atoms)
 
 
+def boolean_numerators(parts, w, h, ell: int):
+    """Integers (nums, den) with B_l = nums[l - 1] / den**l, l = 1..ell, the
+    Boolean cumulants of the transition measure of the (w, h) diagram of the
+    partition ``parts``; den = lcm(den w, den h) depends only on (w, h).
+
+    Kerov's G(z) = prod(z - y_j)/prod(z - x_i) over the profile maxima y_j
+    and minima x_i gives sum B_l t^l = 1 - prod(1 - x_i t)/prod(1 - y_j t).
+    On the corners X_i = den x_i, Y_j = den y_j and T = t/den the series is
+    multiplied by each (1 - X_i T) and divided by each (1 - Y_j T) over ints.
+    """
+    w, h = Fraction(w), Fraction(h)
+    den = math.lcm(w.denominator, h.denominator)
+    big_w = w.numerator * (den // w.denominator)
+    big_h = h.numerator * (den // h.denominator)
+    xs, ys = [], []
+    start = 0
+    for k, part in enumerate(parts):
+        if k + 1 < len(parts) and parts[k + 1] == part:
+            continue
+        # rows start..k have length part: one minimum and one maximum
+        xs.append(big_w * part - big_h * start)
+        ys.append(big_w * part - big_h * (k + 1))
+        start = k + 1
+    xs.append(-big_h * start)
+    coeffs = [1] + [0] * ell
+    for x in xs:
+        for n in range(ell, 0, -1):
+            coeffs[n] -= x * coeffs[n - 1]
+    for y in ys:
+        for n in range(1, ell + 1):
+            coeffs[n] += y * coeffs[n - 1]
+    return [-c for c in coeffs[1:]], den
+
+
+def diagram_booleans(lam: Partition, w, h, ell: int):
+    """Boolean cumulants B_1..B_ell of the (w, h) diagram of lam, equal to
+    ``observable_family(transition_measure(profile), "boolean", ell)``."""
+    nums, den = boolean_numerators(lam.parts, w, h, ell)
+    return [Fraction(c, den ** l) for l, c in enumerate(nums, start=1)]
+
+
 _KINDS = ("moment", "boolean", "free", "fundamental")
 
 

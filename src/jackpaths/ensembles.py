@@ -170,6 +170,18 @@ class Ensemble:
                     raise PositivityError(f"{self.variant}: negative mass at {lam}")
 
 
+def _size(d) -> int:
+    """The size of a fixed-size ensemble, refused unless a nonnegative
+    integer."""
+    try:
+        n = Fraction(d)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        n = None
+    if n is None or n.denominator != 1 or n < 0:
+        raise ValueError(f"d must be a nonnegative integer, got {d}")
+    return int(n)
+
+
 def _is_negative(value) -> bool:
     if isinstance(value, PoissonScaled):
         return value.rational < 0
@@ -187,7 +199,7 @@ class JackPlancherel(Ensemble):
         self.alpha = Fraction(alpha)
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        self.d = int(d)
+        self.d = _size(d)
 
     def mass(self, lam: Partition) -> Fraction:
         self._check_domain(lam)
@@ -205,7 +217,7 @@ class JackSchurWeyl(Ensemble):
         self.alpha = Fraction(alpha)
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        self.d = int(d)
+        self.d = _size(d)
         self.K = int(K)
         if self.K < 1:
             raise ValueError("K must be a positive integer")
@@ -296,6 +308,38 @@ class JackThoma(Ensemble):
     def mass(self, lam: Partition) -> PoissonScaled:
         return PoissonScaled(self.rational_mass(lam), self.exponent)
 
+    def support(self, D: int):
+        """Yield (lam, rational_mass(lam)) for every nonzero mass with
+        |lam| <= D.
+
+        In the principal form the mass is c^d times a product of cell
+        factors, so a diagram holding a zero cell stays zero in every larger
+        one: the support is a down-set of Young's lattice.  It is walked row
+        by row, and a row stops growing at its first zero mass.  Otherwise
+        masses need not vanish on a down-set and every partition is visited.
+        """
+        if self._principal is None:
+            for d in range(D + 1):
+                for lam in partitions_of(d):
+                    rm = self.rational_mass(lam)
+                    if rm:
+                        yield lam, rm
+            return
+
+        def below(rows, room):
+            # the support partitions that extend rows by further rows
+            for length in range(1, min(rows[-1] if rows else room, room) + 1):
+                lam = Partition(rows + (length,))
+                rm = self.rational_mass(lam)
+                if not rm:
+                    break
+                yield lam, rm
+                yield from below(lam.parts, room - length)
+
+        empty = Partition()
+        yield empty, self.rational_mass(empty)
+        yield from below((), D)
+
     def sector_mass_rational(self, d: int) -> Fraction:
         """Exact rational part of the measure of all partitions of d:
         the full sector mass is exp(-U) U^d/d! with U the exponent."""
@@ -313,7 +357,7 @@ class ConditionalJackThoma(Ensemble):
         self.alpha = Fraction(alpha)
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        self.d = int(d)
+        self.d = _size(d)
         self._vget = _vseq(v)
         if self._vget(1) != 1:
             raise ValueError("conditional Thoma measures require v_1 = 1")
@@ -339,7 +383,7 @@ class CharacterMeasure(Ensemble):
         self.alpha = Fraction(alpha)
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        self.d = int(d)
+        self.d = _size(d)
         ones = Partition([1] * self.d)
         self.chi = {mu: chi[mu] for mu in partitions_of(self.d)}
         if self.chi[ones] != 1:
@@ -642,8 +686,9 @@ def _poisson_tail(U: Fraction, D: int, C: Fraction, r: int):
 def poisson_expectation(alpha, u, v, observable, tail_eps,
                         growth_bound=None, degree_cap: int = 60,
                         lengths_hint=None) -> PoissonInterval:
-    """Brute-force oracle: sum mass * observable over all partitions up to a
-    truncation degree chosen so the certified tail is below tail_eps.
+    """Brute-force oracle: sum mass * observable over the support of the
+    measure up to a truncation degree chosen so the certified tail is below
+    tail_eps.
 
     ``growth_bound`` is (C, r) with |observable(lam)| <= C |lam|^r; when
     omitted it is derived for products of Boolean observables with total
@@ -672,11 +717,8 @@ def poisson_expectation(alpha, u, v, observable, tail_eps,
             raise ArithmeticError(
                 f"tail target {tail_eps} unreachable below degree {degree_cap}")
     total = Fraction(0)
-    for d in range(D + 1):
-        for lam in partitions_of(d):
-            rm = ensemble.rational_mass(lam)
-            if rm:
-                total += rm * Fraction(observable(lam))
+    for lam, rm in ensemble.support(D):
+        total += rm * Fraction(observable(lam))
     bound, margin = _poisson_tail(U, D, C, r)
     return PoissonInterval(total, bound, margin, U, D)
 
@@ -700,9 +742,9 @@ def ensemble_from_config(cfg: dict) -> Ensemble:
     variant = need("variant")
     alpha = parse_rational(need("alpha"))
     if variant == "plancherel":
-        return JackPlancherel(alpha, int(need("d")))
+        return JackPlancherel(alpha, need("d"))
     if variant == "schur_weyl":
-        return JackSchurWeyl(alpha, int(need("d")), int(need("K")),
+        return JackSchurWeyl(alpha, need("d"), int(need("K")),
                              dual=bool(cfg.get("dual", False)))
     if variant == "thoma":
         v = [parse_rational(x) for x in need("v")]
@@ -710,12 +752,11 @@ def ensemble_from_config(cfg: dict) -> Ensemble:
                          check_positivity=bool(cfg.get("check_positivity", True)))
     if variant == "conditional_thoma":
         v = [parse_rational(x) for x in need("v")]
-        return ConditionalJackThoma(alpha, int(need("d")), v)
+        return ConditionalJackThoma(alpha, need("d"), v)
     if variant == "character":
-        d = int(need("d"))
         table = {Partition(eval_key(k)): parse_rational(x)
                  for k, x in need("chi").items()}
-        return CharacterMeasure(alpha, d, table)
+        return CharacterMeasure(alpha, need("d"), table)
     if variant == "jack_measure":
         th = cfg.get("thoma", {})
         point = ThomaPoint.make(a=[parse_rational(x) for x in th.get("a", [])],

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from . import paths
-from .diagrams import AnisotropicDiagram, observable_family, transition_measure
+from .diagrams import boolean_numerators, diagram_booleans
 from .ensembles import (CharacterMeasure, ConditionalJackThoma, JackPlancherel,
                         JackSchurWeyl, JackThoma, PoissonInterval,
                         _poisson_tail, conditional_thoma_character)
@@ -79,15 +79,11 @@ def boolean_products_observable(lengths, alpha, u):
     top = max(lengths)
 
     def obs(lam: Partition):
-        if lam.size() == 0:
-            return Fraction(0)
-        tm = transition_measure(
-            AnisotropicDiagram(lam, alpha / u, 1 / u).profile())
-        bs = observable_family(tm, "boolean", top)
-        out = Fraction(1)
+        nums, den = boolean_numerators(lam.parts, alpha / u, 1 / u, top)
+        out = 1
         for ell in lengths:
-            out *= bs[ell - 1]
-        return out
+            out *= nums[ell - 1]
+        return Fraction(out, den ** sum(lengths))
 
     return obs
 
@@ -166,9 +162,7 @@ def suite_eigenrelation(dmax: int = 5, lmax: int = 4):
     for alpha in (Fraction(1, 2), Fraction(2)):
         for d in range(1, dmax + 1):
             for lam, J in jack_basis(d, alpha).items():
-                tm = transition_measure(
-                    AnisotropicDiagram(lam, alpha, 1).profile())
-                booleans = observable_family(tm, "boolean", lmax + 2)
+                booleans = diagram_booleans(lam, alpha, 1, lmax + 2)
                 for ell in range(0, lmax + 1):
                     if ns_apply(ell, J, alpha) != J.scale(booleans[ell + 1]):
                         return False, f"alpha={alpha} lam={lam.parts} ell={ell}"
@@ -187,6 +181,30 @@ ORACLE_PARAMETER_SETS = (
 )
 
 
+def boolean_product_sums(ens, w, h, multisets, D: int) -> dict:
+    """{lengths: sum of rational_mass * prod_i B_{l_i} of the (w, h)
+    diagram} over the support of the Thoma measure ``ens`` up to size D,
+    for each multiset; a multiset's prefix must come before it.
+
+    The sums run over Python ints: the masses over their common
+    denominator M, and B_l = nums[l - 1] / den**l from the profile corners,
+    so each multiset divides once, by M * den**(sum of lengths)."""
+    support = list(ens.support(D))
+    M = math.lcm(*(rm.denominator for _, rm in support))
+    top = max(map(max, multisets))
+    sums = dict.fromkeys(multisets, 0)
+    for lam, rm in support:  # the empty partition comes first; den is per (w, h)
+        nums, den = boolean_numerators(lam.parts, w, h, top)
+        # each multiset extends its prefix, which comes earlier
+        prods = {(): rm.numerator * (M // rm.denominator)}
+        for lengths in multisets:
+            val = prods[lengths[:-1]] * nums[lengths[-1] - 1]
+            prods[lengths] = val
+            sums[lengths] += val
+    return {lengths: Fraction(val, M * den ** sum(lengths))
+            for lengths, val in sums.items()}
+
+
 def suite_poisson_oracle(total: int = 7, tail_eps=Fraction(1, 10 ** 12)):
     """Criterion 4: the ribbon formula for expectations of Boolean-observable
     products equals the truncated brute-force sum within the certified tail
@@ -202,24 +220,7 @@ def suite_poisson_oracle(total: int = 7, tail_eps=Fraction(1, 10 ** 12)):
             D += 2
             if D > 60:
                 return False, f"tail target unreachable at {label}"
-        # one sweep: masses and Boolean families for every partition once
-        sums = {lengths: Fraction(0) for lengths in multisets}
-        for d in range(0, D + 1):
-            for lam in partitions_of(d):
-                rm = ens.rational_mass(lam)
-                if not rm:
-                    continue
-                if d == 0:
-                    continue
-                tm = transition_measure(
-                    AnisotropicDiagram(lam, alpha / u, 1 / u).profile())
-                bs = observable_family(tm, "boolean", total)
-                # each multiset extends its prefix, which comes earlier
-                prods = {(): rm}
-                for lengths in multisets:
-                    val = prods[lengths[:-1]] * bs[lengths[-1] - 1]
-                    prods[lengths] = val
-                    sums[lengths] += val
+        sums = boolean_product_sums(ens, alpha / u, 1 / u, multisets, D)
         for lengths in multisets:
             expect = paths.finite_expectation(lengths, alpha, u, vrule)
             C = Fraction(1)
@@ -262,9 +263,7 @@ def suite_depoissonized(total: int = 8, dmax: int = 8):
             masses = ens.masses()
             families = {}
             for lam in partitions_of(d):
-                tm = transition_measure(
-                    AnisotropicDiagram(lam, alpha / u, 1 / u).profile())
-                families[lam] = observable_family(tm, "boolean", total)
+                families[lam] = diagram_booleans(lam, alpha / u, 1 / u, total)
             for lengths in multisets:
                 formula = paths.depoissonized_expectation(
                     lengths, d, alpha, u, v_formula)
@@ -420,6 +419,9 @@ SUITES = {
     "sampler-law": suite_sampler_law,
     "lln-low-temperature": suite_lln_low_temperature,
 }
+
+# the suites whose size cap ``dmax`` the command line's --d sets
+SIZE_CAP_SUITES = ("normalization",)
 
 
 def run_suites(names=None, stream=None, **kwargs):

@@ -141,6 +141,33 @@ def test_verify_suite_and_exit_codes():
     assert bad.returncode == 2
 
 
+@pytest.mark.parametrize("d", ["-1", "0"])
+def test_verify_d_below_one_exits_2(d, capsys):
+    assert cli.main(["verify", "--suite", "normalization", "--d", d]) == 2
+    captured = capsys.readouterr()
+    assert "--d must be >= 1" in captured.err and captured.out == ""
+
+
+def test_verify_d_no_named_suite_takes_exits_2(capsys):
+    for suites in (["clt-anchors"], ["depoissonized", "eigenrelation"]):
+        assert cli.main(["verify", "--suite", *suites, "--d", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "normalization" in captured.err
+
+
+def test_verify_d_sets_the_cap_of_the_suite_that_takes_it(capsys):
+    assert cli.main(["verify", "--suite", "clt-anchors", "normalization",
+                     "--d", "2"]) == 0
+    assert "d <= 2" in capsys.readouterr().out
+
+
+def test_sample_negative_d_exits_2(capsys):
+    assert cli.main(["sample", "--d", "-2"]) == 2
+    err = capsys.readouterr().err
+    assert "d must be a nonnegative integer" in err
+
+
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_bessel_zeros_bad_tol_exits_2(tol):
     out = subprocess.run([sys.executable, "-m", "jackpaths.cli", "bessel-zeros",

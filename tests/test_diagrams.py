@@ -7,9 +7,13 @@ from hypothesis import strategies as st
 from jackpaths import series
 from jackpaths.diagrams import (AnisotropicDiagram, DiscreteMeasure,
                                 InterlacingError, StaircaseShape,
-                                observable_family, observables, profile,
-                                rescale_observable, transition_measure)
+                                diagram_booleans, observable_family,
+                                observables, profile, rescale_observable,
+                                transition_measure)
+from jackpaths.ensembles import JackThoma
 from jackpaths.partitions import Partition, partitions_of
+from jackpaths.verify import (ORACLE_PARAMETER_SETS, _length_multisets,
+                              boolean_product_sums)
 
 
 def test_profile_examples():
@@ -134,3 +138,39 @@ def test_measure_json_roundtrip():
                          (Fraction(4), Fraction(3, 5))])
     again = DiscreteMeasure.from_json(m.to_json())
     assert again.atoms == m.atoms
+
+
+def _route_booleans(lam, w, h, ell):
+    """The general-measure route: profile, partial fractions, moments,
+    series inversion."""
+    tm = transition_measure(AnisotropicDiagram(lam, w, h).profile())
+    return observable_family(tm, "boolean", ell)
+
+
+@pytest.mark.parametrize("w, h", [(1, 1), (2, Fraction(1, 2)),
+                                  (Fraction(1, 2), 1),
+                                  (Fraction(7, 3), Fraction(2, 5))])
+def test_corner_booleans_equal_the_transition_measure_route(w, h):
+    for d in range(0, 11):
+        for lam in partitions_of(d):
+            for ell in range(1, 8):
+                assert diagram_booleans(lam, w, h, ell) == \
+                    _route_booleans(lam, w, h, ell)
+
+
+def test_oracle_integer_sums_equal_fraction_sums():
+    multisets = _length_multisets(4)
+    D = 12
+    for alpha, u, vrule, _ in ORACLE_PARAMETER_SETS:
+        ens = JackThoma(alpha, u, vrule, check_positivity=False)
+        want = dict.fromkeys(multisets, Fraction(0))
+        for d in range(1, D + 1):
+            for lam in partitions_of(d):
+                rm = ens.rational_mass(lam)
+                bs = _route_booleans(lam, alpha / u, 1 / u, 4)
+                for lengths in multisets:
+                    val = rm
+                    for ell in lengths:
+                        val *= bs[ell - 1]
+                    want[lengths] += val
+        assert boolean_product_sums(ens, alpha / u, 1 / u, multisets, D) == want

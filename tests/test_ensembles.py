@@ -245,3 +245,59 @@ def test_normalized_character_expectation_identity():
                               for lam in partitions_of(d)), Fraction(0))
                 want = falling_factorial(d, size) * chi(mu)
                 assert expect == want, (d, mu)
+
+
+SUPPORT_SETS = (
+    # the three oracle sets, then a principal set with c < 0 and one that is
+    # not principal (its v stops after three terms)
+    (Fraction(1), Fraction(1), lambda k: Fraction(1) if k == 1 else Fraction(0)),
+    (Fraction(2), Fraction(2), lambda k: Fraction(1, 2) ** (k - 1)),
+    (Fraction(1, 2), Fraction(1), lambda k: Fraction(1, 3) ** (k - 1)),
+    (Fraction(1), Fraction(1), lambda k: Fraction(-1, 2) ** (k - 1)),
+    (Fraction(2), Fraction(2), [Fraction(1), Fraction(1, 2), Fraction(1, 5)]),
+)
+
+
+def _swept_support(ens, D):
+    return {(lam, ens.rational_mass(lam)) for d in range(D + 1)
+            for lam in partitions_of(d) if ens.rational_mass(lam)}
+
+
+@pytest.mark.parametrize("alpha, u, v", SUPPORT_SETS)
+def test_support_is_the_nonzero_part_of_the_sweep(alpha, u, v):
+    ens = JackThoma(alpha, u, v, check_positivity=False)
+    walked = list(ens.support(12))
+    assert len(walked) == len(set(walked))
+    assert set(walked) == _swept_support(ens, 12)
+
+
+def test_support_walk_calls_mass_once_per_partition_and_pruned_child():
+    alpha, u, v = SUPPORT_SETS[1]
+    D = 20
+    ens = JackThoma(alpha, u, v, check_positivity=False)
+    support = {lam for lam, _ in _swept_support(ens, D)}
+    # a pruned child: zero mass, and removing the last box of its last row
+    # leaves a support partition
+    pruned = set()
+    for d in range(1, D + 1):
+        for lam in partitions_of(d):
+            parts = lam.parts[:-1] + (lam.parts[-1] - 1,)
+            parent = Partition(p for p in parts if p)
+            if lam not in support and parent in support:
+                pruned.add(lam)
+    calls = []
+    mass = ens.rational_mass
+    ens.rational_mass = lambda lam: calls.append(lam) or mass(lam)
+    assert {lam for lam, _ in ens.support(D)} == support
+    assert len(calls) <= len(support) + len(pruned)
+    assert set(calls) <= support | pruned
+
+
+@pytest.mark.parametrize("make", [lambda d: JackPlancherel(1, d),
+                                  lambda d: JackSchurWeyl(1, d, K=2),
+                                  lambda d: ConditionalJackThoma(1, d, [1]),
+                                  lambda d: CharacterMeasure(1, d, {})])
+@pytest.mark.parametrize("d", [-2, Fraction(5, 2), 2.5])
+def test_fixed_size_ensembles_refuse_a_bad_d(make, d):
+    with pytest.raises(ValueError, match="d must be a nonnegative integer"):
+        make(d)
