@@ -8,9 +8,18 @@ source runs as Python over lists (backend "python").  Both backends consume
 the same counter-based uniform stream and perform the same float operations
 in the same order.  numpy is imported only on the numba path.
 
-The per-state corner masses are one helper, :func:`_corner_masses`, called
-by the draw loop and exposed through :func:`corner_masses` so that the
-exact-law validation checks the arithmetic that the draws use.
+The state is the groups of equal parts (vals, cnts) and the masses ms[i] of
+its addable corners, the residues of Kerov's transition function
+G(z) = prod(z - y_j) / prod(z - x_i) at the profile minima x_i.  Adding a
+box at the minimum x multiplies G by (z - x)(z - x - alpha + 1) /
+((z - x - alpha)(z - x + 1)), also where a new minimum cancels a maximum.
+So the add-a-box helper (:func:`_make_add_box`) multiplies every surviving
+corner's mass by that factor at z = x_i and computes only the corners that
+appear afresh, by :func:`_corner_mass`: one step costs O(m) for m groups.
+The draw loop and :func:`corner_masses` both go through that helper; the
+latter builds the state from the empty diagram column by column, a chain
+that meets every kind of update, so the exact-law validation checks the
+arithmetic that the draws use.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 
-from .rng import _MIX1, _MIX2, GAMMA, stream_word
+from .rng import _MIX1, _MIX2, GAMMA, mix64
 
 INV53 = 2.0 ** -53
 
@@ -45,103 +54,150 @@ def state_capacity(d: int) -> int:
 
 # ---------------------------------------------------------------------------
 # The kernel source (plain loops; compiled by numba or run as Python)
+#
+# A state with m groups has descending part values vals[0..m-1] with
+# multiplicities cnts[0..m-1], and vals[k] = cnts[k] = 0 for k >= m.  Corner
+# k <= m is the minimum x_k = alpha * vals[k] - (rows above group k), so
+# corner m (value 0) is the new bottom row.  Differences of corners are
+# taken as alpha * (integer) - (integer), never as differences of rounded
+# positions.
 # ---------------------------------------------------------------------------
 
 
-def _corners(alpha, vals, cnts, m, xs, ys):
-    """Profile corners of the state with m groups (descending part values
-    vals, multiplicities cnts) at width alpha: minima xs[0..m] and maxima
-    ys[0..m-1], descending."""
-    rows = 0
-    for k in range(m):
-        xs[k] = alpha * vals[k] - rows
-        rows += cnts[k]
-        ys[k] = alpha * vals[k] - rows
-    xs[m] = -float(rows)
+def _corner_mass(alpha, vals, cnts, m, i):
+    """Transition mass of corner i of the state with m groups, from scratch
+    in O(m): the ordered-ratio product, every factor in (0, 1]."""
+    v = vals[i]
+    val = 1.0
+    # (x_i - y_k) / (x_i - x_k) for each group k above; s rows lie between
+    s = 0
+    for k in range(i - 1, -1, -1):
+        a = alpha * (v - vals[k])
+        val *= (a - s) / (a - s - cnts[k])
+        s += cnts[k]
+    # (x_i - y_k) / (x_i - x_{k+1}) for each group k from i down
+    a = 0.0
+    s = 0
+    for k in range(i, m):
+        s += cnts[k]
+        b = alpha * (v - vals[k + 1])
+        val *= (a + s) / (b + s)
+        a = b
+    return val
 
 
-def _corner_masses(m, xs, ys, ms):
-    """Unnormalised transition masses of the m + 1 addable corners into
-    ms[0..m]; returns their sum.  Corner i is the minimum xs[i]."""
-    total = 0.0
-    for i in range(m + 1):
-        xi = xs[i]
-        val = 1.0
-        # ordered-ratio product: every factor lies in (0, 1]
-        for j in range(i):
-            val *= (xi - ys[j]) / (xi - xs[j])
-        for j in range(i + 1, m + 1):
-            val *= (xi - ys[j - 1]) / (xi - xs[j])
-        ms[i] = val
-        total += val
-    return total
+def _make_add_box(corner_mass):
+    """The add-a-box helper over the given fresh-mass helper (a closure
+    variable, so numba can compile it against its own compiled helper)."""
+
+    def add_box(alpha, vals, cnts, ms, m, pick):
+        """Add a box at corner ``pick`` of the state with m groups, updating
+        vals, cnts and the corner masses ms[0..m] in place; returns the new
+        number of groups and the new sum of the masses."""
+        # every surviving corner k gains the factor t(t + 1 - alpha) /
+        # ((t - alpha)(t + 1)) of the new G at t = x_k - x = p + s, with
+        # p = alpha * (vals[k] - v) and s the signed rows between the two;
+        # all four sums add terms of one sign
+        v = vals[pick]
+        total = 0.0
+        s = 0
+        for k in range(pick - 1, -1, -1):
+            s += cnts[k]
+            s1 = s + 1
+            p = alpha * (vals[k] - v)
+            q = p - alpha
+            w = ms[k] * (p + s) * (q + s1) / ((q + s) * (p + s1))
+            ms[k] = w
+            total += w
+        s = 0
+        for k in range(pick + 1, m + 1):
+            s -= cnts[k - 1]
+            s1 = s + 1
+            p = alpha * (vals[k] - v)
+            q = p - alpha
+            w = ms[k] * (p + s) * (q + s1) / ((q + s) * (p + s1))
+            ms[k] = w
+            total += w
+        # the new groups; corners lo..hi-1 are the ones that appear
+        lo = pick
+        hi = pick + 1
+        if pick == m:
+            if m > 0 and vals[m - 1] == 1:      # the bottom corner moves down
+                cnts[m - 1] += 1
+            else:                               # a new bottom row starts
+                vals[m] = 1
+                cnts[m] = 1
+                m += 1
+                hi += 1
+        elif pick > 0 and vals[pick - 1] == v + 1:
+            cnts[pick - 1] += 1
+            cnts[pick] -= 1
+            if cnts[pick] == 0:                 # the corner is removed
+                for j in range(pick, m):
+                    vals[j] = vals[j + 1]
+                    cnts[j] = cnts[j + 1]
+                    ms[j] = ms[j + 1]
+                m -= 1
+                hi = lo
+            # otherwise the corner moves down a row
+        elif cnts[pick] == 1:                   # the corner moves right
+            vals[pick] = v + 1
+        else:                                   # the group splits in two
+            cnts[pick] -= 1
+            for j in range(m, pick, -1):
+                vals[j] = vals[j - 1]
+                cnts[j] = cnts[j - 1]
+                ms[j + 1] = ms[j]
+            vals[pick] = v + 1
+            cnts[pick] = 1
+            m += 1
+            hi += 1
+        for i in range(lo, hi):
+            ms[i] = corner_mass(alpha, vals, cnts, m, i)
+            total += ms[i]
+        return m, total
+
+    return add_box
 
 
 def _uniform(seed, counter):
-    """Uniform double in [0, 1) from word #counter of the seed's stream."""
-    return (stream_word(seed, counter) >> 11) * INV53
+    """Uniform double in [0, 1) from word #counter of the seed's stream
+    (rng.stream_word, one call fewer per box)."""
+    return (mix64(seed + (counter + 1) * GAMMA) >> 11) * INV53
 
 
-def _make_draw(corners, corner_masses, uniform):
+def _make_draw(add_box, uniform):
     """The draw loop over the given helpers (closure variables, so numba
     can compile the loop against its own compiled helpers)."""
 
-    def growth_draw(d, alpha, seed, vals, cnts, xs, ys, ms):
-        """Grow d boxes from the empty diagram; the state is left in
-        vals/cnts and the number of groups is returned."""
+    def growth_draw(d, alpha, seed, vals, cnts, ms):
+        """Grow d boxes from the empty diagram (vals, cnts zero); the state
+        and its corner masses are left in vals/cnts/ms and the number of
+        groups is returned."""
         m = 0
+        ms[0] = 1.0
+        total = 1.0
         counter = 0
         for _ in range(d):
             pick = 0
             if m > 0:
-                corners(alpha, vals, cnts, m, xs, ys)
-                total = corner_masses(m, xs, ys, ms)
-                u = uniform(seed, counter)
+                target = uniform(seed, counter) * total
                 counter += 1
                 acc = 0.0
                 pick = m
                 for i in range(m + 1):
-                    acc += ms[i] / total
-                    if u < acc:
+                    acc += ms[i]
+                    if target < acc:
                         pick = i
                         break
-            # apply growth at the picked corner (pick == m: a new bottom row)
-            if pick == m:
-                if m > 0 and vals[m - 1] == 1:
-                    cnts[m - 1] += 1
-                else:
-                    vals[m] = 1
-                    cnts[m] = 1
-                    m += 1
-            else:
-                v = vals[pick]
-                if pick > 0 and vals[pick - 1] == v + 1:
-                    cnts[pick - 1] += 1
-                    cnts[pick] -= 1
-                    if cnts[pick] == 0:
-                        for j in range(pick, m - 1):
-                            vals[j] = vals[j + 1]
-                            cnts[j] = cnts[j + 1]
-                        vals[m - 1] = 0
-                        cnts[m - 1] = 0
-                        m -= 1
-                elif cnts[pick] == 1:
-                    vals[pick] = v + 1
-                else:
-                    cnts[pick] -= 1
-                    for j in range(m, pick, -1):
-                        vals[j] = vals[j - 1]
-                        cnts[j] = cnts[j - 1]
-                    vals[pick] = v + 1
-                    cnts[pick] = 1
-                    m += 1
+            m, total = add_box(alpha, vals, cnts, ms, m, pick)
         return m
 
     return growth_draw
 
 
 # ---------------------------------------------------------------------------
-# Backends: (draw loop, corners, corner masses, buffer factory, seed cast)
+# Backends: (draw loop, add-a-box helper, buffer factory, seed cast)
 # ---------------------------------------------------------------------------
 
 
@@ -149,8 +205,8 @@ def _python_backend():
     def buffers(n, dtype):
         return [0] * n if dtype == "int" else [0.0] * n
 
-    return (_make_draw(_corners, _corner_masses, _uniform), _corners,
-            _corner_masses, buffers, int)
+    add_box = _make_add_box(_corner_mass)
+    return _make_draw(add_box, _uniform), add_box, buffers, int
 
 
 def _numba_backend(numba):
@@ -172,14 +228,12 @@ def _numba_backend(numba):
         z = z ^ (z >> s31)
         return float(z >> s11) * inv53
 
-    corners = njit(_corners)
-    corner_masses = njit(_corner_masses)
+    add_box = njit(_make_add_box(njit(_corner_mass)))
 
     def buffers(n, dtype):
         return np.zeros(n, dtype=np.int64 if dtype == "int" else np.float64)
 
-    return (njit(_make_draw(corners, corner_masses, uniform)), corners,
-            corner_masses, buffers, np.uint64)
+    return njit(_make_draw(add_box, uniform)), add_box, buffers, np.uint64
 
 
 _numba = _try_numba()
@@ -208,16 +262,24 @@ def resolve_backend(backend: str | None = None) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _draw_state(d: int, alpha: float, seed: int, backend: str | None = None):
+    """Run one draw on the backend's own buffers; returns (m, vals, cnts,
+    ms): the number of groups, the groups and the corner masses the draw
+    loop ends with (unnormalised)."""
+    draw, _, buffers, cast = _BACKENDS[resolve_backend(backend)]
+    cap = state_capacity(d)
+    vals = buffers(cap, "int")
+    cnts = buffers(cap, "int")
+    ms = buffers(cap + 1, "float")
+    m = draw(d, float(alpha), cast(seed), vals, cnts, ms)
+    return m, vals, cnts, ms
+
+
 def growth_draw_parts(d: int, alpha: float, seed: int, backend: str | None = None):
     """One growth-chain draw at size d; returns the partition as a list of
     parts (descending).  Backend "numba" or "python"; see
     :func:`resolve_backend` for the default."""
-    draw, _, _, buffers, cast = _BACKENDS[resolve_backend(backend)]
-    cap = state_capacity(d)
-    vals = buffers(cap, "int")
-    cnts = buffers(cap, "int")
-    xs, ys, ms = (buffers(cap + 1, "float") for _ in range(3))
-    m = draw(d, float(alpha), cast(seed), vals, cnts, xs, ys, ms)
+    m, vals, cnts, _ = _draw_state(d, alpha, seed, backend)
     parts = []
     for k in range(m):
         parts.extend([int(vals[k])] * int(cnts[k]))
@@ -227,18 +289,23 @@ def growth_draw_parts(d: int, alpha: float, seed: int, backend: str | None = Non
 def corner_masses(values, counts, alpha: float):
     """The kernel's normalised transition masses at the state with the
     given groups (descending part values and their multiplicities), in
-    kernel order: index i is the minimum xs[i], descending, so index m is
-    the new bottom row.  Computed by the default backend's helpers (the
-    compiled ones when numba is present); the python backend runs the same
-    source uncompiled."""
-    _, corners, masses, buffers, _ = _BACKENDS[resolve_backend()]
-    m = len(values)
-    vals = buffers(m + 1, "int")
-    cnts = buffers(m + 1, "int")
-    for k in range(m):
-        vals[k] = values[k]
-        cnts[k] = counts[k]
-    xs, ys, ms = (buffers(m + 1, "float") for _ in range(3))
-    corners(float(alpha), vals, cnts, m, xs, ys)
-    total = masses(m, xs, ys, ms)
+    kernel order: index i is the i-th minimum, descending, so index m is
+    the new bottom row.  The state is grown from the empty diagram column
+    by column through the draws' add-a-box helper, on the default backend
+    (the compiled one when numba is present)."""
+    _, add_box, buffers, _ = _BACKENDS[resolve_backend()]
+    cap = len(values) + 3  # the chain's states have at most len(values) + 1 groups
+    vals = buffers(cap, "int")
+    cnts = buffers(cap, "int")
+    ms = buffers(cap + 1, "float")
+    ms[0] = 1.0
+    m, total, alpha = 0, 1.0, float(alpha)
+    for col in range(values[0] if values else 0):
+        # the rows reaching column col + 1, top to bottom: the first box
+        # extends group 0, later ones group 1 (the rows below the ones done);
+        # the first column starts the rows at the bottom corner
+        height = sum(c for v, c in zip(values, counts) if v > col)
+        for row in range(height):
+            pick = m if col == 0 else min(row, 1)
+            m, total = add_box(alpha, vals, cnts, ms, m, pick)
     return [float(ms[i] / total) for i in range(m + 1)]

@@ -283,7 +283,9 @@ def cmd_bessel_zeros(args):
 
 
 def cmd_verify(args):
-    from .verify import SIZE_CAP_SUITES, SUITES, run_suites
+    from . import _kernels
+    from .sampler import validate_growth
+    from .verify import GROWTH_SUITES, SIZE_CAP_SUITES, SUITES, run_suites
 
     names = sorted(SUITES) if args.suite == ["all"] else args.suite
     for name in names:
@@ -307,9 +309,15 @@ def cmd_verify(args):
         kwargs["lln-low-temperature"] = {"out_dir": args.out}
     results = run_suites(names, **kwargs)
     if args.json:
-        print(json.dumps([{"suite": n, "passed": p, "detail": d,
-                           "seconds": round(s, 3)}
-                          for n, p, d, s in results]))
+        entries = []
+        for n, p, d, s in results:
+            entry = {"suite": n, "passed": p, "detail": d, "seconds": round(s, 3)}
+            if n in GROWTH_SUITES:  # which kernel ran; all three are cached
+                entry["growth"] = {"backend": _kernels.resolve_backend(),
+                                   "numba": _kernels.HAVE_NUMBA,
+                                   "validated": validate_growth()}
+            entries.append(entry)
+        print(json.dumps(entries))
     failures = [n for n, p, _, _ in results if not p]
     if failures:
         print(f"first failing suite: {failures[0]}", file=sys.stderr)

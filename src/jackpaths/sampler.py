@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import _kernels
 from .diagrams import AnisotropicDiagram, StaircaseShape, transition_measure
-from .ensembles import Ensemble, JackPlancherel, ensemble_from_config
+from .ensembles import Ensemble, JackPlancherel, _size, ensemble_from_config
 from .exactnum import SqrtExt
 from .partitions import Partition, partitions_of
 from .rng import SplitMix64, dyadic_fraction
@@ -150,15 +150,21 @@ def growth_sample(alpha, d: int, rng: SplitMix64,
                   backend: str | None = None) -> Partition:
     """Draw one partition of size d from the growth chain (floating-point
     masses; the law itself is certified by :func:`validate_growth`)."""
+    if isinstance(d, bool) or not isinstance(d, int):
+        raise ValueError(f"d must be an int, got {d!r}")
     if d < 1:
         raise ValueError("d must be >= 1")
-    if not alpha > 0:  # also refuses a float NaN
-        raise ValueError("alpha must be positive")
+    try:
+        x = float(alpha)
+    except OverflowError:
+        x = math.inf
+    if not 0 < x < math.inf:  # also refuses NaN and an alpha a float rounds to 0
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if not validate_growth():
         raise GrowthUnavailableError(
             "growth chain failed exact validation; use exact_sample")
     seed = rng.next_u64()
-    parts = _kernels.growth_draw_parts(d, float(alpha), seed, backend=backend)
+    parts = _kernels.growth_draw_parts(d, x, seed, backend=backend)
     return Partition(parts)
 
 
@@ -273,7 +279,7 @@ def run_sampler(config: dict, seed: int, count: int, method: str = "exact",
                              f"variant only, not {variant!r}; use exact")
         alpha = Fraction(str(config["alpha"])) if not isinstance(
             config["alpha"], (int, Fraction)) else Fraction(config["alpha"])
-        d = int(config["d"])
+        d = _size(config["d"])
         run.backend = _kernels.resolve_backend(backend)
         run.growth_validated = validate_growth()
         for i in range(count):

@@ -422,6 +422,8 @@ SUITES = {
 
 # the suites whose size cap ``dmax`` the command line's --d sets
 SIZE_CAP_SUITES = ("normalization",)
+# the suites that draw from (or validate) the growth chain
+GROWTH_SUITES = ("sampler-law", "lln-low-temperature")
 
 
 def run_suites(names=None, stream=None, **kwargs):

@@ -162,6 +162,21 @@ def test_verify_d_sets_the_cap_of_the_suite_that_takes_it(capsys):
     assert "d <= 2" in capsys.readouterr().out
 
 
+def test_verify_json_names_the_growth_kernel_of_growth_suites(capsys, monkeypatch):
+    from jackpaths import verify
+
+    monkeypatch.setitem(verify.SUITES, "sampler-law", lambda: (True, "stub"))
+    assert cli.main(["verify", "--suite", "clt-anchors", "sampler-law",
+                     "--json"]) == 0
+    entries = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert [e["suite"] for e in entries] == ["clt-anchors", "sampler-law"]
+    assert "growth" not in entries[0]
+    assert set(entries[0]) == {"suite", "passed", "detail", "seconds"}
+    assert entries[1]["growth"] == {"backend": _kernels.resolve_backend(),
+                                    "numba": _kernels.HAVE_NUMBA,
+                                    "validated": True}
+
+
 def test_sample_negative_d_exits_2(capsys):
     assert cli.main(["sample", "--d", "-2"]) == 2
     err = capsys.readouterr().err

@@ -47,17 +47,100 @@ def test_validate_growth_contract():
     assert validate_growth()
 
 
+def _ordered_ratio_masses(values, counts, alpha):
+    """The O(m^2) oracle: every corner's mass from scratch as the ordered-
+    ratio product prod (x_i - y_j) / prod (x_i - x_j), normalised.  Corner
+    differences come from integer offsets, alpha * dv - dr: taken as
+    differences of rounded positions alpha * v - r, the masses are up to
+    2e-13 off the exact ones at alpha = 1/400 on partitions of size <= 12."""
+    m = len(values)
+    vals = list(values) + [0]
+    rows = [sum(counts[:k]) for k in range(m + 1)]
+
+    def diff(i, v, r):  # x_i - (alpha * v - r)
+        return alpha * (vals[i] - v) - (rows[i] - r)
+
+    masses = []
+    for i in range(m + 1):
+        val = 1.0
+        for j in range(i):
+            val *= diff(i, vals[j], rows[j + 1]) / diff(i, vals[j], rows[j])
+        for j in range(i + 1, m + 1):
+            val *= (diff(i, vals[j - 1], rows[j])
+                    / diff(i, vals[j], rows[j]))
+        masses.append(val)
+    total = sum(masses)
+    return [x / total for x in masses]
+
+
+def _spy_cases(add_box, cases):
+    """``add_box`` recording which update each call made."""
+
+    def spy(alpha, vals, cnts, ms, m, pick):
+        new_m, total = add_box(alpha, vals, cnts, ms, m, pick)
+        cases.add("remove" if new_m < m else "move" if new_m == m
+                  else "new row" if pick == m else "split")
+        return new_m, total
+
+    return spy
+
+
+def test_corner_masses_match_the_ordered_ratio_oracle():
+    for alpha in (1 / 400, 1 / 100, 1 / 3, 1.0, 2.0, 400.0):
+        for n in range(13):
+            for lam in partitions_of(n):
+                values, counts = sampler._groups(lam)
+                got = kernels.corner_masses(values, counts, alpha)
+                want = _ordered_ratio_masses(values, counts, alpha)
+                assert len(got) == len(want) == len(values) + 1
+                assert all(abs(g - w) <= 1e-13 * w for g, w in zip(got, want)), \
+                    (lam, alpha)
+
+
+def test_corner_masses_chain_meets_every_update(monkeypatch):
+    backend = kernels.resolve_backend()
+    draw, add_box, buffers, cast = kernels._BACKENDS[backend]
+    cases = set()
+    monkeypatch.setitem(kernels._BACKENDS, backend,
+                        (draw, _spy_cases(add_box, cases), buffers, cast))
+    # (2, 2) column by column: a new row, the bottom corner moves down, the
+    # group of two rows splits, and the second row's corner is removed
+    kernels.corner_masses([2], [2], 0.5)
+    assert cases == {"new row", "move", "split", "remove"}
+
+
+def _draw_matches_law(d, alpha, seed):
+    """Whether the corner masses that the python draw loop ends with match
+    the exact one-step law at the state it ends in."""
+    m, vals, cnts, ms = kernels._draw_state(d, float(alpha), seed, "python")
+    lam = Partition([vals[k] for k in range(m) for _ in range(cnts[k])])
+    assert lam.size() == d
+    law = growth_transitions(lam, alpha)
+    total = sum(ms[:m + 1])
+    return len(law) == m + 1 and all(
+        abs(ms[m - i] / total - mass) <= sampler.KERNEL_REL_TOL * mass
+        for i, (_, mass) in enumerate(law))
+
+
 def test_kernel_masses_match_law_along_a_long_draw():
     # the stream is counter-based, so a draw of size k is the first k steps
-    # of the same seed's draw of size 400: its states are checkpoints
+    # of the same seed's draw of size 400: its states are checkpoints; both
+    # the masses rebuilt at a state and the draw's own must match the law
     alpha = Fraction(1, 100)
     for k in (0, 1, 2, 50, 100, 200, 300, 399):
         lam = Partition(kernels.growth_draw_parts(k, float(alpha), 20260809))
         assert lam.size() == k
         assert kernel_matches_law(lam, alpha)
+        assert _draw_matches_law(k, alpha, 20260809)
     lam = Partition(kernels.growth_draw_parts(400, float(alpha), 20260809))
     assert lam.parts[0] > 100  # the low-temperature chain grows a long first row
     assert kernel_matches_law(lam, alpha)
+    assert _draw_matches_law(400, alpha, 20260809)
+
+
+def test_draw_masses_match_law_at_the_end_of_a_large_draw():
+    # the benchmark's largest configuration: 6400 ratio updates in a row
+    assert _draw_matches_law(6400, Fraction(1, 400), 20260809)
 
 
 def test_validate_growth_catches_a_wrong_kernel_mass(monkeypatch):
@@ -99,9 +182,17 @@ def test_numba_backend_code_under_a_stand_in_jit(monkeypatch):
     monkeypatch.setitem(kernels._BACKENDS, "numba", kernels._numba_backend(stand_in))
     monkeypatch.setattr(kernels, "HAVE_NUMBA", True)
     with np.errstate(over="ignore"):
-        for d, alpha, seed in ((120, 0.5, 7), (200, 0.01, 2 ** 63 + 5)):
+        for d, alpha, seed in ((120, 0.5, 7), (200, 0.01, 2 ** 63 + 5), (300, 1.0, 3)):
             assert (kernels.growth_draw_parts(d, alpha, seed, backend="numba")
                     == kernels.growth_draw_parts(d, alpha, seed, backend="python"))
+        # the last draw reaches a split and a removal
+        _, add_box, buffers, _ = kernels._BACKENDS["python"]
+        cases = set()
+        draw = kernels._make_draw(_spy_cases(add_box, cases), kernels._uniform)
+        cap = kernels.state_capacity(300)
+        draw(300, 1.0, 3, buffers(cap, "int"), buffers(cap, "int"),
+             buffers(cap + 1, "float"))
+        assert {"split", "remove"} <= cases
         # with numba present, the masses that validation checks are numba's
         assert kernels.corner_masses([3, 1], [1, 2], 1 / 3) == python_masses
 
@@ -118,6 +209,30 @@ def test_growth_sample_rejects_nonpositive_alpha():
     for alpha in (-1, 0, Fraction(-1, 2)):
         with pytest.raises(ValueError):
             growth_sample(alpha, 6, SplitMix64(1))
+
+
+def test_growth_sample_rejects_infinite_alpha():
+    # as a float: 10^400 overflows and 10^-400 rounds to 0
+    for alpha in (float("inf"), Fraction(10 ** 400), Fraction(1, 10 ** 400)):
+        with pytest.raises(ValueError, match="finite"):
+            growth_sample(alpha, 6, SplitMix64(1))
+
+
+def test_growth_sample_rejects_bool_d():
+    with pytest.raises(ValueError, match="d must be an int"):
+        growth_sample(1, True, SplitMix64(1))
+
+
+def test_growth_sample_rejects_float_d():
+    with pytest.raises(ValueError, match="d must be an int"):
+        growth_sample(1, 3.0, SplitMix64(1))
+
+
+def test_growth_run_rejects_fractional_d_as_exact_does():
+    cfg = {"variant": "plancherel", "alpha": "1", "d": 2.5}
+    for method in ("exact", "growth"):
+        with pytest.raises(ValueError, match="d must be a nonnegative integer"):
+            run_sampler(cfg, 0, 1, method=method)
 
 
 def test_growth_backends_agree_statistically():
