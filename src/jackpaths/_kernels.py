@@ -17,9 +17,9 @@ So the add-a-box helper (:func:`_make_add_box`) multiplies every surviving
 corner's mass by that factor at z = x_i and computes only the corners that
 appear afresh, by :func:`_corner_mass`: one step costs O(m) for m groups.
 The draw loop and :func:`corner_masses` both go through that helper; the
-latter builds the state from the empty diagram column by column, a chain
-that meets every kind of update, so the exact-law validation checks the
-arithmetic that the draws use.
+latter builds the state of a partition from the empty diagram column by
+column, a chain that meets every kind of update, so the exact-law
+validation checks the arithmetic that the draws use.
 """
 
 from __future__ import annotations
@@ -286,25 +286,24 @@ def growth_draw_parts(d: int, alpha: float, seed: int, backend: str | None = Non
     return parts
 
 
-def corner_masses(values, counts, alpha: float):
-    """The kernel's normalised transition masses at the state with the
-    given groups (descending part values and their multiplicities), in
-    kernel order: index i is the i-th minimum, descending, so index m is
-    the new bottom row.  The state is grown from the empty diagram column
-    by column through the draws' add-a-box helper, on the default backend
-    (the compiled one when numba is present)."""
+def corner_masses(parts, alpha: float):
+    """The kernel's normalised transition masses at the partition ``parts``
+    (descending), in kernel order: index i is the i-th minimum, descending,
+    so the last index is the new bottom row.  The state is grown from the
+    empty diagram column by column through the draws' add-a-box helper, on
+    the default backend (the compiled one when numba is present)."""
     _, add_box, buffers, _ = _BACKENDS[resolve_backend()]
-    cap = len(values) + 3  # the chain's states have at most len(values) + 1 groups
+    cap = len(parts) + 3  # the chain's states have at most len(parts) groups
     vals = buffers(cap, "int")
     cnts = buffers(cap, "int")
     ms = buffers(cap + 1, "float")
     ms[0] = 1.0
     m, total, alpha = 0, 1.0, float(alpha)
-    for col in range(values[0] if values else 0):
+    for col in range(parts[0] if parts else 0):
         # the rows reaching column col + 1, top to bottom: the first box
         # extends group 0, later ones group 1 (the rows below the ones done);
         # the first column starts the rows at the bottom corner
-        height = sum(c for v, c in zip(values, counts) if v > col)
+        height = sum(1 for p in parts if p > col)
         for row in range(height):
             pick = m if col == 0 else min(row, 1)
             m, total = add_box(alpha, vals, cnts, ms, m, pick)

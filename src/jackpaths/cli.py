@@ -12,6 +12,7 @@ import sys
 from fractions import Fraction
 
 from .exactnum import format_rational, parse_rational
+from .limitshape import SearchError
 
 # let argparse accept negative rationals like -1/4 as values, not flags
 _NEGATIVE_TOKEN = re.compile(r"^-\d+(/\d+)?(\.\d+)?$")
@@ -25,14 +26,35 @@ def _rational(text):
 
 
 def _load_config(path):
+    """The --config defaults as a dict; ValueError for a file that cannot
+    be read, does not parse or whose top level is not a table."""
     if path is None:
         return {}
-    text = open(path, "rb").read()
+    try:
+        with open(path, "rb") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValueError(f"--config: cannot read {path}: {exc.strerror}") from exc
     if path.endswith(".toml"):
         import tomllib
 
-        return tomllib.loads(text.decode())
-    return json.loads(text)
+        data = tomllib.loads(text.decode())
+    else:
+        data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError(f"--config: the top level of {path} must be a table, "
+                         f"not {type(data).__name__}")
+    return data
+
+
+def _write(path, text):
+    """Write an output file; a path that cannot be written is a usage
+    error (ValueError)."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,18 +252,15 @@ def cmd_sample(args):
     run = run_sampler(cfg, seed=args.seed, count=args.n, method=args.method,
                       backend=args.backend)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(samples_to_jsonl(run))
+        _write(args.out, samples_to_jsonl(run))
     if args.profile_csv or args.svg:
         span = 2.2 * max(float(args.alpha) ** 0.5, float(args.alpha) ** -0.5)
         grid = [-span + 2 * span * i / 400 for i in range(401)]
         pts = mean_profile(run, args.alpha, args.d, grid)
         if args.profile_csv:
-            with open(args.profile_csv, "w") as fh:
-                fh.write(profile_csv(pts))
+            _write(args.profile_csv, profile_csv(pts))
         if args.svg:
-            with open(args.svg, "w") as fh:
-                fh.write(profiles_svg([(pts, "#cc3333")]))
+            _write(args.svg, profiles_svg([(pts, "#cc3333")]))
     if not args.out:
         for lam in run.collected:
             print(json.dumps(lam.to_json()))
@@ -255,14 +274,11 @@ def cmd_limit_shape(args):
     shape = plancherel_limit_shape(args.g, n_steps=args.n_steps)
     pts = shape_points(shape)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(profile_csv(pts))
+        _write(args.csv, profile_csv(pts))
     if args.json_out:
-        with open(args.json_out, "w") as fh:
-            fh.write(corners_json(shape) + "\n")
+        _write(args.json_out, corners_json(shape) + "\n")
     if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(profiles_svg([(pts, "#3355cc")]))
+        _write(args.svg, profiles_svg([(pts, "#3355cc")]))
     if not (args.csv or args.json_out or args.svg):
         print(corners_json(shape))
     return 0
@@ -332,8 +348,7 @@ def cmd_render(args):
 
     parts = [int(x) for x in args.partition.split(",") if x.strip()]
     shape = AnisotropicDiagram(Partition(parts), args.w, args.h).profile()
-    with open(args.svg, "w") as fh:
-        fh.write(profiles_svg([(shape_points(shape), "#cc7722")]))
+    _write(args.svg, profiles_svg([(shape_points(shape), "#cc7722")]))
     return 0
 
 
@@ -415,7 +430,7 @@ def main(argv=None, parser=None) -> int:
                     command.error(f"--config: {exc}")
                 setattr(args, attr, val)
         return _COMMANDS[args.command](args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, SearchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

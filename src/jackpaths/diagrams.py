@@ -194,30 +194,28 @@ class AnisotropicDiagram:
         return f"AnisotropicDiagram({self.base!r}, w={self.w}, h={self.h})"
 
 
+def corners(parts, w, h):
+    """(minima, maxima), both ascending, of the profile of the (w, h) diagram
+    of the partition ``parts`` in Russian coordinates u = x - y: a minimum
+    w*parts[r] - h*r at each addable cell and a maximum w*parts[r] - h*(r+1)
+    at each removable cell, rows r counted from 0 and parts[len] = 0.  The
+    arithmetic is that of w and h (Fraction, int or float)."""
+    minima, maxima = [], []
+    below = 0
+    for r in range(len(parts), 0, -1):
+        part = parts[r - 1]
+        if part > below:  # row r is addable and row r - 1 removable
+            minima.append(w * below - h * r)
+            maxima.append(w * part - h * r)
+            below = part
+    minima.append(w * below - h * 0)  # row 0, in the arithmetic of w and h
+    return minima, maxima
+
+
 def profile(diagram: AnisotropicDiagram) -> StaircaseShape:
     """Local minima/maxima of the boundary of the stretched diagram in
     Russian coordinates u = x - y.  The empty diagram has one minimum at 0."""
-    lam = diagram.base
-    w, h = diagram.w, diagram.h
-    if not lam.parts:
-        return StaircaseShape([Fraction(0)], [], "finite")
-    values = []   # distinct part values, descending
-    counts = []
-    for p in lam.parts:
-        if values and values[-1] == p:
-            counts[-1] += 1
-        else:
-            values.append(p)
-            counts.append(1)
-    cum = [0]
-    for c in counts:
-        cum.append(cum[-1] + c)
-    m = len(values)
-    minima = [w * values[k] - h * cum[k] for k in range(m)] + [-h * Fraction(cum[m])]
-    maxima = [w * values[k] - h * cum[k + 1] for k in range(m)]
-    minima.reverse()
-    maxima.reverse()
-    return StaircaseShape(minima, maxima, "finite")
+    return StaircaseShape(*corners(diagram.base.parts, diagram.w, diagram.h))
 
 
 def transition_measure(shape: StaircaseShape) -> DiscreteMeasure:
@@ -261,16 +259,7 @@ def boolean_numerators(parts, w, h, ell: int):
     den = math.lcm(w.denominator, h.denominator)
     big_w = w.numerator * (den // w.denominator)
     big_h = h.numerator * (den // h.denominator)
-    xs, ys = [], []
-    start = 0
-    for k, part in enumerate(parts):
-        if k + 1 < len(parts) and parts[k + 1] == part:
-            continue
-        # rows start..k have length part: one minimum and one maximum
-        xs.append(big_w * part - big_h * start)
-        ys.append(big_w * part - big_h * (k + 1))
-        start = k + 1
-    xs.append(-big_h * start)
+    xs, ys = corners(parts, big_w, big_h)
     coeffs = [1] + [0] * ell
     for x in xs:
         for n in range(ell, 0, -1):

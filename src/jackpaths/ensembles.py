@@ -683,6 +683,31 @@ def _poisson_tail(U: Fraction, D: int, C: Fraction, r: int):
             raise ArithmeticError("tail bound did not converge")
 
 
+def _boolean_growth_constant(alpha, u, lengths) -> Fraction:
+    """C = prod_l 2^(l-1) max(alpha/u, 1/u)^l over ``lengths``, so that the
+    product of the Boolean cumulants B_l of the (alpha/u, 1/u) diagram of a
+    partition lam is at most C |lam|^(sum of lengths) in absolute value."""
+    scale = max(alpha / u, 1 / u)
+    C = Fraction(1)
+    for ell in lengths:
+        C *= Fraction(2) ** (ell - 1) * scale ** ell
+    return C
+
+
+def _truncation_degree(U: Fraction, C: Fraction, r: int, tail_eps,
+                       degree_cap: int = 60) -> int:
+    """The first degree D = max(4, ceil(2U)), +2, +4, ... whose certified
+    tail bound (see :func:`_poisson_tail`) is at most tail_eps; raises
+    ArithmeticError once D passes ``degree_cap``."""
+    D = max(4, int(math.ceil(2 * float(U))))
+    while _poisson_tail(U, D, C, r)[0] > tail_eps:
+        D += 2
+        if D > degree_cap:
+            raise ArithmeticError(
+                f"tail target {tail_eps} unreachable below degree {degree_cap}")
+    return D
+
+
 def poisson_expectation(alpha, u, v, observable, tail_eps,
                         growth_bound=None, degree_cap: int = 60,
                         lengths_hint=None) -> PoissonInterval:
@@ -703,19 +728,10 @@ def poisson_expectation(alpha, u, v, observable, tail_eps,
     if growth_bound is None:
         if lengths_hint is None:
             raise ValueError("pass growth_bound=(C, r) or lengths_hint")
-        r = sum(lengths_hint)
-        scale = max(alpha / u, 1 / u)
-        C = Fraction(1)
-        for ell in lengths_hint:
-            C *= Fraction(2) ** (ell - 1) * scale ** ell
+        C, r = _boolean_growth_constant(alpha, u, lengths_hint), sum(lengths_hint)
     else:
         C, r = Fraction(growth_bound[0]), int(growth_bound[1])
-    D = max(4, int(math.ceil(2 * float(U))))
-    while _poisson_tail(U, D, C, r)[0] > tail_eps:
-        D += 2
-        if D > degree_cap:
-            raise ArithmeticError(
-                f"tail target {tail_eps} unreachable below degree {degree_cap}")
+    D = _truncation_degree(U, C, r, tail_eps, degree_cap)
     total = Fraction(0)
     for lam, rm in ensemble.support(D):
         total += rm * Fraction(observable(lam))

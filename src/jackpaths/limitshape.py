@@ -213,6 +213,10 @@ def bessel_order_zeros(g, n: int, tol: float = 1e-10, dps: int | None = None,
         raise ValueError("n must be >= 1")
     if not (isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
+    if n > max_scan // 4 + 1:
+        # n zeros span at least (n - 1) |g|, which is 4 (n - 1) scan steps
+        raise ValueError(f"n = {n} zeros are beyond the {max_scan}-step scan "
+                         f"window; at most {max_scan // 4 + 1} can be found")
     ag = abs(float(g))
     arg = 2.0 / ag
 

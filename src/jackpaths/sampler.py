@@ -11,9 +11,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _kernels
-from .diagrams import AnisotropicDiagram, StaircaseShape, transition_measure
-from .ensembles import Ensemble, JackPlancherel, _size, ensemble_from_config
-from .exactnum import SqrtExt
+from .diagrams import (AnisotropicDiagram, StaircaseShape, corners,
+                       transition_measure)
+from .ensembles import (Ensemble, JackPlancherel, _is_negative, _size,
+                        ensemble_from_config)
 from .partitions import Partition, partitions_of
 from .rng import SplitMix64, dyadic_fraction
 
@@ -34,43 +35,15 @@ class GrowthUnavailableError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _groups(lam: Partition):
-    values, counts = [], []
-    for p in lam.parts:
-        if values and values[-1] == p:
-            counts[-1] += 1
-        else:
-            values.append(p)
-            counts.append(1)
-    return values, counts
-
-
 def growth_candidates(lam: Partition, alpha):
     """Addable corners of the width-alpha diagram, ascending by the corner
     coordinate of the profile (matching the transition-measure atoms)."""
-    alpha = Fraction(alpha)
-    values, counts = _groups(lam)
-    cum = [0]
-    for c in counts:
-        cum.append(cum[-1] + c)
-    m = len(values)
-    out = [(-Fraction(cum[m]), _grown(values, counts, m))]
-    for k in range(m - 1, -1, -1):
-        out.append((alpha * values[k] - cum[k], _grown(values, counts, k)))
-    return out
-
-
-def _grown(values, counts, k) -> Partition:
-    parts = []
-    for i, (v, c) in enumerate(zip(values, counts)):
-        n = c
-        if i == k:
-            parts.append(v + 1)
-            n -= 1
-        parts.extend([v] * n)
-    if k == len(values):
-        parts.append(1)
-    return Partition(sorted(parts, reverse=True))
+    minima, _ = corners(lam.parts, Fraction(alpha), 1)
+    parts = list(lam.parts) + [0]
+    rows = [r for r in range(len(parts) - 1, -1, -1)
+            if r == 0 or parts[r - 1] > parts[r]]
+    return [(x, Partition(parts[:r] + [parts[r] + 1] + parts[r + 1:-1]))
+            for x, r in zip(minima, rows)]
 
 
 def growth_transitions(lam: Partition, alpha):
@@ -111,11 +84,10 @@ def kernel_matches_law(lam: Partition, alpha, law=None) -> bool:
     exact one-step law (``growth_transitions(lam, alpha)`` unless given) to
     KERNEL_REL_TOL relative.  Kernel index i is the i-th minimum
     descending, which is candidate index m - i."""
-    values, counts = _groups(lam)
-    floats = _kernels.corner_masses(values, counts, float(alpha))
+    floats = _kernels.corner_masses(lam.parts, float(alpha))
     if law is None:
         law = growth_transitions(lam, alpha)
-    m = len(values)
+    m = len(floats) - 1
     return len(floats) == len(law) and all(
         abs(floats[m - i] - mass) <= KERNEL_REL_TOL * mass
         for i, (_, mass) in enumerate(law))
@@ -189,7 +161,7 @@ def exact_sample(ensemble: Ensemble, rng: SplitMix64) -> Partition:
         lo = dyadic_fraction(n, bits)
         hi = dyadic_fraction(n + 1, bits)
         idx = _first_above(cum, lo)
-        if _leq(hi, cum[idx]):
+        if hi <= cum[idx]:
             return lams[idx]
         n, bits = rng.extend_dyadic(n, bits)
 
@@ -203,7 +175,7 @@ def _cumulative(ensemble: Ensemble):
     acc = Fraction(0)
     for lam in lams:
         m = ensemble.mass(lam)
-        if _is_neg(m):
+        if _is_negative(m):
             raise ValueError(f"cannot sample a signed measure (mass at {lam})")
         acc = acc + m
         cum.append(acc)
@@ -211,16 +183,6 @@ def _cumulative(ensemble: Ensemble):
         raise ValueError("masses do not sum to 1")
     ensemble._cumulative_cache = (lams, cum)
     return lams, cum
-
-
-def _is_neg(x) -> bool:
-    return x.sign() < 0 if isinstance(x, SqrtExt) else x < 0
-
-
-def _leq(a, b) -> bool:
-    if isinstance(b, SqrtExt):
-        return b >= a
-    return a <= b
 
 
 def _first_above(cum, x) -> int:
@@ -310,18 +272,7 @@ def scaled_profile(lam: Partition, alpha, d: int | None = None) -> StaircaseShap
         d = lam.size()
     w = math.sqrt(float(alpha) / d)
     h = 1.0 / math.sqrt(float(alpha) * d)
-    values, counts = _groups(lam)
-    if not values:
-        return StaircaseShape([0.0], [], "finite")
-    cum = [0]
-    for c in counts:
-        cum.append(cum[-1] + c)
-    m = len(values)
-    minima = [w * values[k] - h * cum[k] for k in range(m)] + [-h * cum[m]]
-    maxima = [w * values[k] - h * cum[k + 1] for k in range(m)]
-    minima.reverse()
-    maxima.reverse()
-    return StaircaseShape(minima, maxima, "finite")
+    return StaircaseShape(*corners(lam.parts, w, h))
 
 
 def mean_profile(run: SampleRun, alpha, d: int, grid) -> list:

@@ -42,7 +42,7 @@ def profile_csv(points) -> str:
     return "\n".join(rows) + "\n"
 
 
-def shape_points(shape: StaircaseShape, pad: float = 0.5, per_segment: int = 1):
+def shape_points(shape: StaircaseShape, pad: float = 0.5):
     """Sample a staircase's corners (plus padding beyond the ends) as
     (u, omega) pairs suitable for CSV/SVG emission."""
     corners = shape.corners()

@@ -129,7 +129,6 @@ def moments_from_free(cumulants):
     inv = series_inv(one_plus_c, order)
     moments = [Fraction(0)] * (order + 1)
     moments[0] = Fraction(1)
-    power = inv[:]
     # iterate: M_ell = -(sum_{m<ell} M_m z^m (1+c)^{-(m+1)})[z^ell] with the
     # m=ell term contributing exactly M_ell
     powers = [inv[:]]

@@ -13,7 +13,8 @@ from . import paths
 from .diagrams import boolean_numerators, diagram_booleans
 from .ensembles import (CharacterMeasure, ConditionalJackThoma, JackPlancherel,
                         JackSchurWeyl, JackThoma, PoissonInterval,
-                        _poisson_tail, conditional_thoma_character)
+                        _boolean_growth_constant, _poisson_tail,
+                        _truncation_degree, conditional_thoma_character)
 from .jack import hall_inner, jack_basis, ns_apply
 from .limitshape import (bessel_order_zeros, functional_equation_check,
                          jacobi_moment_symbolic, moment_consistency)
@@ -214,18 +215,15 @@ def suite_poisson_oracle(total: int = 7, tail_eps=Fraction(1, 10 ** 12)):
         ens = JackThoma(alpha, u, vrule, check_positivity=False)
         U = ens.exponent
         scale = max(alpha / u, 1 / u)
-        worst = (Fraction(2) ** (total - 1) * max(scale, 1) ** total, total)
-        D = max(4, int(math.ceil(2 * float(U))))
-        while _poisson_tail(U, D, worst[0], worst[1])[0] > tail_eps:
-            D += 2
-            if D > 60:
-                return False, f"tail target unreachable at {label}"
+        worst = Fraction(2) ** (total - 1) * max(scale, 1) ** total
+        try:
+            D = _truncation_degree(U, worst, total, tail_eps)
+        except ArithmeticError:
+            return False, f"tail target unreachable at {label}"
         sums = boolean_product_sums(ens, alpha / u, 1 / u, multisets, D)
         for lengths in multisets:
             expect = paths.finite_expectation(lengths, alpha, u, vrule)
-            C = Fraction(1)
-            for ell in lengths:
-                C *= Fraction(2) ** (ell - 1) * scale ** ell
+            C = _boolean_growth_constant(alpha, u, lengths)
             bound, margin = _poisson_tail(U, D, C, sum(lengths))
             if bound > tail_eps:
                 return False, f"radius target missed at {label} {lengths}"

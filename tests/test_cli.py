@@ -193,6 +193,27 @@ def test_bessel_zeros_bad_tol_exits_2(tol):
     assert out.stdout == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["bessel-zeros", "--g", "-1/4", "-n", "1200"],
+    ["limit-shape", "--g", "-1/4", "--n-steps", "1200"]])
+def test_bessel_zero_count_beyond_the_scan_exits_2(argv):
+    out = subprocess.run([sys.executable, "-m", "jackpaths.cli", *argv],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2
+    assert "scan window" in out.stderr and "Traceback" not in out.stderr
+
+
+def test_search_error_exits_2(monkeypatch, capsys):
+    from jackpaths import limitshape
+
+    def exhausted(*args, **kwargs):
+        raise limitshape.SearchError("scan window exhausted before 3 zeros")
+
+    monkeypatch.setattr(limitshape, "bessel_order_zeros", exhausted)
+    assert cli.main(["bessel-zeros", "--g", "-1/4", "-n", "3"]) == 2
+    assert "error: scan window exhausted" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_2():
     out = run_cli("moments", "--ell", "4", "--g", "nonsense")
     assert out.returncode == 2
@@ -248,6 +269,25 @@ def test_config_value_the_type_refuses_exits_2(tmp_path: Path, capsys):
         cli.main(["--config", str(cfg), "sample", "--d", "3"])
     assert exc.value.code == 2
     assert "invalid int value: 'two'" in capsys.readouterr().err
+
+
+def test_unreadable_config_exits_2(tmp_path: Path, capsys):
+    for path in (tmp_path / "missing.json", tmp_path):  # absent; a directory
+        assert cli.main(["--config", str(path), "moments", "--ell", "4"]) == 2
+        assert "error: --config: cannot read" in capsys.readouterr().err
+
+
+def test_config_that_is_not_a_table_exits_2(tmp_path: Path, capsys):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text("[1, 2]")
+    assert cli.main(["--config", str(cfg), "moments", "--ell", "4"]) == 2
+    assert "must be a table, not list" in capsys.readouterr().err
+
+
+def test_unwritable_output_path_exits_2(tmp_path: Path, capsys):
+    out = tmp_path / "no-such-dir" / "x.jsonl"
+    assert cli.main(["sample", "--d", "3", "--out", str(out)]) == 2
+    assert f"error: cannot write {out}" in capsys.readouterr().err
 
 
 def test_missing_ensemble_key_exits_2():

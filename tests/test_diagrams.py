@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from jackpaths import series
 from jackpaths.diagrams import (AnisotropicDiagram, DiscreteMeasure,
-                                InterlacingError, StaircaseShape,
+                                InterlacingError, StaircaseShape, corners,
                                 diagram_booleans, observable_family,
                                 observables, profile, rescale_observable,
                                 transition_measure)
@@ -23,6 +23,27 @@ def test_profile_examples():
     assert s0.minima == [0] and s0.maxima == []
     s2 = AnisotropicDiagram(Partition([4, 3, 1, 1]), 2, Fraction(1, 2)).profile()
     assert len(s2.minima) == 4 and len(s2.maxima) == 3
+
+
+@pytest.mark.parametrize("w, h", [(Fraction(3, 2), Fraction(2, 5)), (2, 3),
+                                  (0.7, 1.3), (2 ** 0.5, 3 ** -0.5)])
+def test_corners_against_the_cells(w, h):
+    # a minimum at each addable cell (i, j) and a maximum at each removable
+    # one, with 1-based row i and column j, in the arithmetic of (w, h)
+    for n in range(11):
+        for lam in partitions_of(n):
+            cells = set(lam.cells())
+            addable = [(i, j) for i in range(1, n + 2) for j in range(1, n + 2)
+                       if (i, j) not in cells
+                       and (i == 1 or (i - 1, j) in cells)
+                       and (j == 1 or (i, j - 1) in cells)]
+            removable = [(i, j) for i, j in cells
+                         if (i + 1, j) not in cells and (i, j + 1) not in cells]
+            minima = sorted(w * (j - 1) - h * (i - 1) for i, j in addable)
+            maxima = sorted(w * j - h * i for i, j in removable)
+            got = corners(lam.parts, w, h)
+            assert got == (minima, maxima), lam
+            assert all(type(x) is type(w * h) for x in got[0] + got[1])
 
 
 def test_profile_evaluate_is_anchored_on_both_sides():

@@ -205,6 +205,18 @@ def test_poisson_expectation_intervals():
     assert iv3.contains_exact(finite_expectation([3], alpha, u, vfun))
 
 
+def test_poisson_truncation_stops_at_the_degree_cap():
+    from jackpaths.verify import suite_poisson_oracle
+
+    vfun = lambda k: Fraction(1, 2) ** (k - 1)
+    with pytest.raises(ArithmeticError, match="unreachable below degree 10"):
+        poisson_expectation(Fraction(2), Fraction(2), vfun, lambda lam: 1,
+                            Fraction(1, 10 ** 40), growth_bound=(1, 0),
+                            degree_cap=10)
+    assert suite_poisson_oracle(total=2, tail_eps=Fraction(1, 10 ** 300)) == (
+        False, "tail target unreachable at plancherel U=1")
+
+
 def test_jack_measure_generic():
     rho1 = thoma_specialization(ThomaPoint.make(a=[Fraction(1, 2)], c=1),
                                 Fraction(2))

@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from jackpaths import limitshape
 from jackpaths.diagrams import AnisotropicDiagram, transition_measure
 from jackpaths.limitshape import (JacobiOperator, bessel_j, bessel_j_mp,
                                   bessel_order_zeros,
@@ -132,6 +133,20 @@ def test_bessel_zero_examples_and_spacing():
     # the same zeros serve g > 0 (they depend on |g| only)
     zp = bessel_order_zeros(Fraction(1, 4), 3, tol=1e-10)
     assert zp.zeros[0] == pytest.approx(zl.zeros[0], abs=1e-9)
+
+
+def test_bessel_zero_counts_beyond_the_scan_are_refused_unevaluated(monkeypatch):
+    # the zeros are at least |g| (four scan steps) apart, so more than
+    # max_scan // 4 + 1 of them cannot lie in the scan window
+    def boom(*args, **kwargs):
+        raise AssertionError("bessel_j evaluated")
+
+    monkeypatch.setattr(limitshape, "bessel_j", boom)
+    for n, max_scan in ((1002, 4000), (1200, 4000), (4, 8)):
+        with pytest.raises(ValueError, match="scan window"):
+            bessel_order_zeros(Fraction(-1, 4), n, max_scan=max_scan)
+    with pytest.raises(ValueError, match="scan window"):
+        plancherel_limit_shape(Fraction(-1, 4), n_steps=1200)
 
 
 def test_edge_values():

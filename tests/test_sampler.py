@@ -47,12 +47,14 @@ def test_validate_growth_contract():
     assert validate_growth()
 
 
-def _ordered_ratio_masses(values, counts, alpha):
+def _ordered_ratio_masses(parts, alpha):
     """The O(m^2) oracle: every corner's mass from scratch as the ordered-
     ratio product prod (x_i - y_j) / prod (x_i - x_j), normalised.  Corner
     differences come from integer offsets, alpha * dv - dr: taken as
     differences of rounded positions alpha * v - r, the masses are up to
     2e-13 off the exact ones at alpha = 1/400 on partitions of size <= 12."""
+    values = sorted(set(parts), reverse=True)
+    counts = [parts.count(v) for v in values]
     m = len(values)
     vals = list(values) + [0]
     rows = [sum(counts[:k]) for k in range(m + 1)]
@@ -89,10 +91,9 @@ def test_corner_masses_match_the_ordered_ratio_oracle():
     for alpha in (1 / 400, 1 / 100, 1 / 3, 1.0, 2.0, 400.0):
         for n in range(13):
             for lam in partitions_of(n):
-                values, counts = sampler._groups(lam)
-                got = kernels.corner_masses(values, counts, alpha)
-                want = _ordered_ratio_masses(values, counts, alpha)
-                assert len(got) == len(want) == len(values) + 1
+                got = kernels.corner_masses(lam.parts, alpha)
+                want = _ordered_ratio_masses(lam.parts, alpha)
+                assert len(got) == len(want) == len(set(lam.parts)) + 1
                 assert all(abs(g - w) <= 1e-13 * w for g, w in zip(got, want)), \
                     (lam, alpha)
 
@@ -105,7 +106,7 @@ def test_corner_masses_chain_meets_every_update(monkeypatch):
                         (draw, _spy_cases(add_box, cases), buffers, cast))
     # (2, 2) column by column: a new row, the bottom corner moves down, the
     # group of two rows splits, and the second row's corner is removed
-    kernels.corner_masses([2], [2], 0.5)
+    kernels.corner_masses([2, 2], 0.5)
     assert cases == {"new row", "move", "split", "remove"}
 
 
@@ -146,8 +147,8 @@ def test_draw_masses_match_law_at_the_end_of_a_large_draw():
 def test_validate_growth_catches_a_wrong_kernel_mass(monkeypatch):
     true_masses = kernels.corner_masses
 
-    def skewed(values, counts, alpha):
-        masses = true_masses(values, counts, alpha)
+    def skewed(parts, alpha):
+        masses = true_masses(parts, alpha)
         if len(masses) == 3:
             masses[1] *= 1 + 1e-9
         return masses
@@ -177,7 +178,7 @@ def test_numba_backend_code_under_a_stand_in_jit(monkeypatch):
     # with an identity njit, the numba backend's code (its uint64 stream and
     # numpy buffers) runs as Python; it must draw what the python backend does
     np = pytest.importorskip("numpy")
-    python_masses = kernels.corner_masses([3, 1], [1, 2], 1 / 3)
+    python_masses = kernels.corner_masses([3, 1, 1], 1 / 3)
     stand_in = types.SimpleNamespace(njit=lambda cache: (lambda func: func))
     monkeypatch.setitem(kernels._BACKENDS, "numba", kernels._numba_backend(stand_in))
     monkeypatch.setattr(kernels, "HAVE_NUMBA", True)
@@ -194,7 +195,7 @@ def test_numba_backend_code_under_a_stand_in_jit(monkeypatch):
              buffers(cap + 1, "float"))
         assert {"split", "remove"} <= cases
         # with numba present, the masses that validation checks are numba's
-        assert kernels.corner_masses([3, 1], [1, 2], 1 / 3) == python_masses
+        assert kernels.corner_masses([3, 1, 1], 1 / 3) == python_masses
 
 
 def test_growth_sample_sizes_and_determinism():
