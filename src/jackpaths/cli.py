@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -321,7 +322,19 @@ def cmd_verify(args):
             return 2
         for name in takers:
             kwargs[name] = {"dmax": args.d}
-    if args.out is not None and "lln-low-temperature" in names:
+    if args.out is not None:
+        if "lln-low-temperature" not in names:
+            print("--out sets the overlay directory of lln-low-temperature "
+                  "only; no named suite takes it", file=sys.stderr)
+            return 2
+        # an unusable directory is refused before any suite runs
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"--out: cannot make directory {args.out}: "
+                             f"{exc.strerror}") from exc
+        if not os.access(args.out, os.W_OK | os.X_OK):
+            raise ValueError(f"--out: cannot write to directory {args.out}")
         kwargs["lln-low-temperature"] = {"out_dir": args.out}
     results = run_suites(names, **kwargs)
     if args.json:

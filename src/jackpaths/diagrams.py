@@ -77,37 +77,23 @@ class StaircaseShape:
         maxima = list(maxima)
         if orientation not in ("finite", "extends_to_-inf", "extends_to_+inf"):
             raise ValueError(f"bad orientation {orientation!r}")
-        merged = self._merged(minima, maxima, orientation)
-        for k in range(1, len(merged)):
-            if not merged[k - 1] < merged[k]:
-                raise InterlacingError(
-                    f"extrema do not interlace strictly: {minima} / {maxima}")
-        if orientation == "finite" and len(minima) != len(maxima) + 1:
-            raise InterlacingError("finite profile needs k+1 minima for k maxima")
-        if orientation != "finite" and len(minima) != len(maxima):
-            raise InterlacingError("truncated staircase needs equal counts")
+        extra = int(orientation == "finite")
+        if len(minima) != len(maxima) + extra:
+            raise InterlacingError(
+                f"a {orientation} profile needs {len(maxima) + extra} minima "
+                f"for {len(maxima)} maxima, got {len(minima)}")
+        # the corners alternate in kind, a maximum first only for a
+        # staircase extending to -inf
+        first, second = ((maxima, minima) if orientation == "extends_to_-inf"
+                         else (minima, maxima))
+        merged = first + second
+        merged[::2], merged[1::2] = first, second
+        if not all(a < b for a, b in zip(merged, merged[1:])):
+            raise InterlacingError(
+                f"extrema do not interlace strictly: {minima} / {maxima}")
         self.minima = minima
         self.maxima = maxima
         self.orientation = orientation
-
-    @staticmethod
-    def _merged(minima, maxima, orientation):
-        if orientation == "finite":
-            out = []
-            for k, x in enumerate(minima):
-                out.append(x)
-                if k < len(maxima):
-                    out.append(maxima[k])
-            return out
-        if orientation == "extends_to_-inf":
-            out = []
-            for y, x in zip(maxima, minima):
-                out.extend([y, x])
-            return out
-        out = []
-        for x, y in zip(minima, maxima):
-            out.extend([x, y])
-        return out
 
     def reflect(self) -> "StaircaseShape":
         flip = {"finite": "finite",
@@ -125,43 +111,28 @@ class StaircaseShape:
         return out
 
     def evaluate(self, u):
-        """Profile value omega(u), anchored on the diagram-like side where
-        omega coincides with |u|."""
+        """Profile value omega(u) by Kerov's formula: with
+        K(u) = sum_i |u - x_i| - sum_j |u - y_j| over the minima x_i and the
+        maxima y_j and s = sum_i x_i - sum_j y_j, omega is K + s for a finite
+        profile, K + s + u for a staircase extending to -inf and K - s - u
+        for one extending to +inf.  On the anchored side, right of the last
+        minimum (left of the first for extends_to_+inf), omega(u) = |u| is
+        returned as u or -u itself."""
+        xs, ys = self.minima, self.maxima
         if self.orientation == "extends_to_+inf":
-            # anchored on the left: omega(u) = -u below the smallest corner
-            anchor = self.minima[0]
-            val = -anchor
-            if u <= anchor:
+            if u <= xs[0]:
                 return -u
-            corners = self._merged(self.minima, self.maxima, self.orientation)
-        else:
-            # finite profiles and staircases extending to -inf anchor right
-            anchor = self.minima[-1]
-            val = anchor
-            if u >= anchor:
-                return u
-            corners = list(reversed(
-                self._merged(self.minima, self.maxima, self.orientation)))
-            # walk left: distances enter with flipped slope signs
-            pos = anchor
-            slope = -1  # to the left of a minimum omega rises as u decreases
-            for c in corners[1:]:
-                if u >= c:
-                    return val + slope * (u - pos)
-                val += slope * (c - pos)
-                pos = c
-                slope = -slope
-            return val + slope * (u - pos)
-        # walking right from the left anchor
-        pos = anchor
-        slope = 1
-        for c in corners[1:]:
-            if u <= c:
-                return val + slope * (u - pos)
-            val += slope * (c - pos)
-            pos = c
-            slope = -slope
-        return val + slope * (u - pos)
+        elif u >= xs[-1]:
+            return u
+        # K summed pairwise, each term bounded by one corner gap; a finite
+        # profile's last minimum has no partner
+        kerov = sum([abs(u - x) - abs(u - y) for x, y in zip(xs, ys)])
+        shift = sum(xs) - sum(ys)
+        if self.orientation == "finite":
+            return kerov + abs(u - xs[-1]) + shift
+        if self.orientation == "extends_to_-inf":
+            return kerov + shift + u
+        return kerov - shift - u
 
     def __repr__(self):
         return (f"StaircaseShape(minima={self.minima}, maxima={self.maxima}, "

@@ -290,24 +290,22 @@ def plancherel_limit_shape(g, n_steps: int = 8, tol: float = 1e-10,
                            dps: int | None = None) -> StaircaseShape:
     """The semi-infinite staircase limit profile of Plancherel-type random
     diagrams at parameter g != 0, truncated after n_steps corners of each
-    kind.  For g < 0 the local minima sit at -l_i - g and the maxima at
-    -l_i, where l_i are the Bessel order-zeros for |g|; g > 0 is the mirror
-    image.  Pass ``dps`` to carry the corners at that many digits (the deep
-    corner gaps shrink below double precision exponentially fast)."""
+    kind.  For |g| the local minima sit at l_i - |g| and the maxima at l_i,
+    where l_i are the Bessel order-zeros for |g|; the g < 0 shape is the
+    mirror image u -> -u.  Pass ``dps`` to carry the corners at that many
+    digits (the deep corner gaps shrink below double precision
+    exponentially fast)."""
     g = Fraction(g)
     if g == 0:
         raise ValueError("g must be nonzero")
-    zl = bessel_order_zeros(g, n_steps, tol=tol, dps=dps)
-    zeros = zl.zeros
-    if dps:
-        gf = mpmath.mpf(g.numerator) / g.denominator
-    else:
-        gf = float(g)
+    ag = abs(g)
+    zeros = bessel_order_zeros(ag, n_steps, tol=tol, dps=dps).zeros
+    gf = mpmath.mpf(ag.numerator) / ag.denominator if dps else float(ag)
     # deep zeros approach exact |g| spacing exponentially fast, which makes
     # consecutive corners coincide at finite precision; truncate there
     keep = len(zeros)
     for i in range(len(zeros) - 1):
-        gap = zeros[i + 1] - zeros[i] - abs(gf)
+        gap = zeros[i + 1] - zeros[i] - gf
         if gap <= 64 * tol * max(1.0, abs(zeros[i + 1])):
             keep = i + 1
             break
@@ -315,15 +313,8 @@ def plancherel_limit_shape(g, n_steps: int = 8, tol: float = 1e-10,
         warnings.warn(f"staircase truncated to {keep} resolvable corners",
                       RuntimeWarning)
     zeros = zeros[:keep]
-    if g < 0:
-        minima = [-z - gf for z in zeros]   # descending in i; ascend after reverse
-        maxima = [-z for z in zeros]
-        minima.reverse()
-        maxima.reverse()
-        return StaircaseShape(minima, maxima, "extends_to_-inf")
-    minima = [z - gf for z in zeros]
-    maxima = list(zeros)
-    return StaircaseShape(minima, maxima, "extends_to_+inf")
+    shape = StaircaseShape([z - gf for z in zeros], zeros, "extends_to_+inf")
+    return shape.reflect() if g < 0 else shape
 
 
 @dataclass

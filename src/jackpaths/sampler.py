@@ -93,21 +93,20 @@ def kernel_matches_law(lam: Partition, alpha, law=None) -> bool:
         for i, (_, mass) in enumerate(law))
 
 
-def validate_growth(alphas=GROWTH_VALIDATION_ALPHAS,
-                    size: int = GROWTH_VALIDATION_SIZE) -> bool:
-    """Exact validation contract, for every alpha in ``alphas``: the induced
-    distribution must equal the fixed-size deformed-Plancherel law at every
-    size <= ``size``, and the float kernel's corner masses (on the default
-    backend) must match the exact one-step law at every state of those
-    sizes.  The result is cached
-    per process."""
+def validate_growth() -> bool:
+    """Exact validation contract, for every alpha in
+    GROWTH_VALIDATION_ALPHAS: the induced distribution must equal the
+    fixed-size deformed-Plancherel law at every size <=
+    GROWTH_VALIDATION_SIZE, and the float kernel's corner masses (on the
+    default backend) must match the exact one-step law at every state of
+    those sizes.  The result is cached per process."""
     global _growth_validated
     if _growth_validated is not None:
         return _growth_validated
     ok = True
-    for alpha in alphas:
+    for alpha in GROWTH_VALIDATION_ALPHAS:
         step = functools.cache(lambda lam, alpha=alpha: growth_transitions(lam, alpha))
-        for d, dist in enumerate(_chain_rule(step, size)):
+        for d, dist in enumerate(_chain_rule(step, GROWTH_VALIDATION_SIZE)):
             ok = ((d == 0 or dist == JackPlancherel(alpha, d).masses())
                   and all(kernel_matches_law(lam, alpha, step(lam)) for lam in dist))
             if not ok:
@@ -278,6 +277,8 @@ def scaled_profile(lam: Partition, alpha, d: int | None = None) -> StaircaseShap
 def mean_profile(run: SampleRun, alpha, d: int, grid) -> list:
     """Average scaled profile over the run's draws, evaluated on a grid of
     u-values; returns [(u, mean omega(u))]."""
+    if not run.collected:
+        raise ValueError("a mean profile needs at least one draw")
     shapes = [scaled_profile(lam, alpha, d) for lam in run.collected]
     out = []
     for u in grid:

@@ -162,6 +162,38 @@ def test_verify_d_sets_the_cap_of_the_suite_that_takes_it(capsys):
     assert "d <= 2" in capsys.readouterr().out
 
 
+def test_verify_out_no_named_suite_takes_exits_2(tmp_path: Path, capsys):
+    out = tmp_path / "overlay"
+    assert cli.main(["verify", "--suite", "clt-anchors", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "lln-low-temperature" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("make, message", [
+    ("file", "cannot make directory"), ("under-a-file", "cannot make directory"),
+    ("read-only", "cannot write to directory")])
+def test_verify_unusable_out_exits_2_before_the_suite(make, message, tmp_path: Path,
+                                                      capsys, monkeypatch):
+    from jackpaths import verify
+
+    def not_run(**kwargs):
+        raise AssertionError("suite ran")
+
+    monkeypatch.setitem(verify.SUITES, "lln-low-temperature", not_run)
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = {"file": blocker, "under-a-file": blocker / "overlay",
+           "read-only": tmp_path}[make]
+    if make == "read-only":  # a permission bit does not stop root
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    assert cli.main(["verify", "--suite", "lln-low-temperature",
+                     "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --out: {message} {out}")
+
+
 def test_verify_json_names_the_growth_kernel_of_growth_suites(capsys, monkeypatch):
     from jackpaths import verify
 
@@ -288,6 +320,15 @@ def test_unwritable_output_path_exits_2(tmp_path: Path, capsys):
     out = tmp_path / "no-such-dir" / "x.jsonl"
     assert cli.main(["sample", "--d", "3", "--out", str(out)]) == 2
     assert f"error: cannot write {out}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--profile-csv", "--svg"])
+def test_mean_profile_of_no_draws_exits_2(flag, tmp_path: Path, capsys):
+    out = tmp_path / "mean.out"
+    assert cli.main(["sample", "--d", "3", "--n", "0", flag, str(out)]) == 2
+    assert ("error: a mean profile needs at least one draw"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_missing_ensemble_key_exits_2():

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,10 @@ from jackpaths.diagrams import (AnisotropicDiagram, DiscreteMeasure,
                                 observables, profile, rescale_observable,
                                 transition_measure)
 from jackpaths.ensembles import JackThoma
+from jackpaths.limitshape import plancherel_limit_shape
 from jackpaths.partitions import Partition, partitions_of
+from jackpaths.rng import SplitMix64
+from jackpaths.sampler import growth_sample, scaled_profile
 from jackpaths.verify import (ORACLE_PARAMETER_SETS, _length_multisets,
                               boolean_product_sums)
 
@@ -58,6 +62,83 @@ def test_profile_evaluate_is_anchored_on_both_sides():
         assert s.evaluate(y) > s.evaluate(y + eps)
 
 
+def _walk(shape, u):
+    """Oracle for ``StaircaseShape.evaluate``: start where omega(u) = |u|, at
+    the last minimum (the first for extends_to_+inf), and walk outward over
+    the corners, the slope +-1 flipping at each."""
+    cs = sorted(shape.minima + shape.maxima)
+    d = 1 if shape.orientation == "extends_to_+inf" else -1  # walk direction
+    if d == -1:
+        cs.reverse()
+    pos = cs[0]
+    val, slope = -d * pos, d
+    if d * (u - pos) <= 0:
+        return -d * u
+    for c in cs[1:]:
+        if d * (u - c) <= 0:
+            return val + slope * (u - pos)
+        val += slope * (c - pos)
+        pos, slope = c, -slope
+    return val + slope * (u - pos)
+
+
+def _probes(shape):
+    """Every corner, points between neighbours and one beyond each end."""
+    cs = sorted(shape.minima + shape.maxima)
+    gaps = list(zip(cs, cs[1:]))
+    return ([cs[0] - 1, cs[-1] + 1] + cs + [(a + b) / 2 for a, b in gaps]
+            + [a + (b - a) / 3 for a, b in gaps])
+
+
+@pytest.mark.parametrize("w, h", [(Fraction(1), Fraction(1)),
+                                  (Fraction(2, 3), Fraction(1)),
+                                  (Fraction(1, 2), Fraction(5, 7))])
+def test_evaluate_matches_the_walk_on_diagram_profiles(w, h):
+    for n in range(11):
+        for lam in partitions_of(n):
+            shape = AnisotropicDiagram(lam, w, h).profile()
+            for s in (shape, shape.reflect()):
+                for u in _probes(s):
+                    assert s.evaluate(u) == _walk(s, u), (lam, u)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["extends_to_-inf", "extends_to_+inf"]),
+       st.fractions(-20, 20, max_denominator=9),
+       st.lists(st.fractions(Fraction(1, 9), 30, max_denominator=9),
+                min_size=2, max_size=24),
+       st.lists(st.fractions(-400, 400, max_denominator=50), max_size=30))
+def test_evaluate_matches_the_walk_on_random_staircases(orientation, start,
+                                                        gaps, extra):
+    cs = list(itertools.accumulate(gaps, initial=start))[1:]
+    cs = cs[:len(cs) // 2 * 2]
+    first, second = cs[0::2], cs[1::2]
+    if orientation == "extends_to_-inf":
+        s = StaircaseShape(second, first, orientation)
+    else:
+        s = StaircaseShape(first, second, orientation)
+    for u in _probes(s) + extra:
+        assert s.evaluate(u) == _walk(s, u)
+
+
+def test_float_evaluate_is_within_1e_13_of_the_walk():
+    shapes = [scaled_profile(growth_sample(alpha, d, SplitMix64(seed)), alpha, d)
+              for alpha, d in ((Fraction(1, 100), 1600), (Fraction(1, 2), 400),
+                               (Fraction(3), 900))
+              for seed in (1, 2)]
+    shapes += [plancherel_limit_shape(g, n_steps=8)
+               for g in (Fraction(-1, 4), Fraction(1, 4), Fraction(1))]
+    for s in shapes:
+        lo, hi = float(s.minima[0]) - 0.5, float(s.minima[-1]) + 0.5
+        for u in [lo + (hi - lo) * i / 400 for i in range(401)] + _probes(s):
+            assert abs(s.evaluate(u) - _walk(s, u)) <= 1e-13
+        # the anchored side returns +-u itself
+        if s.orientation == "extends_to_+inf":
+            assert s.evaluate(lo) == -lo
+        else:
+            assert s.evaluate(hi) == hi
+
+
 def test_transition_measure_examples():
     m = transition_measure(StaircaseShape([-1, 1], [0]))
     assert m.atoms == [(-1, Fraction(1, 2)), (1, Fraction(1, 2))]
@@ -73,6 +154,16 @@ def test_interlacing_guard():
         StaircaseShape([0, 1], [2])
     with pytest.raises(InterlacingError):
         StaircaseShape([0, 0], [])
+    # the first corner of a truncated staircase is a maximum only when it
+    # extends to -inf
+    StaircaseShape([1, 3], [0, 2], "extends_to_-inf")
+    StaircaseShape([0, 2], [1, 3], "extends_to_+inf")
+    with pytest.raises(InterlacingError):
+        StaircaseShape([0, 2], [1, 3], "extends_to_-inf")
+    with pytest.raises(InterlacingError):
+        StaircaseShape([1, 3], [0, 2], "extends_to_+inf")
+    with pytest.raises(InterlacingError):
+        StaircaseShape([0, 2], [1], "extends_to_+inf")
 
 
 @pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(1), Fraction(2),

@@ -321,6 +321,8 @@ def test_scaled_profile_and_mean_profile():
     pts = mean_profile(run, Fraction(1), 6, [-1.0, 0.0, 1.0])
     assert len(pts) == 3
     assert pts[1][1] >= abs(pts[1][0])
+    with pytest.raises(ValueError, match="at least one draw"):
+        mean_profile(run_sampler(cfg, seed=1, count=0), Fraction(1), 6, [0.0])
 
 
 def test_empirical_stats_table():
