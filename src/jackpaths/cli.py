@@ -13,7 +13,6 @@ import sys
 from fractions import Fraction
 
 from .exactnum import format_rational, parse_rational
-from .limitshape import SearchError
 
 # let argparse accept negative rationals like -1/4 as values, not flags
 _NEGATIVE_TOKEN = re.compile(r"^-\d+(/\d+)?(\.\d+)?$")
@@ -443,7 +442,7 @@ def main(argv=None, parser=None) -> int:
                     command.error(f"--config: {exc}")
                 setattr(args, attr, val)
         return _COMMANDS[args.command](args)
-    except (ValueError, ArithmeticError, SearchError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

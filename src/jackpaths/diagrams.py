@@ -82,6 +82,8 @@ class StaircaseShape:
             raise InterlacingError(
                 f"a {orientation} profile needs {len(maxima) + extra} minima "
                 f"for {len(maxima)} maxima, got {len(minima)}")
+        if not minima:
+            raise InterlacingError(f"a {orientation} staircase needs a corner")
         # the corners alternate in kind, a maximum first only for a
         # staircase extending to -inf
         first, second = ((maxima, minima) if orientation == "extends_to_-inf"

@@ -1,13 +1,16 @@
 """High/low-temperature limit shapes: banded-operator moments, the
-Cauchy-transform functional equation, real-order Bessel evaluation and
-order-zero finding, semi-infinite staircase construction, and truncated
+Cauchy-transform functional equation, real-order Bessel evaluation,
+staircase corners (the Bessel order-zeros) as eigenvalues of the
+Plancherel operator, semi-infinite staircase construction, and truncated
 transition-measure atoms."""
 
 from __future__ import annotations
 
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb, isfinite
 
 import mpmath
@@ -191,21 +194,50 @@ class BesselZeroList:
     precision: float
 
 
-class SearchError(RuntimeError):
-    pass
+# ---------------------------------------------------------------------------
+# Staircase corners as eigenvalues of the Plancherel operator
+# ---------------------------------------------------------------------------
 
 
-def bessel_order_zeros(g, n: int, tol: float = 1e-10, dps: int | None = None,
-                       max_scan: int = 4000) -> BesselZeroList:
-    """Locate the n smallest zeros of z -> J_{-z/|g|}(2/|g|) by sign-change
-    scanning with step |g|/4 from z = -2/|g| (safe: the zeros are spaced at
-    least |g| apart, so no zero is skipped), refined by bisection to tol.
+def _sturm_count(ag, x) -> int:
+    """Eigenvalues below x of the semi-infinite T = tridiag(1, k|g|, 1),
+    k = 0, 1, ..., as the number of negative LDL^T pivots of T - x.  Once a
+    pivot is >= 1 and the next diagonal entry of T - x is >= 2, every later
+    pivot is >= 1, so the count is exact for the infinite operator."""
+    count, k, d = 0, 0, -x
+    while True:
+        count += d < 0
+        k += 1
+        diag = k * ag - x
+        if d >= 1 and diag >= 2:
+            return count
+        d = diag - 1 / (d or 1e-300)  # a zero pivot: shift x by a hair
 
-    With ``dps`` set, the refinement runs in mpmath arithmetic at that many
-    digits and the zeros are returned as mpmath floats; this is needed to
-    resolve the exponentially narrow excess of the deep zero spacings over
-    |g| that double precision flattens out.
-    """
+
+def _corners(ag, width):
+    """Yield the staircase corners (l_k, l_k + |g|), k = 0, 1, ..., where
+    l_k is the k-th eigenvalue of T, bisected on its Sturm count to width.
+    l_0 > -2, l_k >= l_{k-1} + |g| (the zeros are at least |g| apart) and
+    l_k < k|g| + 2 (Gershgorin on the leading (k+1) x (k+1) block)."""
+    lo, k = -2, 0
+    while True:
+        hi = k * ag + 2
+        while hi - lo > width:
+            mid = (lo + hi) / 2
+            if mid == lo or mid == hi:  # no float left between the endpoints
+                break
+            if _sturm_count(ag, mid) > k:
+                hi = mid
+            else:
+                lo = mid
+        lam = (lo + hi) / 2
+        lo, k = lam + ag, k + 1
+        yield lam, lo
+
+
+def _corner_scale(g, n: int, tol: float, dps: int | None):
+    """Check the arguments; return |g| and the bisection width, as floats or,
+    with dps, as mpmath floats of the current context."""
     g = Fraction(g)
     if g == 0:
         raise ValueError("g must be nonzero")
@@ -213,72 +245,31 @@ def bessel_order_zeros(g, n: int, tol: float = 1e-10, dps: int | None = None,
         raise ValueError("n must be >= 1")
     if not (isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    if n > max_scan // 4 + 1:
-        # n zeros span at least (n - 1) |g|, which is 4 (n - 1) scan steps
-        raise ValueError(f"n = {n} zeros are beyond the {max_scan}-step scan "
-                         f"window; at most {max_scan // 4 + 1} can be found")
-    ag = abs(float(g))
-    arg = 2.0 / ag
-
-    def f(z):
-        return bessel_j(-z / ag, arg)
-
-    step = ag / 4.0
-    z = -arg
-    fz = f(z)
-    brackets = []
-    scans = 0
-    while len(brackets) < n:
-        z2 = z + step
-        fz2 = f(z2)
-        if fz == 0.0:
-            brackets.append((z, z))
-        elif fz * fz2 < 0:
-            brackets.append((z, z2))
-        z, fz = z2, fz2
-        scans += 1
-        if scans > max_scan:
-            raise SearchError(f"scan window exhausted before {n} zeros")
-
     if dps is None:
-        zeros = [_bisect_float(f, lo, hi, tol) for lo, hi in brackets[:n]]
-        return BesselZeroList(g, zeros, tol)
-
-    ag_mp = mpmath.mpf(abs(float(g)))
-    arg_mp = 2 / ag_mp
-
-    def f_mp(z):
-        return bessel_j_mp(-z / ag_mp, arg_mp, dps=dps + 10)
-
-    zeros = []
-    with mpmath.workdps(dps + 10):
-        tol_mp = mpmath.mpf(tol)
-        for lo, hi in brackets[:n]:
-            lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
-            if lo == hi:
-                zeros.append(lo)
-                continue
-            zeros.append(mpmath.findroot(f_mp, (lo, hi), solver="anderson",
-                                         tol=tol_mp ** 2))
-    return BesselZeroList(g, zeros, tol)
+        return float(abs(g)), tol
+    return mpmath.mpf(abs(g.numerator)) / g.denominator, mpmath.mpf(10) ** -dps
 
 
-def _bisect_float(f, lo, hi, tol):
-    if lo == hi:
-        return lo
-    flo = f(lo)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # no float left between the endpoints
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+def _working_precision(dps: int | None):
+    return nullcontext() if dps is None else mpmath.workdps(dps + 10)
+
+
+def bessel_order_zeros(g, n: int, tol: float = 1e-10,
+                       dps: int | None = None) -> BesselZeroList:
+    """The n smallest zeros of z -> J_{-z/|g|}(2/|g|): z_k = l_k + |g|,
+    where l_k is the k-th eigenvalue of the Plancherel operator
+    tridiag(1, k|g|, 1) (a_k = (-1)^k J_{k-nu}(2/|g|) satisfies its
+    eigen-recurrence), found by Sturm-count bisection to tol.
+
+    With ``dps`` set, the bisection runs in mpmath arithmetic at dps + 10
+    digits to a width of 10^-dps, and the zeros are returned as mpmath
+    floats; this is needed to resolve the exponentially narrow excess of the
+    deep zero spacings over |g| that double precision flattens out.
+    """
+    with _working_precision(dps):
+        ag, width = _corner_scale(g, n, tol, dps)
+        zeros = [z for _, z in islice(_corners(ag, width), n)]
+    return BesselZeroList(Fraction(g), zeros, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -290,31 +281,29 @@ def plancherel_limit_shape(g, n_steps: int = 8, tol: float = 1e-10,
                            dps: int | None = None) -> StaircaseShape:
     """The semi-infinite staircase limit profile of Plancherel-type random
     diagrams at parameter g != 0, truncated after n_steps corners of each
-    kind.  For |g| the local minima sit at l_i - |g| and the maxima at l_i,
-    where l_i are the Bessel order-zeros for |g|; the g < 0 shape is the
-    mirror image u -> -u.  Pass ``dps`` to carry the corners at that many
-    digits (the deep corner gaps shrink below double precision
-    exponentially fast)."""
+    kind.  For |g| the local minima are the eigenvalues l_i of the
+    Plancherel operator and the maxima are l_i + |g| (the Bessel
+    order-zeros of ``bessel_order_zeros``); the g < 0 shape is the mirror
+    image u -> -u.  Pass ``dps`` to carry the corners at that many digits
+    (the deep corner gaps shrink below double precision exponentially
+    fast)."""
     g = Fraction(g)
-    if g == 0:
-        raise ValueError("g must be nonzero")
-    ag = abs(g)
-    zeros = bessel_order_zeros(ag, n_steps, tol=tol, dps=dps).zeros
-    gf = mpmath.mpf(ag.numerator) / ag.denominator if dps else float(ag)
-    # deep zeros approach exact |g| spacing exponentially fast, which makes
-    # consecutive corners coincide at finite precision; truncate there
-    keep = len(zeros)
-    for i in range(len(zeros) - 1):
-        gap = zeros[i + 1] - zeros[i] - gf
-        if gap <= 64 * tol * max(1.0, abs(zeros[i + 1])):
-            keep = i + 1
-            break
-    if keep < n_steps:
-        warnings.warn(f"staircase truncated to {keep} resolvable corners",
-                      RuntimeWarning)
-    zeros = zeros[:keep]
-    shape = StaircaseShape([z - gf for z in zeros], zeros, "extends_to_+inf")
-    return shape.reflect() if g < 0 else shape
+    minima, maxima = [], []
+    with _working_precision(dps):
+        ag, width = _corner_scale(g, n_steps, tol, dps)
+        for lam, z in islice(_corners(ag, width), n_steps):
+            # deep corners approach exact |g| spacing exponentially fast,
+            # which makes consecutive ones coincide at finite precision;
+            # truncate there
+            if maxima and lam - maxima[-1] <= 64 * tol * max(1.0, abs(z)):
+                warnings.warn(f"staircase truncated to {len(maxima)} "
+                              "resolvable corners", RuntimeWarning)
+                break
+            minima.append(lam)
+            maxima.append(z)
+        shape = StaircaseShape(minima, maxima, "extends_to_+inf")
+        # inside the context: mpmath rounds even a negation to its precision
+        return shape.reflect() if g < 0 else shape
 
 
 @dataclass

@@ -16,8 +16,9 @@ from .ensembles import (CharacterMeasure, ConditionalJackThoma, JackPlancherel,
                         _boolean_growth_constant, _poisson_tail,
                         _truncation_degree, conditional_thoma_character)
 from .jack import hall_inner, jack_basis, ns_apply
-from .limitshape import (bessel_order_zeros, functional_equation_check,
-                         jacobi_moment_symbolic, moment_consistency)
+from .limitshape import (bessel_j, bessel_order_zeros,
+                         functional_equation_check, jacobi_moment_symbolic,
+                         moment_consistency)
 from .partitions import Partition, j_alpha, partitions_of
 from .polynomials import Poly
 from .sampler import run_sampler, validate_growth
@@ -311,19 +312,25 @@ def suite_free_cumulants(lmax: int = 10):
 
 def suite_bessel_edge(tol: float = 1e-3):
     """Criterion 9: zeros and edge limits at g = -1/4 match the reference
-    values to 1e-3."""
+    values to 1e-3, and J_{-z/|g|}(2/|g|) changes sign across each zero
+    (the zeros come from the Plancherel operator's spectrum, so this ties
+    them to the Bessel function)."""
     g = Fraction(-1, 4)
     zl = bessel_order_zeros(g, 3, tol=1e-10)
     targets = (-1.086, -0.424, 0.102)
+    ag = abs(float(g))
     for z, t in zip(zl.zeros, targets):
         if abs(z - t) > tol:
             return False, f"zero {z:.4f} vs {t}"
+        lo, hi = (bessel_j(-(z + s) / ag, 2 / ag) for s in (-1e-8, 1e-8))
+        if lo * hi >= 0:
+            return False, f"J keeps its sign across the zero {z:.4f}"
     edges = [-zl.zeros[i] - (i + 1) * float(g) for i in range(3)]
     for e, t in zip(edges, (1.336, 0.924, 0.647)):
         if abs(e - t) > tol:
             return False, f"edge {e:.4f} vs {t}"
     return True, ("zeros -1.086/-0.424/0.102 and edges 1.336/0.924/0.647 "
-                  "within 1e-3")
+                  "within 1e-3; J changes sign across each zero")
 
 
 def suite_clt_anchors():

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +9,15 @@ import pytest
 import jackpaths
 from jackpaths import _kernels, cli
 
+# the child process imports the jackpaths that this one imported
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    str(Path(jackpaths.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
-def run_cli(*argv):
-    return subprocess.run([sys.executable, "-m", "jackpaths.cli", *argv],
-                          capture_output=True, text=True)
+
+def run_cli(*argv, module="jackpaths.cli", timeout=None):
+    return subprocess.run([sys.executable, "-m", module, *argv],
+                          capture_output=True, text=True, env=CHILD_ENV,
+                          timeout=timeout)
 
 
 def test_moments_value():
@@ -37,9 +43,8 @@ def test_moments_symbolic_json_beyond_enumeration():
 
 
 def test_python_dash_m_runs_the_cli():
-    out = subprocess.run([sys.executable, "-m", "jackpaths", "moments", "--ell",
-                          "4", "--g", "1/2", "--plancherel"],
-                         capture_output=True, text=True)
+    out = run_cli("moments", "--ell", "4", "--g", "1/2", "--plancherel",
+                  module="jackpaths")
     assert out.returncode == 0
     assert out.stdout.strip() == "9/4"
 
@@ -217,33 +222,30 @@ def test_sample_negative_d_exits_2(capsys):
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_bessel_zeros_bad_tol_exits_2(tol):
-    out = subprocess.run([sys.executable, "-m", "jackpaths.cli", "bessel-zeros",
-                          "--g", "-1/4", "-n", "1", "--tol", tol],
-                         capture_output=True, text=True, timeout=60)
+    out = run_cli("bessel-zeros", "--g", "-1/4", "-n", "1", "--tol", tol,
+                  timeout=60)
     assert out.returncode == 2
     assert "tol must be finite and positive" in out.stderr
     assert out.stdout == ""
 
 
-@pytest.mark.parametrize("argv", [
-    ["bessel-zeros", "--g", "-1/4", "-n", "1200"],
-    ["limit-shape", "--g", "-1/4", "--n-steps", "1200"]])
-def test_bessel_zero_count_beyond_the_scan_exits_2(argv):
-    out = subprocess.run([sys.executable, "-m", "jackpaths.cli", *argv],
-                         capture_output=True, text=True, timeout=60)
-    assert out.returncode == 2
-    assert "scan window" in out.stderr and "Traceback" not in out.stderr
+def test_hundred_bessel_zeros_exit_0_spaced_at_least_g():
+    # spaced at least |g| apart, also where the excess over |g| is below
+    # double precision
+    out = run_cli("bessel-zeros", "--g", "-1/4", "-n", "100", "--json",
+                  timeout=60)
+    assert out.returncode == 0
+    zeros = json.loads(out.stdout)["zeros"]
+    assert len(zeros) == 100
+    assert all(b - a >= 0.25 for a, b in zip(zeros, zeros[1:]))
 
 
-def test_search_error_exits_2(monkeypatch, capsys):
-    from jackpaths import limitshape
-
-    def exhausted(*args, **kwargs):
-        raise limitshape.SearchError("scan window exhausted before 3 zeros")
-
-    monkeypatch.setattr(limitshape, "bessel_order_zeros", exhausted)
-    assert cli.main(["bessel-zeros", "--g", "-1/4", "-n", "3"]) == 2
-    assert "error: scan window exhausted" in capsys.readouterr().err
+def test_long_limit_shape_stops_at_the_resolvable_corners():
+    out = run_cli("limit-shape", "--g", "-1/4", "--n-steps", "1200",
+                  timeout=60)
+    assert out.returncode == 0
+    assert "truncated to 16 resolvable corners" in out.stderr
+    assert len(json.loads(out.stdout)["maxima"]) == 16
 
 
 def test_usage_errors_exit_2():

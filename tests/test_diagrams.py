@@ -164,6 +164,10 @@ def test_interlacing_guard():
         StaircaseShape([1, 3], [0, 2], "extends_to_+inf")
     with pytest.raises(InterlacingError):
         StaircaseShape([0, 2], [1], "extends_to_+inf")
+    # an empty truncated staircase has no anchored corner to evaluate from
+    for orientation in ("extends_to_-inf", "extends_to_+inf"):
+        with pytest.raises(InterlacingError):
+            StaircaseShape([], [], orientation)
 
 
 @pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(1), Fraction(2),

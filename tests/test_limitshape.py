@@ -135,18 +135,147 @@ def test_bessel_zero_examples_and_spacing():
     assert zp.zeros[0] == pytest.approx(zl.zeros[0], abs=1e-9)
 
 
-def test_bessel_zero_counts_beyond_the_scan_are_refused_unevaluated(monkeypatch):
-    # the zeros are at least |g| (four scan steps) apart, so more than
-    # max_scan // 4 + 1 of them cannot lie in the scan window
+def _scan_zeros(ag, n, tol=1e-10):
+    """The zeros of z -> J_{-z/|g|}(2/|g|) by the direct search: a
+    sign-change scan with step |g|/4 from z = -2/|g| (the zeros are at least
+    |g| apart, so none is skipped), each bracket bisected to tol."""
+    ag = float(ag)
+
+    def f(z):
+        return bessel_j(-z / ag, 2.0 / ag)
+
+    step = ag / 4.0
+    z = -2.0 / ag
+    fz = f(z)
+    brackets = []
+    while len(brackets) < n:
+        z2 = z + step
+        fz2 = f(z2)
+        if fz == 0.0:
+            brackets.append((z, z))
+        elif fz * fz2 < 0:
+            brackets.append((z, z2))
+        z, fz = z2, fz2
+    zeros = []
+    for lo, hi in brackets:
+        flo = f(lo)
+        while lo < hi and hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            fm = f(mid)
+            if fm == 0.0:
+                lo = hi = mid
+            elif flo * fm < 0:
+                hi = mid
+            else:
+                lo, flo = mid, fm
+        zeros.append(0.5 * (lo + hi))
+    return zeros
+
+
+ORACLE_G = [Fraction(1, 10), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
+            Fraction(2, 3), Fraction(1)]
+
+
+@pytest.fixture(scope="module")
+def scan_oracle():
+    return {ag: _scan_zeros(ag, 12) for ag in ORACLE_G}
+
+
+def _resolvable(zeros, ag, tol=1e-10):
+    """How many corners the staircase keeps: up to the first pair of zeros
+    whose spacing exceeds |g| by no more than 64 tol max(1, |z|)."""
+    for i in range(len(zeros) - 1):
+        if zeros[i + 1] - zeros[i] - ag <= 64 * tol * max(1.0, abs(zeros[i + 1])):
+            return i + 1
+    return len(zeros)
+
+
+def test_corners_match_the_scan_oracle(scan_oracle):
+    for ag, zeros in scan_oracle.items():
+        for n in (3, 8, 12):
+            keep = _resolvable(zeros[:n], float(ag))
+            got = bessel_order_zeros(ag, n).zeros
+            assert got == pytest.approx(zeros[:n], rel=0, abs=1e-10), (ag, n)
+            for g in (ag, -ag):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    shape = plancherel_limit_shape(g, n_steps=n)
+                if g < 0:
+                    shape = shape.reflect()
+                assert len(shape.minima) == len(shape.maxima) == keep, (g, n)
+                assert shape.maxima == pytest.approx(zeros[:keep], rel=0,
+                                                     abs=1e-10), (g, n)
+                assert shape.minima == pytest.approx(
+                    [z - float(ag) for z in zeros[:keep]], rel=0,
+                    abs=1e-10), (g, n)
+    # the deep spacings of |g| = 1 fall below 64 tol after eight corners
+    assert _resolvable(scan_oracle[Fraction(1)], 1.0) == 8
+
+
+@pytest.mark.parametrize("g, n, tol, keep", [
+    (Fraction(1, 4), 22, 1e-12, 18), (Fraction(1, 10), 22, 1e-12, 22),
+    (Fraction(1), 12, 1e-10, 8), (Fraction(1, 4), 10, 1e-10, 10),
+    (Fraction(1, 3), 12, 1e-10, 12)])
+def test_resolvable_corner_truncation(g, n, tol, keep):
+    for sign in (1, -1):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            shape = plancherel_limit_shape(sign * g, n_steps=n, tol=tol)
+        assert len(shape.minima) == len(shape.maxima) == keep
+        assert bool(caught) == (keep < n)
+
+
+def _order_zeros_80_digits(g, zeros):
+    """Each zero of z -> J_{-z/|g|}(2/|g|) refined by findroot at 80 digits
+    with g exact, from a bracket of 1e-9 around a scan-oracle zero."""
+    with mpmath.workdps(80):
+        ag = mpmath.mpf(g.numerator) / g.denominator
+
+        def f(z):
+            return mpmath.besselj(-z / ag, 2 / ag)
+
+        eps = mpmath.mpf("1e-9")
+        return [mpmath.findroot(f, (z - eps, z + eps), solver="anderson")
+                for z in map(mpmath.mpf, zeros)]
+
+
+@pytest.mark.parametrize("g", [Fraction(1, 10), Fraction(1, 4),
+                               Fraction(1, 3), Fraction(1)])
+def test_dps_zeros_match_an_80_digit_oracle(g, scan_oracle):
+    zeros = bessel_order_zeros(g, 8, dps=30).zeros
+    want = _order_zeros_80_digits(g, scan_oracle[g][:8])
+    assert len(zeros) == 8
+    with mpmath.workdps(80):
+        assert all(abs(z - w) < mpmath.mpf("1e-28") for z, w in zip(zeros, want))
+
+
+def test_dps_corners_are_exactly_g_apart():
+    # the minima are carried at the maxima's precision, also when the caller
+    # works at mpmath's default 15 digits
+    for g in (Fraction(-1, 4), Fraction(1, 3), Fraction(-1, 10)):
+        shape = plancherel_limit_shape(g, n_steps=8, dps=30)
+        with mpmath.workdps(80):
+            ag = mpmath.mpf(abs(g.numerator)) / g.denominator
+            for lo, hi in zip(shape.minima, shape.maxima):
+                assert abs(abs(hi - lo) - ag) < mpmath.mpf("1e-28"), g
+
+
+def test_corners_need_no_bessel_evaluation(monkeypatch):
+    # the Sturm count needs no Bessel value, and no count of zeros is refused
     def boom(*args, **kwargs):
-        raise AssertionError("bessel_j evaluated")
+        raise AssertionError("Bessel function evaluated")
 
     monkeypatch.setattr(limitshape, "bessel_j", boom)
-    for n, max_scan in ((1002, 4000), (1200, 4000), (4, 8)):
-        with pytest.raises(ValueError, match="scan window"):
-            bessel_order_zeros(Fraction(-1, 4), n, max_scan=max_scan)
-    with pytest.raises(ValueError, match="scan window"):
-        plancherel_limit_shape(Fraction(-1, 4), n_steps=1200)
+    monkeypatch.setattr(limitshape, "bessel_j_mp", boom)
+    zeros = bessel_order_zeros(Fraction(-1, 4), 100).zeros
+    assert len(zeros) == 100
+    assert all(b - a >= 0.25 for a, b in zip(zeros, zeros[1:]))
+    # the staircase stops at the first unresolvable gap, as at n_steps = 60
+    with pytest.warns(RuntimeWarning, match="truncated to 16"):
+        shape = plancherel_limit_shape(Fraction(-1, 4), n_steps=1200)
+    assert len(shape.maxima) == 16
 
 
 def test_edge_values():

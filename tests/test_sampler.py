@@ -164,7 +164,10 @@ def test_validate_growth_catches_a_wrong_kernel_mass(monkeypatch):
 
 
 def test_import_does_not_load_numpy_without_numba():
-    env = dict(os.environ, JACKPATHS_NO_NUMBA="1")
+    # the child imports the jackpaths that this process imported
+    src = os.path.dirname(os.path.dirname(kernels.__file__))
+    env = dict(os.environ, JACKPATHS_NO_NUMBA="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, jackpaths, jackpaths.cli; "
             "from jackpaths import _kernels; "
             "assert _kernels.growth_draw_parts(30, 0.5, 1); "
