@@ -3,10 +3,11 @@
 The growth chain is the only runtime-dominant inner loop in the package.
 Its kernel is written once, as plain loops over indexable buffers: when
 numba can be imported, ``numba.njit`` compiles that source over numpy
-arrays (backend "numba"); otherwise, or with JACKPATHS_NO_NUMBA=1, the same
-source runs as Python over lists (backend "python").  Both backends consume
-the same counter-based uniform stream and perform the same float operations
-in the same order.  numpy is imported only on the numba path.
+arrays (backend "numba"); otherwise the same source runs as Python over
+lists (backend "python").  The backend is fixed at import (:data:`BACKEND`)
+and is the only one that runs.  Both consume the same counter-based uniform
+stream and perform the same float operations in the same order.  numpy is
+imported only on the numba path.
 
 The state is the groups of equal parts (vals, cnts) and the masses ms[i] of
 its addable corners, the residues of Kerov's transition function
@@ -25,25 +26,10 @@ validation checks the arithmetic that the draws use.
 from __future__ import annotations
 
 import math
-import os
 
 from .rng import _MIX1, _MIX2, GAMMA, mix64
 
 INV53 = 2.0 ** -53
-
-
-def numba_disabled_by_env() -> bool:
-    return os.environ.get("JACKPATHS_NO_NUMBA", "").lower() in ("1", "true", "yes")
-
-
-def _try_numba():
-    if numba_disabled_by_env():
-        return None
-    try:
-        import numba
-    except ImportError:
-        return None
-    return numba
 
 
 def state_capacity(d: int) -> int:
@@ -236,25 +222,15 @@ def _numba_backend(numba):
     return njit(_make_draw(add_box, uniform)), add_box, buffers, np.uint64
 
 
-_numba = _try_numba()
+# the one backend this process runs, chosen once by what can be imported
+try:
+    import numba as _numba
+except ImportError:
+    _numba = None
 HAVE_NUMBA = _numba is not None
-_BACKENDS = {"python": _python_backend()}
-if HAVE_NUMBA:
-    _BACKENDS["numba"] = _numba_backend(_numba)
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    """The backend a call with ``backend`` runs on: "numba" by default when
-    numba is importable and not disabled by JACKPATHS_NO_NUMBA, else
-    "python"."""
-    if backend is None:
-        return "numba" if HAVE_NUMBA else "python"
-    if backend == "numba" and not HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable "
-                         "or is disabled by JACKPATHS_NO_NUMBA")
-    if backend not in _BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}")
-    return backend
+BACKEND = "numba" if HAVE_NUMBA else "python"
+_draw, _add_box, _buffers, _cast = (
+    _numba_backend(_numba) if HAVE_NUMBA else _python_backend())
 
 
 # ---------------------------------------------------------------------------
@@ -262,24 +238,22 @@ def resolve_backend(backend: str | None = None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _draw_state(d: int, alpha: float, seed: int, backend: str | None = None):
+def _draw_state(d: int, alpha: float, seed: int):
     """Run one draw on the backend's own buffers; returns (m, vals, cnts,
     ms): the number of groups, the groups and the corner masses the draw
     loop ends with (unnormalised)."""
-    draw, _, buffers, cast = _BACKENDS[resolve_backend(backend)]
     cap = state_capacity(d)
-    vals = buffers(cap, "int")
-    cnts = buffers(cap, "int")
-    ms = buffers(cap + 1, "float")
-    m = draw(d, float(alpha), cast(seed), vals, cnts, ms)
+    vals = _buffers(cap, "int")
+    cnts = _buffers(cap, "int")
+    ms = _buffers(cap + 1, "float")
+    m = _draw(d, float(alpha), _cast(seed), vals, cnts, ms)
     return m, vals, cnts, ms
 
 
-def growth_draw_parts(d: int, alpha: float, seed: int, backend: str | None = None):
+def growth_draw_parts(d: int, alpha: float, seed: int):
     """One growth-chain draw at size d; returns the partition as a list of
-    parts (descending).  Backend "numba" or "python"; see
-    :func:`resolve_backend` for the default."""
-    m, vals, cnts, _ = _draw_state(d, alpha, seed, backend)
+    parts (descending)."""
+    m, vals, cnts, _ = _draw_state(d, alpha, seed)
     parts = []
     for k in range(m):
         parts.extend([int(vals[k])] * int(cnts[k]))
@@ -290,13 +264,12 @@ def corner_masses(parts, alpha: float):
     """The kernel's normalised transition masses at the partition ``parts``
     (descending), in kernel order: index i is the i-th minimum, descending,
     so the last index is the new bottom row.  The state is grown from the
-    empty diagram column by column through the draws' add-a-box helper, on
-    the default backend (the compiled one when numba is present)."""
-    _, add_box, buffers, _ = _BACKENDS[resolve_backend()]
+    empty diagram column by column through the draws' add-a-box helper (the
+    compiled one when numba is present)."""
     cap = len(parts) + 3  # the chain's states have at most len(parts) groups
-    vals = buffers(cap, "int")
-    cnts = buffers(cap, "int")
-    ms = buffers(cap + 1, "float")
+    vals = _buffers(cap, "int")
+    cnts = _buffers(cap, "int")
+    ms = _buffers(cap + 1, "float")
     ms[0] = 1.0
     m, total, alpha = 0, 1.0, float(alpha)
     for col in range(parts[0] if parts else 0):
@@ -306,5 +279,5 @@ def corner_masses(parts, alpha: float):
         height = sum(1 for p in parts if p > col)
         for row in range(height):
             pick = m if col == 0 else min(row, 1)
-            m, total = add_box(alpha, vals, cnts, ms, m, pick)
+            m, total = _add_box(alpha, vals, cnts, ms, m, pick)
     return [float(ms[i] / total) for i in range(m + 1)]

@@ -25,6 +25,27 @@ def _rational(text):
         raise argparse.ArgumentTypeError(f"bad rational {text!r}: {exc}")
 
 
+def _vkl_table(text):
+    """The --vkl table: a JSON object from "k,l" (two integers) to a
+    rational, as {(k, l): Fraction}."""
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not JSON: {exc}")
+    if not isinstance(data, dict):
+        raise argparse.ArgumentTypeError(
+            f'expected a JSON object like {{"2,2": "1/3"}}, not {text}')
+    table = {}
+    for key, val in data.items():
+        try:
+            k, l = (int(x) for x in key.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f'bad key {key!r}: expected two integers "k,l"')
+        table[(k, l)] = _rational(val if isinstance(val, str) else json.dumps(val))
+    return table
+
+
 def _load_config(path):
     """The --config defaults as a dict; ValueError for a file that cannot
     be read, does not parse or whose top level is not a table."""
@@ -112,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gp", type=_rational, default=Fraction(0))
     p.add_argument("--v", nargs="*", type=_rational, default=[Fraction(1)])
     p.add_argument("--vp", nargs="*", type=_rational, default=[])
-    p.add_argument("--vkl", default="{}",
+    p.add_argument("--vkl", type=_vkl_table, default={},
                    help='JSON like {"2,2": "1/3"} for the second-cumulant table')
     p.add_argument("--json", action="store_true")
 
@@ -127,8 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--method", choices=("exact", "growth"), default="exact")
-    p.add_argument("--backend", choices=("numba", "python"), default=None,
-                   help="growth kernel backend (default: numba when importable)")
     p.add_argument("--out", default=None, help="write samples as JSONL")
     p.add_argument("--profile-csv", default=None,
                    help="write the mean scaled profile as CSV")
@@ -194,6 +213,10 @@ def cmd_finite_expectation(args):
     from .paths import (depoissonized_expectation, finite_cumulant_s,
                         finite_expectation)
 
+    if args.cumulant and args.d is not None:
+        print("--cumulant takes no --d: the cumulant is the Poissonized "
+              "one, with no fixed size", file=sys.stderr)
+        return 2
     if args.d is not None:
         val = depoissonized_expectation(args.lengths, args.d, args.alpha,
                                         args.u, args.v)
@@ -228,11 +251,7 @@ def cmd_afp(args):
     if args.mean is not None:
         val = afp_mean(args.mean, args.g, args.gp, args.v, args.vp)
     else:
-        table = {}
-        for key, txt in json.loads(args.vkl).items():
-            k, l = (int(x) for x in key.split(","))
-            table[(k, l)] = parse_rational(txt)
-        val = afp_cov(args.cov[0], args.cov[1], args.g, args.v, table)
+        val = afp_cov(args.cov[0], args.cov[1], args.g, args.v, args.vkl)
     _emit(args, format_rational(val), {"value": format_rational(val)})
     return 0
 
@@ -249,8 +268,7 @@ def cmd_sample(args):
         cfg["u"] = format_rational(args.u)
     if args.v is not None:
         cfg["v"] = [format_rational(x) for x in args.v]
-    run = run_sampler(cfg, seed=args.seed, count=args.n, method=args.method,
-                      backend=args.backend)
+    run = run_sampler(cfg, seed=args.seed, count=args.n, method=args.method)
     if args.out:
         _write(args.out, samples_to_jsonl(run))
     if args.profile_csv or args.svg:
@@ -341,7 +359,7 @@ def cmd_verify(args):
         for n, p, d, s in results:
             entry = {"suite": n, "passed": p, "detail": d, "seconds": round(s, 3)}
             if n in GROWTH_SUITES:  # which kernel ran; all three are cached
-                entry["growth"] = {"backend": _kernels.resolve_backend(),
+                entry["growth"] = {"backend": _kernels.BACKEND,
                                    "numba": _kernels.HAVE_NUMBA,
                                    "validated": validate_growth()}
             entries.append(entry)
@@ -393,14 +411,15 @@ def _explicit_dests(parser, command, argv) -> set:
 
 
 def _config_value(action, val):
-    """A config value as the flag would give it: converted by the option's
-    ``type`` (from its text, as on the command line) and checked against
-    its ``choices``, item by item for a list-valued option; raises
-    :class:`argparse.ArgumentError`."""
+    """A config value as the flag would give it: true or false for a
+    switch; otherwise converted by the option's ``type`` (from its text as
+    on the command line, JSON text for a value that is not a string) and
+    checked against its ``choices``, item by item for a list-valued option;
+    raises :class:`argparse.ArgumentError`."""
 
     def one(item):
         if action.type is not None:
-            text = item if isinstance(item, str) else str(item)
+            text = item if isinstance(item, str) else json.dumps(item, default=str)
             try:
                 item = action.type(text)
             except argparse.ArgumentTypeError as exc:
@@ -415,6 +434,11 @@ def _config_value(action, val):
                 action, f"invalid choice: {item!r} (choose from {choices})")
         return item
 
+    if action.nargs == 0:
+        if not isinstance(val, bool):
+            raise argparse.ArgumentError(
+                action, f"expected true or false, not {val!r}")
+        return val
     if action.nargs in ("*", "+") or isinstance(action.nargs, int) and action.nargs > 0:
         return [one(item) for item in (val if isinstance(val, list) else [val])]
     return one(val)

@@ -21,19 +21,22 @@ class DiscreteMeasure:
     """Finitely supported signed measure with exact atom data.
 
     Atoms are (position, mass) pairs with strictly increasing positions.
-    Positions/masses are Fractions on the exact path; floats are tolerated
-    when ``exact`` is False (limit-shape numerics only).
+    ``exact`` is true exactly when every position and mass is an int or a
+    Fraction; then sums are Fractions and JSON is rational.  Any other
+    number (a float or mpf of the limit-shape numerics) makes the measure
+    inexact, with sums in that number type.
     """
 
     __slots__ = ("atoms", "exact")
 
-    def __init__(self, atoms, exact=True):
+    def __init__(self, atoms):
         atoms = [(pos, mass) for pos, mass in atoms]
         for k in range(1, len(atoms)):
             if not atoms[k - 1][0] < atoms[k][0]:
                 raise ValueError("atom positions must be strictly increasing")
         self.atoms = atoms
-        self.exact = exact
+        self.exact = all(isinstance(x, (int, Fraction))
+                         for atom in atoms for x in atom)
 
     def total_mass(self):
         return sum((m for _, m in self.atoms), Fraction(0) if self.exact else 0.0)

@@ -346,7 +346,5 @@ def staircase_transition_atoms(shape: StaircaseShape, n: int, N_trunc: int,
     if any(s > warn_threshold for s in sens):
         warnings.warn(f"atom masses not stabilized at N={N_trunc}: {max(sens):.3g}",
                       RuntimeWarning)
-    exact = all(isinstance(x, Fraction) for x in xs) and \
-        all(isinstance(y, Fraction) for y in ys)
     atoms = sorted(zip(xs[:len(cur)], cur))
-    return TruncatedAtoms(DiscreteMeasure(atoms, exact=exact), sens)
+    return TruncatedAtoms(DiscreteMeasure(atoms), sens)

@@ -97,9 +97,11 @@ def validate_growth() -> bool:
     """Exact validation contract, for every alpha in
     GROWTH_VALIDATION_ALPHAS: the induced distribution must equal the
     fixed-size deformed-Plancherel law at every size <=
-    GROWTH_VALIDATION_SIZE, and the float kernel's corner masses (on the
-    default backend) must match the exact one-step law at every state of
-    those sizes.  The result is cached per process."""
+    GROWTH_VALIDATION_SIZE, and the float kernel's corner masses must match
+    the exact one-step law at every state of those sizes.  The kernel is
+    the one the draws run (``_kernels.BACKEND``, fixed at import), so this
+    checks the arithmetic that the draws use.  The result is cached per
+    process."""
     global _growth_validated
     if _growth_validated is not None:
         return _growth_validated
@@ -117,8 +119,7 @@ def validate_growth() -> bool:
     return ok
 
 
-def growth_sample(alpha, d: int, rng: SplitMix64,
-                  backend: str | None = None) -> Partition:
+def growth_sample(alpha, d: int, rng: SplitMix64) -> Partition:
     """Draw one partition of size d from the growth chain (floating-point
     masses; the law itself is certified by :func:`validate_growth`)."""
     if isinstance(d, bool) or not isinstance(d, int):
@@ -135,7 +136,7 @@ def growth_sample(alpha, d: int, rng: SplitMix64,
         raise GrowthUnavailableError(
             "growth chain failed exact validation; use exact_sample")
     seed = rng.next_u64()
-    parts = _kernels.growth_draw_parts(d, x, seed, backend=backend)
+    parts = _kernels.growth_draw_parts(d, x, seed)
     return Partition(parts)
 
 
@@ -203,8 +204,8 @@ def _first_above(cum, x) -> int:
 @dataclass
 class SampleRun:
     """A reproducible batch of draws: identical (config, seed) give
-    identical output within a backend.  ``backend`` is the growth kernel's
-    backend that ran (None for exact draws) and ``growth_validated`` the
+    identical output.  ``backend`` is the growth kernel's backend that ran,
+    ``_kernels.BACKEND`` (None for exact draws), and ``growth_validated`` the
     result of :func:`validate_growth` for growth runs (None for exact
     draws); a completed growth run always records True, because
     :func:`growth_sample` refuses to draw otherwise."""
@@ -218,8 +219,8 @@ class SampleRun:
     growth_validated: bool | None = None
 
 
-def run_sampler(config: dict, seed: int, count: int, method: str = "exact",
-                backend: str | None = None) -> SampleRun:
+def run_sampler(config: dict, seed: int, count: int,
+                method: str = "exact") -> SampleRun:
     """Draw ``count`` partitions; draw i uses the substream (seed, i), so
     runs parallelize and extend deterministically.  The growth method draws
     the Jack-Plancherel chain only, so it refuses any other variant."""
@@ -228,8 +229,6 @@ def run_sampler(config: dict, seed: int, count: int, method: str = "exact",
     root = SplitMix64(seed)
     run = SampleRun(config, seed, count, method)
     if method == "exact":
-        if backend is not None:
-            raise ValueError("a backend applies to the growth method only")
         ensemble = ensemble_from_config(config)
         for i in range(count):
             run.collected.append(exact_sample(ensemble, root.substream(i)))
@@ -241,11 +240,10 @@ def run_sampler(config: dict, seed: int, count: int, method: str = "exact",
         alpha = Fraction(str(config["alpha"])) if not isinstance(
             config["alpha"], (int, Fraction)) else Fraction(config["alpha"])
         d = _size(config["d"])
-        run.backend = _kernels.resolve_backend(backend)
+        run.backend = _kernels.BACKEND
         run.growth_validated = validate_growth()
         for i in range(count):
-            run.collected.append(growth_sample(alpha, d, root.substream(i),
-                                               backend=run.backend))
+            run.collected.append(growth_sample(alpha, d, root.substream(i)))
     else:
         raise ValueError(f"unknown sampling method {method!r}")
     return run

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -59,6 +61,15 @@ def test_finite_expectation_and_cumulant():
     out3 = run_cli("finite-expectation", "--lengths", "2", "--alpha", "2",
                    "--u", "2", "--v", "1", "--d", "5")
     assert out3.stdout.strip() == "5/2"
+
+
+def test_finite_expectation_refuses_cumulant_with_d(capsys):
+    # --d used to win silently and print the fixed-size expectation
+    assert cli.main(["finite-expectation", "--lengths", "2", "--alpha", "1",
+                     "--u", "1", "--d", "3", "--cumulant"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--cumulant" in captured.err and "--d" in captured.err
 
 
 def test_finite_expectation_beyond_enumeration(capsys):
@@ -209,7 +220,7 @@ def test_verify_json_names_the_growth_kernel_of_growth_suites(capsys, monkeypatc
     assert [e["suite"] for e in entries] == ["clt-anchors", "sampler-law"]
     assert "growth" not in entries[0]
     assert set(entries[0]) == {"suite", "passed", "detail", "seconds"}
-    assert entries[1]["growth"] == {"backend": _kernels.resolve_backend(),
+    assert entries[1]["growth"] == {"backend": _kernels.BACKEND,
                                     "numba": _kernels.HAVE_NUMBA,
                                     "validated": True}
 
@@ -318,6 +329,68 @@ def test_config_that_is_not_a_table_exits_2(tmp_path: Path, capsys):
     assert "must be a table, not list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("json", "false"), ("symbolic", "no"),
+                                        ("plancherel", 1)])
+def test_config_switch_takes_only_true_or_false(key, value, tmp_path: Path,
+                                                capsys):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({key: value}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(cfg), "moments", "--ell", "4"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --{key}: expected true or false" in err
+    cfg.write_text(json.dumps({key: False}))
+    assert cli.main(["--config", str(cfg), "moments", "--ell", "4", "--g",
+                     "1/2", "--plancherel"]) == 0
+    assert capsys.readouterr().out.strip() == "9/4"
+
+
+@pytest.mark.parametrize("vkl", ['[1]', '"x"', '{"2,2,2": 1}', '{"2": 1}',
+                                 '{"2,2": [1]}', '{"2,2": true}', "{2: 1}"])
+def test_vkl_that_is_not_a_table_exits_2(vkl, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["afp", "--cov", "4", "4", "--g", "1/2", "--vkl", vkl])
+    assert exc.value.code == 2
+    assert "argument --vkl: " in capsys.readouterr().err
+
+
+def test_vkl_from_config_means_the_json_object(tmp_path: Path, capsys):
+    argv = ["afp", "--cov", "4", "4", "--g", "1/2", "--v", "1"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.strip() == "5/6"
+    assert cli.main(argv + ["--vkl", '{"2,2": "1/3"}']) == 0
+    assert capsys.readouterr().out.strip() == "11/12"
+    json_cfg, toml_cfg = tmp_path / "conf.json", tmp_path / "conf.toml"
+    json_cfg.write_text(json.dumps({"vkl": {"2,2": "1/3"}}))
+    toml_cfg.write_text('[vkl]\n"2,2" = "1/3"\n')
+    for cfg in (json_cfg, toml_cfg):
+        assert cli.main(["--config", str(cfg)] + argv) == 0
+        assert capsys.readouterr().out.strip() == "11/12"
+    json_cfg.write_text(json.dumps({"vkl": [1]}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(json_cfg)] + argv)
+    assert exc.value.code == 2
+    assert "--config: argument --vkl: " in capsys.readouterr().err
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["jackpaths"]:
+                commands.append(words)
+    assert commands
+    parser = cli.build_parser()
+    for words in commands:
+        try:
+            parser.parse_args(words[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(words)}")
+
+
 def test_unwritable_output_path_exits_2(tmp_path: Path, capsys):
     out = tmp_path / "no-such-dir" / "x.jsonl"
     assert cli.main(["sample", "--d", "3", "--out", str(out)]) == 2
@@ -370,8 +443,6 @@ def test_sample_refuses_what_its_method_would_ignore():
         assert "Traceback" not in out.stderr
         assert "plancherel" in out.stderr
         assert out.stdout == ""
-    out = run_cli("sample", "--d", "3", "--backend", "python")
-    assert out.returncode == 2 and "growth method only" in out.stderr
 
 
 def test_growth_header_records_provenance(tmp_path: Path):
@@ -380,7 +451,8 @@ def test_growth_header_records_provenance(tmp_path: Path):
                   "--n", "2", "--out", str(out_file))
     assert out.returncode == 0
     header = json.loads(out_file.read_text().splitlines()[0])
-    assert header["backend"] == ("numba" if _kernels.HAVE_NUMBA else "python")
+    assert header["backend"] == _kernels.BACKEND == (
+        "numba" if _kernels.HAVE_NUMBA else "python")
     assert header["numba_available"] is _kernels.HAVE_NUMBA
     assert header["growth_validated"] is True
     assert header["version"] == jackpaths.__version__
@@ -391,12 +463,6 @@ def test_growth_header_records_provenance(tmp_path: Path):
     assert header["backend"] is None and header["growth_validated"] is None
     assert header["version"] == jackpaths.__version__
 
-
-@pytest.mark.skipif(_kernels.HAVE_NUMBA, reason="numba is available here")
-def test_unavailable_numba_backend_exits_2():
-    out = run_cli("sample", "--method", "growth", "--d", "5", "--backend", "numba")
-    assert out.returncode == 2
-    assert "Traceback" not in out.stderr
 
 
 def test_parsers_keep_their_own_subcommands(tmp_path: Path, capsys):

@@ -198,6 +198,15 @@ def test_boolean_semicircle_example():
     assert observables(m, "fundamental", 2) == 1  # = wh|lam| like all four kinds
 
 
+def test_exact_is_read_from_the_atoms():
+    assert DiscreteMeasure([(-1, Fraction(1, 2)), (1, Fraction(1, 2))]).exact
+    m = DiscreteMeasure([(-0.5, 0.25), (1.0, 0.75)])
+    assert not m.exact
+    assert observable_family(m, "moment", 2) == [0.625, 0.8125]
+    assert observables(m, "boolean", 2) == 0.8125 - 0.625 ** 2
+    assert m.to_json() == [{"pos": -0.5, "mass": 0.25}, {"pos": 1.0, "mass": 0.75}]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 9)),
                 min_size=1, max_size=5, unique_by=lambda t: t[0]))

@@ -98,12 +98,16 @@ def test_corner_masses_match_the_ordered_ratio_oracle():
                     (lam, alpha)
 
 
+def _bind(monkeypatch, backend):
+    """Make the kernel's module-level bindings those of ``backend``, a
+    (draw, add_box, buffers, cast) tuple, for the rest of the test."""
+    for name, value in zip(("_draw", "_add_box", "_buffers", "_cast"), backend):
+        monkeypatch.setattr(kernels, name, value)
+
+
 def test_corner_masses_chain_meets_every_update(monkeypatch):
-    backend = kernels.resolve_backend()
-    draw, add_box, buffers, cast = kernels._BACKENDS[backend]
     cases = set()
-    monkeypatch.setitem(kernels._BACKENDS, backend,
-                        (draw, _spy_cases(add_box, cases), buffers, cast))
+    monkeypatch.setattr(kernels, "_add_box", _spy_cases(kernels._add_box, cases))
     # (2, 2) column by column: a new row, the bottom corner moves down, the
     # group of two rows splits, and the second row's corner is removed
     kernels.corner_masses([2, 2], 0.5)
@@ -111,9 +115,9 @@ def test_corner_masses_chain_meets_every_update(monkeypatch):
 
 
 def _draw_matches_law(d, alpha, seed):
-    """Whether the corner masses that the python draw loop ends with match
-    the exact one-step law at the state it ends in."""
-    m, vals, cnts, ms = kernels._draw_state(d, float(alpha), seed, "python")
+    """Whether the corner masses that the draw loop ends with match the
+    exact one-step law at the state it ends in."""
+    m, vals, cnts, ms = kernels._draw_state(d, float(alpha), seed)
     lam = Partition([vals[k] for k in range(m) for _ in range(cnts[k])])
     assert lam.size() == d
     law = growth_transitions(lam, alpha)
@@ -163,10 +167,11 @@ def test_validate_growth_catches_a_wrong_kernel_mass(monkeypatch):
     assert validate_growth() is True
 
 
+@pytest.mark.skipif(kernels.HAVE_NUMBA, reason="numba brings numpy")
 def test_import_does_not_load_numpy_without_numba():
     # the child imports the jackpaths that this process imported
     src = os.path.dirname(os.path.dirname(kernels.__file__))
-    env = dict(os.environ, JACKPATHS_NO_NUMBA="1", PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, jackpaths, jackpaths.cli; "
             "from jackpaths import _kernels; "
@@ -181,23 +186,26 @@ def test_numba_backend_code_under_a_stand_in_jit(monkeypatch):
     # with an identity njit, the numba backend's code (its uint64 stream and
     # numpy buffers) runs as Python; it must draw what the python backend does
     np = pytest.importorskip("numpy")
+    python = kernels._python_backend()
+    numba_code = kernels._numba_backend(
+        types.SimpleNamespace(njit=lambda cache: (lambda func: func)))
+    _bind(monkeypatch, python)
     python_masses = kernels.corner_masses([3, 1, 1], 1 / 3)
-    stand_in = types.SimpleNamespace(njit=lambda cache: (lambda func: func))
-    monkeypatch.setitem(kernels._BACKENDS, "numba", kernels._numba_backend(stand_in))
-    monkeypatch.setattr(kernels, "HAVE_NUMBA", True)
     with np.errstate(over="ignore"):
         for d, alpha, seed in ((120, 0.5, 7), (200, 0.01, 2 ** 63 + 5), (300, 1.0, 3)):
-            assert (kernels.growth_draw_parts(d, alpha, seed, backend="numba")
-                    == kernels.growth_draw_parts(d, alpha, seed, backend="python"))
+            _bind(monkeypatch, python)
+            want = kernels.growth_draw_parts(d, alpha, seed)
+            _bind(monkeypatch, numba_code)
+            assert kernels.growth_draw_parts(d, alpha, seed) == want
         # the last draw reaches a split and a removal
-        _, add_box, buffers, _ = kernels._BACKENDS["python"]
+        _, add_box, buffers, _ = python
         cases = set()
         draw = kernels._make_draw(_spy_cases(add_box, cases), kernels._uniform)
         cap = kernels.state_capacity(300)
         draw(300, 1.0, 3, buffers(cap, "int"), buffers(cap, "int"),
              buffers(cap + 1, "float"))
         assert {"split", "remove"} <= cases
-        # with numba present, the masses that validation checks are numba's
+        # bound to the numba code, the masses that validation checks are its
         assert kernels.corner_masses([3, 1, 1], 1 / 3) == python_masses
 
 
@@ -239,21 +247,19 @@ def test_growth_run_rejects_fractional_d_as_exact_does():
             run_sampler(cfg, 0, 1, method=method)
 
 
-def test_growth_backends_agree_statistically():
+def test_growth_backends_agree_statistically(monkeypatch):
+    # the kernel selected at import against the python backend (the same
+    # code when numba is absent)
     alpha, d, n = Fraction(1, 2), 50, 60
-    means = {}
-    for backend in ("python",) + (("numba",) if kernels.HAVE_NUMBA else ()):
+
+    def mean_first_row():
         root = SplitMix64(11)
-        draws = [growth_sample(alpha, d, root.substream(i), backend=backend)
-                 for i in range(n)]
-        means[backend] = sum(l.parts[0] for l in draws) / n
-    if len(means) == 2:
-        assert abs(means["numba"] - means["python"]) < 4.0
+        return sum(growth_sample(alpha, d, root.substream(i)).parts[0]
+                   for i in range(n)) / n
 
-
-def test_numpy_fallback_env_flag(monkeypatch):
-    monkeypatch.setenv("JACKPATHS_NO_NUMBA", "1")
-    assert kernels.numba_disabled_by_env()
+    selected = mean_first_row()
+    _bind(monkeypatch, kernels._python_backend())
+    assert abs(selected - mean_first_row()) < 4.0
 
 
 def test_exact_sample_frequencies_and_reproducibility():
@@ -343,6 +349,6 @@ def test_empirical_stats_table():
 
 def test_sampler_kernels_state_capacity():
     assert kernels.state_capacity(1600) >= 56
-    parts = kernels.growth_draw_parts(25, 0.5, 12345, backend="python")
+    parts = kernels.growth_draw_parts(25, 0.5, 12345)
     assert sum(parts) == 25
     assert parts == sorted(parts, reverse=True)
