@@ -190,10 +190,10 @@ def _emit(args, human: str, payload):
         print(human)
 
 
-def _vseq_or(args, default):
-    if getattr(args, "plancherel", False):
+def _v_arg(args):
+    if getattr(args, "plancherel", False) or args.v is None:
         return [Fraction(1)]
-    return args.v if args.v is not None else default
+    return args.v
 
 
 def cmd_moments(args):
@@ -203,7 +203,7 @@ def cmd_moments(args):
         poly = limit_moment_poly(args.ell)
         _emit(args, repr(poly), poly.to_json())
         return 0
-    v = _vseq_or(args, [Fraction(1)])
+    v = _v_arg(args)
     val = limit_moment(args.ell, args.g, v)
     _emit(args, format_rational(val), {"value": format_rational(val)})
     return 0

@@ -58,9 +58,14 @@ class DiscreteMeasure:
 
     @staticmethod
     def from_json(data):
+        """Inverse of :meth:`to_json`: a JSON float stays a float, so an
+        inexact measure comes back inexact; strings and ints are rationals."""
         from .exactnum import parse_rational
-        return DiscreteMeasure(
-            [(parse_rational(rec["pos"]), parse_rational(rec["mass"])) for rec in data])
+
+        def num(x):
+            return x if isinstance(x, float) else parse_rational(x)
+
+        return DiscreteMeasure([(num(rec["pos"]), num(rec["mass"])) for rec in data])
 
     def __repr__(self):
         inner = " + ".join(f"{m}*d[{p}]" for p, m in self.atoms)
@@ -156,9 +161,6 @@ class AnisotropicDiagram:
         self.base = base
         self.w = w
         self.h = h
-
-    def area(self) -> Fraction:
-        return self.w * self.h * self.base.size()
 
     def profile(self) -> StaircaseShape:
         return profile(self)

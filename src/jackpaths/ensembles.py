@@ -108,26 +108,15 @@ def totally_positive_spec(a, c) -> Specialization:
 # ---------------------------------------------------------------------------
 
 
-def _vseq(v):
-    """Normalize a v-specification (sequence, dict, or callable) to a lookup."""
-    if callable(v):
-        return lambda k: Fraction(v(k))
-    if isinstance(v, dict):
-        table = {int(k): Fraction(x) for k, x in v.items()}
-        return lambda k: table.get(k, Fraction(0))
-    seq = [Fraction(x) for x in v]
-    return lambda k: seq[k - 1] if k <= len(seq) else Fraction(0)
-
-
-def _principal_form(vget, probe: int = 80):
+def _principal_form(v: Specialization):
     """Detect v_k = v1 * c^{k-1}: returns (v1, c) or None.  Plancherel is
-    the c = 0 case.  Only geometric tails within the probe window count."""
-    v1 = vget(1)
+    the c = 0 case.  Only geometric tails within k <= 80 count."""
+    v1 = v(1)
     if v1 == 0:
         return None
-    c = vget(2) / v1
-    for k in range(2, probe + 1):
-        if vget(k) != v1 * c ** (k - 1):
+    c = v(2) / v1
+    for k in range(2, 81):
+        if v(k) != v1 * c ** (k - 1):
             return None
     return v1, c
 
@@ -251,101 +240,6 @@ class JackSchurWeyl(Ensemble):
         return alpha_half_power(self.alpha, w) * Fraction(1, self.K ** w)
 
 
-class JackThoma(Ensemble):
-    """Poissonized measure on all partitions with specializations
-    rho_1(p_k) = u*v_k and rho_2 the Plancherel direction; masses carry the
-    exp(-u^2 v_1/alpha) prefactor symbolically."""
-
-    variant = "thoma"
-
-    def __init__(self, alpha, u, v, check_positivity: bool = True,
-                 positivity_degree: int = 6):
-        self.alpha = Fraction(alpha)
-        self.u = Fraction(u)
-        if self.alpha <= 0 or self.u <= 0:
-            raise ValueError("alpha and u must be positive")
-        self._vget = _vseq(v)
-        self.v1 = self._vget(1)
-        self.exponent = self.u ** 2 * self.v1 / self.alpha
-        self._principal = _principal_form(self._vget)
-        if check_positivity:
-            self.validate_positivity(positivity_degree)
-
-    def jack_value(self, lam: Partition) -> Fraction:
-        """J_lambda evaluated at the scaled sequence u*v, exactly."""
-        d = lam.size()
-        if self._principal is not None:
-            v1, c = self._principal
-            u0 = self.u * v1
-            if c == 0:
-                return u0 ** d  # Plancherel direction
-            # cell factors u0/c + alpha (j - 1) - (i - 1) over the common
-            # denominator L of u0/c and alpha
-            r = u0 / c
-            a, q = self.alpha.numerator, self.alpha.denominator
-            L = math.lcm(r.denominator, q)
-            base, step = r.numerator * (L // r.denominator), a * (L // q)
-            num = 1
-            for i, row in enumerate(lam.parts):
-                start = base - L * i
-                for j in range(row):
-                    num *= start + step * j
-            return c ** d * Fraction(num, L ** d)
-        total = Fraction(0)
-        for mu in partitions_of(d):
-            th = theta_coefficient(lam, mu, self.alpha)
-            if th:
-                val = th
-                for part in mu.parts:
-                    val *= self.u * self._vget(part)
-                total += val
-        return total
-
-    def rational_mass(self, lam: Partition) -> Fraction:
-        return (self.jack_value(lam) * self.u ** lam.size()
-                / j_alpha(lam, self.alpha))
-
-    def mass(self, lam: Partition) -> PoissonScaled:
-        return PoissonScaled(self.rational_mass(lam), self.exponent)
-
-    def support(self, D: int):
-        """Yield (lam, rational_mass(lam)) for every nonzero mass with
-        |lam| <= D.
-
-        In the principal form the mass is c^d times a product of cell
-        factors, so a diagram holding a zero cell stays zero in every larger
-        one: the support is a down-set of Young's lattice.  It is walked row
-        by row, and a row stops growing at its first zero mass.  Otherwise
-        masses need not vanish on a down-set and every partition is visited.
-        """
-        if self._principal is None:
-            for d in range(D + 1):
-                for lam in partitions_of(d):
-                    rm = self.rational_mass(lam)
-                    if rm:
-                        yield lam, rm
-            return
-
-        def below(rows, room):
-            # the support partitions that extend rows by further rows
-            for length in range(1, min(rows[-1] if rows else room, room) + 1):
-                lam = Partition(rows + (length,))
-                rm = self.rational_mass(lam)
-                if not rm:
-                    break
-                yield lam, rm
-                yield from below(lam.parts, room - length)
-
-        empty = Partition()
-        yield empty, self.rational_mass(empty)
-        yield from below((), D)
-
-    def sector_mass_rational(self, d: int) -> Fraction:
-        """Exact rational part of the measure of all partitions of d:
-        the full sector mass is exp(-U) U^d/d! with U the exponent."""
-        return self.exponent ** d / _factorial(d)
-
-
 class ConditionalJackThoma(Ensemble):
     """The Thoma measure conditioned on |lambda| = d; requires v_1 = 1.
     Masses are exact in Q(sqrt(alpha)): the character measure of the
@@ -358,8 +252,8 @@ class ConditionalJackThoma(Ensemble):
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         self.d = _size(d)
-        self._vget = _vseq(v)
-        if self._vget(1) != 1:
+        self._v = Specialization.of(v)
+        if self._v(1) != 1:
             raise ValueError("conditional Thoma measures require v_1 = 1")
         self._chi = None  # the table prod v_{mu_i}, built on first use
         if check_positivity:
@@ -368,7 +262,7 @@ class ConditionalJackThoma(Ensemble):
     def mass(self, lam: Partition):
         self._check_domain(lam)
         if self._chi is None:
-            self._chi = conditional_thoma_character(self._vget, self.d)
+            self._chi = conditional_thoma_character(self._v, self.d)
         return _character_mass(lam, self.alpha, self._chi)
 
 
@@ -430,25 +324,31 @@ def _character_mass(lam: Partition, alpha: Fraction, chi: dict):
     return sqrt_ext(pref * rat, pref * irr, alpha)
 
 
+# The Poisson exponent sums the interaction coefficients rho_1(p_k) rho_2(p_k)
+# over k <= CROSS_WINDOW; beyond it they must vanish.
+CROSS_WINDOW = 64
+
+
 class JackMeasure(Ensemble):
     """General two-specialization measure.  The interaction coefficients
-    rho_1(p_k) rho_2(p_k) must vanish beyond a finite probe window so the
+    rho_1(p_k) rho_2(p_k) must vanish beyond ``CROSS_WINDOW`` so the
     Poisson exponent is an exact rational."""
 
     variant = "jack_measure"
 
-    def __init__(self, alpha, rho1: Specialization, rho2: Specialization,
-                 probe: int = 64):
+    def __init__(self, alpha, rho1: Specialization, rho2: Specialization):
         self.alpha = Fraction(alpha)
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         self.rho1 = rho1
         self.rho2 = rho2
         cross = {}
-        for k in range(1, probe + 1):
-            t = rho1(k) * rho2(k)
+        for k in range(1, CROSS_WINDOW + 1):
+            t = rho2(k)  # rho_1 is read only where rho_2 is nonzero
             if t:
-                cross[k] = t
+                t *= rho1(k)
+                if t:
+                    cross[k] = t
         self.cross = cross
         self.exponent = sum((t / (k * self.alpha) for k, t in cross.items()),
                             Fraction(0))
@@ -476,6 +376,85 @@ class JackMeasure(Ensemble):
         return out[d]
 
 
+class JackThoma(JackMeasure):
+    """The Jack measure of rho_1(p_k) = u*v_k and rho_2 the Plancherel
+    specialization at u: a Poissonized measure on all partitions whose
+    masses carry the exp(-u^2 v_1/alpha) prefactor symbolically.  v is a
+    sequence, dict or callable, read by :meth:`Specialization.of`."""
+
+    variant = "thoma"
+
+    def __init__(self, alpha, u, v, check_positivity: bool = True):
+        u = Fraction(u)
+        if Fraction(alpha) <= 0 or u <= 0:
+            raise ValueError("alpha and u must be positive")
+        v = Specialization.of(v)
+        super().__init__(alpha, Specialization(lambda k: u * v(k)),
+                         Specialization.plancherel(u))
+        self.u = u
+        self.v1 = v(1)
+        self._principal = _principal_form(v)
+        if check_positivity:
+            self.validate_positivity()
+
+    def rational_mass(self, lam: Partition) -> Fraction:
+        """J_lam(u*v) J_lam(Plancherel(u)) / j_lam.  In the principal form
+        v_k = v1 c^{k-1}, J_lam(u*v) is (u v1)^d for c = 0 and otherwise c^d
+        times the product over cells (i, j) of u v1/c + alpha (j-1) - (i-1)."""
+        if self._principal is None:
+            return super().rational_mass(lam)
+        d = lam.size()
+        v1, c = self._principal
+        u0 = self.u * v1
+        if c == 0:
+            value = u0 ** d  # Plancherel direction
+        else:
+            # the cell factors over the common denominator L of u0/c and alpha
+            r = u0 / c
+            a, q = self.alpha.numerator, self.alpha.denominator
+            L = math.lcm(r.denominator, q)
+            base, step = r.numerator * (L // r.denominator), a * (L // q)
+            num = 1
+            for i, row in enumerate(lam.parts):
+                start = base - L * i
+                for j in range(row):
+                    num *= start + step * j
+            value = c ** d * Fraction(num, L ** d)
+        return value * self.u ** d / j_alpha(lam, self.alpha)
+
+    def support(self, D: int):
+        """Yield (lam, rational_mass(lam)) for every nonzero mass with
+        |lam| <= D.
+
+        In the principal form the mass is c^d times a product of cell
+        factors, so a diagram holding a zero cell stays zero in every larger
+        one: the support is a down-set of Young's lattice.  It is walked row
+        by row, and a row stops growing at its first zero mass.  Otherwise
+        masses need not vanish on a down-set and every partition is visited.
+        """
+        if self._principal is None:
+            for d in range(D + 1):
+                for lam in partitions_of(d):
+                    rm = self.rational_mass(lam)
+                    if rm:
+                        yield lam, rm
+            return
+
+        def below(rows, room):
+            # the support partitions that extend rows by further rows
+            for length in range(1, min(rows[-1] if rows else room, room) + 1):
+                lam = Partition(rows + (length,))
+                rm = self.rational_mass(lam)
+                if not rm:
+                    break
+                yield lam, rm
+                yield from below(lam.parts, room - length)
+
+        empty = Partition()
+        yield empty, self.rational_mass(empty)
+        yield from below((), D)
+
+
 def mass(ensemble: Ensemble, lam: Partition):
     """Exact probability mass of lam under the ensemble."""
     return ensemble.mass(lam)
@@ -488,14 +467,8 @@ def character_measure(alpha, d: int, chi) -> dict:
 
 def conditional_thoma_character(v, d: int) -> dict:
     """The multiplicative table chi(mu) = prod v_{mu_i} on partitions of d."""
-    vget = _vseq(v)
-    table = {}
-    for mu in partitions_of(d):
-        val = Fraction(1)
-        for part in mu.parts:
-            val *= vget(part)
-        table[mu] = val
-    return table
+    v = Specialization.of(v)
+    return {mu: v.on_partition(mu) for mu in partitions_of(d)}
 
 
 # ---------------------------------------------------------------------------
@@ -520,16 +493,6 @@ class AsymptoticRegime:
         if self.g < 0:
             return "low"
         return "fixed"
-
-    def v_limit(self, k: int) -> Fraction:
-        """The limiting v_k: power sums of a (sign-flipped on even k in the
-        low-temperature regime)."""
-        if k == 1:
-            return Fraction(1)
-        base = sum((x ** k for x in self.a), Fraction(0))
-        if self.g < 0:
-            return (-1) ** (k - 1) * base
-        return base
 
     @staticmethod
     def make(g, a=(), c=1, gp=0) -> "AsymptoticRegime":

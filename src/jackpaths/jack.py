@@ -62,9 +62,6 @@ class PowerSumPoly:
     def degree(self) -> int:
         return max((mu.size() for mu in self.terms), default=0)
 
-    def homogeneous_component(self, d: int) -> "PowerSumPoly":
-        return PowerSumPoly({mu: c for mu, c in self.terms.items() if mu.size() == d})
-
     # -- ring ops ----------------------------------------------------------
 
     def __add__(self, other):
@@ -424,9 +421,20 @@ class Specialization:
         self.label = label
 
     @staticmethod
-    def from_values(values, default=Fraction(0), label="table"):
-        table = {int(k): Fraction(v) for k, v in dict(values).items()}
-        return Specialization(lambda k: table.get(k, default), label)
+    def of(v) -> "Specialization":
+        """p_k -> v_k, for v a Specialization, a callable k -> v_k, a dict
+        {k: v_k} or a sequence (v_1, v_2, ...); a dict or sequence is zero
+        where it has no entry."""
+        if isinstance(v, Specialization):
+            return v
+        if callable(v):
+            return Specialization(v)
+        if isinstance(v, dict):
+            table = {int(k): Fraction(x) for k, x in v.items()}
+            return Specialization(lambda k: table.get(k, 0), "table")
+        seq = tuple(Fraction(x) for x in v)
+        return Specialization(lambda k: seq[k - 1] if k <= len(seq) else 0,
+                              "sequence")
 
     @staticmethod
     def plancherel(u):

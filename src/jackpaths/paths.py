@@ -11,6 +11,7 @@ from functools import lru_cache
 from math import lcm
 
 from .exactnum import sqrt_exact
+from .jack import Specialization
 from .polynomials import Poly
 
 RIBBON_CAP = 14  # largest total length the ribbon enumeration oracle lists
@@ -230,9 +231,6 @@ class RibbonPath:
 
     sites: tuple
     pairings: frozenset
-
-    def total_length(self) -> int:
-        return sum(s.length() for s in self.sites)
 
     def concatenated_heights(self) -> tuple:
         h = [0]
@@ -513,31 +511,27 @@ def enumerate_ribbon(lengths, pairing_count=None, s0_count=None,
 # ---------------------------------------------------------------------------
 
 
-def _vget(v, n: int):
-    if callable(v):
-        return Fraction(v(n))
-    if isinstance(v, dict):
-        return Fraction(v.get(n, 0))
-    seq = list(v)
-    return Fraction(seq[n - 1]) if n <= len(seq) else Fraction(0)
+# Every public formula reads its v-sequence (a sequence, dict or callable)
+# once, by Specialization.of; the private helpers take that Specialization.
 
 
 def statistic_f(stats, a, b, v):
     """The ribbon-path statistic: prod over heights i of (i*a)^{#horiz at i}
     times prod over degrees n of (n*b)^{#pairings} v_n^{#unpaired ups}."""
+    v = Specialization.of(v)
     out = 1
     for i, cnt in stats["horizontal_by_height"].items():
         out = out * (i * a) ** cnt
     for n, cnt in stats["pair_by_degree"].items():
         out = out * (n * b) ** cnt
     for n, cnt in stats["up_by_degree"].items():
-        out = out * _vget(v, n) ** cnt
+        out = out * v(n) ** cnt
     return out
 
 
 def _v1_half_power(v, ell: int):
     """v_1^{-ell/2} as an exact rational; odd ell requires square v_1."""
-    v1 = _vget(v, 1)
+    v1 = v(1)
     if v1 <= 0:
         raise ValueError("v_1 must be positive")
     if ell % 2 == 0:
@@ -613,11 +607,12 @@ def limit_moment(ell: int, g, v):
     """The ell-th limiting transition-measure moment, v_1-normalized."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
+    v = Specialization.of(v)
     assignment = {"g": Fraction(g)}
     poly = limit_moment_poly(ell)
     for name in poly.variables():
         if name.startswith("v"):
-            assignment[name] = _vget(v, int(name[1:]))
+            assignment[name] = v(int(name[1:]))
     return _v1_half_power(v, ell) * poly.evaluate(assignment)
 
 
@@ -691,7 +686,7 @@ def _ribbon_transfer(lengths, a, b, v, by_returns=False, d=None,
     if total > RIBBON_DP_LIMIT:
         raise ValueError(f"total length {total} exceeds the ribbon limit "
                          f"{RIBBON_DP_LIMIT}")
-    weights = [a, b] + [_vget(v, n) for n in range(1, total)]
+    weights = [a, b] + [v(n) for n in range(1, total)]
     D = lcm(*(w.denominator for w in weights))
     A, B, *V = (w.numerator * (D // w.denominator) for w in weights)
     V.insert(0, 0)  # V[n] is v_n over D
@@ -768,7 +763,8 @@ def finite_expectation(lengths, alpha, u, v):
     horizontal weight (alpha-1)/u and pairing weight alpha/u^2, restricted
     to |S^0| = number of sites."""
     lengths = _lengths_tuple(lengths)
-    return _ribbon_transfer(lengths, *_finite_weights(alpha, u), v)
+    return _ribbon_transfer(lengths, *_finite_weights(alpha, u),
+                            Specialization.of(v))
 
 
 def finite_cumulant_s(lengths, alpha, u, v):
@@ -780,6 +776,7 @@ def finite_cumulant_s(lengths, alpha, u, v):
     site: kappa(S) = m(S) - sum over B != S of kappa(B) m(S minus B)."""
     lengths = _lengths_tuple(lengths)
     a, b = _finite_weights(alpha, u)
+    v = Specialization.of(v)
     moments, cumulants = {(): Fraction(1)}, {}
 
     def moment(sub):
@@ -809,8 +806,8 @@ def finite_moment_s(lengths, alpha, u, v):
     unrestricted ribbon sum with per-site 1/|S^0| weights (cumulants are
     recovered from it by set-partition inversion)."""
     lengths = _lengths_tuple(lengths)
-    return _ribbon_transfer(lengths, *_finite_weights(alpha, u), v,
-                            by_returns=True)
+    return _ribbon_transfer(lengths, *_finite_weights(alpha, u),
+                            Specialization.of(v), by_returns=True)
 
 
 def depoissonized_expectation(lengths, d: int, alpha, u, v):
@@ -818,7 +815,8 @@ def depoissonized_expectation(lengths, d: int, alpha, u, v):
     ribbon sum acquires a falling factorial d(d-1)...(d-#unpaired downs+1)
     and a (alpha/u^2) factor per unpaired down step.  Requires v_1 = 1."""
     lengths = _lengths_tuple(lengths)
-    if _vget(v, 1) != 1:
+    v = Specialization.of(v)
+    if v(1) != 1:
         raise ValueError("depoissonized formulas require v_1 = 1")
     a, b = _finite_weights(alpha, u)
     if d < 0 or d != int(d):
@@ -836,11 +834,12 @@ def clt_mean(ell: int, g, gp, v):
     v1^{-ell/2}/(ell-1) * gp * d/dg of the 1/|S^0|-weighted Lukasiewicz sum."""
     if ell < 2:
         raise ValueError("ell must be >= 2")
+    v = Specialization.of(v)
     poly = shape_sum_poly(ell).derivative("g")
     assignment = {"g": Fraction(g)}
     for name in poly.variables():
         if name.startswith("v"):
-            assignment[name] = _vget(v, int(name[1:]))
+            assignment[name] = v(int(name[1:]))
     return (_v1_half_power(v, ell) * Fraction(gp)
             * poly.evaluate(assignment) / (ell - 1))
 
@@ -851,6 +850,7 @@ def clt_cov(k: int, l: int, g, v):
         raise ValueError("orders must be positive")
     if min(k, l) == 1:
         return Fraction(0)
+    v = Specialization.of(v)
     pref = _v1_half_power(v, k + l) / ((k - 1) * (l - 1))
     # connected with one pairing: it crosses from the first site to the second
     return pref * _ribbon_transfer((k, l), Fraction(g), Fraction(1), v,
@@ -862,20 +862,21 @@ def afp_mean(ell: int, g, gp, v, vp):
     gp*d/dg + sum_i vp_i d/dv_i to the 1/|S^0|-weighted sum (v_1 = 1)."""
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    if _vget(v, 1) != 1:
+    v, vp = Specialization.of(v), Specialization.of(vp)
+    if v(1) != 1:
         raise ValueError("afp formulas require v_1 = 1")
     base = shape_sum_poly(ell)
     acc = Poly.const(Fraction(gp)) * base.derivative("g")
     for name in base.variables():
         if name.startswith("v") and name != "v1":
             i = int(name[1:])
-            vpi = _vget(vp, i)
+            vpi = vp(i)
             if vpi:
                 acc = acc + Poly.const(vpi) * base.derivative(name)
     assignment = {"g": Fraction(g)}
     for name in acc.variables():
         if name.startswith("v"):
-            assignment[name] = _vget(v, int(name[1:]))
+            assignment[name] = v(int(name[1:]))
     return acc.evaluate(assignment) / (ell - 1)
 
 
@@ -898,7 +899,7 @@ def _marked_site_sums(ell: int, g, v) -> dict:
     Every down has degree 1, so a path with e_n up steps of degree n has
     sum_n n*e_n downs."""
     poly = shape_sum_poly(ell)
-    vs = {name: _vget(v, int(name[1:]))
+    vs = {name: v(int(name[1:]))
           for name in poly.variables() if name.startswith("v")}
     assignment = {"g": g, **vs}
     out = {-1: Fraction(0)}
@@ -917,7 +918,8 @@ def afp_cov(k: int, l: int, g, v, vkl):
     sum factorises over the two sites."""
     if min(k, l) < 2:
         raise ValueError("orders must be >= 2")
-    if _vget(v, 1) != 1:
+    v = Specialization.of(v)
+    if v(1) != 1:
         raise ValueError("afp formulas require v_1 = 1")
     g = Fraction(g)
     total = _ribbon_transfer((k, l), g, Fraction(1), v, by_returns=True,

@@ -176,13 +176,6 @@ class Poly:
             vs.update(v for v, _ in mono)
         return vs
 
-    def as_fraction(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if set(self.terms) == {_EMPTY}:
-            return self.terms[_EMPTY]
-        raise ValueError(f"polynomial is not constant: {self}")
-
     # -- formatting --------------------------------------------------------
 
     def __repr__(self):

@@ -90,39 +90,21 @@ def shape_functionals_from_moments(moments):
 
 
 def free_from_moments(moments):
-    """Free cumulants R_1..R_L from moments via degree-truncated inversion
-    of the Cauchy transform: with w = (1 + c(z))/z, c(z) = sum R_l z^l,
-    the identity G(w) = z reads sum_m M_m z^m (1+c)^{-(m+1)} = 1."""
-    order = len(moments)
-    ms = [Fraction(1)] + [Fraction(m) for m in moments]
-    cumulants = [Fraction(0)] * (order + 1)  # cumulants[l] = R_l, index 0 unused
-
-    def residual():
-        one_plus_c = [Fraction(1)] + cumulants[1:]
-        inv = series_inv(one_plus_c, order)
-        total = [Fraction(0)] * (order + 1)
-        power = inv[:]  # (1+c)^{-1}
-        for m in range(0, order + 1):
-            if ms[m]:
-                for k in range(m, order + 1):
-                    total[k] += ms[m] * power[k - m]
-            if m < order:
-                power = series_mul(power, inv, order)
-        return total
-
-    for ell in range(1, order + 1):
-        total = residual()
-        # R_ell enters [z^ell] with coefficient -1; solve for it
-        cumulants[ell] += total[ell]
-    total = residual()
-    if any(total[1:]):
-        raise AssertionError("free-cumulant inversion failed to converge")
-    return cumulants[1:]
+    """Free cumulants R_1..R_L from moments M_1..M_L by inverting
+    :func:`moments_from_free` order by order: M_l is R_l plus a polynomial
+    in R_1..R_{l-1}, so R_l = M_l - M_l(R_1, ..., R_{l-1}, 0)."""
+    cumulants = []
+    for m in moments:
+        cumulants.append(Fraction(0))
+        cumulants[-1] = Fraction(m) - moments_from_free(cumulants)[-1]
+    return cumulants
 
 
 def moments_from_free(cumulants):
-    """Moments M_1..M_L from free cumulants (inverse of free_from_moments),
-    by solving the same functional identity in the other direction."""
+    """Moments M_1..M_L from free cumulants R_1..R_L by degree-truncated
+    inversion of the Cauchy transform: with w = (1 + c(z))/z and
+    c(z) = sum R_l z^l, the identity G(w) = z reads
+    sum_m M_m z^m (1+c)^{-(m+1)} = 1, solved for M_ell order by order."""
     order = len(cumulants)
     cs = [Fraction(0)] + [Fraction(c) for c in cumulants]
     one_plus_c = [Fraction(1)] + cs[1:]

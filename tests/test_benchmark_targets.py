@@ -1,0 +1,31 @@
+"""The benchmark's tracer wraps named package functions and methods
+(perfbench/layers.py); a rename of any of them must fail here, not only
+under ``perfbench/run.py --trace 1``."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import layers  # noqa: E402
+from tracer import Tracer  # noqa: E402
+
+
+def test_every_benchmark_target_is_wrapped_and_restored():
+    targets = layers.targets()
+    owners = {}
+    for t in targets:
+        owner = sys.modules[t.module]
+        if "." in t.qualname:
+            owner = vars(owner)[t.qualname.split(".")[0]]
+        owners[t] = owner, vars(owner).copy()
+    tracer = Tracer()
+    try:
+        tracer.install(targets, "jackpaths")
+        for t, (owner, _) in owners.items():
+            attr = t.qualname.split(".")[-1]
+            assert getattr(vars(owner)[attr], "__traced__", False), t.qualname
+    finally:
+        tracer.uninstall()
+    for owner, before in owners.values():
+        assert vars(owner) == before

@@ -1,4 +1,6 @@
 import itertools
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,7 @@ from jackpaths.partitions import Partition, partitions_of
 from jackpaths.rng import SplitMix64
 from jackpaths.sampler import growth_sample, scaled_profile
 from jackpaths.verify import (ORACLE_PARAMETER_SETS, _length_multisets,
-                              boolean_product_sums)
+                              boolean_product_sums, noncrossing_partitions)
 
 
 def test_profile_examples():
@@ -236,6 +238,44 @@ def test_free_cumulant_roundtrip():
                Fraction(-1), Fraction(40)]
     free = series.free_from_moments(moments)
     assert series.moments_from_free(free) == moments
+
+
+def _noncrossing_moments(cumulants):
+    """M_n = sum over the non-crossing partitions pi of range(n) of
+    prod_{B in pi} R_|B|, for n = 1..len(cumulants)."""
+    out = []
+    for n in range(1, len(cumulants) + 1):
+        total = Fraction(0)
+        for pi in noncrossing_partitions(n):
+            term = Fraction(1)
+            for block in pi:
+                term *= cumulants[len(block) - 1]
+            total += term
+        out.append(total)
+    return out
+
+
+def test_moments_from_free_is_the_noncrossing_moment_map():
+    rng = random.Random(8)
+    for _ in range(4):
+        cumulants = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                     for _ in range(8)]
+        moments = _noncrossing_moments(cumulants)
+        for L in range(1, 9):
+            assert series.moments_from_free(cumulants[:L]) == moments[:L]
+            assert series.free_from_moments(moments[:L]) == cumulants[:L]
+
+
+def test_measure_json_roundtrip_keeps_exactness():
+    exact = DiscreteMeasure([(Fraction(-1, 10), Fraction(1, 4)),
+                             (Fraction(1), Fraction(3, 4))])
+    inexact = DiscreteMeasure([(-0.1, 0.25), (1.0, 0.75)])
+    for m in (exact, inexact):
+        again = DiscreteMeasure.from_json(json.loads(json.dumps(m.to_json())))
+        assert again.exact == m.exact
+        assert again.atoms == m.atoms
+        assert [type(x) for atom in again.atoms for x in atom] == \
+            [type(x) for atom in m.atoms for x in atom]
 
 
 def test_scaling_property_cross_checked_by_recomputation():

@@ -10,6 +10,7 @@ from jackpaths.diagrams import (AnisotropicDiagram, DiscreteMeasure,
                                 StaircaseShape, observable_family,
                                 transition_measure)
 from jackpaths.ensembles import JackSchurWeyl, JackThoma
+from jackpaths.jack import theta_coefficient
 from jackpaths.partitions import Partition, j_alpha, partitions_of
 
 ALPHAS = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(2, 3),
@@ -101,9 +102,43 @@ def test_principal_jack_value_matches_cell_product(alpha):
         assert ens._principal == (Fraction(1), c)
         for lam in _upto(12):
             want = literal_principal_jack_value(lam, alpha, u, c)
-            assert ens.jack_value(lam) == want
             assert ens.rational_mass(lam) == \
                 want * u ** lam.size() / literal_j_alpha(lam, alpha)
+
+
+def theta_loop_jack_value(lam, alpha, u, vget):
+    """J_lam at the scaled sequence u*v by its power-sum expansion:
+    sum_mu theta_mu(lam) prod_i u*v_{mu_i}, with vget the lookup k -> v_k."""
+    total = Fraction(0)
+    for mu in partitions_of(lam.size()):
+        th = theta_coefficient(lam, mu, alpha)
+        if th:
+            val = th
+            for part in mu.parts:
+                val *= u * vget(part)
+            total += val
+    return total
+
+
+GENERIC_V = [
+    ([Fraction(1), Fraction(1, 2), Fraction(-1, 3)],
+     lambda k: [Fraction(1), Fraction(1, 2), Fraction(-1, 3)][k - 1] if k <= 3 else 0),
+    ({1: 2, 3: Fraction(1, 5)}, lambda k: {1: 2, 3: Fraction(1, 5)}.get(k, 0)),
+    (lambda k: Fraction(1, k * k), lambda k: Fraction(1, k * k)),
+]
+
+
+@pytest.mark.parametrize("alpha", [Fraction(2, 3), Fraction(2)])
+@pytest.mark.parametrize("v, vget", GENERIC_V, ids=["list", "dict", "callable"])
+def test_generic_thoma_mass_matches_theta_loop(alpha, v, vget):
+    u = Fraction(3, 2)
+    ens = JackThoma(alpha, u, v, check_positivity=False)
+    assert ens._principal is None
+    assert ens.exponent == u ** 2 * vget(1) / alpha
+    for lam in _upto(8):
+        want = (theta_loop_jack_value(lam, alpha, u, vget) * u ** lam.size()
+                / literal_j_alpha(lam, alpha))
+        assert ens.rational_mass(lam) == want
 
 
 @pytest.mark.parametrize("alpha", [Fraction(2, 3), Fraction(7, 2)])

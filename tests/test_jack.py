@@ -162,3 +162,23 @@ def test_powersum_json():
     assert {"p_mu": [1, 1], "coeff": "1"} in data
     assert {"p_mu": [2], "coeff": "5/7"} in data
     assert "p1" in J2.pretty()
+
+
+def test_specialization_of_reads_every_form_alike():
+    vals = [Fraction(1), Fraction(-1, 2), Fraction(0), Fraction(3, 7)]
+    want = vals + [Fraction(0)] * 4
+    forms = [vals, tuple(vals), (x for x in vals), ["1", "-1/2", 0, "3/7"],
+             {1: 1, 2: Fraction(-1, 2), 4: Fraction(3, 7)},
+             {"1": 1, "2": "-1/2", "4": "3/7"},
+             lambda k: vals[k - 1] if k <= len(vals) else 0,
+             Specialization(lambda k: vals[k - 1] if k <= len(vals) else 0)]
+    for form in forms:
+        spec = Specialization.of(form)
+        got = [spec(k) for k in range(1, 9)]
+        assert got == want
+        assert all(type(x) is Fraction for x in got)
+        assert spec.on_partition(Partition([4, 2, 1])) == Fraction(-3, 14)
+    spec = Specialization.of(vals)
+    assert Specialization.of(spec) is spec
+    assert [spec(k) for k in range(1, 9)] == want  # read more than once
+

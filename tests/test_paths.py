@@ -334,8 +334,10 @@ def _enumerated_cov(k, l, g, v, vkl=None):
     plus, with ``vkl``, the ribbons without pairings summed over every
     pair of non-horizontal steps on the two sites (class -1 for a down,
     the degree for an up, whose v factor is dropped)."""
-    from jackpaths.paths import _all_ribbons, _info_of, _vget, _vkl_lookup
+    from jackpaths.jack import Specialization
+    from jackpaths.paths import _all_ribbons, _info_of, _vkl_lookup
 
+    v = Specialization.of(v)
     total = Fraction(0)
     for rp in _all_ribbons((k, l)):
         if len(rp.pairings) > 1 or (rp.pairings and not is_pi_connected(rp)):
@@ -350,7 +352,7 @@ def _enumerated_cov(k, l, g, v, vkl=None):
         if rp.pairings:
             (n, _), = stats["pair_by_degree"].items()
             for m, cnt in ups.items():
-                base *= _vget(v, m) ** cnt
+                base *= v(m) ** cnt
             total += n * base
             continue
         info = _info_of(rp.sites)
@@ -363,7 +365,7 @@ def _enumerated_cov(k, l, g, v, vkl=None):
             for c2 in classes[1]:
                 term = _vkl_lookup(vkl, c1, c2) * base
                 for m, cnt in ups.items():
-                    term *= _vget(v, m) ** (cnt - (c1 == m) - (c2 == m))
+                    term *= v(m) ** (cnt - (c1 == m) - (c2 == m))
                 total += term
     return total
 
