@@ -14,9 +14,13 @@ its addable corners, the residues of Kerov's transition function
 G(z) = prod(z - y_j) / prod(z - x_i) at the profile minima x_i.  Adding a
 box at the minimum x multiplies G by (z - x)(z - x - alpha + 1) /
 ((z - x - alpha)(z - x + 1)), also where a new minimum cancels a maximum.
-So the add-a-box helper (:func:`_make_add_box`) multiplies every surviving
-corner's mass by that factor at z = x_i and computes only the corners that
-appear afresh, by :func:`_corner_mass`: one step costs O(m) for m groups.
+So :func:`add_box` multiplies every surviving corner's mass by that factor
+at z = x_i.  The only new poles are x + alpha and x - 1, and their residues
+are the old (z - x) G(z) there, times 1 / (1 + alpha) and alpha / (1 + alpha):
+ordered-ratio products of the corner differences that the same pass forms
+for the factors.  So one pass over the groups prices every corner, and a
+step costs O(m) for m groups.  The fresh masses come from the state, not
+from the old masses, so their rounding does not build up along a draw.
 The draw loop and :func:`corner_masses` both go through that helper; the
 latter builds the state of a partition from the empty diagram column by
 column, a chain that meets every kind of update, so the exact-law
@@ -50,100 +54,96 @@ def state_capacity(d: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _corner_mass(alpha, vals, cnts, m, i):
-    """Transition mass of corner i of the state with m groups, from scratch
-    in O(m): the ordered-ratio product, every factor in (0, 1]."""
-    v = vals[i]
-    val = 1.0
-    # (x_i - y_k) / (x_i - x_k) for each group k above; s rows lie between
+def add_box(alpha, vals, cnts, ms, m, pick):
+    """Add a box at corner ``pick`` of the state with m groups, updating
+    vals, cnts and the corner masses ms[0..m] in place; returns the new
+    number of groups and the new sum of the masses."""
+    # every surviving corner k gains the factor t(t + 1 - alpha) /
+    # ((t - alpha)(t + 1)) = 1 + alpha / ((t - alpha)(t + 1)) of the new G at
+    # t = x_k - x = p + s, with p = alpha * (vals[k] - v) and s the signed
+    # rows between the two.  The same differences price the new poles: ra
+    # and rb are (z - x) times the old G at z = x + alpha and z = x - 1, as
+    # ordered-ratio products pairing each other corner with the maximum next
+    # to it on the side of the pick.  Every sum adds terms of one sign (so
+    # s + 1 is formed in integers) and every factor of ra and rb lies in
+    # [0, 1]
+    v = vals[pick]
+    total = 0.0
+    ra = 1.0
+    rb = 1.0
     s = 0
-    for k in range(i - 1, -1, -1):
-        a = alpha * (v - vals[k])
-        val *= (a - s) / (a - s - cnts[k])
+    for k in range(pick - 1, -1, -1):
+        p = alpha * (vals[k] - v)
+        q = p - alpha
+        a0 = q + s
+        b0 = p + (s + 1)
         s += cnts[k]
-    # (x_i - y_k) / (x_i - x_{k+1}) for each group k from i down
-    a = 0.0
+        a = q + s
+        b = p + (s + 1)
+        ra *= a0 / a
+        rb *= b0 / b
+        w = ms[k] * (1.0 + alpha / (a * b))
+        ms[k] = w
+        total += w
     s = 0
-    for k in range(i, m):
-        s += cnts[k]
-        b = alpha * (v - vals[k + 1])
-        val *= (a + s) / (b + s)
-        a = b
-    return val
-
-
-def _make_add_box(corner_mass):
-    """The add-a-box helper over the given fresh-mass helper (a closure
-    variable, so numba can compile it against its own compiled helper)."""
-
-    def add_box(alpha, vals, cnts, ms, m, pick):
-        """Add a box at corner ``pick`` of the state with m groups, updating
-        vals, cnts and the corner masses ms[0..m] in place; returns the new
-        number of groups and the new sum of the masses."""
-        # every surviving corner k gains the factor t(t + 1 - alpha) /
-        # ((t - alpha)(t + 1)) of the new G at t = x_k - x = p + s, with
-        # p = alpha * (vals[k] - v) and s the signed rows between the two;
-        # all four sums add terms of one sign
-        v = vals[pick]
-        total = 0.0
-        s = 0
-        for k in range(pick - 1, -1, -1):
-            s += cnts[k]
-            s1 = s + 1
-            p = alpha * (vals[k] - v)
-            q = p - alpha
-            w = ms[k] * (p + s) * (q + s1) / ((q + s) * (p + s1))
-            ms[k] = w
-            total += w
-        s = 0
-        for k in range(pick + 1, m + 1):
-            s -= cnts[k - 1]
-            s1 = s + 1
-            p = alpha * (vals[k] - v)
-            q = p - alpha
-            w = ms[k] * (p + s) * (q + s1) / ((q + s) * (p + s1))
-            ms[k] = w
-            total += w
-        # the new groups; corners lo..hi-1 are the ones that appear
-        lo = pick
-        hi = pick + 1
-        if pick == m:
-            if m > 0 and vals[m - 1] == 1:      # the bottom corner moves down
-                cnts[m - 1] += 1
-            else:                               # a new bottom row starts
-                vals[m] = 1
-                cnts[m] = 1
-                m += 1
-                hi += 1
-        elif pick > 0 and vals[pick - 1] == v + 1:
-            cnts[pick - 1] += 1
-            cnts[pick] -= 1
-            if cnts[pick] == 0:                 # the corner is removed
-                for j in range(pick, m):
-                    vals[j] = vals[j + 1]
-                    cnts[j] = cnts[j + 1]
-                    ms[j] = ms[j + 1]
-                m -= 1
-                hi = lo
-            # otherwise the corner moves down a row
-        elif cnts[pick] == 1:                   # the corner moves right
-            vals[pick] = v + 1
-        else:                                   # the group splits in two
-            cnts[pick] -= 1
-            for j in range(m, pick, -1):
-                vals[j] = vals[j - 1]
-                cnts[j] = cnts[j - 1]
-                ms[j + 1] = ms[j]
-            vals[pick] = v + 1
-            cnts[pick] = 1
+    p = 0.0
+    for k in range(pick + 1, m + 1):
+        # the maximum above corner k sits at the value p of group k - 1
+        s -= cnts[k - 1]
+        s1 = s + 1
+        a0 = p - alpha + s
+        b0 = p + s1
+        p = alpha * (vals[k] - v)
+        a = p - alpha + s
+        b = p + s1
+        ra *= a0 / a
+        rb *= b0 / b
+        w = ms[k] * (1.0 + alpha / (a * b))
+        ms[k] = w
+        total += w
+    fresh_a = ra / (1.0 + alpha)
+    fresh_b = alpha * rb / (1.0 + alpha)
+    # the new groups: x + alpha is a corner where the picked one moves
+    # right, splits or starts a row, x - 1 where it moves down, splits or
+    # starts a row.  Where either meets a maximum its residue is 0, and the
+    # pass gives exactly 0 (a factor with zero numerator), so the total
+    # gains both
+    if pick == m:
+        if m > 0 and vals[m - 1] == 1:      # the bottom corner moves down
+            cnts[m - 1] += 1
+            ms[m] = fresh_b
+        else:                               # a new bottom row starts
+            vals[m] = 1
+            cnts[m] = 1
+            ms[m] = fresh_a
+            ms[m + 1] = fresh_b
             m += 1
-            hi += 1
-        for i in range(lo, hi):
-            ms[i] = corner_mass(alpha, vals, cnts, m, i)
-            total += ms[i]
-        return m, total
-
-    return add_box
+    elif pick > 0 and vals[pick - 1] == v + 1:
+        cnts[pick - 1] += 1
+        cnts[pick] -= 1
+        if cnts[pick] > 0:                  # the corner moves down a row
+            ms[pick] = fresh_b
+        else:                               # the corner is removed
+            for j in range(pick, m):
+                vals[j] = vals[j + 1]
+                cnts[j] = cnts[j + 1]
+                ms[j] = ms[j + 1]
+            m -= 1
+    elif cnts[pick] == 1:                   # the corner moves right
+        vals[pick] = v + 1
+        ms[pick] = fresh_a
+    else:                                   # the group splits in two
+        cnts[pick] -= 1
+        for j in range(m, pick, -1):
+            vals[j] = vals[j - 1]
+            cnts[j] = cnts[j - 1]
+            ms[j + 1] = ms[j]
+        vals[pick] = v + 1
+        cnts[pick] = 1
+        ms[pick] = fresh_a
+        ms[pick + 1] = fresh_b
+        m += 1
+    return m, total + fresh_a + fresh_b
 
 
 def _uniform(seed, counter):
@@ -191,7 +191,6 @@ def _python_backend():
     def buffers(n, dtype):
         return [0] * n if dtype == "int" else [0.0] * n
 
-    add_box = _make_add_box(_corner_mass)
     return _make_draw(add_box, _uniform), add_box, buffers, int
 
 
@@ -214,12 +213,13 @@ def _numba_backend(numba):
         z = z ^ (z >> s31)
         return float(z >> s11) * inv53
 
-    add_box = njit(_make_add_box(njit(_corner_mass)))
+    compiled_add_box = njit(add_box)
 
     def buffers(n, dtype):
         return np.zeros(n, dtype=np.int64 if dtype == "int" else np.float64)
 
-    return njit(_make_draw(add_box, uniform)), add_box, buffers, np.uint64
+    return (njit(_make_draw(compiled_add_box, uniform)), compiled_add_box,
+            buffers, np.uint64)
 
 
 # the one backend this process runs, chosen once by what can be imported

@@ -443,9 +443,9 @@ def run_suites(names=None, stream=None, **kwargs):
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}")
-        t0 = time.time()
+        t0 = time.perf_counter()
         passed, detail = SUITES[name](**kwargs.get(name, {}))
-        secs = time.time() - t0
+        secs = time.perf_counter() - t0
         results.append((name, passed, detail, secs))
         flag = "PASS" if passed else "FAIL"
         print(f"[{flag}] {name:<24} {secs:7.2f}s  {detail}", file=stream)

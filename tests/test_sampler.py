@@ -114,6 +114,49 @@ def test_corner_masses_chain_meets_every_update(monkeypatch):
     assert cases == {"new row", "move", "split", "remove"}
 
 
+def _spied_draw(d, alpha, seed, check):
+    """Run one draw through the bound add-a-box helper, calling
+    ``check(vals, cnts, ms, m, total)`` after every box."""
+    def spy(alpha, vals, cnts, ms, m, pick):
+        m, total = kernels._add_box(alpha, vals, cnts, ms, m, pick)
+        check(vals, cnts, ms, m, total)
+        return m, total
+
+    cap = kernels.state_capacity(d)
+    draw = kernels._make_draw(spy, kernels._uniform)
+    return draw(d, alpha, seed, kernels._buffers(cap, "int"),
+                kernels._buffers(cap, "int"), kernels._buffers(cap + 1, "float"))
+
+
+def test_every_box_of_a_draw_matches_the_ordered_ratio_oracle(monkeypatch):
+    cases = set()
+    monkeypatch.setattr(kernels, "_add_box", _spy_cases(kernels._add_box, cases))
+    for alpha, d in ((1 / 100, 600), (1 / 3, 300), (1.0, 300), (5 / 2, 300)):
+        def check(vals, cnts, ms, m, total):
+            parts = [int(vals[k]) for k in range(m) for _ in range(int(cnts[k]))]
+            want = _ordered_ratio_masses(parts, alpha)
+            assert len(want) == m + 1
+            assert all(abs(ms[i] / total - w) <= 1e-13 * w
+                       for i, w in enumerate(want)), (parts, alpha)
+
+        _spied_draw(d, alpha, 20260809, check)
+    assert cases == {"new row", "move", "split", "remove"}
+
+
+def test_unnormalised_masses_stay_a_probability_measure():
+    # the transition measure has total mass 1, so the masses are absolute:
+    # a lost 1 / (1 + alpha) in a fresh corner would show here, not after
+    # normalisation
+    def check(vals, cnts, ms, m, total):
+        assert abs(total - 1.0) <= 1e-12
+
+    m = _spied_draw(6400, 1 / 400, 20260809, check)
+    assert m > 1
+    for alpha in (1.0, 3.0):
+        m, _, _, ms = kernels._draw_state(2000, alpha, 20260809)
+        assert abs(sum(ms[:m + 1]) - 1.0) <= 1e-12
+
+
 def _draw_matches_law(d, alpha, seed):
     """Whether the corner masses that the draw loop ends with match the
     exact one-step law at the state it ends in."""
