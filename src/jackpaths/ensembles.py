@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .exactnum import SqrtExt, alpha_half_power, parse_rational, sqrt_ext
 from .jack import Specialization, jack_basis, theta_coefficient, _factorial
-from .partitions import Partition, j_alpha, partitions_of
+from .partitions import Partition, content_product, j_alpha, partitions_of
 
 
 class PositivityError(ValueError):
@@ -126,12 +126,25 @@ def _principal_form(v: Specialization):
 # ---------------------------------------------------------------------------
 
 
+# validate_positivity checks a Poissonized ensemble's masses up to this size
+POSITIVITY_DEGREE = 6
+
+
 class Ensemble:
     """Base class: a (possibly signed) measure on partitions with exact
-    masses.  Fixed-size variants live on partitions of size d."""
+    masses.  Fixed-size variants (``sized``) live on partitions of size d,
+    refused unless a nonnegative integer; the others leave d None."""
 
     variant = "abstract"
+    sized = True
     d: int | None = None
+
+    def __init__(self, alpha, d):
+        self.alpha = Fraction(alpha)
+        if self.alpha <= 0:
+            raise ValueError("alpha must be positive")
+        if self.sized:
+            self.d = _size(d)
 
     def mass(self, lam: Partition):
         raise NotImplementedError
@@ -145,15 +158,15 @@ class Ensemble:
             raise DomainError("masses() needs a fixed-size ensemble")
         return {lam: self.mass(lam) for lam in partitions_of(self.d)}
 
-    def validate_positivity(self, degree: int | None = None):
-        """Raise PositivityError if any mass within reach is negative."""
+    def validate_positivity(self):
+        """Raise PositivityError if any mass within reach (up to
+        POSITIVITY_DEGREE for a Poissonized ensemble) is negative."""
         if self.d is not None:
             for lam, m in self.masses().items():
                 if _is_negative(m):
                     raise PositivityError(f"{self.variant}: negative mass at {lam}")
             return
-        cap = 6 if degree is None else degree
-        for dd in range(cap + 1):
+        for dd in range(POSITIVITY_DEGREE + 1):
             for lam in partitions_of(dd):
                 if _is_negative(self.mass(lam)):
                     raise PositivityError(f"{self.variant}: negative mass at {lam}")
@@ -180,15 +193,10 @@ def _is_negative(value) -> bool:
 
 
 class JackPlancherel(Ensemble):
-    """Mass alpha^d d! / j_lambda on partitions of d."""
+    """Mass alpha^d d! / j_lambda on partitions of d: the Jack-Thoma
+    measure JackThoma(alpha, u, [1]) conditioned on |lambda| = d."""
 
     variant = "plancherel"
-
-    def __init__(self, alpha, d: int):
-        self.alpha = Fraction(alpha)
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        self.d = _size(d)
 
     def mass(self, lam: Partition) -> Fraction:
         self._check_domain(lam)
@@ -198,15 +206,14 @@ class JackPlancherel(Ensemble):
 class JackSchurWeyl(Ensemble):
     """Schur-Weyl-type measure parametrized by the positive integer
     K = N*sqrt(alpha) (or, with dual=True, K = -N/sqrt(alpha)); in either
-    case the masses are exact rationals."""
+    case the masses are exact rationals.  It is a principal Jack-Thoma
+    measure conditioned on |lambda| = d: of v = 1 (u = K) in the first
+    case, and of v_k = (-1/(alpha K))^{k-1} (u = 1) in the dual one."""
 
     variant = "schur_weyl"
 
     def __init__(self, alpha, d: int, K: int, dual: bool = False):
-        self.alpha = Fraction(alpha)
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        self.d = _size(d)
+        super().__init__(alpha, d)
         self.K = int(K)
         if self.K < 1:
             raise ValueError("K must be a positive integer")
@@ -215,21 +222,14 @@ class JackSchurWeyl(Ensemble):
     def mass(self, lam: Partition) -> Fraction:
         self._check_domain(lam)
         alpha, K, d = self.alpha, self.K, self.d
-        # cell factors (K + 1 - j) alpha + (i - 1), resp. K + (j - 1) alpha
-        # - (i - 1), over the denominator q of alpha = a/q
-        a, q = alpha.numerator, alpha.denominator
-        num = 1
-        for i, row in enumerate(lam.parts):
-            for j in range(row):
-                if self.dual:
-                    num *= a * (K - j) + q * i
-                else:
-                    num *= q * (K - i) + a * j
-        prod = Fraction(num, q ** d)
+        # cell factors K + (j - 1) alpha - (i - 1), resp. (K + 1 - j) alpha
+        # + (i - 1) in the dual orientation: J_lam at p_k -> K, resp. at
+        # p_k -> alpha K (-1)^{k-1}
         if self.dual:
-            return _factorial(d) * prod / (Fraction(K) ** d * j_alpha(lam, alpha))
-        return (_factorial(d) * alpha ** d * prod
-                / (Fraction(K) ** d * j_alpha(lam, alpha)))
+            prod = content_product(lam, alpha, alpha * K, -1)
+        else:
+            prod = alpha ** d * content_product(lam, alpha, K, 1)
+        return _factorial(d) * prod / (Fraction(K) ** d * j_alpha(lam, alpha))
 
     def character(self, mu: Partition):
         """The multiplicative character N^{-w(mu)} in Q(sqrt(alpha))."""
@@ -247,17 +247,12 @@ class ConditionalJackThoma(Ensemble):
 
     variant = "conditional_thoma"
 
-    def __init__(self, alpha, d: int, v, check_positivity: bool = False):
-        self.alpha = Fraction(alpha)
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        self.d = _size(d)
+    def __init__(self, alpha, d: int, v):
+        super().__init__(alpha, d)
         self._v = Specialization.of(v)
         if self._v(1) != 1:
             raise ValueError("conditional Thoma measures require v_1 = 1")
         self._chi = None  # the table prod v_{mu_i}, built on first use
-        if check_positivity:
-            self.validate_positivity()
 
     def mass(self, lam: Partition):
         self._check_domain(lam)
@@ -274,10 +269,7 @@ class CharacterMeasure(Ensemble):
     variant = "character"
 
     def __init__(self, alpha, d: int, chi):
-        self.alpha = Fraction(alpha)
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        self.d = _size(d)
+        super().__init__(alpha, d)
         ones = Partition([1] * self.d)
         self.chi = {mu: chi[mu] for mu in partitions_of(self.d)}
         if self.chi[ones] != 1:
@@ -335,11 +327,10 @@ class JackMeasure(Ensemble):
     Poisson exponent is an exact rational."""
 
     variant = "jack_measure"
+    sized = False
 
     def __init__(self, alpha, rho1: Specialization, rho2: Specialization):
-        self.alpha = Fraction(alpha)
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        super().__init__(alpha, None)
         self.rho1 = rho1
         self.rho2 = rho2
         cross = {}
@@ -386,8 +377,8 @@ class JackThoma(JackMeasure):
 
     def __init__(self, alpha, u, v, check_positivity: bool = True):
         u = Fraction(u)
-        if Fraction(alpha) <= 0 or u <= 0:
-            raise ValueError("alpha and u must be positive")
+        if u <= 0:
+            raise ValueError("u must be positive")
         v = Specialization.of(v)
         super().__init__(alpha, Specialization(lambda k: u * v(k)),
                          Specialization.plancherel(u))
@@ -399,28 +390,13 @@ class JackThoma(JackMeasure):
 
     def rational_mass(self, lam: Partition) -> Fraction:
         """J_lam(u*v) J_lam(Plancherel(u)) / j_lam.  In the principal form
-        v_k = v1 c^{k-1}, J_lam(u*v) is (u v1)^d for c = 0 and otherwise c^d
-        times the product over cells (i, j) of u v1/c + alpha (j-1) - (i-1)."""
+        v_k = v1 c^{k-1}, J_lam(u*v) is the alpha-content product
+        :func:`content_product` at x = u v1."""
         if self._principal is None:
             return super().rational_mass(lam)
-        d = lam.size()
         v1, c = self._principal
-        u0 = self.u * v1
-        if c == 0:
-            value = u0 ** d  # Plancherel direction
-        else:
-            # the cell factors over the common denominator L of u0/c and alpha
-            r = u0 / c
-            a, q = self.alpha.numerator, self.alpha.denominator
-            L = math.lcm(r.denominator, q)
-            base, step = r.numerator * (L // r.denominator), a * (L // q)
-            num = 1
-            for i, row in enumerate(lam.parts):
-                start = base - L * i
-                for j in range(row):
-                    num *= start + step * j
-            value = c ** d * Fraction(num, L ** d)
-        return value * self.u ** d / j_alpha(lam, self.alpha)
+        return (content_product(lam, self.alpha, self.u * v1, c)
+                * self.u ** lam.size() / j_alpha(lam, self.alpha))
 
     def support(self, D: int):
         """Yield (lam, rational_mass(lam)) for every nonzero mass with

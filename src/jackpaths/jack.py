@@ -270,18 +270,18 @@ def _powersum_row(d: int, c: list) -> list:
 # ---------------------------------------------------------------------------
 
 
-def jack_basis(d: int, alpha, cap: int | None = None):
+def jack_basis(d: int, alpha):
     """All Jack elements of degree d in the power-sum basis, memoized per
     (d, alpha).  Each comes from Stanley's triangular recursion for the
     eigenfunctions of the Laplace-Beltrami operator in the monomial basis,
     then a triangular solve back to power sums, in integers; it is
-    normalized so the coefficient of p_{1^d} equals 1."""
+    normalized so the coefficient of p_{1^d} equals 1.  Degrees above
+    DEGREE_CAP are refused."""
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    limit = DEGREE_CAP if cap is None else cap
-    if d > limit:
-        raise ValueError(f"degree {d} above cap {limit}; pass cap= to override")
+    if d > DEGREE_CAP:
+        raise ValueError(f"degree {d} above cap {DEGREE_CAP}")
     key = (d, alpha)
     with _cache_lock:
         cached = _basis_cache.get(key)
@@ -300,8 +300,8 @@ def jack_basis(d: int, alpha, cap: int | None = None):
     return basis
 
 
-def jack_polynomial(lam: Partition, alpha, cap: int | None = None) -> PowerSumPoly:
-    return jack_basis(lam.size(), alpha, cap=cap)[lam]
+def jack_polynomial(lam: Partition, alpha) -> PowerSumPoly:
+    return jack_basis(lam.size(), alpha)[lam]
 
 
 def theta_coefficient(lam: Partition, mu: Partition, alpha) -> Fraction:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from math import comb, isfinite
@@ -16,6 +16,7 @@ from math import comb, isfinite
 import mpmath
 
 from .diagrams import DiscreteMeasure, StaircaseShape
+from .jack import Specialization
 from .paths import enumerate_motzkin, limit_moment_poly
 from .polynomials import Poly
 
@@ -34,26 +35,23 @@ class JacobiOperator:
     g: object
     v: object
 
+    _vk: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # a callable v is kept as it is (jacobi_moment_symbolic's returns
+        # Polys); any other v is read once, so a generator is read in full
+        object.__setattr__(self, "_vk", self.v if callable(self.v)
+                           else Specialization.of(self.v))
+
     def entry(self, i: int, j: int):
-        out = 0
         if i == j:
-            out = self.g * i if isinstance(self.g, Poly) else Fraction(self.g) * i
-            return out
+            return self.g * i if isinstance(self.g, Poly) else Fraction(self.g) * i
         k = j - i
         if k == -1:
             return Fraction(1)
         if k < -1:
             return Fraction(0)
-        return self._vget(k)
-
-    def _vget(self, k: int):
-        v = self.v
-        if callable(v):
-            return v(k)
-        if isinstance(v, dict):
-            return v.get(k, Fraction(0))
-        seq = list(v)
-        return seq[k - 1] if k <= len(seq) else Fraction(0)
+        return self._vk(k)
 
 
 def plancherel_operator(g) -> JacobiOperator:
@@ -170,19 +168,22 @@ def functional_equation_check(g, L: int) -> bool:
 # Bessel functions of real order
 # ---------------------------------------------------------------------------
 
-def bessel_j_mp(nu, x, dps: int = 50):
+BESSEL_DPS = 50  # the digits bessel_j_mp is accurate to
+
+
+def bessel_j_mp(nu, x):
     """Bessel function of the first kind of real order as an mpmath float,
-    from ``mpmath.besselj``.  Working precision is raised above dps to
-    absorb the cancellation at negative orders."""
+    from ``mpmath.besselj``, to BESSEL_DPS digits.  Working precision is
+    raised above that to absorb the cancellation at negative orders."""
     if x <= 0:
         raise ValueError("x must be positive")
-    work = dps + 10 + (0 if nu >= 0 else int(1.5 * float(-nu)) + 10)
+    work = BESSEL_DPS + 10 + (0 if nu >= 0 else int(1.5 * float(-nu)) + 10)
     with mpmath.workdps(work):
         return mpmath.besselj(mpmath.mpf(nu), mpmath.mpf(x))
 
 
-def bessel_j(nu: float, x: float, dps: int | None = None) -> float:
-    return float(bessel_j_mp(nu, x, dps=dps or 50))
+def bessel_j(nu: float, x: float) -> float:
+    return float(bessel_j_mp(nu, x))
 
 
 @dataclass

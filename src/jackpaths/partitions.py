@@ -1,9 +1,11 @@
 """Integer partitions (Young diagrams) and the exact quantities attached to
-them: conjugation, the z_mu factor, and the alpha-deformed hook-like product
-j_alpha that normalizes the Jack basis."""
+them: conjugation, the z_mu factor, the alpha-deformed hook-like product
+j_alpha that normalizes the Jack basis, and the alpha-content product that
+gives a Jack polynomial at a principal specialization."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -177,3 +179,26 @@ def j_alpha(p: Partition, alpha) -> Fraction:
             x = a * (row - j - 1) + q * (cols[j] - i)
             num *= (x + q) * (x + a)
     return Fraction(num, q ** (2 * sum(parts)))
+
+
+def content_product(p: Partition, alpha, x, c) -> Fraction:
+    """J_p at the principal specialization p_k -> x c^{k-1}, by Stanley's
+    alpha-content formula: the product over cells (i, j) of
+    x + c (alpha (j-1) - (i-1)).  At c = 0 it is x^|p|.
+
+    Over L = lcm(den x, den c * den alpha) every factor is an integer, so
+    the product runs over ints and divides once."""
+    alpha, x, c = Fraction(alpha), Fraction(x), Fraction(c)
+    size = sum(p.parts)
+    if not c:
+        return x ** size
+    a, q = alpha.numerator, alpha.denominator
+    L = math.lcm(x.denominator, c.denominator * q)
+    base = x.numerator * (L // x.denominator)
+    scale = c.numerator * (L // (c.denominator * q))
+    num = 1
+    for i, row in enumerate(p.parts):
+        start = base - scale * q * i
+        for j in range(row):
+            num *= start + scale * a * j
+    return Fraction(num, L ** size)

@@ -7,6 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 MASK64 = (1 << 64) - 1
+DYADIC_WORDS = 2  # 64-bit words in a fresh dyadic draw
 GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -36,9 +37,9 @@ class SplitMix64:
 
     __slots__ = ("seed", "counter")
 
-    def __init__(self, seed: int, counter: int = 0):
+    def __init__(self, seed: int):
         self.seed = seed & MASK64
-        self.counter = counter
+        self.counter = 0
 
     def next_u64(self) -> int:
         word = stream_word(self.seed, self.counter)
@@ -49,12 +50,12 @@ class SplitMix64:
         """Uniform double in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * 2.0 ** -53
 
-    def next_dyadic(self, words: int = 2):
-        """Uniform dyadic rational N / 2^(64*words) as (N, bits)."""
+    def next_dyadic(self):
+        """Uniform dyadic rational N / 2^(64*DYADIC_WORDS) as (N, bits)."""
         n = 0
-        for _ in range(words):
+        for _ in range(DYADIC_WORDS):
             n = (n << 64) | self.next_u64()
-        return n, 64 * words
+        return n, 64 * DYADIC_WORDS
 
     def extend_dyadic(self, n: int, bits: int):
         """Append 64 more random bits to a dyadic draw."""

@@ -11,10 +11,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _kernels
-from .diagrams import (AnisotropicDiagram, StaircaseShape, corners,
-                       transition_measure)
+from .diagrams import StaircaseShape, corners, transition_measure
 from .ensembles import (Ensemble, JackPlancherel, _is_negative, _size,
                         ensemble_from_config)
+from .exactnum import parse_rational
 from .partitions import Partition, partitions_of
 from .rng import SplitMix64, dyadic_fraction
 
@@ -35,25 +35,17 @@ class GrowthUnavailableError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def growth_candidates(lam: Partition, alpha):
-    """Addable corners of the width-alpha diagram, ascending by the corner
-    coordinate of the profile (matching the transition-measure atoms)."""
-    minima, _ = corners(lam.parts, Fraction(alpha), 1)
+def growth_transitions(lam: Partition, alpha):
+    """Exact one-step law: [(next partition, probability)], probabilities
+    given by the transition-measure atoms of the width-alpha profile.  Its
+    minima ascend with the addable rows taken bottom up, the first row
+    last, so atom i adds a box to the i-th of those rows."""
+    tm = transition_measure(StaircaseShape(*corners(lam.parts, Fraction(alpha), 1)))
     parts = list(lam.parts) + [0]
     rows = [r for r in range(len(parts) - 1, -1, -1)
             if r == 0 or parts[r - 1] > parts[r]]
-    return [(x, Partition(parts[:r] + [parts[r] + 1] + parts[r + 1:-1]))
-            for x, r in zip(minima, rows)]
-
-
-def growth_transitions(lam: Partition, alpha):
-    """Exact one-step law: [(next partition, probability)], probabilities
-    given by the transition-measure atoms of the width-alpha profile."""
-    tm = transition_measure(AnisotropicDiagram(lam, Fraction(alpha), 1).profile())
-    cands = growth_candidates(lam, alpha)
-    if [pos for pos, _ in cands] != [pos for pos, _ in tm.atoms]:
-        raise AssertionError("corner bookkeeping out of sync with the profile")
-    return [(nxt, mass) for (_, nxt), (_, mass) in zip(cands, tm.atoms)]
+    return [(Partition(parts[:r] + [parts[r] + 1] + parts[r + 1:-1]), mass)
+            for r, (_, mass) in zip(rows, tm.atoms)]
 
 
 def _chain_rule(step, d: int):
@@ -156,7 +148,7 @@ def exact_sample(ensemble: Ensemble, rng: SplitMix64) -> Partition:
             f"d = {ensemble.d} above the exact-sampling cap "
             f"{EXACT_SAMPLE_CAP}; use growth_sample")
     lams, cum = _cumulative(ensemble)
-    n, bits = rng.next_dyadic(words=2)
+    n, bits = rng.next_dyadic()
     while True:
         lo = dyadic_fraction(n, bits)
         hi = dyadic_fraction(n + 1, bits)
@@ -237,8 +229,7 @@ def run_sampler(config: dict, seed: int, count: int,
         if variant != "plancherel":
             raise ValueError(f"the growth method samples the plancherel "
                              f"variant only, not {variant!r}; use exact")
-        alpha = Fraction(str(config["alpha"])) if not isinstance(
-            config["alpha"], (int, Fraction)) else Fraction(config["alpha"])
+        alpha = parse_rational(config["alpha"])
         d = _size(config["d"])
         run.backend = _kernels.BACKEND
         run.growth_validated = validate_growth()
@@ -262,11 +253,9 @@ def empirical_stats(run: SampleRun, observables) -> dict:
     return table
 
 
-def scaled_profile(lam: Partition, alpha, d: int | None = None) -> StaircaseShape:
+def scaled_profile(lam: Partition, alpha, d: int) -> StaircaseShape:
     """Profile of the balanced rescaling (box sqrt(alpha/d) x 1/sqrt(alpha d)),
     with float corners (the scale factors are irrational in general)."""
-    if d is None:
-        d = lam.size()
     w = math.sqrt(float(alpha) / d)
     h = 1.0 / math.sqrt(float(alpha) * d)
     return StaircaseShape(*corners(lam.parts, w, h))

@@ -9,6 +9,9 @@ import json
 from .diagrams import StaircaseShape
 from .partitions import Partition
 
+SHAPE_PAD = 0.5  # how far shape_points samples past the outermost corners
+SVG_WIDTH, SVG_HEIGHT = 640, 440
+
 
 def samples_to_jsonl(run) -> str:
     """One JSON record per line: a header line (the run's config, seed,
@@ -42,12 +45,12 @@ def profile_csv(points) -> str:
     return "\n".join(rows) + "\n"
 
 
-def shape_points(shape: StaircaseShape, pad: float = 0.5):
-    """Sample a staircase's corners (plus padding beyond the ends) as
+def shape_points(shape: StaircaseShape):
+    """Sample a staircase's corners (plus SHAPE_PAD beyond the ends) as
     (u, omega) pairs suitable for CSV/SVG emission."""
     corners = shape.corners()
     us = [c[0] for c in corners]
-    lo, hi = float(us[0]) - pad, float(us[-1]) + pad
+    lo, hi = float(us[0]) - SHAPE_PAD, float(us[-1]) + SHAPE_PAD
     pts = [(lo, float(shape.evaluate(lo)))]
     for u, w, _ in corners:
         pts.append((float(u), float(w)))
@@ -63,10 +66,11 @@ def corners_json(shape: StaircaseShape) -> str:
     }, sort_keys=True)
 
 
-def profiles_svg(curves, width: int = 640, height: int = 440) -> str:
-    """Minimal SVG 1.1 rendering of one or more profile curves; ``curves``
-    is a list of (points, color) with points as (u, omega) pairs.  The
-    |x| reference cone is drawn in light gray."""
+def profiles_svg(curves) -> str:
+    """Minimal SVG 1.1 rendering, SVG_WIDTH x SVG_HEIGHT, of one or more
+    profile curves; ``curves`` is a list of (points, color) with points as
+    (u, omega) pairs.  The |x| reference cone is drawn in light gray."""
+    width, height = SVG_WIDTH, SVG_HEIGHT
     allu = [p[0] for pts, _ in curves for p in pts]
     allw = [p[1] for pts, _ in curves for p in pts]
     lo, hi = min(allu), max(allu)

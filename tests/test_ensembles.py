@@ -309,7 +309,27 @@ def test_support_walk_calls_mass_once_per_partition_and_pruned_child():
                                   lambda d: JackSchurWeyl(1, d, K=2),
                                   lambda d: ConditionalJackThoma(1, d, [1]),
                                   lambda d: CharacterMeasure(1, d, {})])
-@pytest.mark.parametrize("d", [-2, Fraction(5, 2), 2.5])
+@pytest.mark.parametrize("d", [-2, Fraction(5, 2), 2.5, None])
 def test_fixed_size_ensembles_refuse_a_bad_d(make, d):
     with pytest.raises(ValueError, match="d must be a nonnegative integer"):
         make(d)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(2, 3), Fraction(1),
+                                   Fraction(2), Fraction(7, 2)])
+def test_fixed_size_measures_are_conditioned_principal_thoma(alpha):
+    def conditioned(thoma, d):
+        sector = thoma.sector_mass_rational(d)
+        return {lam: thoma.rational_mass(lam) / sector for lam in partitions_of(d)}
+
+    plancherel = JackThoma(alpha, 1, [1], check_positivity=False)
+    for K in range(1, 5):
+        flat = JackThoma(alpha, K, lambda k: 1, check_positivity=False)
+        dual = JackThoma(alpha, 1, lambda k: (-1 / (alpha * K)) ** (k - 1),
+                         check_positivity=False)
+        for d in range(9):
+            assert JackSchurWeyl(alpha, d, K).masses() == conditioned(flat, d)
+            assert JackSchurWeyl(alpha, d, K, dual=True).masses() == \
+                conditioned(dual, d)
+    for d in range(9):
+        assert JackPlancherel(alpha, d).masses() == conditioned(plancherel, d)

@@ -9,7 +9,8 @@ from jackpaths.jack import (PowerSumPoly, Specialization,
                             irreducible_character, jack_basis,
                             jack_polynomial, normalized_character, ns_apply,
                             omega_dual, theta_coefficient)
-from jackpaths.partitions import Partition, j_alpha, partitions_of
+from jackpaths.partitions import (Partition, content_product, j_alpha,
+                                  partitions_of)
 
 ALPHA = Fraction(5, 7)
 
@@ -182,3 +183,18 @@ def test_specialization_of_reads_every_form_alike():
     assert Specialization.of(spec) is spec
     assert [spec(k) for k in range(1, 9)] == want  # read more than once
 
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(1), Fraction(7, 2)])
+def test_content_product_is_the_principal_jack_value(alpha):
+    # Stanley's alpha-content formula against the power-sum expansion of J_lam
+    for x in (Fraction(3, 2), Fraction(-2, 5), Fraction(4)):
+        for c in (Fraction(1), Fraction(-1), Fraction(2, 3), Fraction(-5, 4),
+                  Fraction(0)):
+            spec = Specialization(lambda k: x * c ** (k - 1))
+            for d in range(7):
+                basis = jack_basis(d, alpha)
+                for lam in partitions_of(d):
+                    got = content_product(lam, alpha, x, c)
+                    assert type(got) is Fraction
+                    assert got == spec.apply(basis[lam])

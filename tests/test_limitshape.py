@@ -29,6 +29,16 @@ def test_jacobi_moment_examples():
     assert jacobi_moment(banded, 3) == Fraction(1, 3)  # single degree-2 path
 
 
+def test_jacobi_operator_reads_every_form_of_v_alike():
+    v = [Fraction(1), Fraction(1, 3), Fraction(1, 5)]
+    want = jacobi_moment(JacobiOperator(Fraction(1, 2), v), 6)
+    assert want == Fraction(4033, 240)
+    for form in [(x for x in v), {"1": 1, "2": "1/3", "3": "1/5"},
+                 {1: 1, 2: Fraction(1, 3), 3: Fraction(1, 5)},
+                 lambda k: v[k - 1] if k <= 3 else 0]:
+        assert jacobi_moment(JacobiOperator(Fraction(1, 2), form), 6) == want
+
+
 def test_jacobi_equals_lukasiewicz_symbolically():
     for ell in range(0, 17):
         jac = jacobi_moment_symbolic(ell)

@@ -290,6 +290,15 @@ def test_growth_run_rejects_fractional_d_as_exact_does():
             run_sampler(cfg, 0, 1, method=method)
 
 
+def test_growth_run_reads_alpha_as_exact_does():
+    cfg = {"variant": "plancherel", "alpha": "1 / 2", "d": 3}
+    assert [lam.size() for lam in run_sampler(cfg, 5, 4).collected] == [3] * 4
+    run = run_sampler(cfg, 5, 4, method="growth")
+    plain = run_sampler(dict(cfg, alpha="1/2"), 5, 4, method="growth")
+    assert run.collected == plain.collected
+    assert [lam.size() for lam in run.collected] == [3] * 4
+
+
 def test_growth_backends_agree_statistically(monkeypatch):
     # the kernel selected at import against the python backend (the same
     # code when numba is absent)
