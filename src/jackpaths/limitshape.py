@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import comb, isfinite
@@ -35,12 +35,10 @@ class JacobiOperator:
     g: object
     v: object
 
-    _vk: object = field(init=False, repr=False, compare=False)
-
     def __post_init__(self):
         # a callable v is kept as it is (jacobi_moment_symbolic's returns
         # Polys); any other v is read once, so a generator is read in full
-        object.__setattr__(self, "_vk", self.v if callable(self.v)
+        object.__setattr__(self, "v", self.v if callable(self.v)
                            else Specialization.of(self.v))
 
     def entry(self, i: int, j: int):
@@ -51,7 +49,7 @@ class JacobiOperator:
             return Fraction(1)
         if k < -1:
             return Fraction(0)
-        return self._vk(k)
+        return self.v(k)
 
 
 def plancherel_operator(g) -> JacobiOperator:

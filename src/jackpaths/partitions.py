@@ -181,14 +181,14 @@ def j_alpha(p: Partition, alpha) -> Fraction:
     return Fraction(num, q ** (2 * sum(parts)))
 
 
-def content_product(p: Partition, alpha, x, c) -> Fraction:
+def content_product(p: Partition, alpha, x, c):
     """J_p at the principal specialization p_k -> x c^{k-1}, by Stanley's
     alpha-content formula: the product over cells (i, j) of
-    x + c (alpha (j-1) - (i-1)).  At c = 0 it is x^|p|.
+    x + c (alpha (j-1) - (i-1)), for alpha, x and c ints or Fractions.
+    At c = 0 it is x^|p|, in the type of x; otherwise a Fraction.
 
     Over L = lcm(den x, den c * den alpha) every factor is an integer, so
     the product runs over ints and divides once."""
-    alpha, x, c = Fraction(alpha), Fraction(x), Fraction(c)
     size = sum(p.parts)
     if not c:
         return x ** size

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _kernels
-from .diagrams import StaircaseShape, corners, transition_measure
+from .diagrams import AnisotropicDiagram, StaircaseShape, corners
 from .ensembles import (Ensemble, JackPlancherel, _is_negative, _size,
                         ensemble_from_config)
 from .exactnum import parse_rational
@@ -40,12 +40,12 @@ def growth_transitions(lam: Partition, alpha):
     given by the transition-measure atoms of the width-alpha profile.  Its
     minima ascend with the addable rows taken bottom up, the first row
     last, so atom i adds a box to the i-th of those rows."""
-    tm = transition_measure(StaircaseShape(*corners(lam.parts, Fraction(alpha), 1)))
+    tm = AnisotropicDiagram(lam, alpha, 1).transition_measure()
     parts = list(lam.parts) + [0]
     rows = [r for r in range(len(parts) - 1, -1, -1)
             if r == 0 or parts[r - 1] > parts[r]]
     return [(Partition(parts[:r] + [parts[r] + 1] + parts[r + 1:-1]), mass)
-            for r, (_, mass) in zip(rows, tm.atoms)]
+            for r, (_, mass) in zip(rows, tm.atoms, strict=True)]
 
 
 def _chain_rule(step, d: int):

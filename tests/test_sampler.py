@@ -41,6 +41,10 @@ def test_growth_transitions_match_fixed_size_law():
     assert probs[Partition([1, 1])] == alpha / (1 + alpha)
     dist = growth_distribution(alpha, 4)
     assert dist == JackPlancherel(alpha, 4).masses()
+    for lam in (Partition(), Partition([2, 1])):
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="box dimensions must be positive"):
+                growth_transitions(lam, bad)
 
 
 def test_validate_growth_contract():
