@@ -210,7 +210,13 @@ def transition_measure(shape: StaircaseShape) -> DiscreteMeasure:
     den = math.lcm(*(x.denominator for x in xs), *(y.denominator for y in ys))
     big_x = [x.numerator * (den // x.denominator) for x in xs]
     big_y = [y.numerator * (den // y.denominator) for y in ys]
-    atoms = []
+    return DiscreteMeasure(zip(xs, _residues(big_x, big_y)))
+
+
+def _residues(big_x, big_y):
+    """The atom masses prod_j (X_i - Y_j) / prod_{j != i} (X_i - X_j), as
+    Fractions, of integer minima X_i and integer maxima Y_j, one fewer."""
+    masses = []
     for i, xi in enumerate(big_x):
         num = 1
         for yj in big_y:
@@ -219,8 +225,8 @@ def transition_measure(shape: StaircaseShape) -> DiscreteMeasure:
         for j, xj in enumerate(big_x):
             if j != i:
                 rest *= xi - xj
-        atoms.append((xs[i], Fraction(num, rest)))
-    return DiscreteMeasure(atoms)
+        masses.append(Fraction(num, rest))
+    return masses
 
 
 def boolean_numerators(parts, w, h, ell: int):

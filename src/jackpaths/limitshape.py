@@ -2,7 +2,8 @@
 Cauchy-transform functional equation, real-order Bessel evaluation,
 staircase corners (the Bessel order-zeros) as eigenvalues of the
 Plancherel operator, semi-infinite staircase construction, and truncated
-transition-measure atoms."""
+transition-measure atoms.  mpmath is loaded only by ``bessel_j*`` and by
+the corner searches with ``dps`` set, inside the functions that use it."""
 
 from __future__ import annotations
 
@@ -12,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import comb, isfinite
-
-import mpmath
 
 from .diagrams import DiscreteMeasure, StaircaseShape
 from .jack import Specialization
@@ -173,6 +172,8 @@ def bessel_j_mp(nu, x):
     """Bessel function of the first kind of real order as an mpmath float,
     from ``mpmath.besselj``, to BESSEL_DPS digits.  Working precision is
     raised above that to absorb the cancellation at negative orders."""
+    import mpmath
+
     if x <= 0:
         raise ValueError("x must be positive")
     work = BESSEL_DPS + 10 + (0 if nu >= 0 else int(1.5 * float(-nu)) + 10)
@@ -186,11 +187,13 @@ def bessel_j(nu: float, x: float) -> float:
 
 @dataclass
 class BesselZeroList:
-    """Increasing zeros, in the order variable, of nu -> J_{-z/|g|}(2/|g|)."""
+    """Increasing zeros, in the order variable, of nu -> J_{-z/|g|}(2/|g|),
+    bisected to the width ``precision``: tol, or 10^-dps as an mpmath float
+    when the search ran at dps digits."""
 
     g: Fraction
     zeros: list
-    precision: float
+    precision: object
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +249,17 @@ def _corner_scale(g, n: int, tol: float, dps: int | None):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if dps is None:
         return float(abs(g)), tol
+    import mpmath
+
     return mpmath.mpf(abs(g.numerator)) / g.denominator, mpmath.mpf(10) ** -dps
 
 
 def _working_precision(dps: int | None):
-    return nullcontext() if dps is None else mpmath.workdps(dps + 10)
+    if dps is None:
+        return nullcontext()
+    import mpmath
+
+    return mpmath.workdps(dps + 10)
 
 
 def bessel_order_zeros(g, n: int, tol: float = 1e-10,
@@ -268,7 +277,7 @@ def bessel_order_zeros(g, n: int, tol: float = 1e-10,
     with _working_precision(dps):
         ag, width = _corner_scale(g, n, tol, dps)
         zeros = [z for _, z in islice(_corners(ag, width), n)]
-    return BesselZeroList(Fraction(g), zeros, tol)
+    return BesselZeroList(Fraction(g), zeros, width)
 
 
 # ---------------------------------------------------------------------------

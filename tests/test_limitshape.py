@@ -261,6 +261,16 @@ def test_dps_zeros_match_an_80_digit_oracle(g, scan_oracle):
         assert all(abs(z - w) < mpmath.mpf("1e-28") for z, w in zip(zeros, want))
 
 
+def test_zero_list_records_the_bisection_width():
+    assert bessel_order_zeros(Fraction(-1, 4), 2).precision == 1e-10
+    zl = bessel_order_zeros(Fraction(-1, 4), 2, tol=1e-6)
+    assert zl.precision == 1e-6
+    zl = bessel_order_zeros(Fraction(-1, 4), 2, dps=30)
+    assert isinstance(zl.precision, mpmath.mpf)
+    with mpmath.workdps(80):
+        assert abs(zl.precision / mpmath.mpf("1e-30") - 1) < mpmath.mpf("1e-35")
+
+
 def test_dps_corners_are_exactly_g_apart():
     # the minima are carried at the maxima's precision, also when the caller
     # works at mpmath's default 15 digits

@@ -51,6 +51,25 @@ def test_validate_growth_contract():
     assert validate_growth()
 
 
+def test_growth_transitions_equal_the_transition_measure_route():
+    # the oracle: the Fraction-valued width-alpha profile's transition
+    # measure, its atoms paired with the addable rows taken bottom up
+    def via_measure(lam, alpha):
+        atoms = AnisotropicDiagram(lam, alpha, 1).transition_measure().atoms
+        parts = list(lam.parts) + [0]
+        rows = [r for r in range(len(parts) - 1, -1, -1)
+                if r == 0 or parts[r - 1] > parts[r]]
+        return [(Partition(parts[:r] + [parts[r] + 1] + parts[r + 1:-1]), mass)
+                for r, (_, mass) in zip(rows, atoms, strict=True)]
+
+    for alpha in (Fraction(1, 3), Fraction(5, 7), 1, 2, Fraction(7, 2)):
+        for d in range(10):
+            for lam in partitions_of(d):
+                law = growth_transitions(lam, alpha)
+                assert law == via_measure(lam, alpha), (lam, alpha)
+                assert all(type(mass) is Fraction for _, mass in law)
+
+
 def _ordered_ratio_masses(parts, alpha):
     """The O(m^2) oracle: every corner's mass from scratch as the ordered-
     ratio product prod (x_i - y_j) / prod (x_i - x_j), normalised.  Corner
@@ -214,19 +233,36 @@ def test_validate_growth_catches_a_wrong_kernel_mass(monkeypatch):
     assert validate_growth() is True
 
 
-@pytest.mark.skipif(kernels.HAVE_NUMBA, reason="numba brings numpy")
-def test_import_does_not_load_numpy_without_numba():
-    # the child imports the jackpaths that this process imported
+def _run_fresh(code: str):
+    """Run code in a fresh interpreter that imports the jackpaths this
+    process imported; fail with its stderr if it fails."""
     src = os.path.dirname(os.path.dirname(kernels.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, jackpaths, jackpaths.cli; "
-            "from jackpaths import _kernels; "
-            "assert _kernels.growth_draw_parts(30, 0.5, 1); "
-            "assert 'numpy' not in sys.modules, 'numpy was imported'")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+
+
+@pytest.mark.skipif(kernels.HAVE_NUMBA, reason="numba brings numpy")
+def test_import_does_not_load_numpy_without_numba():
+    _run_fresh("import sys, jackpaths, jackpaths.cli; "
+               "from jackpaths import _kernels; "
+               "assert _kernels.growth_draw_parts(30, 0.5, 1); "
+               "assert 'numpy' not in sys.modules, 'numpy was imported'")
+
+
+def test_mpmath_is_loaded_only_by_the_dps_and_bessel_paths():
+    _run_fresh("import sys\n"
+               "from fractions import Fraction\n"
+               "import jackpaths, jackpaths.cli, jackpaths.verify, jackpaths.sampler\n"
+               "from jackpaths.limitshape import bessel_order_zeros, plancherel_limit_shape\n"
+               "assert jackpaths.sampler.validate_growth()\n"
+               "plancherel_limit_shape(Fraction(-1, 4), 3)\n"
+               "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n"
+               "import mpmath\n"
+               "zeros = bessel_order_zeros(Fraction(-1, 4), 2, dps=30).zeros\n"
+               "assert all(isinstance(z, mpmath.mpf) for z in zeros), zeros\n")
 
 
 def test_numba_backend_code_under_a_stand_in_jit(monkeypatch):
