@@ -12,7 +12,8 @@ from fractions import Fraction
 
 from .exactnum import SqrtExt, alpha_half_power, parse_rational, sqrt_ext
 from .jack import Specialization, jack_basis, theta_coefficient, _factorial
-from .partitions import Partition, content_product, j_alpha, partitions_of
+from .partitions import (Partition, _cleared_content, content_product, j_alpha,
+                         partitions_of)
 
 
 class PositivityError(ValueError):
@@ -144,7 +145,7 @@ class Ensemble:
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if self.sized:
-            self.d = _size(d)
+            self.d = _size(d, "d")
 
     def mass(self, lam: Partition):
         raise NotImplementedError
@@ -172,15 +173,15 @@ class Ensemble:
                     raise PositivityError(f"{self.variant}: negative mass at {lam}")
 
 
-def _size(d) -> int:
-    """The size of a fixed-size ensemble, refused unless a nonnegative
+def _size(d, name: str) -> int:
+    """A size or degree d, refused (naming it ``name``) unless a nonnegative
     integer."""
     try:
         n = Fraction(d)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         n = None
     if n is None or n.denominator != 1 or n < 0:
-        raise ValueError(f"d must be a nonnegative integer, got {d}")
+        raise ValueError(f"{name} must be a nonnegative integer, got {d}")
     return int(n)
 
 
@@ -400,14 +401,20 @@ class JackThoma(JackMeasure):
 
     def support(self, D: int):
         """Yield (lam, rational_mass(lam)) for every nonzero mass with
-        |lam| <= D.
+        |lam| <= D; D must be a nonnegative integer.
 
-        In the principal form the mass is c^d times a product of cell
-        factors, so a diagram holding a zero cell stays zero in every larger
-        one: the support is a down-set of Young's lattice.  It is walked row
-        by row, and a row stops growing at its first zero mass.  Otherwise
+        In the principal form the mass is a product of cell factors, so a
+        diagram holding a zero cell stays zero in every larger one: the
+        support is a down-set of Young's lattice.  It is walked row by row,
+        each child one box (i, j) past its parent, and a row stops growing
+        at its first zero cell factor.  A child is priced from its parent in
+        ints: the content product gains the one cell factor, and j_alpha
+        q^(2|lam|) gains the new hook factors of row i (which telescope to
+        one pair) and of the i cells above the box, whose legs grow by one.
+        Only the root's mass comes from :meth:`rational_mass`.  Otherwise
         masses need not vanish on a down-set and every partition is visited.
         """
+        D = _size(D, "D")
         if self._principal is None:
             for d in range(D + 1):
                 for lam in partitions_of(d):
@@ -415,20 +422,37 @@ class JackThoma(JackMeasure):
                     if rm:
                         yield lam, rm
             return
+        a, q = self.alpha.numerator, self.alpha.denominator
+        v1, c = self._principal
+        L, base, scale = _cleared_content(self.alpha, self.u * v1, c)
+        # a partition of n has mass num / (den * hooks): hooks = q^(2n) j_alpha,
+        # den = (L u_den)^n, and each box multiplies num by its cleared cell
+        # factor (which is L times the cell's x + c (alpha j - i)) and u_num q^2
+        box_num, box_den = self.u.numerator * q * q, self.u.denominator * L
 
-        def below(rows, room):
-            # the support partitions that extend rows by further rows
-            for length in range(1, min(rows[-1] if rows else room, room) + 1):
-                lam = Partition(rows + (length,))
-                rm = self.rational_mass(lam)
-                if not rm:
+        def below(rows, room, num, den, hooks):
+            # the support partitions that extend rows by further rows, from
+            # the three ints of rows
+            i = len(rows)
+            start = base - scale * q * i
+            for j in range(min(rows[-1] if rows else room, room)):
+                factor = start + scale * a * j
+                if not factor:
                     break
-                yield lam, rm
-                yield from below(lam.parts, room - length)
+                old = new = 1
+                for r in range(i):  # the cells above the box: leg + 1
+                    x = a * (rows[r] - j - 1) + q * (i - r - 1)
+                    old *= (x + q) * (x + a)
+                    new *= (x + 2 * q) * (x + q + a)
+                num, den = num * factor * box_num, den * box_den
+                hooks = hooks // old * new * (a * j + q) * (a * j + a)
+                lam = Partition(rows + (j + 1,))
+                yield lam, Fraction(num, den * hooks)
+                yield from below(lam.parts, room - j - 1, num, den, hooks)
 
         empty = Partition()
         yield empty, self.rational_mass(empty)
-        yield from below((), D)
+        yield from below((), D, 1, 1, 1)
 
 
 def mass(ensemble: Ensemble, lam: Partition):
@@ -671,9 +695,17 @@ def poisson_expectation(alpha, u, v, observable, tail_eps,
     else:
         C, r = Fraction(growth_bound[0]), int(growth_bound[1])
     D = _truncation_degree(U, C, r, tail_eps, degree_cap)
-    total = Fraction(0)
+    # the products summed in ints over a common denominator M, raised to
+    # the lcm only when a term's denominator does not divide it
+    num, M = 0, 1
     for lam, rm in ensemble.support(D):
-        total += rm * Fraction(observable(lam))
+        ob = Fraction(observable(lam))
+        den = rm.denominator * ob.denominator
+        if M % den:
+            L = math.lcm(M, den)
+            num, M = num * (L // M), L
+        num += rm.numerator * ob.numerator * (M // den)
+    total = Fraction(num, M)
     bound, margin = _poisson_tail(U, D, C, r)
     return PoissonInterval(total, bound, margin, U, D)
 

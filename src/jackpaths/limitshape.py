@@ -7,6 +7,7 @@ the corner searches with ``dps`` set, inside the functions that use it."""
 
 from __future__ import annotations
 
+import sys
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -294,16 +295,21 @@ def plancherel_limit_shape(g, n_steps: int = 8, tol: float = 1e-10,
     order-zeros of ``bessel_order_zeros``); the g < 0 shape is the mirror
     image u -> -u.  Pass ``dps`` to carry the corners at that many digits
     (the deep corner gaps shrink below double precision exponentially
-    fast)."""
+    fast).  The staircase stops, with a RuntimeWarning, at the first gap
+    within 64 times the width the bisection reached, times the corner's
+    size when that is above 1."""
     g = Fraction(g)
     minima, maxima = [], []
     with _working_precision(dps):
         ag, width = _corner_scale(g, n_steps, tol, dps)
+        # the width the bisection reaches: 10^-dps, or in floats tol but
+        # never below the double spacing
+        reached = width if dps is not None else max(width, sys.float_info.epsilon)
         for lam, z in islice(_corners(ag, width), n_steps):
             # deep corners approach exact |g| spacing exponentially fast,
             # which makes consecutive ones coincide at finite precision;
             # truncate there
-            if maxima and lam - maxima[-1] <= 64 * tol * max(1.0, abs(z)):
+            if maxima and lam - maxima[-1] <= 64 * reached * max(1.0, abs(z)):
                 warnings.warn(f"staircase truncated to {len(maxima)} "
                               "resolvable corners", RuntimeWarning)
                 break

@@ -193,12 +193,20 @@ def content_product(p: Partition, alpha, x, c):
     if not c:
         return x ** size
     a, q = alpha.numerator, alpha.denominator
-    L = math.lcm(x.denominator, c.denominator * q)
-    base = x.numerator * (L // x.denominator)
-    scale = c.numerator * (L // (c.denominator * q))
+    L, base, scale = _cleared_content(alpha, x, c)
     num = 1
     for i, row in enumerate(p.parts):
         start = base - scale * q * i
         for j in range(row):
             num *= start + scale * a * j
     return Fraction(num, L ** size)
+
+
+def _cleared_content(alpha, x, c):
+    """(L, base, scale) with L = lcm(den x, den c * den alpha), so that
+    x + c (alpha j - i) = (base - scale q i + scale a j) / L for alpha = a/q
+    and all integers i, j."""
+    q = alpha.denominator
+    L = math.lcm(x.denominator, c.denominator * q)
+    base = x.numerator * (L // x.denominator)
+    return L, base, c.numerator * (L // (c.denominator * q))

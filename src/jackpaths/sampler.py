@@ -235,7 +235,7 @@ def run_sampler(config: dict, seed: int, count: int,
             raise ValueError(f"the growth method samples the plancherel "
                              f"variant only, not {variant!r}; use exact")
         alpha = parse_rational(config["alpha"])
-        d = _size(config["d"])
+        d = _size(config["d"], "d")
         run.backend = _kernels.BACKEND
         run.growth_validated = validate_growth()
         for i in range(count):

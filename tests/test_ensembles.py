@@ -11,8 +11,10 @@ from jackpaths.ensembles import (AsymptoticRegime, CharacterMeasure,
                                  character_measure, conditional_cumulant,
                                  conditional_thoma_character,
                                  ensemble_from_config, extended_character,
-                                 poisson_expectation, regime_sequences,
-                                 thoma_specialization, totally_positive_spec)
+                                 PoissonInterval, _poisson_tail,
+                                 _truncation_degree, poisson_expectation,
+                                 regime_sequences, thoma_specialization,
+                                 totally_positive_spec)
 from jackpaths.exactnum import SqrtExt
 from jackpaths.jack import Specialization, jack_basis
 from jackpaths.partitions import Partition, partitions_of
@@ -281,6 +283,60 @@ def test_support_is_the_nonzero_part_of_the_sweep(alpha, u, v):
     walked = list(ens.support(12))
     assert len(walked) == len(set(walked))
     assert set(walked) == _swept_support(ens, 12)
+    assert all(type(mass) is Fraction for _, mass in walked)
+
+
+def test_support_walk_prices_the_oracle_sets_at_the_suite_degrees():
+    from jackpaths.verify import ORACLE_PARAMETER_SETS
+
+    for (alpha, u, v, _), D, count in zip(ORACLE_PARAMETER_SETS, (24, 30, 30),
+                                          (7338, 2724, 1041)):
+        ens = JackThoma(alpha, u, v, check_positivity=False)
+        walked = list(ens.support(D))
+        assert len(walked) == count
+        assert walked == [(lam, ens.rational_mass(lam)) for lam, _ in walked]
+        assert all(type(mass) is Fraction for _, mass in walked)
+
+
+@pytest.mark.parametrize("alpha, u, v", [SUPPORT_SETS[1], SUPPORT_SETS[4]])
+@pytest.mark.parametrize("D", [-1, Fraction(5, 2), 2.5, None])
+def test_support_refuses_a_bad_degree(alpha, u, v, D):
+    ens = JackThoma(alpha, u, v, check_positivity=False)
+    with pytest.raises(ValueError, match=f"D must be a nonnegative integer, got {D}"):
+        list(ens.support(D))
+
+
+def _reference_expectation(alpha, u, v, observable, tail_eps, growth_bound):
+    # the sum one Fraction at a time, over the partitions of every size
+    ens = JackThoma(alpha, u, v, check_positivity=False)
+    C, r = Fraction(growth_bound[0]), growth_bound[1]
+    D = _truncation_degree(ens.exponent, C, r, Fraction(tail_eps))
+    total = Fraction(0)
+    for d in range(D + 1):
+        for lam in partitions_of(d):
+            total += ens.rational_mass(lam) * Fraction(observable(lam))
+    bound, margin = _poisson_tail(ens.exponent, D, C, r)
+    return PoissonInterval(total, bound, margin, ens.exponent, D)
+
+
+@pytest.mark.parametrize("alpha, u, v, observable, growth_bound, tail_eps", [
+    (Fraction(2), Fraction(2), SUPPORT_SETS[1][2],
+     lambda lam: lam.size() - 2 * lam.length(), (3, 1), Fraction(1, 10 ** 6)),
+    (Fraction(1, 2), Fraction(1), SUPPORT_SETS[2][2],
+     lambda lam: Fraction(lam.size(), 3) - Fraction(1, 7) * len(lam), (1, 1),
+     Fraction(1, 10 ** 6)),
+    # jack_basis stops at degree 12, which a non-principal v needs
+    (Fraction(2), Fraction(2), SUPPORT_SETS[4][2],
+     lambda lam: Fraction(lam.size() ** 2, 5), (Fraction(1, 5), 2),
+     Fraction(1, 10 ** 4)),
+])
+def test_poisson_expectation_equals_the_fraction_loop(alpha, u, v, observable,
+                                                      growth_bound, tail_eps):
+    got = poisson_expectation(alpha, u, v, observable, tail_eps,
+                              growth_bound=growth_bound)
+    want = _reference_expectation(alpha, u, v, observable, tail_eps, growth_bound)
+    assert got == want
+    assert type(got.rational_sum) is Fraction
 
 
 def test_support_walk_calls_mass_once_per_partition_and_pruned_child():

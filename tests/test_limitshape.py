@@ -237,6 +237,22 @@ def test_resolvable_corner_truncation(g, n, tol, keep):
         assert bool(caught) == (keep < n)
 
 
+def test_float_truncation_keeps_only_gaps_above_double_spacing():
+    # below double resolution the floats bisect to the spacing, not to tol:
+    # every gap kept must still be the gap of a 30-digit search
+    g = Fraction(1, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        floats = plancherel_limit_shape(g, n_steps=40, tol=1e-25)
+        digits = plancherel_limit_shape(g, n_steps=40, tol=1e-25, dps=30)
+    assert 1 < len(floats.minima) < len(digits.minima)
+    with mpmath.workdps(40):
+        for k in range(1, len(floats.minima)):
+            gap = floats.minima[k] - floats.maxima[k - 1]
+            want = digits.minima[k] - digits.maxima[k - 1]
+            assert abs(gap / want - 1) < 1e-3, k
+
+
 def _order_zeros_80_digits(g, zeros):
     """Each zero of z -> J_{-z/|g|}(2/|g|) refined by findroot at 80 digits
     with g exact, from a bracket of 1e-9 around a scan-oracle zero."""
