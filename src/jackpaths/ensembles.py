@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import SqrtExt, alpha_half_power, parse_rational, sqrt_ext
-from .jack import Specialization, jack_basis, theta_coefficient, _factorial
+from .jack import Specialization, jack_basis, _factorial
 from .partitions import (Partition, _cleared_content, content_product, j_alpha,
                          partitions_of)
 
@@ -162,12 +162,8 @@ class Ensemble:
     def validate_positivity(self):
         """Raise PositivityError if any mass within reach (up to
         POSITIVITY_DEGREE for a Poissonized ensemble) is negative."""
-        if self.d is not None:
-            for lam, m in self.masses().items():
-                if _is_negative(m):
-                    raise PositivityError(f"{self.variant}: negative mass at {lam}")
-            return
-        for dd in range(POSITIVITY_DEGREE + 1):
+        sizes = range(POSITIVITY_DEGREE + 1) if self.d is None else (self.d,)
+        for dd in sizes:
             for lam in partitions_of(dd):
                 if _is_negative(self.mass(lam)):
                     raise PositivityError(f"{self.variant}: negative mass at {lam}")
@@ -253,68 +249,75 @@ class ConditionalJackThoma(Ensemble):
         self._v = Specialization.of(v)
         if self._v(1) != 1:
             raise ValueError("conditional Thoma measures require v_1 = 1")
-        self._chi = None  # the table prod v_{mu_i}, built on first use
+        self._solver = None  # the masses of the table prod v_{mu_i}, on first use
 
     def mass(self, lam: Partition):
         self._check_domain(lam)
-        if self._chi is None:
-            self._chi = conditional_thoma_character(self._v, self.d)
-        return _character_mass(lam, self.alpha, self._chi)
+        if self._solver is None:
+            self._solver = _character_masses(
+                self.alpha, self.d, conditional_thoma_character(self._v, self.d))
+        return self._solver(lam)
 
 
 class CharacterMeasure(Ensemble):
-    """Measure whose normalized character table is chi, from the closed
-    form of :func:`_character_mass` (Jack orthogonality).  May be signed
-    when the table is not a true character."""
+    """Measure whose normalized character table is chi, a dict on the
+    partitions of d, from the closed form of :func:`_character_masses`
+    (Jack orthogonality).  May be signed when chi is not a true character."""
 
     variant = "character"
 
     def __init__(self, alpha, d: int, chi):
         super().__init__(alpha, d)
-        ones = Partition([1] * self.d)
+        missing = [mu for mu in partitions_of(self.d) if mu not in chi]
+        if missing:
+            raise ValueError(f"character table lacks the partition {missing[0]}")
         self.chi = {mu: chi[mu] for mu in partitions_of(self.d)}
-        if self.chi[ones] != 1:
+        if self.chi[Partition([1] * self.d)] != 1:
             raise ValueError("character tables must have chi(1^d) = 1")
         self._solution = self._solve()
 
     def _solve(self):
-        return {lam: _character_mass(lam, self.alpha, self.chi)
-                for lam in partitions_of(self.d)}
+        mass = _character_masses(self.alpha, self.d, self.chi)
+        return {lam: mass(lam) for lam in partitions_of(self.d)}
 
     def mass(self, lam: Partition):
         self._check_domain(lam)
         return self._solution[lam]
 
 
-def _character_mass(lam: Partition, alpha: Fraction, chi: dict):
-    """alpha^d d!/j_lam * sum_mu theta_mu(lam) chi(mu) alpha^{-w(mu)/2}: the
-    mass at lam of the measure with normalized character table chi (a dict
-    on the partitions of d = |lam|, values rational or in Q(sqrt(alpha))),
-    exact in Q(sqrt(alpha))."""
-    d = lam.size()
-    rat = irr = Fraction(0)  # the coefficients of 1 and of sqrt(alpha)
-    for mu in partitions_of(d):
-        th = theta_coefficient(lam, mu, alpha)
-        c = chi[mu]
-        if not th or not c:
-            continue
-        if isinstance(c, SqrtExt):
-            if c.alpha != alpha:
-                raise ValueError("character value from another extension")
-            ca, cb = c.a, c.b
-        else:
-            ca, cb = c, 0
-        # th * alpha^{-w/2} is h for even w and h * sqrt(alpha) for odd w
+def _character_masses(alpha: Fraction, d: int, chi: dict):
+    """lam -> alpha^d d!/j_lam sum_mu theta_mu(lam) chi(mu) alpha^{-w(mu)/2},
+    exact in Q(sqrt(alpha)): the masses on partitions of d of the measure of
+    normalized character table chi (values rational or in Q(sqrt(alpha))).
+    chi is cleared once to the ints x_mu, y_mu over one denominator D; a
+    mass is two integer dot products of x and y with the theta row of lam,
+    cleared over the lcm L of its denominators."""
+    split = {}
+    for mu, c in chi.items():
+        if isinstance(c, SqrtExt) and c.alpha != alpha:
+            raise ValueError("character value from another extension")
+        ca, cb = (c.a, c.b) if isinstance(c, SqrtExt) else (Fraction(c), 0)
+        # alpha^{-w/2} is h for even w and h * sqrt(alpha) for odd w
         w = mu.weight()
-        h = th * alpha ** -((w + 1) // 2)
-        if w % 2:
-            rat += h * cb * alpha
-            irr += h * ca
-        else:
-            rat += h * ca
-            irr += h * cb
-    pref = alpha ** d * _factorial(d) / j_alpha(lam, alpha)
-    return sqrt_ext(pref * rat, pref * irr, alpha)
+        h = alpha ** -((w + 1) // 2)
+        split[mu] = (cb * alpha * h, ca * h) if w % 2 else (ca * h, cb * h)
+    D = math.lcm(*(z.denominator for xy in split.values() for z in xy))
+    weight = {mu: (x.numerator * (D // x.denominator),
+                   y.numerator * (D // y.denominator)) for mu, (x, y) in split.items()}
+    basis, top = jack_basis(d, alpha), alpha ** d * _factorial(d)
+
+    def mass(lam: Partition):
+        terms = basis[lam].terms
+        L = math.lcm(*(t.denominator for t in terms.values()))
+        x = y = 0
+        for mu, t in terms.items():
+            t = t.numerator * (L // t.denominator)
+            x += t * weight[mu][0]
+            y += t * weight[mu][1]
+        pref = top / (j_alpha(lam, alpha) * L * D)
+        return sqrt_ext(pref * x, pref * y, alpha)
+
+    return mass
 
 
 # The Poisson exponent sums the interaction coefficients rho_1(p_k) rho_2(p_k)
@@ -360,11 +363,8 @@ class JackMeasure(Ensemble):
         out = [Fraction(0)] * (d + 1)
         out[0] = Fraction(1)
         for n in range(1, d + 1):
-            acc = Fraction(0)
-            for k, c in gen.items():
-                if k <= n:
-                    acc += k * c * out[n - k]
-            out[n] = acc / n
+            out[n] = sum((k * c * out[n - k] for k, c in gen.items() if k <= n),
+                         Fraction(0)) / n
         return out[d]
 
 
@@ -549,10 +549,8 @@ def conditional_cumulant(chi, parts, d: int | None = None):
     for pi in set_partitions(range(len(parts))):
         term = Fraction((-1) ** (len(pi) - 1) * _factorial(len(pi) - 1))
         for block in pi:
-            merged = Partition()
-            for b in block:
-                merged = merged.union(parts[b])
-            term *= chi(merged)
+            term *= chi(Partition(sorted((x for b in block for x in parts[b]),
+                                         reverse=True)))
         total += term
     return total
 

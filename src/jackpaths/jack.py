@@ -36,6 +36,13 @@ class PowerSumPoly:
         self.terms = clean
 
     @staticmethod
+    def _of(terms: dict) -> "PowerSumPoly":
+        """Wrap terms whose coefficients are already nonzero Fractions."""
+        out = PowerSumPoly.__new__(PowerSumPoly)
+        out.terms = terms
+        return out
+
+    @staticmethod
     def zero() -> "PowerSumPoly":
         return PowerSumPoly()
 
@@ -164,27 +171,27 @@ def hall_inner(f: PowerSumPoly, g: PowerSumPoly, alpha):
     return total
 
 
+@lru_cache(maxsize=None)
 def _powersum_in_monomials(d: int):
     """Expansion of every p_mu (|mu| = d) in the monomial basis of degree d,
-    as {mu: {nu: integer coeff}}."""
-    parts = partitions_of(d)
+    as {mu: {nu: integer coeff}}: p_mu = p_rest p_r, r the last part of mu,
+    with p_rest from the table of degree d - r; m_nu p_r sums m_kappa times
+    the count of w + r in kappa, r added to a part w of nu or appended (w = 0)."""
+    if not d:
+        return {Partition(): {Partition(): 1}}
+    key = {mu.parts: mu for mu in partitions_of(d)}
     out = {}
-    for mu in parts:
-        vec = {Partition(): 1}
-        for r in mu.parts:
-            nxt: dict = {}
-            for nu, c in vec.items():
-                # append a new part equal to r
-                cand = nu.union(Partition([r]))
-                nxt[cand] = nxt.get(cand, 0) + c * cand.multiplicity(r)
-                # or grow one existing distinct part value by r
-                for w in set(nu.parts):
-                    grown = list(nu.parts)
-                    grown.remove(w)
-                    cand = Partition(sorted(grown + [w + r], reverse=True))
-                    nxt[cand] = nxt.get(cand, 0) + c * cand.multiplicity(w + r)
-            vec = nxt
-        out[mu] = vec
+    for mu in partitions_of(d):
+        r = mu.parts[-1]
+        vec: dict = {}
+        for nu, c in _powersum_in_monomials(d - r)[Partition(mu.parts[:-1])].items():
+            padded = nu.parts + (0,)
+            for w in set(padded):
+                grown = list(padded)
+                grown[padded.index(w)] = w + r
+                kappa = tuple(sorted(filter(None, grown), reverse=True))
+                vec[kappa] = vec.get(kappa, 0) + c * kappa.count(w + r)
+        out[mu] = {key[kappa]: c for kappa, c in vec.items()}
     return out
 
 
@@ -293,8 +300,8 @@ def jack_basis(d: int, alpha):
     for k, lam in enumerate(parts):
         theta = _powersum_row(d, _monomial_row(d, k, a, q))
         lead = theta[0]  # the coefficient of p_{1^d}
-        basis[lam] = PowerSumPoly({mu: Fraction(t, lead)
-                                   for mu, t in zip(parts, theta) if t})
+        basis[lam] = PowerSumPoly._of({mu: Fraction(t, lead)
+                                       for mu, t in zip(parts, theta) if t})
     with _cache_lock:
         _basis_cache[key] = basis
     return basis
@@ -369,11 +376,8 @@ def omega_dual(f: PowerSumPoly, alpha) -> PowerSumPoly:
     """The automorphism p_r -> (-1)^{r-1} alpha^{-1} p_r extended
     multiplicatively over p-monomials."""
     alpha = Fraction(alpha)
-    out = {}
-    for mu, c in f.terms.items():
-        sign = -1 if mu.weight() % 2 else 1
-        out[mu] = c * sign * alpha ** (-mu.length())
-    return PowerSumPoly(out)
+    return PowerSumPoly({mu: c * (-1) ** mu.weight() * alpha ** -mu.length()
+                         for mu, c in f.terms.items()})
 
 
 def ns_apply(ell: int, f: PowerSumPoly, alpha) -> PowerSumPoly:
@@ -455,10 +459,7 @@ class Specialization:
         return Fraction(self.rule(k))
 
     def on_partition(self, mu: Partition) -> Fraction:
-        out = Fraction(1)
-        for part in mu.parts:
-            out *= self(part)
-        return out
+        return math.prod((self(part) for part in mu.parts), start=Fraction(1))
 
     def apply(self, f: PowerSumPoly) -> Fraction:
         return sum((c * self.on_partition(mu) for mu, c in f.terms.items()),

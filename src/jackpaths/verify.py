@@ -78,10 +78,10 @@ def boolean_products_observable(lengths, alpha, u):
     """Per-partition exact value of prod_i B_{l_i} of the (alpha/u, 1/u)
     rescaled diagram."""
     alpha, u = Fraction(alpha), Fraction(u)
-    top = max(lengths)
+    top, w, h = max(lengths), alpha / u, 1 / u
 
     def obs(lam: Partition):
-        nums, den = boolean_numerators(lam.parts, alpha / u, 1 / u, top)
+        nums, den = boolean_numerators(lam.parts, w, h, top)
         out = 1
         for ell in lengths:
             out *= nums[ell - 1]

@@ -242,6 +242,24 @@ def test_ensemble_from_config():
         ensemble_from_config({"variant": "nope", "alpha": "1"})
 
 
+def test_character_measure_refuses_a_table_missing_a_partition():
+    with pytest.raises(ValueError, match=r"lacks the partition Partition\(\[3\]\)"):
+        CharacterMeasure(2, 3, {Partition([1, 1, 1]): 1,
+                                Partition([2, 1]): Fraction(1, 2)})
+    with pytest.raises(ValueError, match=r"lacks the partition Partition\(\[3\]\)"):
+        ensemble_from_config({"variant": "character", "alpha": "2", "d": 3,
+                              "chi": {"1,1,1": "1", "2,1": "1/2"}})
+
+
+def test_character_measure_refuses_a_value_from_another_extension():
+    chi = {mu: Fraction(1) for mu in partitions_of(3)}
+    chi[Partition([2, 1])] = SqrtExt(0, 1, 3)
+    with pytest.raises(ValueError, match="another extension"):
+        CharacterMeasure(2, 3, chi)
+    chi[Partition([2, 1])] = SqrtExt(0, 1, 2)
+    assert sum(CharacterMeasure(2, 3, chi).masses().values()) == 1
+
+
 def test_normalized_character_expectation_identity():
     # E[Ch_mu] = d_(|mu|) * chi_d(mu) for the measure built from chi_d
     from jackpaths.jack import normalized_character

@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from jackpaths.ensembles import CharacterMeasure
-from jackpaths.exactnum import SqrtExt, alpha_half_power
+from jackpaths.ensembles import (CharacterMeasure, ConditionalJackThoma,
+                                 conditional_thoma_character)
+from jackpaths.exactnum import SqrtExt, alpha_half_power, sqrt_exact, sqrt_ext
 from jackpaths.jack import (PowerSumPoly, _monomial_row, _powersum_in_monomials,
                             _recursion_tables, hall_inner, jack_basis,
                             theta_coefficient)
-from jackpaths.partitions import Partition, _factorial, partitions_of
+from jackpaths.partitions import Partition, _factorial, j_alpha, partitions_of
 
 ALPHAS = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(2, 3),
           Fraction(3, 2), Fraction(7, 2), Fraction(1, 100)]
@@ -158,3 +159,111 @@ def test_character_measure_equals_dense_solve(alpha):
             want = dense_character_measure(alpha, d, chi)
             assert got == want, (alpha, d)
             assert all(type(got[lam]) is type(want[lam]) for lam in want)
+
+
+def direct_powersum_in_monomials(d):
+    """Every p_mu expanded directly, one part at a time: m_nu p_r adds
+    r as a new part or to one part value w of nu."""
+    out = {}
+    for mu in partitions_of(d):
+        vec = {Partition(): 1}
+        for r in mu.parts:
+            nxt = {}
+            for nu, c in vec.items():
+                cand = nu.union(Partition([r]))
+                nxt[cand] = nxt.get(cand, 0) + c * cand.multiplicity(r)
+                for w in set(nu.parts):
+                    grown = list(nu.parts)
+                    grown.remove(w)
+                    cand = Partition(sorted(grown + [w + r], reverse=True))
+                    nxt[cand] = nxt.get(cand, 0) + c * cand.multiplicity(w + r)
+            vec = nxt
+        out[mu] = vec
+    return out
+
+
+def test_powersum_table_by_one_part_equals_the_direct_expansion():
+    for d in range(0, 11):
+        got, want = _powersum_in_monomials(d), direct_powersum_in_monomials(d)
+        assert list(got) == list(partitions_of(d)), d
+        assert got == want, d
+        assert all(type(nu) is Partition and type(c) is int
+                   for row in got.values() for nu, c in row.items())
+
+
+def per_pair_character_mass(lam, alpha, chi):
+    """alpha^d d!/j_lam * sum_mu theta_mu(lam) chi(mu) alpha^{-w(mu)/2}, one
+    (lam, mu) pair at a time in Fractions, split over 1 and sqrt(alpha)."""
+    d = lam.size()
+    rat = irr = Fraction(0)
+    for mu in partitions_of(d):
+        th = theta_coefficient(lam, mu, alpha)
+        c = chi[mu]
+        if not th or not c:
+            continue
+        ca, cb = (c.a, c.b) if isinstance(c, SqrtExt) else (c, 0)
+        w = mu.weight()
+        h = th * alpha ** -((w + 1) // 2)
+        if w % 2:
+            rat += h * cb * alpha
+            irr += h * ca
+        else:
+            rat += h * ca
+            irr += h * cb
+    pref = alpha ** d * _factorial(d) / j_alpha(lam, alpha)
+    return sqrt_ext(pref * rat, pref * irr, alpha)
+
+
+V = [Fraction(1), Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5)]
+
+
+def _tables(alpha, d):
+    """A rational character table, a signed table that is no character and
+    one with values in Q(sqrt(alpha)), all with chi(1^d) = 1."""
+    rng = random.Random(f"tables:{alpha}:{d}")
+    ones = Partition([1] * d)
+    signed = {mu: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+              for mu in partitions_of(d)}
+    root = {mu: sqrt_ext(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                         Fraction(rng.randint(-3, 3), rng.randint(1, 4)), alpha)
+            for mu in partitions_of(d)}
+    signed[ones] = root[ones] = Fraction(1)
+    return {"character": conditional_thoma_character(V, d), "signed": signed,
+            "sqrt": root}
+
+
+def _assert_same_masses(got, want, label):
+    assert list(got) == list(want), label
+    for lam in want:
+        assert got[lam] == want[lam], (label, lam)
+        assert type(got[lam]) is type(want[lam]), (label, lam)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(2, 3), Fraction(3, 2), Fraction(1, 100),
+                                   Fraction(4)])
+def test_character_masses_equal_the_per_pair_closed_form(alpha):
+    kinds = set()
+    for d in range(0, 11):
+        for name, chi in _tables(alpha, d).items():
+            want = {lam: per_pair_character_mass(lam, alpha, chi)
+                    for lam in partitions_of(d)}
+            _assert_same_masses(CharacterMeasure(alpha, d, chi).masses(), want,
+                                (alpha, d, name))
+            if name == "character":
+                _assert_same_masses(ConditionalJackThoma(alpha, d, V).masses(),
+                                    want, (alpha, d, "conditional"))
+            kinds |= {type(m) for m in want.values()}
+    # at a square alpha (4 and 1/100) every mass collapses to a Fraction
+    assert kinds == ({Fraction} if sqrt_exact(alpha) else {Fraction, SqrtExt})
+
+
+@pytest.mark.parametrize("alpha", [Fraction(2, 3), Fraction(4)])
+def test_conditional_mass_before_masses(alpha):
+    d = 7
+    chi = conditional_thoma_character(V, d)
+    for lam in partitions_of(d)[::5]:
+        ens = ConditionalJackThoma(alpha, d, V)
+        first = ens.mass(lam)
+        assert first == per_pair_character_mass(lam, alpha, chi)
+        later = ens.masses()[lam]
+        assert first == later and type(first) is type(later)
