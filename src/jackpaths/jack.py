@@ -12,6 +12,7 @@ from functools import lru_cache
 
 from .exactnum import SqrtExt, alpha_half_power, format_rational
 from .partitions import Partition, falling_factorial, partitions_of, _factorial
+from .polynomials import _SparseTerms
 
 DEGREE_CAP = 12
 
@@ -19,49 +20,33 @@ _cache_lock = threading.Lock()
 _basis_cache: dict = {}
 
 
-class PowerSumPoly:
+class PowerSumPoly(_SparseTerms):
     """Element of Q[p_1, p_2, ...] stored as {exponent partition: coeff};
     the monomial p_mu is keyed by mu, the constant 1 by the empty partition.
-    Zero coefficients are never stored."""
+    The checking constructor reads an outside key as Partition(key).  Zero
+    coefficients are never stored."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for mu, coeff in dict(terms).items():
-                coeff = Fraction(coeff)
-                if coeff != 0:
-                    clean[mu] = coeff
-        self.terms = clean
-
-    @staticmethod
-    def _of(terms: dict) -> "PowerSumPoly":
-        """Wrap terms whose coefficients are already nonzero Fractions."""
-        out = PowerSumPoly.__new__(PowerSumPoly)
-        out.terms = terms
-        return out
+    __slots__ = ()
+    _key = staticmethod(Partition)
+    _join = staticmethod(Partition.union)
 
     @staticmethod
     def zero() -> "PowerSumPoly":
-        return PowerSumPoly()
+        return PowerSumPoly._of({})
 
     @staticmethod
     def one() -> "PowerSumPoly":
-        return PowerSumPoly({Partition(): Fraction(1)})
+        return PowerSumPoly._of({Partition(): Fraction(1)})
 
     @staticmethod
     def p(k: int) -> "PowerSumPoly":
         if k < 1:
             raise ValueError("p_k needs k >= 1")
-        return PowerSumPoly({Partition([k]): Fraction(1)})
+        return PowerSumPoly._of({Partition([k]): Fraction(1)})
 
     @staticmethod
     def monomial(mu: Partition, coeff=1) -> "PowerSumPoly":
-        return PowerSumPoly({mu: Fraction(coeff)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return PowerSumPoly({mu: coeff})
 
     def coefficient(self, mu: Partition) -> Fraction:
         return self.terms.get(mu, Fraction(0))
@@ -69,50 +54,10 @@ class PowerSumPoly:
     def degree(self) -> int:
         return max((mu.size() for mu in self.terms), default=0)
 
-    # -- ring ops ----------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, PowerSumPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for mu, c in other.terms.items():
-            acc = out.get(mu, Fraction(0)) + c
-            if acc:
-                out[mu] = acc
-            else:
-                out.pop(mu, None)
-        return PowerSumPoly(out)
-
-    def __sub__(self, other):
-        if not isinstance(other, PowerSumPoly):
-            return NotImplemented
-        return self + other.scale(-1)
-
     def scale(self, c) -> "PowerSumPoly":
         c = Fraction(c)
-        if c == 0:
-            return PowerSumPoly()
-        return PowerSumPoly({mu: coeff * c for mu, coeff in self.terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, PowerSumPoly):
-            return NotImplemented
-        out = {}
-        for mu, c1 in self.terms.items():
-            for nu, c2 in other.terms.items():
-                key = mu.union(nu)
-                acc = out.get(key, Fraction(0)) + c1 * c2
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-        return PowerSumPoly(out)
-
-    def __eq__(self, other):
-        return isinstance(other, PowerSumPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset((mu, c) for mu, c in self.terms.items()))
+        return PowerSumPoly._of({mu: coeff * c for mu, coeff in self.terms.items()}
+                                if c else {})
 
     # -- operators ---------------------------------------------------------
 
@@ -121,13 +66,11 @@ class PowerSumPoly:
         out = {}
         for mu, coeff in self.terms.items():
             m = mu.multiplicity(k)
-            if m == 0:
-                continue
-            reduced = list(mu.parts)
-            reduced.remove(k)
-            key = Partition(reduced)
-            out[key] = out.get(key, Fraction(0)) + coeff * m
-        return PowerSumPoly(out)
+            if m:
+                reduced = list(mu.parts)
+                reduced.remove(k)
+                out[Partition(reduced)] = coeff * m
+        return PowerSumPoly._of(out)
 
     def lower(self, k: int, alpha) -> "PowerSumPoly":
         """The annihilation operator p_{-k} = alpha*k*d/dp_k."""
@@ -376,8 +319,8 @@ def omega_dual(f: PowerSumPoly, alpha) -> PowerSumPoly:
     """The automorphism p_r -> (-1)^{r-1} alpha^{-1} p_r extended
     multiplicatively over p-monomials."""
     alpha = Fraction(alpha)
-    return PowerSumPoly({mu: c * (-1) ** mu.weight() * alpha ** -mu.length()
-                         for mu, c in f.terms.items()})
+    return PowerSumPoly._of({mu: c * (-1) ** mu.weight() * alpha ** -mu.length()
+                             for mu, c in f.terms.items()})
 
 
 def ns_apply(ell: int, f: PowerSumPoly, alpha) -> PowerSumPoly:

@@ -3,7 +3,8 @@
 Monomials are tuples of (variable, exponent) pairs sorted by variable name;
 coefficients are Fractions.  This is the carrier for the symbolic forms of
 all asymptotic path formulas (variables "g", "gp", "v2", "v3", ...), with
-numeric evaluation as a thin layer on top.
+numeric evaluation as a thin layer on top.  Its term storage and ring
+arithmetic (:class:`_SparseTerms`) also carry ``jack.PowerSumPoly``.
 """
 
 from __future__ import annotations
@@ -17,66 +18,60 @@ Monomial = tuple  # tuple[tuple[str, int], ...]
 _EMPTY: Monomial = ()
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    d = dict(m1)
-    for var, exp in m2:
-        d[var] = d.get(var, 0) + exp
-    return tuple(sorted((v, e) for v, e in d.items() if e != 0))
+def _normal_monomial(pairs) -> Monomial:
+    """(variable, exponent) pairs sorted by variable, a repeated variable's
+    exponents added and zero exponents dropped; a negative one is refused."""
+    exps = {}
+    for var, exp in pairs:
+        if exp < 0:
+            raise ValueError(f"negative exponent {exp} of {var}")
+        exps[var] = exps.get(var, 0) + exp
+    return tuple(sorted((v, e) for v, e in exps.items() if e))
 
 
-class Poly:
-    """Immutable sparse polynomial over Q."""
+class _SparseTerms:
+    """The storage and ring arithmetic shared by :class:`Poly` and
+    ``jack.PowerSumPoly``: ``terms`` maps a normalised monomial key to a
+    nonzero Fraction.  A subclass sets ``_key`` (outside key -> normalised
+    key) and ``_join`` (the key of a product of two monomials).  The checking
+    constructor is for outside input; every ring result is wrapped by
+    :meth:`_of`, which trusts its terms."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         clean = {}
-        if terms:
-            for mono, coeff in dict(terms).items():
-                coeff = Fraction(coeff)
-                if coeff != 0:
-                    clean[tuple(sorted(mono))] = coeff
-        self.terms = clean
+        for key, coeff in dict(terms or {}).items():
+            key = self._key(key)
+            clean[key] = clean.get(key, 0) + Fraction(coeff)
+        self.terms = {key: c for key, c in clean.items() if c}
 
-    # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def const(c) -> "Poly":
-        c = Fraction(c)
-        return Poly({_EMPTY: c} if c else {})
-
-    @staticmethod
-    def var(name: str, exp: int = 1) -> "Poly":
-        if exp == 0:
-            return Poly.const(1)
-        return Poly({((name, exp),): Fraction(1)})
-
-    # -- ring operations --------------------------------------------------
+    @classmethod
+    def _of(cls, terms: dict):
+        """Wrap terms whose keys are normalised and whose coefficients are
+        nonzero Fractions."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
 
     def _coerce(self, other):
-        if isinstance(other, Poly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Poly.const(other)
-        return None
+        return other if isinstance(other, type(self)) else None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = out.get(mono, Fraction(0)) + coeff
+        for key, coeff in other.terms.items():
+            acc = out.get(key, 0) + coeff
             if acc:
-                out[mono] = acc
+                out[key] = acc
             else:
-                out.pop(mono, None)
-        return Poly(out)
-
-    __radd__ = __add__
+                del out[key]
+        return self._of(out)
 
     def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()})
+        return self._of({key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -84,37 +79,21 @@ class Poly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        join = self._join
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                acc = out.get(mono, Fraction(0)) + c1 * c2
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                key = join(k1, k2)
+                acc = out.get(key, 0) + c1 * c2
                 if acc:
-                    out[mono] = acc
+                    out[key] = acc
                 else:
-                    out.pop(mono, None)
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = Poly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+                    del out[key]
+        return self._of(out)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -128,22 +107,65 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
+
+class Poly(_SparseTerms):
+    """Immutable sparse polynomial over Q."""
+
+    __slots__ = ()
+    _key = staticmethod(_normal_monomial)
+    _join = staticmethod(lambda m1, m2: _normal_monomial(m1 + m2))
+
+    # -- constructors ---------------------------------------------------
+
+    @staticmethod
+    def const(c) -> "Poly":
+        c = Fraction(c)
+        return Poly._of({_EMPTY: c} if c else {})
+
+    @staticmethod
+    def var(name: str, exp: int = 1) -> "Poly":
+        return Poly._of({_normal_monomial(((name, exp),)): Fraction(1)})
+
+    # -- ring operations --------------------------------------------------
+    # perfbench/layers.py traces these in Poly's own namespace.
+
+    def _coerce(self, other):
+        if isinstance(other, Poly):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return Poly.const(other)
+        return None
+
+    __add__ = __radd__ = _SparseTerms.__add__
+    __neg__ = _SparseTerms.__neg__
+    __sub__ = _SparseTerms.__sub__
+    __mul__ = __rmul__ = _SparseTerms.__mul__
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        out = Poly.const(1)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
     # -- calculus and evaluation ------------------------------------------
 
     def derivative(self, name: str) -> "Poly":
         out = {}
         for mono, coeff in self.terms.items():
-            d = dict(mono)
-            exp = d.get(name, 0)
-            if exp == 0:
-                continue
-            if exp == 1:
-                d.pop(name)
-            else:
-                d[name] = exp - 1
-            new = tuple(sorted(d.items()))
-            out[new] = out.get(new, Fraction(0)) + coeff * exp
-        return Poly(out)
+            exp = dict(mono).get(name, 0)
+            if exp:
+                lowered = ((v, e - 1) if v == name else (v, e) for v, e in mono)
+                out[tuple((v, e) for v, e in lowered if e)] = coeff * exp
+        return Poly._of(out)
 
     def subs(self, assignment: dict) -> "Poly":
         """Substitute variables (values may be Fractions or Polys)."""

@@ -10,6 +10,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import layers  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
+from jackpaths.jack import PowerSumPoly  # noqa: E402
+from jackpaths.polynomials import Poly  # noqa: E402
+
 
 def test_every_benchmark_target_is_wrapped_and_restored():
     targets = layers.targets()
@@ -29,3 +32,9 @@ def test_every_benchmark_target_is_wrapped_and_restored():
         tracer.uninstall()
     for owner, before in owners.values():
         assert vars(owner) == before
+
+
+def test_power_sums_are_not_polys():
+    # perfbench/ops.canon tests isinstance(x, Poly) before PowerSumPoly, so a
+    # PowerSumPoly that were a Poly would change the `characters` digests.
+    assert not issubclass(PowerSumPoly, Poly)
