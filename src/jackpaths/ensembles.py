@@ -9,11 +9,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
 
 from .exactnum import SqrtExt, alpha_half_power, parse_rational, sqrt_ext
 from .jack import Specialization, jack_basis, _factorial
 from .partitions import (Partition, _cleared_content, content_product, j_alpha,
                          partitions_of)
+from .series import joint_cumulant
 
 
 class PositivityError(ValueError):
@@ -189,6 +191,15 @@ def _is_negative(value) -> bool:
     return value < 0
 
 
+def _conditioned_principal(lam: Partition, alpha: Fraction, ratio) -> Fraction:
+    """The mass alpha^d d! J_lam(p_k -> ratio^{k-1}) / j_lam, d = |lam|, of the
+    principal Jack-Thoma measure of v_k = ratio^{k-1} conditioned on size d
+    (:func:`content_product` is 1 at ratio 0)."""
+    d = lam.size()
+    return (alpha ** d * _factorial(d) * content_product(lam, alpha, 1, ratio)
+            / j_alpha(lam, alpha))
+
+
 class JackPlancherel(Ensemble):
     """Mass alpha^d d! / j_lambda on partitions of d: the Jack-Thoma
     measure JackThoma(alpha, u, [1]) conditioned on |lambda| = d."""
@@ -197,7 +208,7 @@ class JackPlancherel(Ensemble):
 
     def mass(self, lam: Partition) -> Fraction:
         self._check_domain(lam)
-        return self.alpha ** self.d * _factorial(self.d) / j_alpha(lam, self.alpha)
+        return _conditioned_principal(lam, self.alpha, 0)
 
 
 class JackSchurWeyl(Ensemble):
@@ -218,15 +229,8 @@ class JackSchurWeyl(Ensemble):
 
     def mass(self, lam: Partition) -> Fraction:
         self._check_domain(lam)
-        alpha, K, d = self.alpha, self.K, self.d
-        # cell factors K + (j - 1) alpha - (i - 1), resp. (K + 1 - j) alpha
-        # + (i - 1) in the dual orientation: J_lam at p_k -> K, resp. at
-        # p_k -> alpha K (-1)^{k-1}
-        if self.dual:
-            prod = content_product(lam, alpha, alpha * K, -1)
-        else:
-            prod = alpha ** d * content_product(lam, alpha, K, 1)
-        return _factorial(d) * prod / (Fraction(K) ** d * j_alpha(lam, alpha))
+        ratio = -1 / (self.alpha * self.K) if self.dual else Fraction(1, self.K)
+        return _conditioned_principal(lam, self.alpha, ratio)
 
     def character(self, mu: Partition):
         """The multiplicative character N^{-w(mu)} in Q(sqrt(alpha))."""
@@ -237,32 +241,10 @@ class JackSchurWeyl(Ensemble):
         return alpha_half_power(self.alpha, w) * Fraction(1, self.K ** w)
 
 
-class ConditionalJackThoma(Ensemble):
-    """The Thoma measure conditioned on |lambda| = d; requires v_1 = 1.
-    Masses are exact in Q(sqrt(alpha)): the character measure of the
-    table chi(mu) = prod v_{mu_i}."""
-
-    variant = "conditional_thoma"
-
-    def __init__(self, alpha, d: int, v):
-        super().__init__(alpha, d)
-        self._v = Specialization.of(v)
-        if self._v(1) != 1:
-            raise ValueError("conditional Thoma measures require v_1 = 1")
-        self._solver = None  # the masses of the table prod v_{mu_i}, on first use
-
-    def mass(self, lam: Partition):
-        self._check_domain(lam)
-        if self._solver is None:
-            self._solver = _character_masses(
-                self.alpha, self.d, conditional_thoma_character(self._v, self.d))
-        return self._solver(lam)
-
-
 class CharacterMeasure(Ensemble):
     """Measure whose normalized character table is chi, a dict on the
-    partitions of d, from the closed form of :func:`_character_masses`
-    (Jack orthogonality).  May be signed when chi is not a true character."""
+    partitions of d, from the closed form of :meth:`_solve` (Jack
+    orthogonality).  May be signed when chi is not a true character."""
 
     variant = "character"
 
@@ -277,47 +259,62 @@ class CharacterMeasure(Ensemble):
         self._solution = self._solve()
 
     def _solve(self):
-        mass = _character_masses(self.alpha, self.d, self.chi)
-        return {lam: mass(lam) for lam in partitions_of(self.d)}
+        """{lam: alpha^d d!/j_lam sum_mu theta_mu(lam) chi(mu) alpha^{-w(mu)/2}},
+        exact in Q(sqrt(alpha)) (chi's values are rational or in
+        Q(sqrt(alpha))).  chi is cleared once to the ints x_mu, y_mu over one
+        denominator D; a mass is two integer dot products of x and y with
+        the theta row of lam, cleared over the lcm L of its denominators."""
+        alpha, d = self.alpha, self.d
+        split = {}
+        for mu, c in self.chi.items():
+            if isinstance(c, SqrtExt) and c.alpha != alpha:
+                raise ValueError("character value from another extension")
+            ca, cb = (c.a, c.b) if isinstance(c, SqrtExt) else (Fraction(c), 0)
+            # alpha^{-w/2} is h for even w and h * sqrt(alpha) for odd w
+            w = mu.weight()
+            h = alpha ** -((w + 1) // 2)
+            split[mu] = (cb * alpha * h, ca * h) if w % 2 else (ca * h, cb * h)
+        D = math.lcm(*(z.denominator for xy in split.values() for z in xy))
+        weight = {mu: (x.numerator * (D // x.denominator),
+                       y.numerator * (D // y.denominator))
+                  for mu, (x, y) in split.items()}
+        basis, top = jack_basis(d, alpha), alpha ** d * _factorial(d)
+        solution = {}
+        for lam in partitions_of(d):
+            terms = basis[lam].terms
+            L = math.lcm(*(t.denominator for t in terms.values()))
+            x = y = 0
+            for mu, t in terms.items():
+                t = t.numerator * (L // t.denominator)
+                x += t * weight[mu][0]
+                y += t * weight[mu][1]
+            pref = top / (j_alpha(lam, alpha) * L * D)
+            solution[lam] = sqrt_ext(pref * x, pref * y, alpha)
+        return solution
 
     def mass(self, lam: Partition):
         self._check_domain(lam)
         return self._solution[lam]
 
 
-def _character_masses(alpha: Fraction, d: int, chi: dict):
-    """lam -> alpha^d d!/j_lam sum_mu theta_mu(lam) chi(mu) alpha^{-w(mu)/2},
-    exact in Q(sqrt(alpha)): the masses on partitions of d of the measure of
-    normalized character table chi (values rational or in Q(sqrt(alpha))).
-    chi is cleared once to the ints x_mu, y_mu over one denominator D; a
-    mass is two integer dot products of x and y with the theta row of lam,
-    cleared over the lcm L of its denominators."""
-    split = {}
-    for mu, c in chi.items():
-        if isinstance(c, SqrtExt) and c.alpha != alpha:
-            raise ValueError("character value from another extension")
-        ca, cb = (c.a, c.b) if isinstance(c, SqrtExt) else (Fraction(c), 0)
-        # alpha^{-w/2} is h for even w and h * sqrt(alpha) for odd w
-        w = mu.weight()
-        h = alpha ** -((w + 1) // 2)
-        split[mu] = (cb * alpha * h, ca * h) if w % 2 else (ca * h, cb * h)
-    D = math.lcm(*(z.denominator for xy in split.values() for z in xy))
-    weight = {mu: (x.numerator * (D // x.denominator),
-                   y.numerator * (D // y.denominator)) for mu, (x, y) in split.items()}
-    basis, top = jack_basis(d, alpha), alpha ** d * _factorial(d)
+class ConditionalJackThoma(CharacterMeasure):
+    """The Thoma measure conditioned on |lambda| = d; requires v_1 = 1.
+    Masses are exact in Q(sqrt(alpha)): the character measure of the
+    table chi(mu) = prod v_{mu_i}."""
 
-    def mass(lam: Partition):
-        terms = basis[lam].terms
-        L = math.lcm(*(t.denominator for t in terms.values()))
-        x = y = 0
-        for mu, t in terms.items():
-            t = t.numerator * (L // t.denominator)
-            x += t * weight[mu][0]
-            y += t * weight[mu][1]
-        pref = top / (j_alpha(lam, alpha) * L * D)
-        return sqrt_ext(pref * x, pref * y, alpha)
+    variant = "conditional_thoma"
 
-    return mass
+    def __init__(self, alpha, d: int, v):
+        Ensemble.__init__(self, alpha, d)  # the table and masses wait for mass()
+        self._v = Specialization.of(v)
+        if self._v(1) != 1:
+            raise ValueError("conditional Thoma measures require v_1 = 1")
+
+    chi = cached_property(lambda self: conditional_thoma_character(self._v, self.d))
+    _solution = cached_property(lambda self: self._solve())
+
+    # perfbench/layers.py traces this name in the class's own namespace
+    mass = CharacterMeasure.mass
 
 
 # The Poisson exponent sums the interaction coefficients rho_1(p_k) rho_2(p_k)
@@ -537,22 +534,15 @@ def regime_sequences(regime: AsymptoticRegime, d: int):
 
 def conditional_cumulant(chi, parts, d: int | None = None):
     """kappa_n of the partitions under the extended character chi (a callable
-    on Partition), via the set-partition Moebius expansion
-    sum_pi (-1)^{|pi|-1}(|pi|-1)! prod_B chi(union of the block)."""
-    from .paths import set_partitions
-
+    on Partition): the joint cumulant (:func:`series.joint_cumulant`) whose
+    moment of some of the parts is chi of their union; a Fraction, also for
+    an int table, or a SqrtExt for a table in Q(sqrt(alpha))."""
     parts = [p if isinstance(p, Partition) else Partition(p) for p in parts]
     total_size = sum(p.size() for p in parts)
     if d is not None and total_size > d:
         raise ValueError(f"total size {total_size} exceeds character domain {d}")
-    total = Fraction(0)
-    for pi in set_partitions(range(len(parts))):
-        term = Fraction((-1) ** (len(pi) - 1) * _factorial(len(pi) - 1))
-        for block in pi:
-            term *= chi(Partition(sorted((x for b in block for x in parts[b]),
-                                         reverse=True)))
-        total += term
-    return total
+    return Fraction(0) + joint_cumulant(
+        parts, lambda sub: chi(reduce(Partition.union, sub)))
 
 
 def extended_character(table: dict, d: int):
@@ -655,23 +645,25 @@ def _boolean_growth_constant(alpha, u, lengths) -> Fraction:
     return C
 
 
-def _truncation_degree(U: Fraction, C: Fraction, r: int, tail_eps,
-                       degree_cap: int = 60) -> int:
+# the Poisson oracle's truncation degree may not pass this size
+TRUNCATION_CAP = 60
+
+
+def _truncation_degree(U: Fraction, C: Fraction, r: int, tail_eps) -> int:
     """The first degree D = max(4, ceil(2U)), +2, +4, ... whose certified
     tail bound (see :func:`_poisson_tail`) is at most tail_eps; raises
-    ArithmeticError once D passes ``degree_cap``."""
+    ArithmeticError once D passes ``TRUNCATION_CAP``."""
     D = max(4, int(math.ceil(2 * float(U))))
     while _poisson_tail(U, D, C, r)[0] > tail_eps:
         D += 2
-        if D > degree_cap:
+        if D > TRUNCATION_CAP:
             raise ArithmeticError(
-                f"tail target {tail_eps} unreachable below degree {degree_cap}")
+                f"tail target {tail_eps} unreachable below degree {TRUNCATION_CAP}")
     return D
 
 
 def poisson_expectation(alpha, u, v, observable, tail_eps,
-                        growth_bound=None, degree_cap: int = 60,
-                        lengths_hint=None) -> PoissonInterval:
+                        growth_bound=None, lengths_hint=None) -> PoissonInterval:
     """Brute-force oracle: sum mass * observable over the support of the
     measure up to a truncation degree chosen so the certified tail is below
     tail_eps.
@@ -692,7 +684,7 @@ def poisson_expectation(alpha, u, v, observable, tail_eps,
         C, r = _boolean_growth_constant(alpha, u, lengths_hint), sum(lengths_hint)
     else:
         C, r = Fraction(growth_bound[0]), int(growth_bound[1])
-    D = _truncation_degree(U, C, r, tail_eps, degree_cap)
+    D = _truncation_degree(U, C, r, tail_eps)
     # the products summed in ints over a common denominator M, raised to
     # the lcm only when a term's denominator does not divide it
     num, M = 0, 1

@@ -7,12 +7,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import lcm
 
 from .exactnum import sqrt_exact
 from .jack import Specialization
 from .polynomials import Poly
+from .series import joint_cumulant
 
 RIBBON_CAP = 14  # largest total length the ribbon enumeration oracle lists
 
@@ -578,7 +579,7 @@ def _luk_transfer(ell: int) -> dict:
 
 
 def _monomial(key: int, base: int) -> tuple:
-    """Decode a :func:`_luk_transfer` key into a Poly monomial."""
+    """Decode a :func:`_luk_transfer` key into a normal Poly monomial."""
     key, e = divmod(key, base)
     mono = [("g", e)] if e else []
     j = 1
@@ -587,7 +588,14 @@ def _monomial(key: int, base: int) -> tuple:
         if e:
             mono.append((f"v{j}", e))
         j += 1
-    return tuple(mono)
+    return tuple(sorted(mono))
+
+
+def _at(poly: Poly, g, v) -> Fraction:
+    """The value of a polynomial in g and v1, v2, ... at g and v_k = v(k)."""
+    assignment = {name: v(int(name[1:])) for name in poly.variables() - {"g"}}
+    assignment["g"] = Fraction(g)
+    return poly.evaluate(assignment)
 
 
 @lru_cache(maxsize=None)
@@ -600,7 +608,9 @@ def limit_moment_poly(ell: int) -> Poly:
     for table in _luk_transfer(ell).values():
         for key, c in table.items():
             total[key] = total.get(key, 0) + c
-    return Poly({_monomial(key, ell + 1): c for key, c in total.items()})
+    # every coefficient counts paths with positive weights, so none is 0
+    return Poly._of({_monomial(key, ell + 1): Fraction(c)
+                     for key, c in total.items()})
 
 
 def limit_moment(ell: int, g, v):
@@ -608,12 +618,7 @@ def limit_moment(ell: int, g, v):
     if ell < 1:
         raise ValueError("ell must be >= 1")
     v = Specialization.of(v)
-    assignment = {"g": Fraction(g)}
-    poly = limit_moment_poly(ell)
-    for name in poly.variables():
-        if name.startswith("v"):
-            assignment[name] = v(int(name[1:]))
-    return _v1_half_power(v, ell) * poly.evaluate(assignment)
+    return _v1_half_power(v, ell) * _at(limit_moment_poly(ell), g, v)
 
 
 @lru_cache(maxsize=None)
@@ -628,8 +633,8 @@ def shape_sum_poly(ell: int) -> Poly:
     for k, table in tables.items():
         for key, c in table.items():
             total[key] = total.get(key, 0) + c * (den // k)
-    return Poly({_monomial(key, ell + 1): Fraction(c, den)
-                 for key, c in total.items()})
+    return Poly._of({_monomial(key, ell + 1): Fraction(c, den)
+                     for key, c in total.items()})
 
 
 def moment_duality_check(ell: int) -> bool:
@@ -772,33 +777,15 @@ def finite_cumulant_s(lengths, alpha, u, v):
     ribbon sum with per-site 1/|S^0| weights.  A ribbon splits into connected
     ribbons on the blocks of sites its pairings join, so this is the
     set-partition (Moebius) inversion of :func:`finite_moment_s` over the
-    sub-tuples, taken in site order.  It runs over the block B of the first
-    site: kappa(S) = m(S) - sum over B != S of kappa(B) m(S minus B)."""
+    sub-tuples, taken in site order: :func:`series.joint_cumulant`."""
     lengths = _lengths_tuple(lengths)
     a, b = _finite_weights(alpha, u)
-    v = Specialization.of(v)
-    moments, cumulants = {(): Fraction(1)}, {}
-
-    def moment(sub):
-        if sub not in moments:
-            moments[sub] = _ribbon_transfer(sub, a, b, v, by_returns=True)
-        return moments[sub]
-
-    def cumulant(sub):
-        if sub not in cumulants:
-            first, rest = sub[0], sub[1:]
-            total = moment(sub)
-            for mask in range(2 ** len(rest) - 1):
-                block = [first] + [x for i, x in enumerate(rest) if mask >> i & 1]
-                others = [x for i, x in enumerate(rest) if not mask >> i & 1]
-                total -= cumulant(tuple(block)) * moment(tuple(others))
-            cumulants[sub] = total
-        return cumulants[sub]
-
-    moment(lengths)  # first, as it checks the length limit
+    moment = partial(_ribbon_transfer, a=a, b=b, v=Specialization.of(v),
+                     by_returns=True)
     if 1 in lengths:  # a site of length 1 has no excursion: every term is 0
+        moment(lengths)  # which still refuses a total above the length limit
         return Fraction(0)
-    return cumulant(lengths)
+    return joint_cumulant(lengths, moment)
 
 
 def finite_moment_s(lengths, alpha, u, v):
@@ -835,13 +822,8 @@ def clt_mean(ell: int, g, gp, v):
     if ell < 2:
         raise ValueError("ell must be >= 2")
     v = Specialization.of(v)
-    poly = shape_sum_poly(ell).derivative("g")
-    assignment = {"g": Fraction(g)}
-    for name in poly.variables():
-        if name.startswith("v"):
-            assignment[name] = v(int(name[1:]))
     return (_v1_half_power(v, ell) * Fraction(gp)
-            * poly.evaluate(assignment) / (ell - 1))
+            * _at(shape_sum_poly(ell).derivative("g"), g, v) / (ell - 1))
 
 
 def clt_cov(k: int, l: int, g, v):
@@ -867,17 +849,11 @@ def afp_mean(ell: int, g, gp, v, vp):
         raise ValueError("afp formulas require v_1 = 1")
     base = shape_sum_poly(ell)
     acc = Poly.const(Fraction(gp)) * base.derivative("g")
-    for name in base.variables():
-        if name.startswith("v") and name != "v1":
-            i = int(name[1:])
-            vpi = vp(i)
-            if vpi:
-                acc = acc + Poly.const(vpi) * base.derivative(name)
-    assignment = {"g": Fraction(g)}
-    for name in acc.variables():
-        if name.startswith("v"):
-            assignment[name] = v(int(name[1:]))
-    return acc.evaluate(assignment) / (ell - 1)
+    for name in base.variables() - {"g", "v1"}:
+        vpi = vp(int(name[1:]))
+        if vpi:
+            acc = acc + Poly.const(vpi) * base.derivative(name)
+    return _at(acc, g, v) / (ell - 1)
 
 
 def _vkl_lookup(vkl, x: int, y: int):
@@ -899,14 +875,11 @@ def _marked_site_sums(ell: int, g, v) -> dict:
     Every down has degree 1, so a path with e_n up steps of degree n has
     sum_n n*e_n downs."""
     poly = shape_sum_poly(ell)
-    vs = {name: v(int(name[1:]))
-          for name in poly.variables() if name.startswith("v")}
-    assignment = {"g": g, **vs}
     out = {-1: Fraction(0)}
-    for name, vn in vs.items():
+    for name in poly.variables() - {"g"}:
         n = int(name[1:])
-        out[n] = poly.derivative(name).evaluate(assignment)
-        out[-1] += n * vn * out[n]
+        out[n] = _at(poly.derivative(name), g, v)
+        out[-1] += n * v(n) * out[n]
     return out
 
 

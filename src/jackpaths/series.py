@@ -1,11 +1,12 @@
-"""Truncated power-series arithmetic over exact rationals, and the
-moment / Boolean-cumulant / free-cumulant / shape-functional transforms
-defined through Cauchy-transform generating functions."""
+"""Truncated power-series arithmetic over exact rationals, the moment /
+Boolean-cumulant / free-cumulant / shape-functional transforms defined
+through Cauchy-transform generating functions, and joint cumulants."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 
 
 def series_mul(a, b, order):
@@ -122,3 +123,27 @@ def moments_from_free(cumulants):
             acc += moments[m] * powers[m][ell - m]
         moments[ell] = -acc
     return moments[1:]
+
+
+def joint_cumulant(items, moment):
+    """The joint cumulant kappa(S) of the tuple S = items from the joint
+    moments moment(sub) of its sub-tuples (in item order), by the recursion
+    over the block B of the first item: kappa(S) = m(S) - sum over B != S of
+    kappa(B) m(S minus B).  Each sub-tuple's moment and cumulant is computed
+    once, m(S) first; values stay in the moments' number type."""
+    items = tuple(items)
+    if not items:
+        raise ValueError("a joint cumulant needs at least one item")
+    m = cache(moment)
+
+    @cache
+    def kappa(sub):
+        first, rest = sub[0], sub[1:]
+        total = m(sub)
+        for mask in range(2 ** len(rest) - 1):  # every B but S itself
+            block = [first] + [x for i, x in enumerate(rest) if mask >> i & 1]
+            others = [x for i, x in enumerate(rest) if not mask >> i & 1]
+            total -= kappa(tuple(block)) * m(tuple(others))
+        return total
+
+    return kappa(items)

@@ -14,7 +14,8 @@ from .diagrams import boolean_numerators, diagram_booleans
 from .ensembles import (CharacterMeasure, ConditionalJackThoma, JackPlancherel,
                         JackSchurWeyl, JackThoma, PoissonInterval,
                         _boolean_growth_constant, _poisson_tail,
-                        _truncation_degree, conditional_thoma_character)
+                        _truncation_degree)
+from .exactnum import sqrt_ext
 from .jack import hall_inner, jack_basis, ns_apply
 from .limitshape import (bessel_j, bessel_order_zeros,
                          functional_equation_check, jacobi_moment_symbolic,
@@ -31,47 +32,42 @@ from .sampler import run_sampler, validate_growth
 
 def noncrossing_partitions(n: int):
     """All non-crossing set partitions of range(n), by the gap recursion on
-    the block of the smallest element (independent of the path enumerators)."""
+    the block of the smallest element (independent of the path enumerators).
+    The partitions of each gap are listed once."""
+    listed = {(): [()]}  # the empty gap has the one empty partition
 
     def rec(segment):
-        if not segment:
-            yield ()
-            return
-        first, rest = segment[0], segment[1:]
+        if segment in listed:
+            return listed[segment]
+        first, rest = segment[:1], segment[1:]
+        out = listed[segment] = []
         for mask in range(1 << len(rest)):
-            block = [first] + [rest[i] for i in range(len(rest)) if mask >> i & 1]
+            block = first + tuple(rest[i] for i in range(len(rest)) if mask >> i & 1)
             # the gaps between consecutive block elements must be partitioned
             # independently, which is exactly the non-crossing condition
-            chunks = []
-            start = 0
-            for b in block[1:]:
-                idx = rest.index(b)
-                chunks.append(rest[start:idx])
-                start = idx + 1
-            chunks.append(rest[start:])
+            cuts = [rest.index(b) for b in block[1:]]
+            chunks = [rest[i + 1:j] for i, j in zip([-1] + cuts, cuts + [len(rest)])]
             partials = [()]
             for chunk in chunks:
-                partials = [left + sub for left in partials
-                            for sub in rec(tuple(chunk))]
-            for combo in partials:
-                yield (tuple(block),) + combo
+                partials = [left + sub for left in partials for sub in rec(chunk)]
+            out += [(block,) + combo for combo in partials]
+        return out
 
     yield from rec(tuple(range(n)))
 
 
 def nc_moment_poly(ell: int) -> Poly:
     """Moment of order ell as a polynomial in free cumulants, via the
-    non-crossing-partition moment map with R_{i+1} named v_i (and R_1 = 0)."""
-    total = Poly.const(0)
+    non-crossing-partition moment map with R_{i+1} named v_i (and R_1 = 0):
+    the partitions are counted by their multiset of block sizes, and each
+    multiset gives one monomial."""
+    counts = {}
     for pi in noncrossing_partitions(ell):
-        term = Poly.const(1)
-        for block in pi:
-            if len(block) == 1:
-                term = Poly.const(0)
-                break
-            term = term * Poly.var(f"v{len(block) - 1}")
-        total = total + term
-    return total
+        if all(len(block) > 1 for block in pi):
+            sizes = tuple(sorted(len(block) for block in pi))
+            counts[sizes] = counts.get(sizes, 0) + 1
+    return Poly({tuple((f"v{s - 1}", 1) for s in sizes): count
+                 for sizes, count in counts.items()})
 
 
 def boolean_products_observable(lengths, alpha, u):
@@ -93,11 +89,7 @@ def boolean_products_observable(lengths, alpha, u):
 def _length_multisets(total: int):
     """All multisets of positive integers with sum <= total, as sorted
     descending tuples (excluding the empty multiset)."""
-    out = []
-    for s in range(1, total + 1):
-        for lam in partitions_of(s):
-            out.append(lam.parts)
-    return out
+    return [lam.parts for s in range(1, total + 1) for lam in partitions_of(s)]
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +123,9 @@ def suite_normalization(dmax: int = 8):
                 return False, f"schur_weyl-dual alpha={alpha} d={d}"
             if sum(ConditionalJackThoma(alpha, d, v).masses().values()) != 1:
                 return False, f"conditional_thoma alpha={alpha} d={d}"
-            chi = conditional_thoma_character(v, d)
+            # a signed table in Q(sqrt(alpha)) that is no product of v_k's
+            chi = {mu: sqrt_ext(Fraction((-1) ** mu.weight(), mu.weight() + 1),
+                                mu.weight(), alpha) for mu in partitions_of(d)}
             if sum(CharacterMeasure(alpha, d, chi).masses().values()) != 1:
                 return False, f"character alpha={alpha} d={d}"
             sector = sum(thoma.rational_mass(lam) for lam in partitions_of(d))
@@ -143,8 +137,9 @@ def suite_normalization(dmax: int = 8):
     return True, f"all variants, d <= {dmax}, {len(NORMALIZATION_ALPHAS)} alphas"
 
 
-def suite_jack_orthogonality(dmax: int = 6):
+def suite_jack_orthogonality():
     """Criterion 2: <J_lam, J_nu> = delta * j_lam exactly."""
+    dmax = 6
     for alpha in (Fraction(1, 3), Fraction(2), Fraction(7, 2)):
         for d in range(0, dmax + 1):
             basis = jack_basis(d, alpha)
@@ -158,9 +153,10 @@ def suite_jack_orthogonality(dmax: int = 6):
     return True, f"all |lam| <= {dmax}, three alphas"
 
 
-def suite_eigenrelation(dmax: int = 5, lmax: int = 4):
+def suite_eigenrelation():
     """Criterion 3: the band-transfer operator acts on each Jack element
     as the Boolean observable of its width-alpha diagram."""
+    dmax, lmax = 5, 4
     for alpha in (Fraction(1, 2), Fraction(2)):
         for d in range(1, dmax + 1):
             for lam, J in jack_basis(d, alpha).items():
@@ -183,19 +179,19 @@ ORACLE_PARAMETER_SETS = (
 )
 
 
-def boolean_product_sums(ens, w, h, multisets, D: int) -> dict:
-    """{lengths: sum of rational_mass * prod_i B_{l_i} of the (w, h)
-    diagram} over the support of the Thoma measure ``ens`` up to size D,
-    for each multiset; a multiset's prefix must come before it.
+def boolean_product_sums(weighted, w, h, multisets) -> dict:
+    """{lengths: sum of mass * prod_i B_{l_i} of the (w, h) diagram of lam}
+    over the (lam, rational mass) pairs ``weighted``, for each multiset; a
+    multiset's prefix must come before it.
 
     The sums run over Python ints: the masses over their common
     denominator M, and B_l = nums[l - 1] / den**l from the profile corners,
     so each multiset divides once, by M * den**(sum of lengths)."""
-    support = list(ens.support(D))
-    M = math.lcm(*(rm.denominator for _, rm in support))
+    weighted = list(weighted)
+    M = math.lcm(*(rm.denominator for _, rm in weighted))
     top = max(map(max, multisets))
     sums = dict.fromkeys(multisets, 0)
-    for lam, rm in support:  # the empty partition comes first; den is per (w, h)
+    for lam, rm in weighted:  # den depends only on (w, h)
         nums, den = boolean_numerators(lam.parts, w, h, top)
         # each multiset extends its prefix, which comes earlier
         prods = {(): rm.numerator * (M // rm.denominator)}
@@ -221,7 +217,7 @@ def suite_poisson_oracle(total: int = 7, tail_eps=Fraction(1, 10 ** 12)):
             D = _truncation_degree(U, worst, total, tail_eps)
         except ArithmeticError:
             return False, f"tail target unreachable at {label}"
-        sums = boolean_product_sums(ens, alpha / u, 1 / u, multisets, D)
+        sums = boolean_product_sums(ens.support(D), alpha / u, 1 / u, multisets)
         for lengths in multisets:
             expect = paths.finite_expectation(lengths, alpha, u, vrule)
             C = _boolean_growth_constant(alpha, u, lengths)
@@ -252,35 +248,28 @@ DEPOISSONIZED_SETS = (
 )
 
 
-def suite_depoissonized(total: int = 8, dmax: int = 8):
+def suite_depoissonized():
     """Criterion 5: the falling-factorial ribbon formula equals the full
     conditional expectation over partitions of fixed size, exactly."""
+    total = dmax = 8
     multisets = _length_multisets(total)
     for alpha, u, v_char, v_formula in DEPOISSONIZED_SETS:
         for d in range(1, dmax + 1):
-            ens = ConditionalJackThoma(alpha, d, v_char)
-            masses = ens.masses()
-            families = {}
-            for lam in partitions_of(d):
-                families[lam] = diagram_booleans(lam, alpha / u, 1 / u, total)
+            masses = ConditionalJackThoma(alpha, d, v_char).masses()
+            sums = boolean_product_sums(masses.items(), alpha / u, 1 / u, multisets)
             for lengths in multisets:
                 formula = paths.depoissonized_expectation(
                     lengths, d, alpha, u, v_formula)
-                direct = Fraction(0)
-                for lam in partitions_of(d):
-                    val = Fraction(1)
-                    for ell in lengths:
-                        val *= families[lam][ell - 1]
-                    direct = masses[lam] * val + direct
-                if direct != formula:
+                if sums[lengths] != formula:
                     return False, f"alpha={alpha} d={d} lengths={lengths}"
     return True, (f"multisets sum <= {total}, d <= {dmax}, "
                   f"{len(DEPOISSONIZED_SETS)} parameter sets")
 
 
-def suite_moment_universality(L: int = 12):
+def suite_moment_universality():
     """Criterion 6: operator = Motzkin = Lukasiewicz moments (symbolically),
     and the functional equation z G - 1 = G(z) G(z-g) through z^-L."""
+    L = 12
     if not moment_consistency(Fraction(1, 2), 10):
         return False, "triple moment agreement failed"
     for ell in range(1, 11):
@@ -291,18 +280,20 @@ def suite_moment_universality(L: int = 12):
     return True, f"triple agreement ell <= 10; functional equation to z^-{L}"
 
 
-def suite_moment_duality(lmax: int = 10):
+def suite_moment_duality():
     """Criterion 7: the reflection identity M_ell(g,v) = (-1)^ell
     M_ell(-g, +-v) as an exact polynomial identity (unsigned for even ell)."""
+    lmax = 10
     for ell in range(1, lmax + 1):
         if not paths.moment_duality_check(ell):
             return False, f"ell={ell}"
     return True, f"ell <= {lmax}, exact polynomial identity"
 
 
-def suite_free_cumulants(lmax: int = 10):
+def suite_free_cumulants():
     """Criterion 8: at g = 0 the limit moments equal the non-crossing
     moment map of the cumulant sequence, symbolically."""
+    lmax = 10
     for ell in range(1, lmax + 1):
         luk = paths.limit_moment_poly(ell).subs({"g": Poly.const(0)})
         if luk != nc_moment_poly(ell):
@@ -310,11 +301,12 @@ def suite_free_cumulants(lmax: int = 10):
     return True, f"ell <= {lmax}, exact polynomial identity"
 
 
-def suite_bessel_edge(tol: float = 1e-3):
+def suite_bessel_edge():
     """Criterion 9: zeros and edge limits at g = -1/4 match the reference
     values to 1e-3, and J_{-z/|g|}(2/|g|) changes sign across each zero
     (the zeros come from the Plancherel operator's spectrum, so this ties
     them to the Bessel function)."""
+    tol = 1e-3
     g = Fraction(-1, 4)
     zl = bessel_order_zeros(g, 3, tol=1e-10)
     targets = (-1.086, -0.424, 0.102)
@@ -346,9 +338,10 @@ def suite_clt_anchors():
     return True, "cov(2,2) = 1/v1; afp cov(2,2) = 0; mean(2) = 0"
 
 
-def suite_sampler_law(mc_draws: int = 10 ** 4, seed: int = 20260809):
+def suite_sampler_law():
     """Criterion 11: exact growth-law validation plus Monte Carlo agreement
     of Boolean-observable means within 4 standard errors."""
+    mc_draws, seed = 10 ** 4, 20260809
     if not validate_growth():
         return False, "growth chain distribution != fixed-size law"
     # v geometric with ratio 1/2 at alpha = 4 comes from an integer
@@ -374,10 +367,10 @@ def suite_sampler_law(mc_draws: int = 10 ** 4, seed: int = 20260809):
     return True, f"exact law d <= 8; MC means within 4 sigma at {mc_draws} draws"
 
 
-def suite_lln_low_temperature(draws: int = 200, d: int = 1600,
-                              seed: int = 20260809, out_dir: str | None = None):
+def suite_lln_low_temperature(out_dir: str | None = None):
     """Criterion 12: empirical first-row mean at g = -1/4, d = 1600 within
     0.05 of 1.336; optionally writes the staircase overlay CSV/SVG."""
+    draws, d, seed = 200, 1600, 20260809
     g = Fraction(-1, 4)
     alpha = 1 / (g * g * d)
     cfg = {"variant": "plancherel", "alpha": alpha, "d": d}

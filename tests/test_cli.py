@@ -231,6 +231,14 @@ def test_sample_negative_d_exits_2(capsys):
     assert "d must be a nonnegative integer" in err
 
 
+def test_sample_conditional_thoma_above_the_cap_exits_2():
+    # the ensemble lists no partition before the cap refuses its size
+    out = run_cli("sample", "--ensemble", "conditional_thoma", "--d", "30",
+                  "--v", "1", "1/2", timeout=60)
+    assert out.returncode == 2
+    assert "above the exact-sampling cap" in out.stderr
+
+
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_bessel_zeros_bad_tol_exits_2(tol):
     out = run_cli("bessel-zeros", "--g", "-1/4", "-n", "1", "--tol", tol,

@@ -13,13 +13,14 @@ from jackpaths.diagrams import (AnisotropicDiagram, DiscreteMeasure,
                                 diagram_booleans, observable_family,
                                 observables, profile, rescale_observable,
                                 transition_measure)
-from jackpaths.ensembles import JackThoma
+from jackpaths.ensembles import ConditionalJackThoma, JackThoma
 from jackpaths.limitshape import plancherel_limit_shape
 from jackpaths.partitions import Partition, partitions_of
 from jackpaths.rng import SplitMix64
 from jackpaths.sampler import growth_sample, scaled_profile
-from jackpaths.verify import (ORACLE_PARAMETER_SETS, _length_multisets,
-                              boolean_product_sums, noncrossing_partitions)
+from jackpaths.verify import (DEPOISSONIZED_SETS, ORACLE_PARAMETER_SETS,
+                              _length_multisets, boolean_product_sums,
+                              noncrossing_partitions)
 
 
 def test_profile_examples():
@@ -323,19 +324,31 @@ def test_corner_booleans_equal_the_transition_measure_route(w, h):
                     _route_booleans(lam, w, h, ell)
 
 
+def _fraction_sums(weighted, w, h, multisets):
+    want = dict.fromkeys(multisets, Fraction(0))
+    for lam, mass in weighted:
+        bs = _route_booleans(lam, w, h, max(map(max, multisets)))
+        for lengths in multisets:
+            val = mass
+            for ell in lengths:
+                val *= bs[ell - 1]
+            want[lengths] += val
+    return want
+
+
 def test_oracle_integer_sums_equal_fraction_sums():
     multisets = _length_multisets(4)
     D = 12
     for alpha, u, vrule, _ in ORACLE_PARAMETER_SETS:
         ens = JackThoma(alpha, u, vrule, check_positivity=False)
-        want = dict.fromkeys(multisets, Fraction(0))
-        for d in range(1, D + 1):
-            for lam in partitions_of(d):
-                rm = ens.rational_mass(lam)
-                bs = _route_booleans(lam, alpha / u, 1 / u, 4)
-                for lengths in multisets:
-                    val = rm
-                    for ell in lengths:
-                        val *= bs[ell - 1]
-                    want[lengths] += val
-        assert boolean_product_sums(ens, alpha / u, 1 / u, multisets, D) == want
+        weighted = [(lam, ens.rational_mass(lam))
+                    for d in range(1, D + 1) for lam in partitions_of(d)]
+        want = _fraction_sums(weighted, alpha / u, 1 / u, multisets)
+        assert boolean_product_sums(ens.support(D), alpha / u, 1 / u,
+                                    multisets) == want
+    # the fixed-size case of criterion 5: conditioned masses, one size at a time
+    alpha, u, v, _ = DEPOISSONIZED_SETS[1]
+    for d in range(1, 7):
+        masses = ConditionalJackThoma(alpha, d, v).masses()
+        assert boolean_product_sums(masses.items(), alpha / u, 1 / u, multisets) == \
+            _fraction_sums(masses.items(), alpha / u, 1 / u, multisets)

@@ -177,6 +177,12 @@ def test_conditional_cumulants():
         conditional_cumulant(chi, [Partition([5]), Partition([5])], d=6)
 
 
+def test_conditional_cumulant_of_no_parts_is_refused():
+    chi = extended_character(conditional_thoma_character([Fraction(1)], 3), 3)
+    with pytest.raises(ValueError, match="at least one"):
+        conditional_cumulant(chi, [], d=3)
+
+
 def test_poisson_expectation_intervals():
     alpha, u = Fraction(2), Fraction(2)
     vfun = lambda k: Fraction(1, 2) ** (k - 1)
@@ -211,10 +217,9 @@ def test_poisson_truncation_stops_at_the_degree_cap():
     from jackpaths.verify import suite_poisson_oracle
 
     vfun = lambda k: Fraction(1, 2) ** (k - 1)
-    with pytest.raises(ArithmeticError, match="unreachable below degree 10"):
+    with pytest.raises(ArithmeticError, match="unreachable below degree 60"):
         poisson_expectation(Fraction(2), Fraction(2), vfun, lambda lam: 1,
-                            Fraction(1, 10 ** 40), growth_bound=(1, 0),
-                            degree_cap=10)
+                            Fraction(1, 10 ** 300), growth_bound=(1, 0))
     assert suite_poisson_oracle(total=2, tail_eps=Fraction(1, 10 ** 300)) == (
         False, "tail target unreachable at plancherel U=1")
 

@@ -112,6 +112,11 @@ def test_finite_cumulants_examples():
     assert finite_cumulant_s([3], alpha, u, v) == (alpha - 1) / u + Fraction(1, 5)
 
 
+def test_finite_cumulant_of_no_sites_is_refused():
+    with pytest.raises(ValueError, match="at least one"):
+        finite_cumulant_s([], 2, 1, [1])
+
+
 def test_cumulant_consistency_via_set_partitions():
     alpha, u = Fraction(2), Fraction(3)
     v = [1, Fraction(1, 2), Fraction(1, 4)]

@@ -1,6 +1,8 @@
-"""Stanley's recursion for the Jack basis and the closed-form character
-measure against the algorithms they replace, kept here as oracles: exact
-Gram-Schmidt over the Hall product, and a dense solve over Q(sqrt(alpha))."""
+"""Stanley's recursion for the Jack basis, the closed-form character
+measure, the conditioned principal masses and the joint-cumulant recursion
+against the algorithms they replace, kept here as oracles: exact
+Gram-Schmidt over the Hall product, a dense solve over Q(sqrt(alpha)), the
+per-class mass formulas and the set-partition Moebius sum."""
 
 import random
 from fractions import Fraction
@@ -8,12 +10,16 @@ from fractions import Fraction
 import pytest
 
 from jackpaths.ensembles import (CharacterMeasure, ConditionalJackThoma,
-                                 conditional_thoma_character)
+                                 JackPlancherel, JackSchurWeyl,
+                                 conditional_cumulant,
+                                 conditional_thoma_character, extended_character)
 from jackpaths.exactnum import SqrtExt, alpha_half_power, sqrt_exact, sqrt_ext
 from jackpaths.jack import (PowerSumPoly, _monomial_row, _powersum_in_monomials,
                             _recursion_tables, hall_inner, jack_basis,
                             theta_coefficient)
-from jackpaths.partitions import Partition, _factorial, j_alpha, partitions_of
+from jackpaths.partitions import (Partition, _factorial, content_product, j_alpha,
+                                  partitions_of)
+from jackpaths.paths import set_partitions
 
 ALPHAS = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(2, 3),
           Fraction(3, 2), Fraction(7, 2), Fraction(1, 100)]
@@ -267,3 +273,66 @@ def test_conditional_mass_before_masses(alpha):
         assert first == per_pair_character_mass(lam, alpha, chi)
         later = ens.masses()[lam]
         assert first == later and type(first) is type(later)
+
+
+def _plancherel_mass(lam, alpha):
+    d = lam.size()
+    return alpha ** d * _factorial(d) / j_alpha(lam, alpha)
+
+
+def _schur_weyl_mass(lam, alpha, K, dual):
+    # cell factors K + (j - 1) alpha - (i - 1), resp. (K + 1 - j) alpha
+    # + (i - 1) in the dual orientation
+    d = lam.size()
+    if dual:
+        prod = content_product(lam, alpha, alpha * K, -1)
+    else:
+        prod = alpha ** d * content_product(lam, alpha, K, 1)
+    return _factorial(d) * prod / (Fraction(K) ** d * j_alpha(lam, alpha))
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(1), Fraction(2),
+                                   Fraction(7, 2), Fraction(2, 3)])
+def test_conditioned_masses_equal_the_per_class_formulas(alpha):
+    for d in range(10):
+        lams = partitions_of(d)
+        _assert_same_masses(JackPlancherel(alpha, d).masses(),
+                            {lam: _plancherel_mass(lam, alpha) for lam in lams},
+                            (alpha, d, "plancherel"))
+        for K in range(1, 4):
+            for dual in (False, True):
+                want = {lam: _schur_weyl_mass(lam, alpha, K, dual) for lam in lams}
+                _assert_same_masses(JackSchurWeyl(alpha, d, K, dual).masses(), want,
+                                    (alpha, d, K, dual))
+
+
+def _moebius_cumulant(chi, parts):
+    """sum over set partitions pi of (-1)^{|pi|-1}(|pi|-1)! prod_B chi(union
+    of the parts in B)."""
+    total = Fraction(0)
+    for pi in set_partitions(range(len(parts))):
+        term = Fraction((-1) ** (len(pi) - 1) * _factorial(len(pi) - 1))
+        for block in pi:
+            term *= chi(Partition(sorted((x for b in block for x in parts[b].parts),
+                                         reverse=True)))
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("name", ["signed", "sqrt", "int"])
+def test_conditional_cumulant_equals_the_moebius_sum(name):
+    alpha, d = Fraction(2, 3), 7
+    if name == "int":  # an int table gives Fraction cumulants, as the sum does
+        table = {mu: c.numerator for mu, c in _tables(alpha, d)["signed"].items()}
+    else:
+        table = _tables(alpha, d)[name]
+    chi = extended_character(table, d)
+    kinds = set()
+    for parts in ([[2]], [[1, 1]], [[2], [2]], [[2], [1]], [[3], [1, 1]],
+                  [[2], [2], [2]], [[1], [2], [1]], [[2], [1], [3]],
+                  [[1], [1], [1], [1]], [[2], [1], [1], [2]]):
+        parts = [Partition(p) for p in parts]
+        got, want = conditional_cumulant(chi, parts, d), _moebius_cumulant(chi, parts)
+        assert got == want and type(got) is type(want), parts
+        kinds.add(type(got))
+    assert kinds == ({Fraction, SqrtExt} if name == "sqrt" else {Fraction})
