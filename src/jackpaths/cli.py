@@ -318,7 +318,7 @@ def cmd_bessel_zeros(args):
 
 def cmd_verify(args):
     from . import _kernels
-    from .sampler import validate_growth
+    from .sampler import usable_cpus, validate_growth
     from .verify import GROWTH_SUITES, SIZE_CAP_SUITES, SUITES, run_suites
 
     names = sorted(SUITES) if args.suite == ["all"] else args.suite
@@ -358,10 +358,11 @@ def cmd_verify(args):
         entries = []
         for n, p, d, s in results:
             entry = {"suite": n, "passed": p, "detail": d, "seconds": round(s, 3)}
-            if n in GROWTH_SUITES:  # which kernel ran; all three are cached
+            if n in GROWTH_SUITES:  # which kernel ran, on how many CPUs at most
                 entry["growth"] = {"backend": _kernels.BACKEND,
                                    "numba": _kernels.HAVE_NUMBA,
-                                   "validated": validate_growth()}
+                                   "validated": validate_growth(),
+                                   "cpus": usable_cpus()}
             entries.append(entry)
         print(json.dumps(entries))
     failures = [n for n, p, _, _ in results if not p]

@@ -1,12 +1,19 @@
 """Random generation of Young diagrams: exact inverse-CDF sampling against
 exact masses, a corner-growth chain for large sizes (validated exactly
 against the fixed-size law before use), and empirical-statistics helpers.
+
+A growth run splits its draws over the CPUs of the process's affinity mask
+(:func:`usable_cpus`): the parent draws the first contiguous chunk and one
+forked child draws each further chunk.  There is no setting; draw i always
+uses the substream (seed, i), so the draws do not depend on the CPU count.
+With numba, the parent compiles the kernel before it forks.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -116,9 +123,10 @@ def validate_growth() -> bool:
     return ok
 
 
-def growth_sample(alpha, d: int, rng: SplitMix64) -> Partition:
-    """Draw one partition of size d from the growth chain (floating-point
-    masses; the law itself is certified by :func:`validate_growth`)."""
+def _growth_args(alpha, d) -> float:
+    """Refuse a growth draw's size d and alpha unless d is an int >= 1 and
+    alpha positive and finite as a float, and refuse to draw at all unless
+    :func:`validate_growth` passed; returns alpha as the kernel's float."""
     if isinstance(d, bool) or not isinstance(d, int):
         raise ValueError(f"d must be an int, got {d!r}")
     if d < 1:
@@ -132,9 +140,90 @@ def growth_sample(alpha, d: int, rng: SplitMix64) -> Partition:
     if not validate_growth():
         raise GrowthUnavailableError(
             "growth chain failed exact validation; use exact_sample")
-    seed = rng.next_u64()
-    parts = _kernels.growth_draw_parts(d, x, seed)
-    return Partition(parts)
+    return x
+
+
+def growth_sample(alpha, d: int, rng: SplitMix64) -> Partition:
+    """Draw one partition of size d from the growth chain (floating-point
+    masses; the law itself is certified by :func:`validate_growth`)."""
+    x = _growth_args(alpha, d)
+    return Partition(_kernels.growth_draw_parts(d, x, rng.next_u64()))
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on, which is the most
+    processes a growth run draws with; 1 where the platform has no
+    affinity mask or no fork."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _draw_chunk(d: int, x: float, seeds) -> list:
+    return [_kernels.growth_draw_parts(d, x, seed) for seed in seeds]
+
+
+def _child_draws(fd: int, d: int, x: float, seeds):
+    """The body of a forked worker: draw the chunk, write one line of parts
+    per draw to ``fd`` and leave through ``os._exit`` (0 when done, 1 on any
+    exception), so it never unwinds into the caller's frames or flushes the
+    parent's stdio buffers."""
+    code = 1
+    try:
+        data = memoryview("\n".join(" ".join(map(str, parts))
+                                    for parts in _draw_chunk(d, x, seeds)).encode())
+        while data:
+            data = data[os.write(fd, data):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _read_to_end(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _growth_draws(d: int, x: float, seeds, workers: int) -> list:
+    """Draw the partitions of the given seeds, in their order, with
+    ``workers`` processes: this one draws the first contiguous chunk while
+    a forked child draws each further chunk and pipes its parts back.  Every
+    child is reaped before this returns or raises; on any failure the
+    children still running are killed first."""
+    bounds = [len(seeds) * k // workers for k in range(workers + 1)]
+    children = []  # (pid, read end, number of draws) per chunk, in order
+    try:
+        for k in range(1, workers):
+            chunk = seeds[bounds[k]:bounds[k + 1]]
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _child_draws(w, d, x, chunk)
+            os.close(w)
+            children.append((pid, r, len(chunk)))
+        out = _draw_chunk(d, x, seeds[:bounds[1]])
+        while children:
+            pid, r, n = children[0]
+            lines = _read_to_end(r).decode().split("\n")
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            os.close(r)
+            if code != 0 or len(lines) != n:
+                raise RuntimeError(f"growth worker {pid} failed (exit code {code})")
+            out.extend([int(p) for p in line.split()] for line in lines)
+        return out
+    finally:
+        for pid, r, _ in children:
+            os.kill(pid, 9)  # SIGKILL, without importing signal
+            os.waitpid(pid, 0)
+            os.close(r)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +293,9 @@ class SampleRun:
     identical output.  ``backend`` is the growth kernel's backend that ran,
     ``_kernels.BACKEND`` (None for exact draws), and ``growth_validated`` the
     result of :func:`validate_growth` for growth runs (None for exact
-    draws); a completed growth run always records True, because
-    :func:`growth_sample` refuses to draw otherwise."""
+    draws); a completed growth run always records True, because it refuses
+    to draw otherwise.  ``workers`` is the number of processes that drew:
+    1 for exact runs, min(count, :func:`usable_cpus`) for growth runs."""
 
     config: dict
     seed: int
@@ -214,13 +304,19 @@ class SampleRun:
     backend: str | None = None
     collected: list = field(default_factory=list)
     growth_validated: bool | None = None
+    workers: int = 1
 
 
 def run_sampler(config: dict, seed: int, count: int,
                 method: str = "exact") -> SampleRun:
     """Draw ``count`` partitions; draw i uses the substream (seed, i), so
-    runs parallelize and extend deterministically.  The growth method draws
-    the Jack-Plancherel chain only, so it refuses any other variant."""
+    runs extend deterministically and do not depend on how many processes
+    drew them.  The growth method draws the Jack-Plancherel chain only, so
+    it refuses any other variant; it checks its arguments once and then
+    splits the draws over min(count, :func:`usable_cpus`) processes (see
+    :func:`_growth_draws`).  Exact runs draw in this process."""
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise ValueError(f"count must be an int, got {count!r}")
     if count < 0:
         raise ValueError("count must be nonnegative")
     root = SplitMix64(seed)
@@ -236,10 +332,15 @@ def run_sampler(config: dict, seed: int, count: int,
                              f"variant only, not {variant!r}; use exact")
         alpha = parse_rational(config["alpha"])
         d = _size(config["d"], "d")
+        x = _growth_args(alpha, d)
+        seeds = [root.substream(i).next_u64() for i in range(count)]
         run.backend = _kernels.BACKEND
-        run.growth_validated = validate_growth()
-        for i in range(count):
-            run.collected.append(growth_sample(alpha, d, root.substream(i)))
+        run.growth_validated = True
+        run.workers = max(1, min(count, usable_cpus()))
+        if _kernels.HAVE_NUMBA and run.workers > 1:
+            _kernels.growth_draw_parts(1, x, 0)  # compile once, before the fork
+        run.collected = [Partition(parts) for parts in
+                         _growth_draws(d, x, seeds, run.workers)]
     else:
         raise ValueError(f"unknown sampling method {method!r}")
     return run

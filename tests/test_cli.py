@@ -211,9 +211,10 @@ def test_verify_unusable_out_exits_2_before_the_suite(make, message, tmp_path: P
 
 
 def test_verify_json_names_the_growth_kernel_of_growth_suites(capsys, monkeypatch):
-    from jackpaths import verify
+    from jackpaths import sampler, verify
 
     monkeypatch.setitem(verify.SUITES, "sampler-law", lambda: (True, "stub"))
+    monkeypatch.setattr(sampler, "usable_cpus", lambda: 3)
     assert cli.main(["verify", "--suite", "clt-anchors", "sampler-law",
                      "--json"]) == 0
     entries = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
@@ -222,7 +223,7 @@ def test_verify_json_names_the_growth_kernel_of_growth_suites(capsys, monkeypatc
     assert set(entries[0]) == {"suite", "passed", "detail", "seconds"}
     assert entries[1]["growth"] == {"backend": _kernels.BACKEND,
                                     "numba": _kernels.HAVE_NUMBA,
-                                    "validated": True}
+                                    "validated": True, "cpus": 3}
 
 
 def test_sample_negative_d_exits_2(capsys):
@@ -451,6 +452,22 @@ def test_sample_refuses_what_its_method_would_ignore():
         assert "Traceback" not in out.stderr
         assert "plancherel" in out.stderr
         assert out.stdout == ""
+
+
+def test_growth_sample_file_is_the_same_bytes_for_any_worker_count(
+        tmp_path: Path, monkeypatch):
+    from jackpaths import sampler
+
+    files = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(sampler, "usable_cpus", lambda cpus=cpus: cpus)
+        out = tmp_path / f"g{cpus}.jsonl"
+        assert cli.main(["sample", "--method", "growth", "--alpha", "1/3",
+                         "--d", "80", "--n", "5", "--seed", "4",
+                         "--out", str(out)]) == 0
+        files.append(out.read_bytes())
+    assert files[0] == files[1]
+    assert len(files[0].splitlines()) == 6
 
 
 def test_growth_header_records_provenance(tmp_path: Path):

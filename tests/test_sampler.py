@@ -339,6 +339,93 @@ def test_growth_run_reads_alpha_as_exact_does():
     assert [lam.size() for lam in run.collected] == [3] * 4
 
 
+def test_run_sampler_refuses_a_count_that_is_not_an_int():
+    cfg = {"variant": "plancherel", "alpha": "1", "d": 3}
+    for method in ("exact", "growth"):
+        for count in (True, 2.0, "3"):
+            with pytest.raises(ValueError, match="count must be an int"):
+                run_sampler(cfg, 0, count, method=method)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+GROWTH_CFG = {"variant": "plancherel", "alpha": "1/2", "d": 60}
+
+
+def test_growth_draws_do_not_depend_on_the_worker_count(monkeypatch):
+    monkeypatch.setattr(sampler, "usable_cpus", lambda: 1)
+    want = {n: run_sampler(GROWTH_CFG, 17, n, method="growth").collected
+            for n in (0, 1, 2, 3, 7)}
+    root = SplitMix64(17)
+    assert want[7] == [growth_sample(Fraction(1, 2), 60, root.substream(i))
+                       for i in range(7)]
+    for cpus in (2, 3):
+        monkeypatch.setattr(sampler, "usable_cpus", lambda cpus=cpus: cpus)
+        for n, draws in want.items():
+            run = run_sampler(GROWTH_CFG, 17, n, method="growth")
+            assert run.collected == draws
+            assert run.workers == max(1, min(n, cpus))
+            _assert_no_child_left()
+    assert run_sampler(dict(GROWTH_CFG, d=3), 17, 7).workers == 1  # exact draws
+
+
+def test_growth_workers_send_more_than_a_pipe_buffer(monkeypatch):
+    # a child's parts text outgrows the pipe while the parent draws its chunk
+    monkeypatch.setattr(kernels, "growth_draw_parts",
+                        lambda d, x, seed: [seed % 5 + 1] * 50000)
+    monkeypatch.setattr(sampler, "usable_cpus", lambda: 2)
+    run = run_sampler(GROWTH_CFG, 3, 4, method="growth")
+    root = SplitMix64(3)
+    assert run.collected == [Partition([root.substream(i).next_u64() % 5 + 1] * 50000)
+                             for i in range(4)]
+    _assert_no_child_left()
+
+
+def _raise_on_draw(monkeypatch, index, exc):
+    """Make the kernel raise ``exc`` on draw ``index`` of seed 5."""
+    bad = SplitMix64(5).substream(index).next_u64()
+    draw = kernels.growth_draw_parts
+
+    def flaky(d, x, seed):
+        if seed == bad:
+            raise exc
+        return draw(d, x, seed)
+
+    monkeypatch.setattr(kernels, "growth_draw_parts", flaky)
+
+
+def test_a_failing_growth_worker_raises_and_is_reaped(monkeypatch):
+    monkeypatch.setattr(sampler, "usable_cpus", lambda: 3)
+    _raise_on_draw(monkeypatch, 3, ValueError("child draw"))  # chunk 2 of 0-1, 2-3, 4-5
+    with pytest.raises(RuntimeError, match="growth worker"):
+        run_sampler(GROWTH_CFG, 5, 6, method="growth")
+    _assert_no_child_left()
+
+
+def test_a_failing_parent_chunk_reaps_every_worker(monkeypatch):
+    monkeypatch.setattr(sampler, "usable_cpus", lambda: 3)
+    _raise_on_draw(monkeypatch, 0, KeyboardInterrupt())
+    with pytest.raises(KeyboardInterrupt):
+        run_sampler(GROWTH_CFG, 5, 6, method="growth")
+    _assert_no_child_left()
+
+
+def test_bad_growth_input_is_refused_before_any_fork(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked before checking the input")
+
+    monkeypatch.setattr(sampler, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    for alpha in ("-1", "0", "1e400"):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            run_sampler(dict(GROWTH_CFG, alpha=alpha), 0, 4, method="growth")
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        run_sampler(dict(GROWTH_CFG, d=0), 0, 4, method="growth")
+
+
 def test_growth_backends_agree_statistically(monkeypatch):
     # the kernel selected at import against the python backend (the same
     # code when numba is absent)
