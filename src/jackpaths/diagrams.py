@@ -210,12 +210,12 @@ def transition_measure(shape: StaircaseShape) -> DiscreteMeasure:
     den = math.lcm(*(x.denominator for x in xs), *(y.denominator for y in ys))
     big_x = [x.numerator * (den // x.denominator) for x in xs]
     big_y = [y.numerator * (den // y.denominator) for y in ys]
-    return DiscreteMeasure(zip(xs, _residues(big_x, big_y)))
+    return DiscreteMeasure(zip(xs, (Fraction(*pair) for pair in _residues(big_x, big_y))))
 
 
 def _residues(big_x, big_y):
     """The atom masses prod_j (X_i - Y_j) / prod_{j != i} (X_i - X_j), as
-    Fractions, of integer minima X_i and integer maxima Y_j, one fewer."""
+    unreduced int pairs, of integer minima X_i and maxima Y_j, one fewer."""
     masses = []
     for i, xi in enumerate(big_x):
         num = 1
@@ -225,7 +225,7 @@ def _residues(big_x, big_y):
         for j, xj in enumerate(big_x):
             if j != i:
                 rest *= xi - xj
-        masses.append(Fraction(num, rest))
+        masses.append((num, rest))
     return masses
 
 

@@ -7,10 +7,10 @@ tail-certified Poisson truncation oracle."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 
+from ._records import Frozen, Record
 from .exactnum import SqrtExt, alpha_half_power, parse_rational, sqrt_ext
 from .jack import Specialization, jack_basis, _factorial
 from .partitions import (Partition, _cleared_content, content_product, j_alpha,
@@ -31,8 +31,7 @@ class DomainError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PoissonScaled:
+class PoissonScaled(Frozen):
     """Exact value rational * exp(-exponent); the transcendental prefactor
     is carried symbolically so per-degree identities stay rational."""
 
@@ -54,8 +53,7 @@ class PoissonScaled:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThomaPoint:
+class ThomaPoint(Frozen):
     """Triple (a, b, c): weakly decreasing nonnegative tuples a, b with
     sum(a) + sum(b) <= c."""
 
@@ -63,13 +61,14 @@ class ThomaPoint:
     b: tuple
     c: Fraction
 
-    def __post_init__(self):
-        for seq in (self.a, self.b):
+    def __init__(self, a, b, c):
+        for seq in (a, b):
             for i, x in enumerate(seq):
                 if x < 0 or (i and seq[i - 1] < x):
                     raise ValueError("a and b must be weakly decreasing, nonnegative")
-        if sum(self.a) + sum(self.b) > self.c:
+        if sum(a) + sum(b) > c:
             raise ValueError("Thoma cone inequality sum(a)+sum(b) <= c violated")
+        super().__init__(a, b, c)
 
     @staticmethod
     def make(a=(), b=(), c=0) -> "ThomaPoint":
@@ -473,8 +472,7 @@ def conditional_thoma_character(v, d: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AsymptoticRegime:
+class AsymptoticRegime(Frozen):
     """Regime parameters (g, g', v) with the positivity data (a, c) that
     makes (g, v) (or (-g, +-v)) an admissible pair."""
 
@@ -563,8 +561,7 @@ def extended_character(table: dict, d: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PoissonInterval:
+class PoissonInterval(Record):
     """Certified bracket for a Poissonized expectation: the exact sum over
     partitions up to the truncation degree, an exact unnormalized tail
     bound (with a strictly positive safety margin baked in), and the

@@ -10,11 +10,11 @@ from __future__ import annotations
 import sys
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import comb, isfinite
 
+from ._records import Frozen, Record
 from .diagrams import DiscreteMeasure, StaircaseShape
 from .jack import Specialization
 from .paths import enumerate_motzkin, limit_moment_poly
@@ -26,8 +26,7 @@ from .polynomials import Poly
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JacobiOperator:
+class JacobiOperator(Frozen):
     """Banded generator with entries (i, j) = i*g*delta_{ij} + v_{j-i},
     where v_{-1} = 1, v_0 = 0 and v_{-l} = 0 for l >= 2 (lower bandwidth 1).
     ``g`` may be a Fraction or a Poly; ``v`` is a sequence/dict/callable."""
@@ -35,11 +34,10 @@ class JacobiOperator:
     g: object
     v: object
 
-    def __post_init__(self):
+    def __init__(self, g, v):
         # a callable v is kept as it is (jacobi_moment_symbolic's returns
         # Polys); any other v is read once, so a generator is read in full
-        object.__setattr__(self, "v", self.v if callable(self.v)
-                           else Specialization.of(self.v))
+        super().__init__(g, v if callable(v) else Specialization.of(v))
 
     def entry(self, i: int, j: int):
         if i == j:
@@ -186,8 +184,7 @@ def bessel_j(nu: float, x: float) -> float:
     return float(bessel_j_mp(nu, x))
 
 
-@dataclass
-class BesselZeroList:
+class BesselZeroList(Record):
     """Increasing zeros, in the order variable, of nu -> J_{-z/|g|}(2/|g|),
     bisected to the width ``precision``: tol, or 10^-dps as an mpmath float
     when the search ran at dps digits."""
@@ -320,8 +317,7 @@ def plancherel_limit_shape(g, n_steps: int = 8, tol: float = 1e-10,
         return shape.reflect() if g < 0 else shape
 
 
-@dataclass
-class TruncatedAtoms:
+class TruncatedAtoms(Record):
     """Truncated-product transition-measure atoms with a per-atom
     truncation-sensitivity estimate."""
 

@@ -167,8 +167,13 @@ def j_alpha(p: Partition, alpha) -> Fraction:
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    a, q = alpha.numerator, alpha.denominator
-    parts = p.parts
+    q = alpha.denominator
+    return Fraction(_hook_pairs(p.parts, alpha.numerator, q), q ** (2 * sum(p.parts)))
+
+
+def _hook_pairs(parts, a: int, q: int) -> int:
+    """j_alpha times q^(2|parts|) for alpha = a/q: the integer product over
+    cells of (x + q)(x + a), x = a*arm + q*leg."""
     cols = [0] * (parts[0] if parts else 0)
     for row in parts:
         for j in range(row):
@@ -178,7 +183,7 @@ def j_alpha(p: Partition, alpha) -> Fraction:
         for j in range(row):
             x = a * (row - j - 1) + q * (cols[j] - i)
             num *= (x + q) * (x + a)
-    return Fraction(num, q ** (2 * sum(parts)))
+    return num
 
 
 def content_product(p: Partition, alpha, x, c):

@@ -5,11 +5,11 @@ moment / mean-shift / covariance formulas as exact sparse polynomials."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import lcm
 
+from ._records import Frozen
 from .exactnum import sqrt_exact
 from .jack import Specialization
 from .polynomials import Poly
@@ -27,17 +27,17 @@ class EnumerationCapError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Excursion:
+class Excursion(Frozen):
     """Nonnegative lattice excursion recorded by its heights y_0..y_l
     (y_0 = y_l = 0).  Steps are the consecutive differences."""
 
     heights: tuple
 
-    def __post_init__(self):
-        h = self.heights
+    def __init__(self, heights):
+        h = heights
         if not h or h[0] != 0 or h[-1] != 0 or any(y < 0 for y in h):
             raise ValueError(f"not an excursion: {h}")
+        super().__init__(heights)
 
     def length(self) -> int:
         return len(self.heights) - 1
@@ -224,8 +224,7 @@ def count_lukasiewicz(ell: int) -> int:
 # perfbench/layers.py wraps _all_ribbons and reads its cache counters.
 
 
-@dataclass(frozen=True)
-class RibbonPath:
+class RibbonPath(Frozen):
     """Tuple of excursions plus disjoint pairings; a pairing joins a down
     step at global position i to a later up step of equal degree at j > i.
     Positions are 1-based within the concatenation."""

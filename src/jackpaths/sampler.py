@@ -11,18 +11,15 @@ With numba, the parent compiles the kernel before it forks.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _kernels
 from .diagrams import StaircaseShape, _residues, corners
-from .ensembles import (Ensemble, JackPlancherel, _is_negative, _size,
-                        ensemble_from_config)
+from .ensembles import Ensemble, _is_negative, _size, ensemble_from_config
 from .exactnum import parse_rational
-from .partitions import Partition, partitions_of
+from .partitions import Partition, _hook_pairs, partitions_of
 from .rng import SplitMix64, dyadic_fraction
 
 EXACT_SAMPLE_CAP = 25
@@ -44,83 +41,90 @@ class GrowthUnavailableError(RuntimeError):
 
 def growth_transitions(lam: Partition, alpha):
     """Exact one-step law: [(next partition, probability)], probabilities
-    given by the transition-measure atoms of the width-alpha profile.  With
-    alpha = a/q its corners are taken times q, as the integers of the (a, q)
-    diagram.  The minima ascend with the addable rows taken bottom up, the
-    first row last, so atom i adds a box to the i-th of those rows."""
+    given by the transition-measure atoms of the width-alpha profile."""
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise ValueError("box dimensions must be positive")
-    masses = _residues(*corners(lam.parts, alpha.numerator, alpha.denominator))
-    parts = list(lam.parts) + [0]
-    rows = [r for r in range(len(parts) - 1, -1, -1)
-            if r == 0 or parts[r - 1] > parts[r]]
-    return [(Partition(parts[:r] + [parts[r] + 1] + parts[r + 1:-1]), mass)
-            for r, mass in zip(rows, masses, strict=True)]
+    return [(Partition(nxt), Fraction(num, rest))
+            for nxt, num, rest in _one_step(lam.parts, alpha.numerator, alpha.denominator)]
 
 
-def _chain_rule(step, d: int):
-    """The growth process from the empty diagram, pushed forward exactly one
-    box at a time with the one-step law ``step(lam)``: yields its
-    distribution on partitions of n for n = 0..d."""
-    dist = {Partition(): Fraction(1)}
-    yield dist
-    for _ in range(d):
-        nxt: dict = {}
-        for lam, p in dist.items():
-            for mu, q in step(lam):
-                nxt[mu] = nxt.get(mu, Fraction(0)) + p * q
-        dist = nxt
-        yield dist
+def _one_step(parts, a: int, q: int):
+    """The one-step law at ``parts`` for alpha = a/q in integers, [(next parts,
+    num, rest)], from the corners of the (a, q) diagram: the minima ascend, so
+    atom i, num/rest, adds a box to the i-th addable row taken bottom up."""
+    masses = _residues(*corners(parts, a, q))
+    parts = tuple(parts)
+    grown = [parts + (1,)] + [parts[:r] + (parts[r] + 1,) + parts[r + 1:]
+                              for r in range(len(parts) - 1, -1, -1)
+                              if r == 0 or parts[r - 1] > parts[r]]
+    return [(nxt, num, rest) for nxt, (num, rest) in zip(grown, masses, strict=True)]
 
 
 def growth_distribution(alpha, d: int) -> dict:
-    """Exact chain-rule distribution on partitions of d induced by the
-    growth process started from the empty diagram."""
-    for dist in _chain_rule(lambda lam: growth_transitions(lam, alpha), d):
-        pass
+    """Exact distribution on partitions of d of the growth process started
+    from the empty diagram, pushed one box at a time by the chain rule."""
+    dist = {Partition(): Fraction(1)}
+    for _ in range(d):
+        nxt: dict = {}
+        for lam, p in dist.items():
+            for mu, q in growth_transitions(lam, alpha):
+                nxt[mu] = nxt.get(mu, Fraction(0)) + p * q
+        dist = nxt
     return dist
 
 
 def kernel_matches_law(lam: Partition, alpha, law=None) -> bool:
     """Whether the float kernel's corner masses at ``lam`` agree with the
-    exact one-step law (``growth_transitions(lam, alpha)`` unless given) to
-    KERNEL_REL_TOL relative.  Kernel index i is the i-th minimum
-    descending, which is candidate index m - i."""
+    exact one-step law (``_one_step`` at lam and alpha unless given) to
+    KERNEL_REL_TOL relative.  The kernel lists the minima descending, the
+    law ascending."""
     floats = _kernels.corner_masses(lam.parts, float(alpha))
     if law is None:
-        law = growth_transitions(lam, alpha)
-    m = len(floats) - 1
-    exact = [float(mass) for _, mass in law]
+        alpha = Fraction(alpha)
+        law = _one_step(lam.parts, alpha.numerator, alpha.denominator)
+    exact = [num / rest for _, num, rest in law]  # int division rounds correctly
     return len(floats) == len(exact) and all(
-        abs(floats[m - i] - mass) <= KERNEL_REL_TOL * mass
-        for i, mass in enumerate(exact))
+        abs(f - mass) <= KERNEL_REL_TOL * mass for f, mass in zip(floats[::-1], exact))
 
 
 def validate_growth() -> bool:
-    """Exact validation contract, for every alpha in
-    GROWTH_VALIDATION_ALPHAS: the induced distribution must equal the
-    fixed-size deformed-Plancherel law at every size <=
-    GROWTH_VALIDATION_SIZE, and the float kernel's corner masses must match
-    the exact one-step law at every state of those sizes.  The kernel is
-    the one the draws run (``_kernels.BACKEND``, fixed at import), so this
-    checks the arithmetic that the draws use.  The result is cached per
-    process."""
+    """Exact validation contract, for every alpha in GROWTH_VALIDATION_ALPHAS:
+    the induced distribution must equal the fixed-size deformed-Plancherel
+    law at every size <= GROWTH_VALIDATION_SIZE, and the float kernel's
+    corner masses must match the exact one-step law at every state of those
+    sizes.  The kernel is the one the draws run (``_kernels.BACKEND``, fixed
+    at import), so this checks the arithmetic that the draws use.  The
+    result is cached per process."""
     global _growth_validated
-    if _growth_validated is not None:
-        return _growth_validated
-    ok = True
-    for alpha in GROWTH_VALIDATION_ALPHAS:
-        step = functools.cache(lambda lam, alpha=alpha: growth_transitions(lam, alpha))
-        for d, dist in enumerate(_chain_rule(step, GROWTH_VALIDATION_SIZE)):
-            ok = ((d == 0 or dist == JackPlancherel(alpha, d).masses())
-                  and all(kernel_matches_law(lam, alpha, step(lam)) for lam in dist))
-            if not ok:
-                break
-        if not ok:
-            break
-    _growth_validated = ok
-    return ok
+    if _growth_validated is None:
+        _growth_validated = all(map(_chain_keeps_law, GROWTH_VALIDATION_ALPHAS))
+    return _growth_validated
+
+
+def _chain_keeps_law(alpha: Fraction) -> bool:
+    """Both legs of :func:`validate_growth` at one alpha = a/q, in integers.
+    With N = j_lam q^(2n) the law alpha^n n!/j_lam at lam of size n is
+    a^n q^n n!/N, so by induction on n the chain reproduces it iff at every
+    lam of size n >= 1, N * sum of num/(N_mu rest) = a q n, summed over the
+    parents mu of lam and their atoms num/rest that add lam's box."""
+    a, q = alpha.numerator, alpha.denominator
+    sums = {}  # parts -> (s, t): the sum over the parents so far is s/t
+    for n in range(GROWTH_VALIDATION_SIZE + 1):
+        pushed = {}
+        for lam in partitions_of(n):
+            hooks = _hook_pairs(lam.parts, a, q)
+            s, t = sums.pop(lam.parts, (0, 1))
+            law = _one_step(lam.parts, a, q)
+            if n and hooks * s != a * q * n * t or not kernel_matches_law(lam, alpha, law):
+                return False
+            for nxt, num, rest in law:
+                s, t = pushed.get(nxt, (0, 1))
+                pushed[nxt] = (s * hooks * rest + num * t, t * hooks * rest)
+        if sums:  # the chain reached a state that is no partition of n
+            return False
+        sums = pushed
+    return True
 
 
 def _growth_args(alpha, d) -> float:
@@ -287,7 +291,6 @@ def _first_above(cum, x) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class SampleRun:
     """A reproducible batch of draws: identical (config, seed) give
     identical output.  ``backend`` is the growth kernel's backend that ran,
@@ -295,16 +298,15 @@ class SampleRun:
     result of :func:`validate_growth` for growth runs (None for exact
     draws); a completed growth run always records True, because it refuses
     to draw otherwise.  ``workers`` is the number of processes that drew:
-    1 for exact runs, min(count, :func:`usable_cpus`) for growth runs."""
+    1 for exact runs, max(1, min(count, :func:`usable_cpus`)) for growth
+    runs, so a growth run of count 0 records 1 and forks nothing."""
 
-    config: dict
-    seed: int
-    count: int
-    method: str
-    backend: str | None = None
-    collected: list = field(default_factory=list)
-    growth_validated: bool | None = None
-    workers: int = 1
+    def __init__(self, config: dict, seed: int, count: int, method: str,
+                 backend: str | None = None, collected: list | None = None,
+                 growth_validated: bool | None = None, workers: int = 1):
+        self.config, self.seed, self.count, self.method = config, seed, count, method
+        self.backend, self.growth_validated, self.workers = backend, growth_validated, workers
+        self.collected = [] if collected is None else collected
 
 
 def run_sampler(config: dict, seed: int, count: int,
@@ -313,8 +315,9 @@ def run_sampler(config: dict, seed: int, count: int,
     runs extend deterministically and do not depend on how many processes
     drew them.  The growth method draws the Jack-Plancherel chain only, so
     it refuses any other variant; it checks its arguments once and then
-    splits the draws over min(count, :func:`usable_cpus`) processes (see
-    :func:`_growth_draws`).  Exact runs draw in this process."""
+    splits the draws over max(1, min(count, :func:`usable_cpus`))
+    processes (see :func:`_growth_draws`): with count 0 it forks nothing.
+    Exact runs draw in this process."""
     if isinstance(count, bool) or not isinstance(count, int):
         raise ValueError(f"count must be an int, got {count!r}")
     if count < 0:

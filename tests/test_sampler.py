@@ -233,6 +233,44 @@ def test_validate_growth_catches_a_wrong_kernel_mass(monkeypatch):
     assert validate_growth() is True
 
 
+@pytest.mark.parametrize("skew", ["one-step mass", "plancherel mass"])
+def test_validate_growth_catches_a_wrong_exact_mass(monkeypatch, skew):
+    # eps is far below float resolution, so the kernel leg cannot see it:
+    # only the exact leg can refuse the chain
+    big = 10 ** 40
+    true_step, true_hooks = sampler._one_step, sampler._hook_pairs
+
+    def skewed_step(parts, a, q):
+        # move eps = 1/big of mass between the first two atoms at (2, 1)
+        law = true_step(parts, a, q)
+        if tuple(parts) == (2, 1):
+            (up, num, rest), (down, num1, rest1) = law[:2]
+            law[:2] = [(up, num * big + rest, rest * big),
+                       (down, num1 * big - rest1, rest1 * big)]
+        return law
+
+    def skewed_hooks(parts, a, q):
+        # j_lam q^(2n) times big at every lam leaves the check's identity as
+        # it is; times big + 1 at (2, 1) divides its Plancherel mass by 1 + eps
+        return true_hooks(parts, a, q) * (big + 1 if tuple(parts) == (2, 1) else big)
+
+    for alpha in sampler.GROWTH_VALIDATION_ALPHAS:
+        law = skewed_step((2, 1), alpha.numerator, alpha.denominator)
+        assert sum(Fraction(num, rest) for _, num, rest in law) == 1
+        assert kernel_matches_law(Partition([2, 1]), alpha, law)
+    monkeypatch.setattr(sampler, "_growth_validated", None)
+    if skew == "one-step mass":
+        monkeypatch.setattr(sampler, "_one_step", skewed_step)
+    else:
+        monkeypatch.setattr(sampler, "_hook_pairs", skewed_hooks)
+    try:
+        assert validate_growth() is False
+    finally:
+        sampler._growth_validated = None
+    monkeypatch.undo()
+    assert validate_growth() is True
+
+
 def _run_fresh(code: str):
     """Run code in a fresh interpreter that imports the jackpaths this
     process imported; fail with its stderr if it fails."""
@@ -260,6 +298,8 @@ def test_mpmath_is_loaded_only_by_the_dps_and_bessel_paths():
                "assert jackpaths.sampler.validate_growth()\n"
                "plancherel_limit_shape(Fraction(-1, 4), 3)\n"
                "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n"
+               "for name in ('dataclasses', 'inspect'):\n"
+               "    assert name not in sys.modules, name + ' was imported'\n"
                "import mpmath\n"
                "zeros = bessel_order_zeros(Fraction(-1, 4), 2, dps=30).zeros\n"
                "assert all(isinstance(z, mpmath.mpf) for z in zeros), zeros\n")
