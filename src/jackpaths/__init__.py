@@ -22,9 +22,9 @@ from .partitions import Partition, falling_factorial, j_alpha, partitions_of
 from .paths import (Excursion, RibbonPath, afp_cov, afp_mean, clt_cov,
                     clt_mean, count_lukasiewicz, depoissonized_expectation,
                     enumerate_lukasiewicz, enumerate_motzkin,
-                    enumerate_ribbon, finite_cumulant_s, finite_expectation,
-                    finite_moment_s, limit_moment, limit_moment_poly,
-                    moment_duality_check, set_partitions)
+                    finite_cumulant_s, finite_expectation, finite_moment_s,
+                    limit_moment, limit_moment_poly, moment_duality_check,
+                    set_partitions)
 from .limitshape import (BesselZeroList, JacobiOperator, bessel_j,
                          bessel_order_zeros, functional_equation_check,
                          jacobi_moment, jacobi_moment_symbolic,

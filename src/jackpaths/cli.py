@@ -353,7 +353,9 @@ def cmd_verify(args):
         if not os.access(args.out, os.W_OK | os.X_OK):
             raise ValueError(f"--out: cannot write to directory {args.out}")
         kwargs["lln-low-temperature"] = {"out_dir": args.out}
-    results = run_suites(names, **kwargs)
+    # with --json, stdout carries the JSON array only
+    results = run_suites(names, stream=sys.stderr if args.json else None,
+                         **kwargs)
     if args.json:
         entries = []
         for n, p, d, s in results:
@@ -396,21 +398,6 @@ _COMMANDS = {
 }
 
 
-def _explicit_dests(parser, command, argv) -> set:
-    """Destinations set on the command line, in any spelling argparse
-    accepts (--alpha=2, abbreviations): re-parse with the subcommand's
-    defaults suppressed, then restore them."""
-    actions = parser.subcommands[command]._actions
-    saved = [action.default for action in actions]
-    for action in actions:
-        action.default = argparse.SUPPRESS
-    try:
-        return set(vars(parser.parse_args(argv)))
-    finally:
-        for action, default in zip(actions, saved):
-            action.default = default
-
-
 def _config_value(action, val):
     """A config value as the flag would give it: true or false for a
     switch; otherwise converted by the option's ``type`` (from its text as
@@ -445,27 +432,30 @@ def _config_value(action, val):
     return one(val)
 
 
-def main(argv=None, parser=None) -> int:
-    """Run one command; ``parser`` defaults to a fresh :func:`build_parser`."""
-    if parser is None:
-        parser = build_parser()
+def main(argv=None) -> int:
+    """Run one command on a fresh :func:`build_parser`.  The --config
+    values become the subcommand's defaults and ``argv`` is parsed again,
+    so a flag in any spelling argparse accepts (--alpha=2, abbreviations)
+    overrides them."""
+    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(argv)
     try:
         defaults = _load_config(args.config)
-        explicit = _explicit_dests(parser, args.command, argv) if defaults else set()
-        command = parser.subcommands[args.command]
-        actions = {action.dest: action for action in command._actions}
-        for key, val in defaults.items():
-            attr = key.replace("-", "_")
-            # config fills in flags the user did not pass explicitly
-            if attr in actions and attr not in explicit:
-                try:
-                    val = _config_value(actions[attr], val)
-                except argparse.ArgumentError as exc:
-                    command.error(f"--config: {exc}")
-                setattr(args, attr, val)
+        if defaults:
+            command = parser.subcommands[args.command]
+            actions = {action.dest: action for action in command._actions}
+            values = {}
+            for key, val in defaults.items():
+                attr = key.replace("-", "_")
+                if attr in actions:
+                    try:
+                        values[attr] = _config_value(actions[attr], val)
+                    except argparse.ArgumentError as exc:
+                        command.error(f"--config: {exc}")
+            command.set_defaults(**values)
+            args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -267,33 +267,18 @@ _KINDS = ("moment", "boolean", "free", "fundamental")
 def observables(measure: DiscreteMeasure, kind: str, ell: int):
     """The ell-th observable of an exact measure: raw moment, Boolean
     cumulant, free cumulant, or fundamental shape functional."""
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}")
     if ell < 1:
         raise ValueError("ell must be >= 1")
     return observable_family(measure, kind, ell)[-1]
 
 
 def observable_family(measure: DiscreteMeasure, kind: str, ell: int):
-    """All observables of the given kind up to order ell (cheaper than
-    calling :func:`observables` per order)."""
+    """All observables of the given kind up to order ell, converted from the
+    moments :meth:`DiscreteMeasure.moment` gives (cheaper than calling
+    :func:`observables` per order)."""
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}")
-    if measure.exact:
-        # M_k = sum_i W_i P_i^k / (G E^k) over integers P_i = E p_i, W_i = G m_i
-        pos_den = math.lcm(*(p.denominator for p, _ in measure.atoms))
-        mass_den = math.lcm(*(m.denominator for _, m in measure.atoms))
-        big_p = [p.numerator * (pos_den // p.denominator) for p, _ in measure.atoms]
-        weighted = [m.numerator * (mass_den // m.denominator)
-                    for _, m in measure.atoms]
-        moments = []
-        scale = mass_den
-        for _ in range(ell):
-            weighted = [w * p for w, p in zip(weighted, big_p)]
-            scale *= pos_den
-            moments.append(Fraction(sum(weighted), scale))
-    else:
-        moments = [measure.moment(k) for k in range(1, ell + 1)]
+    moments = [measure.moment(k) for k in range(1, ell + 1)]
     if kind == "moment":
         return moments
     if kind == "boolean":

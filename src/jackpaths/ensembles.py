@@ -41,9 +41,6 @@ class PoissonScaled(Frozen):
     def __float__(self):
         return float(self.rational) * math.exp(-float(self.exponent))
 
-    def scaled(self, c) -> "PoissonScaled":
-        return PoissonScaled(self.rational * Fraction(c), self.exponent)
-
     def __repr__(self):
         return f"PoissonScaled({self.rational} * exp(-{self.exponent}))"
 
@@ -590,9 +587,6 @@ class PoissonInterval(Record):
         worst = max(abs(target * lo - self.rational_sum),
                     abs(target * hi - self.rational_sum))
         return worst <= self.tail_bound
-
-    def contains(self, x) -> bool:
-        return abs(float(x) - self.value) <= self.radius
 
 
 def _exp_bounds(U: Fraction, slack: Fraction):

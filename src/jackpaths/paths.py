@@ -442,68 +442,28 @@ def ribbon_stats(rp: RibbonPath):
     }
 
 
-def _pi_blocks(n_sites, pi):
-    if pi is None:
-        return [frozenset([i]) for i in range(n_sites)]
-    blocks = [frozenset(b) for b in pi]
-    seen = set().union(*blocks) if blocks else set()
-    if seen != set(range(n_sites)):
-        raise ValueError("set-partition must cover all site indices")
-    return blocks
-
-
-def is_pi_connected(rp: RibbonPath, pi=None) -> bool:
-    """Whether the graph induced on the blocks of pi (default: singleton
-    blocks) by cross-block pairings is connected."""
+def is_pi_connected(rp: RibbonPath) -> bool:
+    """Whether the cross-site pairings connect all the sites (pi is the
+    partition of the sites into singletons)."""
     info = _info_of(rp.sites)
-    blocks = _pi_blocks(len(rp.sites), pi)
-    if len(blocks) <= 1:
+    n = len(rp.sites)
+    if n <= 1:
         return True
-    block_of = {}
-    for b, members in enumerate(blocks):
-        for site in members:
-            block_of[site] = b
-    adj = {b: set() for b in range(len(blocks))}
+    adj = {site: set() for site in range(n)}
     for d, u in rp.pairings:
-        b1 = block_of[info.site_of[d]]
-        b2 = block_of[info.site_of[u]]
-        if b1 != b2:
-            adj[b1].add(b2)
-            adj[b2].add(b1)
+        s1, s2 = info.site_of[d], info.site_of[u]
+        if s1 != s2:
+            adj[s1].add(s2)
+            adj[s2].add(s1)
     seen = {0}
     frontier = [0]
     while frontier:
-        b = frontier.pop()
-        for nb in adj[b]:
+        site = frontier.pop()
+        for nb in adj[site]:
             if nb not in seen:
                 seen.add(nb)
                 frontier.append(nb)
-    return len(seen) == len(blocks)
-
-
-def enumerate_ribbon(lengths, pairing_count=None, s0_count=None,
-                     connectivity=None):
-    """Lukasiewicz ribbon paths on the given site lengths, optionally
-    filtered by number of pairings, |S^0|, and pi-connectivity
-    (connectivity="connected" uses singleton blocks; otherwise pass an
-    iterable of blocks of site indices)."""
-    lengths = _lengths_tuple(lengths)
-    pi = None
-    want_conn = False
-    if connectivity is not None:
-        want_conn = True
-        if connectivity != "connected":
-            pi = connectivity
-    out = []
-    for rp in _all_ribbons(lengths):
-        if pairing_count is not None and len(rp.pairings) != pairing_count:
-            continue
-        if s0_count is not None and ribbon_stats(rp)["s0_total"] != s0_count:
-            continue
-        if want_conn and not is_pi_connected(rp, pi):
-            continue
-        out.append(rp)
-    return out
+    return len(seen) == n
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ With numba, the parent compiles the kernel before it forks.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from fractions import Fraction
@@ -250,7 +251,7 @@ def exact_sample(ensemble: Ensemble, rng: SplitMix64) -> Partition:
     while True:
         lo = dyadic_fraction(n, bits)
         hi = dyadic_fraction(n + 1, bits)
-        idx = _first_above(cum, lo)
+        idx = bisect.bisect_right(cum, lo)  # cum[-1] == 1 > lo
         if hi <= cum[idx]:
             return lams[idx]
         n, bits = rng.extend_dyadic(n, bits)
@@ -275,17 +276,6 @@ def _cumulative(ensemble: Ensemble):
     return lams, cum
 
 
-def _first_above(cum, x) -> int:
-    lo, hi = 0, len(cum) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if cum[mid] > x:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 # ---------------------------------------------------------------------------
 # Sample runs and empirical statistics
 # ---------------------------------------------------------------------------
@@ -293,20 +283,21 @@ def _first_above(cum, x) -> int:
 
 class SampleRun:
     """A reproducible batch of draws: identical (config, seed) give
-    identical output.  ``backend`` is the growth kernel's backend that ran,
-    ``_kernels.BACKEND`` (None for exact draws), and ``growth_validated`` the
-    result of :func:`validate_growth` for growth runs (None for exact
-    draws); a completed growth run always records True, because it refuses
-    to draw otherwise.  ``workers`` is the number of processes that drew:
-    1 for exact runs, max(1, min(count, :func:`usable_cpus`)) for growth
-    runs, so a growth run of count 0 records 1 and forks nothing."""
+    identical output.  The constructor takes the request only; the draws go
+    into ``collected`` ([] at first), and :func:`run_sampler` sets the other
+    three attributes of a growth run.  ``backend`` is the growth kernel's
+    backend that ran, ``_kernels.BACKEND`` (None for exact draws), and
+    ``growth_validated`` the result of :func:`validate_growth` for growth
+    runs (None for exact draws); a completed growth run always records
+    True, because it refuses to draw otherwise.  ``workers`` is the number
+    of processes that drew: 1 for exact runs, max(1, min(count,
+    :func:`usable_cpus`)) for growth runs, so a growth run of count 0
+    records 1 and forks nothing."""
 
-    def __init__(self, config: dict, seed: int, count: int, method: str,
-                 backend: str | None = None, collected: list | None = None,
-                 growth_validated: bool | None = None, workers: int = 1):
+    def __init__(self, config: dict, seed: int, count: int, method: str):
         self.config, self.seed, self.count, self.method = config, seed, count, method
-        self.backend, self.growth_validated, self.workers = backend, growth_validated, workers
-        self.collected = [] if collected is None else collected
+        self.backend, self.growth_validated, self.workers = None, None, 1
+        self.collected = []
 
 
 def run_sampler(config: dict, seed: int, count: int,

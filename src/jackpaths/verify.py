@@ -424,14 +424,13 @@ SIZE_CAP_SUITES = ("normalization",)
 GROWTH_SUITES = ("sampler-law", "lln-low-temperature")
 
 
-def run_suites(names=None, stream=None, **kwargs):
-    """Run the named suites (all by default, in name order), printing one
-    pass/fail line each; returns the list of (name, passed, detail, secs)."""
+def run_suites(names, stream=None, **kwargs):
+    """Run the named suites in the given order, printing one pass/fail line
+    each to ``stream`` (stdout by default); returns the list of (name,
+    passed, detail, secs)."""
     import sys
 
     stream = stream or sys.stdout
-    if names is None:
-        names = sorted(SUITES)
     results = []
     for name in names:
         if name not in SUITES:

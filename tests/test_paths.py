@@ -7,11 +7,11 @@ from jackpaths.paths import (RIBBON_DP_LIMIT, EnumerationCapError, afp_cov,
                              afp_mean, clt_cov, clt_mean, count_lukasiewicz,
                              depoissonized_expectation,
                              enumerate_lukasiewicz, enumerate_motzkin,
-                             enumerate_ribbon, finite_cumulant_s,
-                             finite_expectation, finite_moment_s,
-                             is_pi_connected, limit_moment, limit_moment_poly,
-                             moment_duality_check, ribbon_stats,
-                             set_partitions, shape_sum_poly, statistic_f)
+                             finite_cumulant_s, finite_expectation,
+                             finite_moment_s, is_pi_connected, limit_moment,
+                             limit_moment_poly, moment_duality_check,
+                             ribbon_stats, set_partitions, shape_sum_poly,
+                             statistic_f)
 from jackpaths.polynomials import Poly
 
 
@@ -58,26 +58,23 @@ def test_path_structure_constraints():
 
 
 def test_ribbon_height_bound_and_filters():
+    from jackpaths.paths import _all_ribbons
+
     for lengths in [(2, 2), (3, 2), (4,), (2, 2, 2)]:
         total = sum(lengths)
-        for rp in enumerate_ribbon(lengths):
+        for rp in _all_ribbons(lengths):
             assert rp.max_height() < total
             # unpaired down steps all have degree one
             stats = ribbon_stats(rp)
             assert stats["unpaired_downs"] >= 0
-    assert enumerate_ribbon([3, 1]) == []
-    assert enumerate_ribbon([1]) == []
-    one = enumerate_ribbon([2, 2], pairing_count=1, connectivity="connected")
+    assert _all_ribbons((3, 1)) == ()
+    assert _all_ribbons((1,)) == ()
+    one = [rp for rp in _all_ribbons((2, 2))
+           if len(rp.pairings) == 1 and is_pi_connected(rp)]
     assert len(one) == 1
-    assert len(enumerate_ribbon([2], pairing_count=0)) == 1
+    assert len([rp for rp in _all_ribbons((2,)) if not rp.pairings]) == 1
     with pytest.raises(EnumerationCapError):
-        enumerate_ribbon([8, 8])
-
-
-def test_pi_connectivity_filter():
-    # with both sites in one block, connectivity is trivial
-    rps = enumerate_ribbon([2, 2], connectivity=[(0, 1)])
-    assert len(rps) == len(enumerate_ribbon([2, 2]))
+        _all_ribbons((8, 8))
 
 
 def test_limit_moment_examples():

@@ -72,9 +72,7 @@ def test_record_classes_take_their_fields_by_position_or_keyword():
                            "exponent": F(2), "degree": 12}),
         (BesselZeroList, {"g": F(-1, 4), "zeros": [1.5, 2.5], "precision": 1e-10}),
         (TruncatedAtoms, {"measure": None, "sensitivity": [0.0]}),
-        (SampleRun, {"config": {}, "seed": 7, "count": 2, "method": "growth",
-                     "backend": "python", "collected": [], "growth_validated": True,
-                     "workers": 2}),
+        (SampleRun, {"config": {}, "seed": 7, "count": 2, "method": "growth"}),
     ]
     for cls, fields in cases:
         for record in (cls(*fields.values()), cls(**fields)):

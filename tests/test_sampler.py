@@ -501,6 +501,35 @@ def test_exact_sample_cap():
         exact_sample(JackPlancherel(Fraction(1), 26), SplitMix64(0))
 
 
+class _StubDyadic:
+    """A 128-bit first draw N / 2^128, then the given 64-bit extensions."""
+
+    def __init__(self, n, extensions=()):
+        self.n, self.extensions = n, list(extensions)
+
+    def next_dyadic(self):
+        return self.n, 128
+
+    def extend_dyadic(self, n, bits):
+        return (n << 64) | self.extensions.pop(0), bits + 64
+
+
+def test_exact_sample_at_a_dyadic_boundary():
+    # cum = [1/2, 1] over (1, 1), (2): [lo, hi) = [1/2, 1/2 + 2^-128) lies
+    # above 1/2, and the draw just below ends at 1/2
+    even = JackPlancherel(Fraction(1), 2)
+    assert exact_sample(even, _StubDyadic(1 << 127)) == Partition([2])
+    assert exact_sample(even, _StubDyadic((1 << 127) - 1)) == Partition([1, 1])
+    # cum = [5/12, 1]: the first interval holding 5/12 is refined once more
+    tilted = JackPlancherel(Fraction(5, 7), 2)
+    assert sampler._cumulative(tilted)[1] == [Fraction(5, 12), 1]
+    n = (5 << 128) // 12
+    for word, want in ((0, [1, 1]), ((1 << 64) - 1, [2])):
+        rng = _StubDyadic(n, [word])
+        assert exact_sample(tilted, rng) == Partition(want)
+        assert rng.extensions == []  # extended exactly once
+
+
 class _IrrationalPair:
     """Two atoms with masses sqrt(2) - 1 and 2 - sqrt(2)."""
 
