@@ -229,6 +229,24 @@ def _residues(big_x, big_y):
     return masses
 
 
+def _cleared(w, h):
+    """(W, H, den): w and h over den = lcm(den w, den h), as ints."""
+    w, h = Fraction(w), Fraction(h)
+    den = math.lcm(w.denominator, h.denominator)
+    return (w.numerator * (den // w.denominator),
+            h.numerator * (den // h.denominator), den)
+
+
+def _mul_div(coeffs, a, b):
+    """Multiply the power series ``coeffs`` in T by (1 - aT) and divide it by
+    (1 - bT), in place, truncated at its length."""
+    prev = coeffs[0]
+    for n in range(1, len(coeffs)):
+        cur = coeffs[n]
+        coeffs[n] = cur - a * prev + b * coeffs[n - 1]
+        prev = cur
+
+
 def boolean_numerators(parts, w, h, ell: int):
     """Integers (nums, den) with B_l = nums[l - 1] / den**l, l = 1..ell, the
     Boolean cumulants of the transition measure of the (w, h) diagram of the
@@ -238,20 +256,52 @@ def boolean_numerators(parts, w, h, ell: int):
     and minima x_i gives sum B_l t^l = 1 - prod(1 - x_i t)/prod(1 - y_j t).
     On the corners X_i = den x_i, Y_j = den y_j and T = t/den the series is
     multiplied by each (1 - X_i T) and divided by each (1 - Y_j T) over ints.
+    :func:`_boolean_pricer` gives the same numerators, carried along a walk.
     """
-    w, h = Fraction(w), Fraction(h)
-    den = math.lcm(w.denominator, h.denominator)
-    big_w = w.numerator * (den // w.denominator)
-    big_h = h.numerator * (den // h.denominator)
+    big_w, big_h, den = _cleared(w, h)
     xs, ys = corners(parts, big_w, big_h)
-    coeffs = [1] + [0] * ell
-    for x in xs:
-        for n in range(ell, 0, -1):
-            coeffs[n] -= x * coeffs[n - 1]
-    for y in ys:
-        for n in range(1, ell + 1):
-            coeffs[n] += y * coeffs[n - 1]
-    return [-c for c in coeffs[1:]], den
+    coeffs = [-1] + [0] * ell  # minus the series, so that nums = coeffs[1:]
+    for x, y in zip(xs, ys):
+        _mul_div(coeffs, x, y)
+    _mul_div(coeffs, xs[-1], 0)
+    return coeffs[1:], den
+
+
+def _boolean_pricer(w, h, ell: int):
+    """A function parts -> ``boolean_numerators(parts, w, h, ell)``.
+
+    Adding the cell (i, j) at the cleared profile minimum X = W j - H i
+    multiplies prod(1 - X_i T)/prod(1 - Y_j T) by
+    (1 - (X - H)T)(1 - (X + W)T) / ((1 - XT)(1 - (X + W - H)T)).  The pricer
+    keeps the series of a chain of partitions of increasing size, the
+    last-box ancestors of the last one priced, and prices a partition from
+    its parent (the last row one box shorter) when the parent is on the
+    chain; any other partition is priced from its corners.  A pre-order walk
+    of the last-box tree, such as :meth:`JackThoma.support`, always finds
+    the parent there.
+    """
+    big_w, big_h, den = _cleared(w, h)
+    chain = []  # (size, parts, series), sizes strictly increasing
+
+    def price(parts):
+        parts = tuple(parts)
+        size = sum(parts)
+        while chain and chain[-1][0] >= size:
+            chain.pop()
+        coeffs = None
+        if parts and chain:
+            i, j = len(parts) - 1, parts[-1] - 1  # the last box
+            if chain[-1][1] == (parts[:-1] + (j,) if j else parts[:-1]):
+                coeffs = chain[-1][2][:]
+                x = big_w * j - big_h * i
+                _mul_div(coeffs, x - big_h, x)
+                _mul_div(coeffs, x + big_w, x + big_w - big_h)
+        if coeffs is None:
+            coeffs = [-1] + boolean_numerators(parts, w, h, ell)[0]
+        chain.append((size, parts, coeffs))
+        return coeffs[1:], den
+
+    return price
 
 
 def diagram_booleans(lam: Partition, w, h, ell: int):

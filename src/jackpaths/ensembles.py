@@ -114,8 +114,10 @@ def _principal_form(v: Specialization):
     if v1 == 0:
         return None
     c = v(2) / v1
+    term = v1
     for k in range(2, 81):
-        if v(k) != v1 * c ** (k - 1):
+        term *= c  # v1 * c^(k-1)
+        if v(k) != term:
             return None
     return v1, c
 
@@ -590,20 +592,27 @@ class PoissonInterval(Record):
 
 
 def _exp_bounds(U: Fraction, slack: Fraction):
-    """Rational lower/upper bounds on e^U with hi - lo <= slack."""
-    U = Fraction(U)
-    term = Fraction(1)
-    total = Fraction(1)
+    """Rational lower/upper bounds on e^U with hi - lo <= slack, for
+    slack > 0: the partial sum of the series to the first n > 2U whose last
+    term t has 2t <= slack, and that sum plus 2t.  With U = p/q the sum
+    N / (q^n n!) and the term p^n / (q^n n!) are carried in ints."""
+    U, slack = Fraction(U), Fraction(slack)
+    if slack <= 0:
+        raise ValueError(f"slack must be positive, got {slack}")
+    p, q = U.numerator, U.denominator
+    s_num, s_den = slack.numerator, slack.denominator
+    total = power = scale = 1  # N, p^n and q^n n!
     n = 0
     while True:
         n += 1
-        term *= U / n
-        total += term
-        if n > 2 * U and 2 * term <= slack:
+        power *= p
+        scale *= q * n
+        total = total * q * n + power
+        if n * q > 2 * p and 2 * power * s_den <= s_num * scale:
             break
         if n > 4000:
             raise ArithmeticError("exp bound did not converge")
-    return total, total + 2 * term
+    return Fraction(total, scale), Fraction(total + 2 * power, scale)
 
 
 def _poisson_tail(U: Fraction, D: int, C: Fraction, r: int):
@@ -657,7 +666,7 @@ def poisson_expectation(alpha, u, v, observable, tail_eps,
                         growth_bound=None, lengths_hint=None) -> PoissonInterval:
     """Brute-force oracle: sum mass * observable over the support of the
     measure up to a truncation degree chosen so the certified tail is below
-    tail_eps.
+    tail_eps, which must be positive.
 
     ``growth_bound`` is (C, r) with |observable(lam)| <= C |lam|^r; when
     omitted it is derived for products of Boolean observables with total
@@ -669,6 +678,8 @@ def poisson_expectation(alpha, u, v, observable, tail_eps,
     if U <= 0:
         raise ValueError("need u^2 v_1 / alpha > 0")
     tail_eps = Fraction(tail_eps)
+    if tail_eps <= 0:
+        raise ValueError(f"tail_eps must be positive, got {tail_eps}")
     if growth_bound is None:
         if lengths_hint is None:
             raise ValueError("pass growth_bound=(C, r) or lengths_hint")

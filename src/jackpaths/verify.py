@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from . import paths
-from .diagrams import boolean_numerators, diagram_booleans
+from .diagrams import _boolean_pricer, diagram_booleans
 from .ensembles import (CharacterMeasure, ConditionalJackThoma, JackPlancherel,
                         JackSchurWeyl, JackThoma, PoissonInterval,
                         _boolean_growth_constant, _poisson_tail,
@@ -72,16 +72,25 @@ def nc_moment_poly(ell: int) -> Poly:
 
 def boolean_products_observable(lengths, alpha, u):
     """Per-partition exact value of prod_i B_{l_i} of the (alpha/u, 1/u)
-    rescaled diagram."""
+    rescaled diagram; ``lengths`` must be a nonempty sequence of ints >= 1.
+    The Boolean numerators come from one :func:`diagrams._boolean_pricer`,
+    so partitions passed in a walk of :meth:`JackThoma.support` are each
+    priced from the one before by one box."""
+    lengths = tuple(lengths)
+    if not lengths or not all(isinstance(ell, int) and not isinstance(ell, bool)
+                              and ell >= 1 for ell in lengths):
+        raise ValueError(f"lengths must be a nonempty sequence of ints >= 1, "
+                         f"got {lengths}")
     alpha, u = Fraction(alpha), Fraction(u)
-    top, w, h = max(lengths), alpha / u, 1 / u
+    price = _boolean_pricer(alpha / u, 1 / u, max(lengths))
+    order = sum(lengths)
 
     def obs(lam: Partition):
-        nums, den = boolean_numerators(lam.parts, w, h, top)
+        nums, den = price(lam.parts)
         out = 1
         for ell in lengths:
             out *= nums[ell - 1]
-        return Fraction(out, den ** sum(lengths))
+        return Fraction(out, den ** order)
 
     return obs
 
@@ -185,14 +194,17 @@ def boolean_product_sums(weighted, w, h, multisets) -> dict:
     multiset's prefix must come before it.
 
     The sums run over Python ints: the masses over their common
-    denominator M, and B_l = nums[l - 1] / den**l from the profile corners,
-    so each multiset divides once, by M * den**(sum of lengths)."""
+    denominator M, and B_l = nums[l - 1] / den**l, so each multiset divides
+    once, by M * den**(sum of lengths).  The numerators come from one
+    :func:`diagrams._boolean_pricer`, which carries each partition's series
+    from its parent when ``weighted`` walks as :meth:`JackThoma.support`
+    does."""
     weighted = list(weighted)
     M = math.lcm(*(rm.denominator for _, rm in weighted))
-    top = max(map(max, multisets))
+    price = _boolean_pricer(w, h, max(map(max, multisets)))
     sums = dict.fromkeys(multisets, 0)
     for lam, rm in weighted:  # den depends only on (w, h)
-        nums, den = boolean_numerators(lam.parts, w, h, top)
+        nums, den = price(lam.parts)
         # each multiset extends its prefix, which comes earlier
         prods = {(): rm.numerator * (M // rm.denominator)}
         for lengths in multisets:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from jackpaths import series
 from jackpaths.diagrams import (AnisotropicDiagram, DiscreteMeasure,
-                                InterlacingError, StaircaseShape, corners,
+                                InterlacingError, StaircaseShape,
+                                _boolean_pricer, boolean_numerators, corners,
                                 diagram_booleans, observable_family,
                                 observables, profile, rescale_observable,
                                 transition_measure)
@@ -20,6 +21,7 @@ from jackpaths.rng import SplitMix64
 from jackpaths.sampler import growth_sample, scaled_profile
 from jackpaths.verify import (DEPOISSONIZED_SETS, ORACLE_PARAMETER_SETS,
                               _length_multisets, boolean_product_sums,
+                              boolean_products_observable,
                               noncrossing_partitions)
 
 
@@ -352,3 +354,46 @@ def test_oracle_integer_sums_equal_fraction_sums():
         masses = ConditionalJackThoma(alpha, d, v).masses()
         assert boolean_product_sums(masses.items(), alpha / u, 1 / u, multisets) == \
             _fraction_sums(masses.items(), alpha / u, 1 / u, multisets)
+
+
+# the truncation degrees suite_poisson_oracle reaches at total 7
+ORACLE_SUITE_DEGREES = (24, 30, 30)
+
+
+def _oracle_walks():
+    for (alpha, u, vrule, _), D in zip(ORACLE_PARAMETER_SETS, ORACLE_SUITE_DEGREES):
+        ens = JackThoma(alpha, u, vrule, check_positivity=False)
+        yield alpha / u, 1 / u, [lam.parts for lam, _ in ens.support(D)]
+
+
+def test_pricer_equals_boolean_numerators_along_the_support_walk():
+    ell = 7
+    for w, h, walk in _oracle_walks():
+        price = _boolean_pricer(w, h, ell)
+        for parts in walk:
+            assert price(parts) == boolean_numerators(parts, w, h, ell)
+
+
+def test_pricer_equals_boolean_numerators_in_any_order():
+    ell = 5
+    walks = list(_oracle_walks())
+    for k, (w, h, walk) in enumerate(walks):
+        shuffled = walk[:]
+        random.Random(7).shuffle(shuffled)
+        price = _boolean_pricer(w, h, ell)
+        for parts in shuffled:
+            assert price(parts) == boolean_numerators(parts, w, h, ell)
+        # two walks interleaved, one partition of each in turn
+        other = walks[(k + 1) % len(walks)][2]
+        price = _boolean_pricer(w, h, ell)
+        for a, b in itertools.zip_longest(walk, other):
+            for parts in (a, b):
+                if parts is not None:
+                    assert price(parts) == boolean_numerators(parts, w, h, ell)
+
+
+@pytest.mark.parametrize("lengths", [[], (), [0], [2, 0], [-1], [1.5], [True],
+                                     ["2"], [Fraction(2)]])
+def test_boolean_products_observable_refuses_bad_lengths(lengths):
+    with pytest.raises(ValueError, match="lengths"):
+        boolean_products_observable(lengths, 2, 2)

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,8 @@ from jackpaths.ensembles import (AsymptoticRegime, CharacterMeasure,
                                  character_measure, conditional_cumulant,
                                  conditional_thoma_character,
                                  ensemble_from_config, extended_character,
-                                 PoissonInterval, _poisson_tail,
+                                 PoissonInterval, _exp_bounds, _poisson_tail,
+                                 _principal_form,
                                  _truncation_degree, poisson_expectation,
                                  regime_sequences, thoma_specialization,
                                  totally_positive_spec)
@@ -412,3 +414,73 @@ def test_fixed_size_measures_are_conditioned_principal_thoma(alpha):
                 conditioned(dual, d)
     for d in range(9):
         assert JackPlancherel(alpha, d).masses() == conditioned(plancherel, d)
+
+
+def _fraction_exp_bounds(U, slack):
+    """e^U bracketed by the Fraction partial sums of its series."""
+    term = total = Fraction(1)
+    n = 0
+    while True:
+        n += 1
+        term *= U / n
+        total += term
+        if n > 2 * U and 2 * term <= slack:
+            return total, total + 2 * term
+
+
+def test_integer_exp_bounds_equal_the_fraction_series():
+    rng = random.Random(25)
+    for _ in range(200):
+        U = Fraction(rng.randint(-40, 120), rng.randint(1, 30))
+        slack = Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 20))
+        assert _exp_bounds(U, slack) == _fraction_exp_bounds(U, slack)
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        _exp_bounds(Fraction(2001), Fraction(1))  # needs n > 4002
+
+
+@pytest.mark.parametrize("slack", [0, -1, Fraction(-1, 10 ** 9)])
+def test_exp_bounds_refuse_a_slack_that_is_not_positive(slack):
+    with pytest.raises(ValueError, match="slack must be positive"):
+        _exp_bounds(Fraction(2), slack)
+    iv = PoissonInterval(Fraction(1), Fraction(1), Fraction(slack), Fraction(2), 4)
+    with pytest.raises(ValueError, match="slack must be positive"):
+        iv.contains_exact(Fraction(1))
+
+
+@pytest.mark.parametrize("tail_eps", [0, Fraction(-1, 10 ** 12)])
+def test_poisson_expectation_refuses_a_tail_eps_that_is_not_positive(tail_eps):
+    vfun = lambda k: Fraction(1, 2) ** (k - 1)
+    with pytest.raises(ValueError, match="tail_eps must be positive"):
+        poisson_expectation(Fraction(2), Fraction(2), vfun, lambda lam: 1,
+                            tail_eps, growth_bound=(1, 0))
+
+
+def _powered_principal_form(v):
+    v1 = v(1)
+    if v1 == 0:
+        return None
+    c = v(2) / v1
+    for k in range(2, 81):
+        if v(k) != v1 * c ** (k - 1):
+            return None
+    return v1, c
+
+
+def _geometric_until(v1, c, last):
+    """v1 c^(k-1) for k <= last, then one more than that."""
+    return lambda k: v1 * c ** (k - 1) + (k > last)
+
+
+@pytest.mark.parametrize("rule, want", [
+    (lambda k: Fraction(1) if k == 1 else Fraction(0), (1, 0)),
+    (lambda k: Fraction(3, 2) * Fraction(-2, 5) ** (k - 1),
+     (Fraction(3, 2), Fraction(-2, 5))),
+    (_geometric_until(Fraction(2), Fraction(1, 3), 80), (2, Fraction(1, 3))),
+    (_geometric_until(Fraction(2), Fraction(1, 3), 79), None),
+    (_geometric_until(Fraction(1), Fraction(1, 2), 2), None),
+    (lambda k: Fraction(0) if k == 1 else Fraction(1), None),
+    ([Fraction(1), Fraction(1, 2), Fraction(1, 4)], None),
+])
+def test_principal_form_is_unchanged(rule, want):
+    v = Specialization.of(rule)
+    assert _principal_form(v) == _powered_principal_form(v) == want
