@@ -12,7 +12,7 @@ import warnings
 from contextlib import nullcontext
 from fractions import Fraction
 from itertools import islice
-from math import comb, isfinite
+from math import comb, isfinite, prod
 
 from ._records import Frozen, Record
 from .diagrams import DiscreteMeasure, StaircaseShape
@@ -55,32 +55,60 @@ def plancherel_operator(g) -> JacobiOperator:
     return JacobiOperator(g, [Fraction(1)])
 
 
-def jacobi_moment(op: JacobiOperator, ell: int):
-    """(J^ell)_{0,0} computed on the exact (ell+1) x (ell+1) truncation,
-    which is sufficient because the lower bandwidth is 1."""
+def _check_ell(ell) -> None:
+    if isinstance(ell, bool) or not isinstance(ell, int):
+        raise ValueError(f"ell must be an int, got {ell!r}")
     if ell < 0:
         raise ValueError("ell must be nonnegative")
-    n = ell + 1
-    vec = [Fraction(1)] + [Fraction(0)] * (n - 1)
-    for _ in range(ell):
+
+
+def jacobi_moment(op: JacobiOperator, ell: int):
+    """(J^ell)_{0,0} in the ring of g and the v_k, as the top of J^ell e_0.
+    J^t e_0 is zero past row t, so step t makes rows 0..t+1; each band is
+    read once, and neither the 1 nor a zero is multiplied (no term gives 0)."""
+    _check_ell(ell)
+    g = op.g if isinstance(op.g, Poly) else Fraction(op.g)
+    bands = [(k, x) for k in range(1, ell) if (x := op.v(k)) != 0]
+    col = [Fraction(1)]
+    for t in range(ell):
         new = []
-        for i in range(n):
-            acc = 0
-            for j in range(max(0, i - 1), n):
-                e = op.entry(i, j)
-                term = e * vec[j]
-                if isinstance(term, Poly) or term != 0:
-                    acc = acc + term
+        for i in range(t + 2 if t + 1 < ell else 1):
+            acc = col[i - 1] if i else 0
+            if 0 < i <= t and g != 0:
+                acc = acc + g * i * col[i]
+            for k, x in bands:
+                if i + k > t:
+                    break
+                if col[i + k] != 0:
+                    acc = acc + x * col[i + k]
             new.append(acc)
-        vec = new
-    return vec[0]
+        col = new
+    return col[0]
 
 
 def jacobi_moment_symbolic(ell: int) -> Poly:
-    """(J^ell)_{0,0} with g and every v_k symbolic."""
-    op = JacobiOperator(Poly.var("g"), lambda k: Poly.var(f"v{k}"))
-    out = jacobi_moment(op, ell)
-    return out if isinstance(out, Poly) else Poly.const(out)
+    """(J^ell)_{0,0} with g and every v_k symbolic: jacobi_moment's column
+    over ints, keyed by exponents as digits in base ell + 1 (g the units, v_k
+    the (ell + 1)^k digit).  The diagonal multiplies by i and bumps g."""
+    _check_ell(ell)
+    base = ell + 1
+    col = [{0: 1}]
+    for t in range(ell):
+        new = []
+        for i in range(t + 2 if t + 1 < ell else 1):
+            row = dict(col[i - 1]) if i else {}
+            for k in range(0 if i else 1, t - i + 1):
+                dkey, factor = base ** k, (1 if k else i)
+                for key, c in col[i + k].items():
+                    key += dkey
+                    row[key] = row.get(key, 0) + c * factor
+            new.append(row)
+        col = new
+    terms = {}
+    for key, c in col[0].items():
+        digits = ((f"v{k}" if k else "g", key // base ** k % base) for k in range(ell))
+        terms[tuple(sorted((name, e) for name, e in digits if e))] = Fraction(c)
+    return Poly._of(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -89,20 +117,18 @@ def jacobi_moment_symbolic(ell: int) -> Poly:
 
 
 def motzkin_moment_poly(ell: int) -> Poly:
-    """Sum over Motzkin paths of prod (i*g)^{#horizontal at height i}."""
+    """Sum over the listed Motzkin paths of prod (i*g)^{#horizontal at
+    height i}, as {g exponent: int product of the flat heights}."""
+    _check_ell(ell)
     if ell == 0:
         return Poly.const(1)
-    g = Poly.var("g")
-    total = Poly.const(0)
+    total = {}
     for exc in enumerate_motzkin(ell):
-        term = Poly.const(1)
-        prev = 0
-        for y in exc.heights[1:]:
-            if y == prev:
-                term = term * (y * g)
-            prev = y
-        total = total + term
-    return total
+        h = exc.heights  # no flat step at height 0, so no weight is 0
+        flats = [y for x, y in zip(h, h[1:]) if x == y]
+        total[len(flats)] = total.get(len(flats), 0) + prod(flats)
+    return Poly._of({(("g", e),) if e else (): Fraction(c)
+                     for e, c in total.items()})
 
 
 def moment_consistency(g, L: int) -> bool:
@@ -110,7 +136,6 @@ def moment_consistency(g, L: int) -> bool:
     moments computed from (a) the tridiagonal operator, (b) Motzkin paths,
     (c) Lukasiewicz paths with v = (1, 0, 0, ...); also evaluated at g."""
     g = Fraction(g)
-    plancherel_sub = {"v1": Poly.const(1)}
     for ell in range(0, L + 1):
         mz = motzkin_moment_poly(ell)
         jac = jacobi_moment(plancherel_operator(Poly.var("g")), ell)
@@ -119,10 +144,8 @@ def moment_consistency(g, L: int) -> bool:
             return False
         if ell >= 1:
             luk = limit_moment_poly(ell)
-            sub = dict(plancherel_sub)
-            for name in luk.variables():
-                if name.startswith("v") and name != "v1":
-                    sub[name] = Poly.const(0)
+            sub = {name: Poly.const(1 if name == "v1" else 0)
+                   for name in luk.variables() - {"g"}}
             if luk.subs(sub) != mz:
                 return False
         if mz.evaluate({"g": g}) != jac.evaluate({"g": g}):

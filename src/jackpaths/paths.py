@@ -509,45 +509,56 @@ def _v1_half_power(v, ell: int):
 # ---------------------------------------------------------------------------
 
 
-def _luk_transfer(ell: int) -> dict:
-    """The weighted Lukasiewicz sum of length ell split by the number k of
-    returns to zero, by a transfer over the states (height, returns so far)
-    instead of listing paths.  Maps each k to {key: coefficient}: a key
-    packs the exponents of g and v_1, v_2, ... as digits in base ell + 1
-    (g the units digit, v_j the digit of (ell + 1)^j), and the integer
-    coefficient carries the height factors of the (i*g) weights.  A height
-    above the number of steps left can no longer return, so it is pruned."""
-    base = ell + 1
-    shift = [base ** j for j in range(ell)]
-    states = {(0, 0): {0: 1}}
-    for left in range(ell - 1, -1, -1):  # steps left after this one
-        nxt = {}
-        for (y, k), table in states.items():
-            moves = [(y + j, shift[j], 1) for j in range(1, left - y + 1)]
-            if y:
-                moves.append((y - 1, 0, 1))
-                if y <= left:
-                    moves.append((y, 1, y))  # horizontal at height y: y*g
-            for y2, dkey, factor in moves:
-                target = nxt.setdefault((y2, k + (y2 == 0)), {})
-                for key, c in table.items():
-                    key += dkey
-                    target[key] = target.get(key, 0) + c * factor
-        states = nxt
-    return {k: table for (y, k), table in states.items() if y == 0}
+def _luk_step(rows: list, left: int, shift: list) -> list:
+    """One step of :func:`_luk_transfer`: new row y takes the down step from
+    y + 1, the horizontal y*g at y and the up step v_j from y - j; a height
+    above the ``left`` steps to come cannot return, so rows stop there."""
+    new = []
+    for y in range(left + 1):
+        row = dict(rows[y + 1]) if y + 1 < len(rows) else {}
+        get = row.get
+        if 0 < y < len(rows):
+            for key, c in rows[y].items():
+                row[key] = get(key, 0) + c * y
+        for j in range(max(1, y + 1 - len(rows)), y + 1):
+            dkey = shift[j - 1]
+            for key, c in rows[y - j].items():
+                key += dkey
+                row[key] = get(key, 0) + c
+        new.append(row)
+    return new
 
 
-def _monomial(key: int, base: int) -> tuple:
-    """Decode a :func:`_luk_transfer` key into a normal Poly monomial."""
-    key, e = divmod(key, base)
-    mono = [("g", e)] if e else []
-    j = 1
+def _luk_transfer(ell: int, first_return: bool) -> dict:
+    """The weighted Lukasiewicz sum of length ell as {key: int}, by a
+    transfer over heights: a key packs the exponents of v_1, v_2, ... as
+    digits in base ell + 1 (v_1 the units), and the int carries the factors
+    i of the (i*g) weights.  With ``first_return`` the paths not yet back at
+    zero are carried apart, and a first return at step t multiplies by t."""
+    shift = [(ell + 1) ** j for j in range(ell)]
+    back, out = ([{}], [{0: 1}]) if first_return else ([{0: 1}], [])
+    for t in range(1, ell + 1):
+        back = _luk_step(back, ell - t, shift)
+        if out:
+            out = _luk_step(out, ell - t, shift)
+            for key, c in out[0].items():  # the first returns, at step t
+                back[0][key] = back[0].get(key, 0) + c * t
+            out[0] = {}
+    return back[0]
+
+
+def _monomial(key: int, ell: int) -> tuple:
+    """Decode a :func:`_luk_transfer` key into a normal Poly monomial.  The
+    exponent of g is the number of flat steps: an up step of degree j and
+    its j down steps take j + 1 of the ell steps."""
+    mono, flat, j = [], ell, 1
     while key:
-        key, e = divmod(key, base)
+        key, e = divmod(key, ell + 1)
         if e:
             mono.append((f"v{j}", e))
+            flat -= (j + 1) * e
         j += 1
-    return tuple(sorted(mono))
+    return tuple(sorted(mono + [("g", flat)] if flat else mono))
 
 
 def _at(poly: Poly, g, v) -> Fraction:
@@ -560,16 +571,13 @@ def _at(poly: Poly, g, v) -> Fraction:
 @lru_cache(maxsize=None)
 def limit_moment_poly(ell: int) -> Poly:
     """Unnormalized limiting moment as a polynomial in g and v1, v2, ...:
-    the Lukasiewicz sum of prod (i*g)^{#horiz at height i} * v_j^{#up deg j}."""
+    the Lukasiewicz sum of prod (i*g)^{#horiz at height i} * v_j^{#up deg j},
+    by the transfer over heights."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    total = {}
-    for table in _luk_transfer(ell).values():
-        for key, c in table.items():
-            total[key] = total.get(key, 0) + c
     # every coefficient counts paths with positive weights, so none is 0
-    return Poly._of({_monomial(key, ell + 1): Fraction(c)
-                     for key, c in total.items()})
+    return Poly._of({_monomial(key, ell): Fraction(c)
+                     for key, c in _luk_transfer(ell, False).items()})
 
 
 def limit_moment(ell: int, g, v):
@@ -583,17 +591,14 @@ def limit_moment(ell: int, g, v):
 @lru_cache(maxsize=None)
 def shape_sum_poly(ell: int) -> Poly:
     """Like :func:`limit_moment_poly` but with the 1/|S^0| weight of the
-    fundamental-functional limit."""
+    fundamental-functional limit.  Rotating a path's k pieces between
+    returns keeps its weight w, and the mean of l_1/ell over the rotations
+    is 1/k (the cycle lemma; l_1 the first piece's length): so this is the
+    sum of w * l_1, from the first-return transfer, over ell."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    tables = _luk_transfer(ell)
-    den = lcm(*tables)
-    total = {}
-    for k, table in tables.items():
-        for key, c in table.items():
-            total[key] = total.get(key, 0) + c * (den // k)
-    return Poly._of({_monomial(key, ell + 1): Fraction(c, den)
-                     for key, c in total.items()})
+    return Poly._of({_monomial(key, ell): Fraction(c, ell)
+                     for key, c in _luk_transfer(ell, True).items()})
 
 
 def moment_duality_check(ell: int) -> bool:

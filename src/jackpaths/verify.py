@@ -198,8 +198,10 @@ def boolean_product_sums(weighted, w, h, multisets) -> dict:
     once, by M * den**(sum of lengths).  The numerators come from one
     :func:`diagrams._boolean_pricer`, which carries each partition's series
     from its parent when ``weighted`` walks as :meth:`JackThoma.support`
-    does."""
+    does.  No pairs give 0 for every multiset, and no multisets give {}."""
     weighted = list(weighted)
+    if not weighted or not multisets:
+        return dict.fromkeys(multisets, Fraction(0))
     M = math.lcm(*(rm.denominator for _, rm in weighted))
     price = _boolean_pricer(w, h, max(map(max, multisets)))
     sums = dict.fromkeys(multisets, 0)

@@ -356,6 +356,14 @@ def test_oracle_integer_sums_equal_fraction_sums():
             _fraction_sums(masses.items(), alpha / u, 1 / u, multisets)
 
 
+def test_boolean_product_sums_of_nothing():
+    lam = Partition([2, 1])
+    assert boolean_product_sums([], 1, 1, [(1,), (1, 2)]) == {
+        (1,): Fraction(0), (1, 2): Fraction(0)}
+    assert boolean_product_sums([], 1, 1, []) == {}
+    assert boolean_product_sums([(lam, Fraction(1, 3))], 1, 1, []) == {}
+
+
 # the truncation degrees suite_poisson_oracle reaches at total 7
 ORACLE_SUITE_DEGREES = (24, 30, 30)
 

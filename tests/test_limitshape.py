@@ -2,6 +2,7 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from math import comb
 
 import mpmath
 import pytest
@@ -16,7 +17,7 @@ from jackpaths.limitshape import (JacobiOperator, bessel_j, bessel_j_mp,
                                   plancherel_operator,
                                   staircase_transition_atoms)
 from jackpaths.partitions import Partition
-from jackpaths.paths import limit_moment, limit_moment_poly
+from jackpaths.paths import enumerate_motzkin, limit_moment, limit_moment_poly
 from jackpaths.polynomials import Poly
 
 
@@ -46,6 +47,94 @@ def test_jacobi_equals_lukasiewicz_symbolically():
             assert jac == Poly.const(1)
         else:
             assert jac == limit_moment_poly(ell)
+
+
+def test_jacobi_moment_symbolic_equals_the_generic_operator():
+    """The int-dict column against jacobi_moment run on Poly g and v_k."""
+    op = JacobiOperator(Poly.var("g"), lambda k: Poly.var(f"v{k}"))
+    for ell in range(0, 13):
+        want = jacobi_moment(op, ell)
+        want = want if isinstance(want, Poly) else Poly.const(want)
+        assert jacobi_moment_symbolic(ell).terms == want.terms, ell
+
+
+# (g, v, ell, (J^ell)_00) as the dense (ell+1) x (ell+1) product gave them:
+# odd ell with a square v_1, g = 0, and v with zeros
+JACOBI_VALUES = [
+    (Fraction(1, 2), (Fraction(9, 4), Fraction(1, 3)), 7, Fraction(23417, 96)),
+    (Fraction(-1, 3), (4, 0, Fraction(1, 5)), 9, Fraction(-687151018, 54675)),
+    (Fraction(0), (1, Fraction(1, 3)), 8, Fraction(154, 9)),
+    (Fraction(0), (1,), 7, 0),
+    (Fraction(2, 5), (0, 1), 6, Fraction(99, 25)),
+    (Fraction(-2, 3), (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8),
+                       Fraction(1, 16)), 10, Fraction(-74178307, 1679616)),
+    (Fraction(1, 3), (2, Fraction(-1, 5), Fraction(3, 7)), 11,
+     Fraction(1176075023371, 120558375)),
+    (Fraction(0), (Fraction(9, 4), 0, -1), 5, 0),
+]
+
+
+@pytest.mark.parametrize("g, v, ell, want", JACOBI_VALUES)
+def test_jacobi_moment_keeps_its_values(g, v, ell, want):
+    got = jacobi_moment(JacobiOperator(g, v), ell)
+    assert got == want and type(got) is type(want)
+
+
+# the (g, v) at which the Cauchy-transform equation is checked
+CAUCHY_POINTS = [
+    (Fraction(1, 2), (Fraction(1),)),
+    (Fraction(-1, 4), (Fraction(1), Fraction(1, 3))),
+    (Fraction(1, 3), (Fraction(2), Fraction(-1, 5), Fraction(3, 7))),
+    (Fraction(-2, 3), (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8),
+                       Fraction(1, 16))),
+]
+
+
+def _cauchy_sides(g, v, L, sign):
+    """The coefficients of w^0..w^L, w = 1/z, of z G(z) - 1 and of
+    G(z) * sum_j v_j prod_{i=1..j} G(z - sign*i*g), with G(z) = sum_n M_n
+    z^{-n-1} and M_n = jacobi_moment(JacobiOperator(g, v), n)."""
+    M = [jacobi_moment(JacobiOperator(g, v), n) for n in range(L + 1)]
+
+    def shifted(a):
+        # G(z - a) = sum_n M_n z^{-n-1} (1 - a/z)^{-n-1}
+        return [Fraction(0)] + [sum(M[n] * comb(k - 1, n) * a ** (k - 1 - n)
+                                    for n in range(k)) for k in range(1, L + 1)]
+
+    def times(p, q):
+        out = [Fraction(0)] * (L + 1)
+        for i, x in enumerate(p):
+            for j in range(L + 1 - i):
+                out[i + j] += x * q[j]
+        return out
+
+    prod, rhs = shifted(0), [Fraction(0)] * (L + 1)
+    for j, vj in enumerate(v, 1):
+        prod = times(prod, shifted(sign * j * g))
+        rhs = [r + vj * p for r, p in zip(rhs, prod)]
+    return [Fraction(0)] + M[1:], rhs
+
+
+@pytest.mark.parametrize("g, v", CAUCHY_POINTS)
+def test_cauchy_transform_equation_at_every_v(g, v):
+    """z G(z) - 1 = G(z) sum_j v_j prod_{i=1..j} G(z - i g) through z^-12;
+    with the shifts taken at z + i g instead it fails."""
+    lhs, rhs = _cauchy_sides(g, v, 12, 1)
+    assert lhs == rhs
+    lhs, rhs = _cauchy_sides(g, v, 12, -1)
+    assert lhs != rhs
+
+
+@pytest.mark.parametrize("moment", [
+    lambda ell: jacobi_moment(plancherel_operator(Fraction(1, 2)), ell),
+    jacobi_moment_symbolic, motzkin_moment_poly],
+    ids=["jacobi_moment", "jacobi_moment_symbolic", "motzkin_moment_poly"])
+def test_moment_legs_refuse_an_ell_that_is_not_a_nonnegative_int(moment):
+    for bad in (2.5, 3.0, True, "3", None):
+        with pytest.raises(ValueError, match="^ell must be an int"):
+            moment(bad)
+    with pytest.raises(ValueError, match="^ell must be nonnegative$"):
+        moment(-1)
 
 
 def test_triple_moment_consistency():
@@ -389,3 +478,19 @@ def test_motzkin_moment_poly():
     assert motzkin_moment_poly(3) == Poly.var("g")
     p4 = motzkin_moment_poly(4)
     assert p4.evaluate({"g": Fraction(1, 2)}) == Fraction(9, 4)
+
+
+def test_motzkin_moment_poly_equals_one_product_per_step():
+    g = Poly.var("g")
+    for ell in range(1, 13):
+        want = Poly.const(0)
+        for exc in enumerate_motzkin(ell):
+            term, prev = Poly.const(1), 0
+            for y in exc.heights[1:]:
+                if y == prev:
+                    term = term * (y * g)
+                prev = y
+            want = want + term
+        got = motzkin_moment_poly(ell)
+        assert got.terms == want.terms, ell
+        assert all(type(c) is Fraction for c in got.terms.values())

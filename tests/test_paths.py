@@ -274,6 +274,21 @@ def test_path_sums_match_enumeration():
             assert all(type(c) is Fraction for c in got.values())
 
 
+def test_shape_sums_are_the_log_of_the_moment_series():
+    """shape_sum_ell = [x^ell] log(1 + sum_n M_n x^n), M_n the limit moments:
+    log M(x) = -log(1 - P(x)) = sum_k P^k / k with P the primitive paths,
+    which is the 1/k weight.  L = log M by n L_n = n M_n - sum_{j<n} j L_j
+    M_{n-j}, in Poly products."""
+    M = [Poly.const(1)] + [limit_moment_poly(n) for n in range(1, 11)]
+    L = [Poly.const(0)]
+    for n in range(1, 11):
+        acc = n * M[n]
+        for j in range(1, n):
+            acc = acc - j * L[j] * M[n - j]
+        L.append(Fraction(1, n) * acc)
+        assert shape_sum_poly(n).terms == L[n].terms, n
+
+
 def test_path_sums_reject_ell_below_one():
     for dp in (limit_moment_poly, shape_sum_poly):
         for ell in (0, -1):
