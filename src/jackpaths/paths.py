@@ -123,30 +123,28 @@ def _general_steps(y, remaining, cap):
         yield k
 
 
-@lru_cache(maxsize=None)
+def _check_ell(ell, least: int) -> None:
+    """Refuse an order that is not an int, or is below least."""
+    if isinstance(ell, bool) or not isinstance(ell, int):
+        raise ValueError(f"ell must be an int, got {ell!r}")
+    if ell < least:
+        raise ValueError(f"ell must be >= {least}" if least else
+                         "ell must be nonnegative")
+
+
+@lru_cache(maxsize=None, typed=True)
 def enumerate_lukasiewicz(ell: int):
     """All Lukasiewicz paths of length ell: no horizontal step at height 0,
     every down step of degree 1.  Deterministic (DFS) order.  The path sums
     come from :func:`_luk_transfer`; this listing is their test oracle."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
+    _check_ell(ell, 1)
     return _enumerate_heights(ell, _luk_steps, ell)
 
 
-def iter_lukasiewicz(ell: int):
-    """Streaming variant of :func:`enumerate_lukasiewicz` (nothing cached;
-    the path counts grow Catalan-fast near the ribbon cap)."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    for heights in _walk_heights(ell, _luk_steps, ell):
-        yield Excursion(heights)
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_motzkin(ell: int):
     """Motzkin subset: additionally all up steps have degree 1."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
+    _check_ell(ell, 1)
     return _enumerate_heights(ell, _motzkin_steps, ell)
 
 
@@ -301,7 +299,10 @@ def _matchings(downs, ups, require_all):
 
 
 def _lengths_tuple(lengths):
-    lengths = tuple(int(x) for x in lengths)
+    lengths = tuple(lengths)
+    for x in lengths:
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise ValueError(f"site lengths must be ints, got {x!r}")
     if any(x < 1 for x in lengths):
         raise ValueError("site lengths must be positive")
     return lengths
@@ -568,35 +569,35 @@ def _at(poly: Poly, g, v) -> Fraction:
     return poly.evaluate(assignment)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def limit_moment_poly(ell: int) -> Poly:
     """Unnormalized limiting moment as a polynomial in g and v1, v2, ...:
     the Lukasiewicz sum of prod (i*g)^{#horiz at height i} * v_j^{#up deg j},
     by the transfer over heights."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
+    _check_ell(ell, 1)
     # every coefficient counts paths with positive weights, so none is 0
     return Poly._of({_monomial(key, ell): Fraction(c)
                      for key, c in _luk_transfer(ell, False).items()})
 
 
 def limit_moment(ell: int, g, v):
-    """The ell-th limiting transition-measure moment, v_1-normalized."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
+    """The ell-th limiting transition-measure moment, v_1-normalized: the
+    Lukasiewicz sum at the point is (J^ell)_00 of the banded operator there."""
+    from .limitshape import JacobiOperator, jacobi_moment
+
+    _check_ell(ell, 1)
     v = Specialization.of(v)
-    return _v1_half_power(v, ell) * _at(limit_moment_poly(ell), g, v)
+    return _v1_half_power(v, ell) * jacobi_moment(JacobiOperator(g, v), ell)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def shape_sum_poly(ell: int) -> Poly:
     """Like :func:`limit_moment_poly` but with the 1/|S^0| weight of the
     fundamental-functional limit.  Rotating a path's k pieces between
     returns keeps its weight w, and the mean of l_1/ell over the rotations
     is 1/k (the cycle lemma; l_1 the first piece's length): so this is the
     sum of w * l_1, from the first-return transfer, over ell."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
+    _check_ell(ell, 1)
     return Poly._of({_monomial(key, ell): Fraction(c, ell)
                      for key, c in _luk_transfer(ell, True).items()})
 
@@ -766,13 +767,15 @@ def depoissonized_expectation(lengths, d: int, alpha, u, v):
     ribbon sum acquires a falling factorial d(d-1)...(d-#unpaired downs+1)
     and a (alpha/u^2) factor per unpaired down step.  Requires v_1 = 1."""
     lengths = _lengths_tuple(lengths)
+    if isinstance(d, bool) or not isinstance(d, int):
+        raise ValueError(f"d must be an int, got {d!r}")
     v = Specialization.of(v)
     if v(1) != 1:
         raise ValueError("depoissonized formulas require v_1 = 1")
     a, b = _finite_weights(alpha, u)
-    if d < 0 or d != int(d):
+    if d < 0:
         raise ValueError(f"d must be a nonnegative integer, got {d}")
-    return _ribbon_transfer(lengths, a, b, v, d=int(d))
+    return _ribbon_transfer(lengths, a, b, v, d=d)
 
 
 # ---------------------------------------------------------------------------
@@ -783,8 +786,7 @@ def depoissonized_expectation(lengths, d: int, alpha, u, v):
 def clt_mean(ell: int, g, gp, v):
     """Limiting mean of the ell-th fluctuation observable:
     v1^{-ell/2}/(ell-1) * gp * d/dg of the 1/|S^0|-weighted Lukasiewicz sum."""
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
+    _check_ell(ell, 2)
     v = Specialization.of(v)
     return (_v1_half_power(v, ell) * Fraction(gp)
             * _at(shape_sum_poly(ell).derivative("g"), g, v) / (ell - 1))
@@ -792,8 +794,8 @@ def clt_mean(ell: int, g, gp, v):
 
 def clt_cov(k: int, l: int, g, v):
     """Limiting covariance of fluctuation observables (k, l >= 2)."""
-    if min(k, l) < 1:
-        raise ValueError("orders must be positive")
+    _check_ell(k, 1)
+    _check_ell(l, 1)
     if min(k, l) == 1:
         return Fraction(0)
     v = Specialization.of(v)
@@ -806,8 +808,7 @@ def clt_cov(k: int, l: int, g, v):
 def afp_mean(ell: int, g, gp, v, vp):
     """Mean shift with character second-order data: applies the operator
     gp*d/dg + sum_i vp_i d/dv_i to the 1/|S^0|-weighted sum (v_1 = 1)."""
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
+    _check_ell(ell, 2)
     v, vp = Specialization.of(v), Specialization.of(vp)
     if v(1) != 1:
         raise ValueError("afp formulas require v_1 = 1")
@@ -853,8 +854,8 @@ def afp_cov(k: int, l: int, g, v, vkl):
     steps weighted by the v_{(deg|deg)} table (v_1 = 1).  Without pairings
     every down has degree 1 and the sites are independent, so the double
     sum factorises over the two sites."""
-    if min(k, l) < 2:
-        raise ValueError("orders must be >= 2")
+    _check_ell(k, 2)
+    _check_ell(l, 2)
     v = Specialization.of(v)
     if v(1) != 1:
         raise ValueError("afp formulas require v_1 = 1")

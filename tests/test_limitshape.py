@@ -7,7 +7,7 @@ from math import comb
 import mpmath
 import pytest
 
-from jackpaths import limitshape
+from jackpaths import limitshape, paths
 from jackpaths.diagrams import AnisotropicDiagram, transition_measure
 from jackpaths.limitshape import (JacobiOperator, bessel_j, bessel_j_mp,
                                   bessel_order_zeros,
@@ -17,7 +17,10 @@ from jackpaths.limitshape import (JacobiOperator, bessel_j, bessel_j_mp,
                                   plancherel_operator,
                                   staircase_transition_atoms)
 from jackpaths.partitions import Partition
-from jackpaths.paths import enumerate_motzkin, limit_moment, limit_moment_poly
+from jackpaths.jack import Specialization
+from jackpaths.paths import (afp_cov, afp_mean, clt_cov, clt_mean,
+                             enumerate_motzkin, limit_moment, limit_moment_poly,
+                             moment_duality_check, shape_sum_poly)
 from jackpaths.polynomials import Poly
 
 
@@ -28,6 +31,10 @@ def test_jacobi_moment_examples():
     assert jacobi_moment(op, 4) == 2 + Fraction(1, 4)
     banded = JacobiOperator(Fraction(0), [Fraction(1), Fraction(1, 3)])
     assert jacobi_moment(banded, 3) == Fraction(1, 3)  # single degree-2 path
+    # a callable v is kept as it is, but its floats are read as rationals
+    floats = JacobiOperator("1/3", lambda k: 0.5 if k == 2 else (1 if k == 1 else 0))
+    got = jacobi_moment(floats, 4)
+    assert got == Fraction(47, 18) and type(got) is Fraction
 
 
 def test_jacobi_operator_reads_every_form_of_v_alike():
@@ -49,28 +56,21 @@ def test_jacobi_equals_lukasiewicz_symbolically():
             assert jac == limit_moment_poly(ell)
 
 
-def test_jacobi_moment_symbolic_equals_the_generic_operator():
-    """The int-dict column against jacobi_moment run on Poly g and v_k."""
-    op = JacobiOperator(Poly.var("g"), lambda k: Poly.var(f"v{k}"))
-    for ell in range(0, 13):
-        want = jacobi_moment(op, ell)
-        want = want if isinstance(want, Poly) else Poly.const(want)
-        assert jacobi_moment_symbolic(ell).terms == want.terms, ell
-
-
 # (g, v, ell, (J^ell)_00) as the dense (ell+1) x (ell+1) product gave them:
 # odd ell with a square v_1, g = 0, and v with zeros
 JACOBI_VALUES = [
     (Fraction(1, 2), (Fraction(9, 4), Fraction(1, 3)), 7, Fraction(23417, 96)),
     (Fraction(-1, 3), (4, 0, Fraction(1, 5)), 9, Fraction(-687151018, 54675)),
     (Fraction(0), (1, Fraction(1, 3)), 8, Fraction(154, 9)),
-    (Fraction(0), (1,), 7, 0),
+    (Fraction(0), (1,), 7, Fraction(0)),
     (Fraction(2, 5), (0, 1), 6, Fraction(99, 25)),
     (Fraction(-2, 3), (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8),
                        Fraction(1, 16)), 10, Fraction(-74178307, 1679616)),
     (Fraction(1, 3), (2, Fraction(-1, 5), Fraction(3, 7)), 11,
      Fraction(1176075023371, 120558375)),
-    (Fraction(0), (Fraction(9, 4), 0, -1), 5, 0),
+    (Fraction(0), (Fraction(9, 4), 0, -1), 5, Fraction(0)),
+    (Fraction(1, 2), (Fraction(9, 4),), 0, Fraction(1)),
+    (Fraction(-1, 3), (1, Fraction(1, 3)), 1, Fraction(0)),
 ]
 
 
@@ -115,6 +115,57 @@ def _cauchy_sides(g, v, L, sign):
     return [Fraction(0)] + M[1:], rhs
 
 
+def _at(poly, g, v):
+    return paths._at(poly, g, Specialization.of(v))
+
+
+def test_jacobi_moment_symbolic_equals_the_generic_operator():
+    """The int-dict column, evaluated, against jacobi_moment at each point."""
+    points = [(g, v) for g, v, _, _ in JACOBI_VALUES] + CAUCHY_POINTS
+    for ell in range(0, 13):
+        poly = jacobi_moment_symbolic(ell)
+        for g, v in points:
+            assert _at(poly, g, v) == jacobi_moment(JacobiOperator(g, v), ell)
+
+
+# v_1 = 9/4 is a square, so odd ell normalize in rationals; v_3 = 0; every
+# entry is a float exactly
+LIMIT_V = (Fraction(9, 4), Fraction(1, 2), Fraction(0), Fraction(-1, 4))
+V_FORMS = {
+    "list": lambda: list(LIMIT_V),
+    "dict of strings": lambda: {str(k): str(x) for k, x in enumerate(LIMIT_V, 1)},
+    "generator": lambda: (x for x in LIMIT_V),
+    "callable of floats": lambda: (
+        lambda k: float(LIMIT_V[k - 1]) if k <= len(LIMIT_V) else 0.0),
+}
+
+
+def test_limit_moment_is_the_lukasiewicz_polynomial_at_the_point():
+    for g in (Fraction(-1, 3), Fraction(1, 2)):
+        for ell in range(1, 15):
+            want = Fraction(2, 3) ** ell * _at(limit_moment_poly(ell), g, LIMIT_V)
+            for form, make in V_FORMS.items():
+                got = limit_moment(ell, g, make())
+                assert got == want and type(got) is Fraction, (g, ell, form)
+    got = limit_moment(4, "1/3", lambda k: 0.5 if k == 2 else (1 if k == 1 else 0))
+    assert got == Fraction(47, 18) and type(got) is Fraction
+
+
+def test_numeric_moments_do_not_run_the_lukasiewicz_transfer(monkeypatch):
+    wanted = {"limit_moment": lambda: limit_moment(9, Fraction(1, 2), LIMIT_V),
+              "jacobi_moment_symbolic": lambda: jacobi_moment_symbolic(9),
+              "motzkin_moment_poly": lambda: motzkin_moment_poly(9)}
+    want = {name: call() for name, call in wanted.items()}
+
+    def refuse(*args):
+        raise AssertionError("the Lukasiewicz transfer ran")
+
+    monkeypatch.setattr(paths, "limit_moment_poly", refuse)
+    monkeypatch.setattr(paths, "_luk_transfer", refuse)
+    for name, call in wanted.items():
+        assert call() == want[name], name
+
+
 @pytest.mark.parametrize("g, v", CAUCHY_POINTS)
 def test_cauchy_transform_equation_at_every_v(g, v):
     """z G(z) - 1 = G(z) sum_j v_j prod_{i=1..j} G(z - i g) through z^-12;
@@ -125,27 +176,44 @@ def test_cauchy_transform_equation_at_every_v(g, v):
     assert lhs != rhs
 
 
-@pytest.mark.parametrize("moment", [
-    lambda ell: jacobi_moment(plancherel_operator(Fraction(1, 2)), ell),
-    jacobi_moment_symbolic, motzkin_moment_poly],
-    ids=["jacobi_moment", "jacobi_moment_symbolic", "motzkin_moment_poly"])
-def test_moment_legs_refuse_an_ell_that_is_not_a_nonnegative_int(moment):
+G, V = Fraction(1, 2), [Fraction(1), Fraction(1, 3)]
+ORDER_CHECKS = {  # name: (a call of one order, the least order it takes)
+    "jacobi_moment": (lambda ell: jacobi_moment(plancherel_operator(G), ell), 0),
+    "jacobi_moment_symbolic": (jacobi_moment_symbolic, 0),
+    "motzkin_moment_poly": (motzkin_moment_poly, 0),
+    "limit_moment_poly": (limit_moment_poly, 1),
+    "shape_sum_poly": (shape_sum_poly, 1),
+    "limit_moment": (lambda ell: limit_moment(ell, G, V), 1),
+    "moment_duality_check": (moment_duality_check, 1),
+    "clt_mean": (lambda ell: clt_mean(ell, G, 3, V), 2),
+    "afp_mean": (lambda ell: afp_mean(ell, G, 3, V, [0, 1]), 2),
+    "clt_cov_k": (lambda k: clt_cov(k, 3, G, V), 1),
+    "clt_cov_l": (lambda l: clt_cov(3, l, G, V), 1),
+    "afp_cov_k": (lambda k: afp_cov(k, 3, G, V, {}), 2),
+    "afp_cov_l": (lambda l: afp_cov(3, l, G, V, {}), 2),
+}
+
+
+@pytest.mark.parametrize("name", ORDER_CHECKS)
+def test_moment_legs_refuse_an_ell_that_is_not_a_nonnegative_int(name):
+    moment, least = ORDER_CHECKS[name]
+    moment(3)  # first, so that a cache holding 3 is tried with 3.0
     for bad in (2.5, 3.0, True, "3", None):
         with pytest.raises(ValueError, match="^ell must be an int"):
             moment(bad)
-    with pytest.raises(ValueError, match="^ell must be nonnegative$"):
-        moment(-1)
+    below = f">= {least}" if least else "nonnegative"
+    with pytest.raises(ValueError, match=f"^ell must be {below}$"):
+        moment(least - 1)
 
 
 def test_triple_moment_consistency():
-    assert moment_consistency(Fraction(1, 2), 8)
+    assert moment_consistency(8)
 
 
 def test_functional_equation():
-    assert functional_equation_check(Fraction(1, 2), 8)
-    assert functional_equation_check(Fraction(0), 8)  # the Catalan case
+    assert functional_equation_check(8)
     with pytest.raises(ValueError):
-        functional_equation_check(Fraction(1), 1)
+        functional_equation_check(1)
 
 
 def test_bessel_closed_forms():

@@ -21,16 +21,20 @@ def catalan(n):
 
 
 def test_lukasiewicz_counts_against_dp_oracle():
-    from jackpaths.paths import iter_lukasiewicz
+    from jackpaths.paths import _luk_steps, _walk_heights
 
     for ell in range(1, 12):
         paths = enumerate_lukasiewicz(ell)
         assert len(paths) == count_lukasiewicz(ell)
         assert len(paths) <= catalan(ell)
         assert len(set(paths)) == len(paths)
-    # near the ribbon cap the listing is too large to keep; stream it
+    # near the ribbon cap the listing is too large to keep; walk it
     for ell in (13, 14):
-        assert sum(1 for _ in iter_lukasiewicz(ell)) == count_lukasiewicz(ell)
+        n = 0
+        for h in _walk_heights(ell, _luk_steps, ell):
+            assert h[0] == h[-1] == 0 and min(h) >= 0
+            n += 1
+        assert n == count_lukasiewicz(ell)
         assert count_lukasiewicz(ell) <= catalan(ell)
     assert len(enumerate_lukasiewicz(2)) == 1
     assert len(enumerate_lukasiewicz(3)) == 2
@@ -472,3 +476,19 @@ def test_finite_formulas_reject_bad_parameters():
         with pytest.raises(ValueError, match="d must be"):
             depoissonized_expectation((3,), d, 2, 3, v)
     assert depoissonized_expectation((2,), 0, 2, 2, v) == 0
+
+
+def test_ribbon_formulas_refuse_site_lengths_and_d_that_are_not_ints():
+    v = [1]
+    for bad in (2.5, 2.0, True, "3", Fraction(2)):
+        for call in (finite_expectation, finite_moment_s, finite_cumulant_s):
+            with pytest.raises(ValueError, match="^site lengths must be ints"):
+                call((bad,), 2, 3, v)
+        with pytest.raises(ValueError, match="^site lengths must be ints"):
+            depoissonized_expectation((2, bad), 2, 2, 3, v)
+        with pytest.raises(ValueError, match="^d must be an int"):
+            depoissonized_expectation((2,), bad, 2, 3, v)
+    with pytest.raises(ValueError, match="^d must be an int"):
+        depoissonized_expectation((2,), False, 2, 3, v)
+    with pytest.raises(ValueError, match="^site lengths must be positive$"):
+        finite_expectation((2, 0), 2, 3, v)
