@@ -12,7 +12,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .exactnum import format_rational, parse_rational
+from .exactnum import _int_arg, format_rational, parse_rational
 
 # let argparse accept negative rationals like -1/4 as values, not flags
 _NEGATIVE_TOKEN = re.compile(r"^-\d+(/\d+)?(\.\d+)?$")
@@ -330,9 +330,7 @@ def cmd_verify(args):
     kwargs = {}
     if args.d is not None:
         takers = [name for name in names if name in SIZE_CAP_SUITES]
-        if args.d < 1:
-            print(f"--d must be >= 1, got {args.d}", file=sys.stderr)
-            return 2
+        _int_arg(args.d, "--d", 1)
         if not takers:
             print(f"--d sets the size cap of {', '.join(SIZE_CAP_SUITES)} "
                   f"only; no named suite takes it", file=sys.stderr)

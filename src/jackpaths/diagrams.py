@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactnum import format_rational
+from .exactnum import _int_arg, _positive_arg, format_rational
 from .partitions import Partition
 from . import series
 
@@ -45,8 +45,7 @@ class DiscreteMeasure:
         return sum((p * m for p, m in self.atoms), Fraction(0) if self.exact else 0.0)
 
     def moment(self, ell: int):
-        if ell < 0:
-            raise ValueError("moment order must be nonnegative")
+        ell = _int_arg(ell, "ell", 0)
         return sum((m * p ** ell for p, m in self.atoms),
                    Fraction(0) if self.exact else 0.0)
 
@@ -155,12 +154,9 @@ class AnisotropicDiagram:
     __slots__ = ("base", "w", "h")
 
     def __init__(self, base: Partition, w, h):
-        w, h = Fraction(w), Fraction(h)
-        if w <= 0 or h <= 0:
-            raise ValueError("box dimensions must be positive")
         self.base = base
-        self.w = w
-        self.h = h
+        self.w = _positive_arg(w, "w")
+        self.h = _positive_arg(h, "h")
 
     def profile(self) -> StaircaseShape:
         return profile(self)
@@ -230,8 +226,9 @@ def _residues(big_x, big_y):
 
 
 def _cleared(w, h):
-    """(W, H, den): w and h over den = lcm(den w, den h), as ints."""
-    w, h = Fraction(w), Fraction(h)
+    """(W, H, den): the positive rationals w and h over den = lcm(den w,
+    den h), as ints."""
+    w, h = _positive_arg(w, "w"), _positive_arg(h, "h")
     den = math.lcm(w.denominator, h.denominator)
     return (w.numerator * (den // w.denominator),
             h.numerator * (den // h.denominator), den)
@@ -260,7 +257,7 @@ def boolean_numerators(parts, w, h, ell: int):
     """
     big_w, big_h, den = _cleared(w, h)
     xs, ys = corners(parts, big_w, big_h)
-    coeffs = [-1] + [0] * ell  # minus the series, so that nums = coeffs[1:]
+    coeffs = [-1] + [0] * _int_arg(ell, "ell", 0)  # minus the series: nums = coeffs[1:]
     for x, y in zip(xs, ys):
         _mul_div(coeffs, x, y)
     _mul_div(coeffs, xs[-1], 0)
@@ -317,9 +314,7 @@ _KINDS = ("moment", "boolean", "free", "fundamental")
 def observables(measure: DiscreteMeasure, kind: str, ell: int):
     """The ell-th observable of an exact measure: raw moment, Boolean
     cumulant, free cumulant, or fundamental shape functional."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    return observable_family(measure, kind, ell)[-1]
+    return observable_family(measure, kind, _int_arg(ell, "ell", 1))[-1]
 
 
 def observable_family(measure: DiscreteMeasure, kind: str, ell: int):
@@ -328,7 +323,7 @@ def observable_family(measure: DiscreteMeasure, kind: str, ell: int):
     :func:`observables` per order)."""
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}")
-    moments = [measure.moment(k) for k in range(1, ell + 1)]
+    moments = [measure.moment(k) for k in range(1, _int_arg(ell, "ell", 0) + 1)]
     if kind == "moment":
         return moments
     if kind == "boolean":
@@ -340,9 +335,4 @@ def observable_family(measure: DiscreteMeasure, kind: str, ell: int):
 
 def rescale_observable(x, ell: int, c):
     """Scaling rule X_ell(T_{cw,ch} lambda) = c^ell X_ell(T_{w,h} lambda)."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    c = Fraction(c)
-    if c <= 0:
-        raise ValueError("scale factor must be positive")
-    return c ** ell * x
+    return _positive_arg(c, "c") ** _int_arg(ell, "ell", 1) * x

@@ -11,7 +11,8 @@ from fractions import Fraction
 from functools import cached_property, reduce
 
 from ._records import Frozen, Record
-from .exactnum import SqrtExt, alpha_half_power, parse_rational, sqrt_ext
+from .exactnum import (SqrtExt, _int_arg, _positive_arg, alpha_half_power,
+                       parse_rational, sqrt_ext)
 from .jack import Specialization, jack_basis, _factorial
 from .partitions import (Partition, _cleared_content, content_product, j_alpha,
                          partitions_of)
@@ -75,9 +76,7 @@ class ThomaPoint(Frozen):
 
 def thoma_specialization(point: ThomaPoint, alpha) -> Specialization:
     """rho(p_1) = c and rho(p_k) = sum a_i^k + (-alpha)^{1-k} sum b_i^k."""
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    alpha = _positive_arg(alpha, "alpha")
     a, b, c = point.a, point.b, point.c
 
     def rule(k):
@@ -133,19 +132,17 @@ POSITIVITY_DEGREE = 6
 
 class Ensemble:
     """Base class: a (possibly signed) measure on partitions with exact
-    masses.  Fixed-size variants (``sized``) live on partitions of size d,
-    refused unless a nonnegative integer; the others leave d None."""
+    masses at a positive rational alpha.  Fixed-size variants (``sized``)
+    live on partitions of size d, an int >= 0; the others leave d None."""
 
     variant = "abstract"
     sized = True
     d: int | None = None
 
     def __init__(self, alpha, d):
-        self.alpha = Fraction(alpha)
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        self.alpha = _positive_arg(alpha, "alpha")
         if self.sized:
-            self.d = _size(d, "d")
+            self.d = _int_arg(d, "d", 0)
 
     def mass(self, lam: Partition):
         raise NotImplementedError
@@ -167,18 +164,6 @@ class Ensemble:
             for lam in partitions_of(dd):
                 if _is_negative(self.mass(lam)):
                     raise PositivityError(f"{self.variant}: negative mass at {lam}")
-
-
-def _size(d, name: str) -> int:
-    """A size or degree d, refused (naming it ``name``) unless a nonnegative
-    integer."""
-    try:
-        n = Fraction(d)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        n = None
-    if n is None or n.denominator != 1 or n < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {d}")
-    return int(n)
 
 
 def _is_negative(value) -> bool:
@@ -220,9 +205,7 @@ class JackSchurWeyl(Ensemble):
 
     def __init__(self, alpha, d: int, K: int, dual: bool = False):
         super().__init__(alpha, d)
-        self.K = int(K)
-        if self.K < 1:
-            raise ValueError("K must be a positive integer")
+        self.K = _int_arg(K, "K", 1)
         self.dual = dual
 
     def mass(self, lam: Partition) -> Fraction:
@@ -354,6 +337,7 @@ class JackMeasure(Ensemble):
     def sector_mass_rational(self, d: int) -> Fraction:
         """[t^d] exp(sum_k cross_k t^k/(k alpha)), exactly, by the standard
         derivative recursion for exp of a constant-free polynomial."""
+        d = _int_arg(d, "d", 0)
         gen = {k: t / (k * self.alpha) for k, t in self.cross.items() if k <= d}
         out = [Fraction(0)] * (d + 1)
         out[0] = Fraction(1)
@@ -372,9 +356,7 @@ class JackThoma(JackMeasure):
     variant = "thoma"
 
     def __init__(self, alpha, u, v, check_positivity: bool = True):
-        u = Fraction(u)
-        if u <= 0:
-            raise ValueError("u must be positive")
+        u = _positive_arg(u, "u")
         v = Specialization.of(v)
         super().__init__(alpha, Specialization(lambda k: u * v(k)),
                          Specialization.plancherel(u))
@@ -396,7 +378,7 @@ class JackThoma(JackMeasure):
 
     def support(self, D: int):
         """Yield (lam, rational_mass(lam)) for every nonzero mass with
-        |lam| <= D; D must be a nonnegative integer.
+        |lam| <= D, an int >= 0.
 
         In the principal form the mass is a product of cell factors, so a
         diagram holding a zero cell stays zero in every larger one: the
@@ -409,7 +391,7 @@ class JackThoma(JackMeasure):
         Only the root's mass comes from :meth:`rational_mass`.  Otherwise
         masses need not vanish on a down-set and every partition is visited.
         """
-        D = _size(D, "D")
+        D = _int_arg(D, "D", 0)
         if self._principal is None:
             for d in range(D + 1):
                 for lam in partitions_of(d):
@@ -463,7 +445,7 @@ def character_measure(alpha, d: int, chi) -> dict:
 def conditional_thoma_character(v, d: int) -> dict:
     """The multiplicative table chi(mu) = prod v_{mu_i} on partitions of d."""
     v = Specialization.of(v)
-    return {mu: v.on_partition(mu) for mu in partitions_of(d)}
+    return {mu: v.on_partition(mu) for mu in partitions_of(_int_arg(d, "d", 0))}
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +486,7 @@ def regime_sequences(regime: AsymptoticRegime, d: int):
     g = regime.g
     if g == 0:
         raise ValueError("fixed-temperature sequences are caller-supplied")
-    d = int(d)
+    d = _int_arg(d, "d", 1)
     if g > 0:
         alpha = g ** 2 * d
         u = Fraction(math.ceil(g * d))
@@ -536,7 +518,7 @@ def conditional_cumulant(chi, parts, d: int | None = None):
     an int table, or a SqrtExt for a table in Q(sqrt(alpha))."""
     parts = [p if isinstance(p, Partition) else Partition(p) for p in parts]
     total_size = sum(p.size() for p in parts)
-    if d is not None and total_size > d:
+    if d is not None and total_size > _int_arg(d, "d", 0):
         raise ValueError(f"total size {total_size} exceeds character domain {d}")
     return Fraction(0) + joint_cumulant(
         parts, lambda sub: chi(reduce(Partition.union, sub)))
@@ -545,6 +527,7 @@ def conditional_cumulant(chi, parts, d: int | None = None):
 def extended_character(table: dict, d: int):
     """Extend a table on partitions of d to smaller partitions by padding
     with parts equal to 1."""
+    d = _int_arg(d, "d", 0)
 
     def chi(mu: Partition):
         if mu.size() > d:
@@ -596,9 +579,7 @@ def _exp_bounds(U: Fraction, slack: Fraction):
     slack > 0: the partial sum of the series to the first n > 2U whose last
     term t has 2t <= slack, and that sum plus 2t.  With U = p/q the sum
     N / (q^n n!) and the term p^n / (q^n n!) are carried in ints."""
-    U, slack = Fraction(U), Fraction(slack)
-    if slack <= 0:
-        raise ValueError(f"slack must be positive, got {slack}")
+    U, slack = Fraction(U), _positive_arg(slack, "slack")
     p, q = U.numerator, U.denominator
     s_num, s_den = slack.numerator, slack.denominator
     total = power = scale = 1  # N, p^n and q^n n!
@@ -666,26 +647,25 @@ def poisson_expectation(alpha, u, v, observable, tail_eps,
                         growth_bound=None, lengths_hint=None) -> PoissonInterval:
     """Brute-force oracle: sum mass * observable over the support of the
     measure up to a truncation degree chosen so the certified tail is below
-    tail_eps, which must be positive.
+    tail_eps, a positive rational.
 
     ``growth_bound`` is (C, r) with |observable(lam)| <= C |lam|^r; when
     omitted it is derived for products of Boolean observables with total
     order given by ``lengths_hint``.
     """
-    alpha, u = Fraction(alpha), Fraction(u)
+    alpha, u = _positive_arg(alpha, "alpha"), _positive_arg(u, "u")
     ensemble = JackThoma(alpha, u, v, check_positivity=False)
     U = ensemble.exponent
     if U <= 0:
         raise ValueError("need u^2 v_1 / alpha > 0")
-    tail_eps = Fraction(tail_eps)
-    if tail_eps <= 0:
-        raise ValueError(f"tail_eps must be positive, got {tail_eps}")
+    tail_eps = _positive_arg(tail_eps, "tail_eps")
     if growth_bound is None:
         if lengths_hint is None:
             raise ValueError("pass growth_bound=(C, r) or lengths_hint")
+        lengths_hint = [_int_arg(x, "lengths_hint", 1) for x in lengths_hint]
         C, r = _boolean_growth_constant(alpha, u, lengths_hint), sum(lengths_hint)
     else:
-        C, r = Fraction(growth_bound[0]), int(growth_bound[1])
+        C, r = Fraction(growth_bound[0]), _int_arg(growth_bound[1], "growth_bound", 0)
     D = _truncation_degree(U, C, r, tail_eps)
     # the products summed in ints over a common denominator M, raised to
     # the lcm only when a term's denominator does not divide it
@@ -723,7 +703,7 @@ def ensemble_from_config(cfg: dict) -> Ensemble:
     if variant == "plancherel":
         return JackPlancherel(alpha, need("d"))
     if variant == "schur_weyl":
-        return JackSchurWeyl(alpha, need("d"), int(need("K")),
+        return JackSchurWeyl(alpha, need("d"), need("K"),
                              dual=bool(cfg.get("dual", False)))
     if variant == "thoma":
         v = [parse_rational(x) for x in need("v")]

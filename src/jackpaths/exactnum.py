@@ -1,10 +1,40 @@
 """Exact scalar arithmetic: rationals rendered "p/q" and the quadratic
-extension Q(sqrt(alpha)) needed by Jack character identities."""
+extension Q(sqrt(alpha)) needed by Jack character identities.  The package
+reads numbers at its boundary here: "p/q" text by :func:`parse_rational`,
+integer arguments (orders, sizes, lengths, counts, parts) by
+:func:`_int_arg` and positive rational parameters (alpha, u, box sides,
+tail targets) by :func:`_positive_arg`; each refusal is a ValueError whose
+message starts with the argument's name."""
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+
+
+def _int_arg(x, name: str, least):
+    """x as an int: any value with ``__index__`` but a bool (so ints and
+    numpy integers, not floats, Fractions or text), refused below ``least``
+    (None for no bound)."""
+    if type(x) is not int:
+        if isinstance(x, bool) or not hasattr(x, "__index__"):
+            raise ValueError(f"{name} must be an int, got {x!r}")
+        x = operator.index(x)
+    if least is not None and x < least:
+        raise ValueError(f"{name} must be >= {least}, got {x}")
+    return x
+
+
+def _positive_arg(x, name: str) -> Fraction:
+    """Fraction(x), refused unless it converts and is > 0."""
+    try:
+        q = Fraction(x)
+    except (TypeError, ValueError, ArithmeticError):
+        q = None
+    if q is None or q <= 0:
+        raise ValueError(f"{name} must be positive, got {x}")
+    return q
 
 
 def parse_rational(text) -> Fraction:
@@ -203,9 +233,7 @@ def sqrt_ext_sign(a, b, alpha) -> int:
 
 def alpha_half_power(alpha, k: int):
     """alpha**(k/2) as an exact value, k any integer."""
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    alpha, k = _positive_arg(alpha, "alpha"), _int_arg(k, "k", None)
     if k % 2 == 0:
         return alpha ** (k // 2)
     return sqrt_ext(0, alpha ** ((k - 1) // 2), alpha)

@@ -10,7 +10,8 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import SqrtExt, alpha_half_power, format_rational
+from .exactnum import (SqrtExt, _int_arg, _positive_arg, alpha_half_power,
+                       format_rational)
 from .partitions import Partition, falling_factorial, partitions_of, _factorial
 from .polynomials import _SparseTerms
 
@@ -40,9 +41,7 @@ class PowerSumPoly(_SparseTerms):
 
     @staticmethod
     def p(k: int) -> "PowerSumPoly":
-        if k < 1:
-            raise ValueError("p_k needs k >= 1")
-        return PowerSumPoly._of({Partition([k]): Fraction(1)})
+        return PowerSumPoly._of({Partition([_int_arg(k, "k", 1)]): Fraction(1)})
 
     @staticmethod
     def monomial(mu: Partition, coeff=1) -> "PowerSumPoly":
@@ -104,7 +103,7 @@ class PowerSumPoly(_SparseTerms):
 
 def hall_inner(f: PowerSumPoly, g: PowerSumPoly, alpha):
     """Deformed Hall product: <p_mu, p_nu> = delta * alpha^{l(mu)} z_mu."""
-    alpha = Fraction(alpha)
+    alpha = _positive_arg(alpha, "alpha")
     total = Fraction(0)
     small, large = (f.terms, g.terms) if len(f.terms) <= len(g.terms) else (g.terms, f.terms)
     for mu, c in small.items():
@@ -227,9 +226,7 @@ def jack_basis(d: int, alpha):
     then a triangular solve back to power sums, in integers; it is
     normalized so the coefficient of p_{1^d} equals 1.  Degrees above
     DEGREE_CAP are refused."""
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    d, alpha = _int_arg(d, "d", 0), _positive_arg(alpha, "alpha")
     if d > DEGREE_CAP:
         raise ValueError(f"degree {d} above cap {DEGREE_CAP}")
     key = (d, alpha)
@@ -318,7 +315,7 @@ def _embed(x, alpha):
 def omega_dual(f: PowerSumPoly, alpha) -> PowerSumPoly:
     """The automorphism p_r -> (-1)^{r-1} alpha^{-1} p_r extended
     multiplicatively over p-monomials."""
-    alpha = Fraction(alpha)
+    alpha = _positive_arg(alpha, "alpha")
     return PowerSumPoly._of({mu: c * (-1) ** mu.weight() * alpha ** -mu.length()
                              for mu, c in f.terms.items()})
 
@@ -328,9 +325,7 @@ def ns_apply(ell: int, f: PowerSumPoly, alpha) -> PowerSumPoly:
     alpha*k*d/dp_k, and L_{i,j} = p_{j-i} + delta_{ij} i(alpha-1) with p_0 = 0
     and negative indices acting as annihilations.  Height-truncated at
     ell + deg(f) + 1, which is exact on fixed-degree input."""
-    if ell < 0:
-        raise ValueError("ell must be nonnegative")
-    alpha = Fraction(alpha)
+    ell, alpha = _int_arg(ell, "ell", 0), _positive_arg(alpha, "alpha")
     size = ell + f.degree() + 1
     vec = [f.lower(k, alpha) for k in range(1, size + 1)]
     pk = [PowerSumPoly.p(k) for k in range(1, size + 1)]
@@ -397,9 +392,7 @@ class Specialization:
                               f"principal({format_rational(u)},{format_rational(c)})")
 
     def __call__(self, k: int) -> Fraction:
-        if k < 1:
-            raise ValueError("p_k needs k >= 1")
-        return Fraction(self.rule(k))
+        return Fraction(self.rule(_int_arg(k, "k", 1)))
 
     def on_partition(self, mu: Partition) -> Fraction:
         return math.prod((self(part) for part in mu.parts), start=Fraction(1))

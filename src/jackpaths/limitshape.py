@@ -16,8 +16,9 @@ from math import comb, isfinite, prod
 
 from ._records import Frozen, Record
 from .diagrams import DiscreteMeasure, StaircaseShape
+from .exactnum import _int_arg
 from .jack import Specialization
-from .paths import _check_ell, enumerate_motzkin, limit_moment_poly
+from .paths import enumerate_motzkin, limit_moment_poly
 from .polynomials import Poly
 
 
@@ -50,7 +51,7 @@ def jacobi_moment(op: JacobiOperator, ell: int) -> Fraction:
     """(J^ell)_{0,0} at a rational point, as the top of J^ell e_0.  J^t e_0
     is zero past row t, so step t makes rows 0..t+1; each band is read once,
     and neither the 1 nor a zero is multiplied."""
-    _check_ell(ell, 0)
+    ell = _int_arg(ell, "ell", 0)
     g = Fraction(op.g)
     bands = [(k, x) for k in range(1, ell) if (x := Fraction(op.v(k))) != 0]
     col = [Fraction(1)]
@@ -74,7 +75,7 @@ def jacobi_moment_symbolic(ell: int) -> Poly:
     """(J^ell)_{0,0} with g and every v_k symbolic: jacobi_moment's column
     over ints, keyed by exponents as digits in base ell + 1 (g the units, v_k
     the (ell + 1)^k digit).  The diagonal multiplies by i and bumps g."""
-    _check_ell(ell, 0)
+    ell = _int_arg(ell, "ell", 0)
     base = ell + 1
     col = [{0: 1}]
     for t in range(ell):
@@ -103,7 +104,7 @@ def jacobi_moment_symbolic(ell: int) -> Poly:
 def motzkin_moment_poly(ell: int) -> Poly:
     """Sum over the listed Motzkin paths of prod (i*g)^{#horizontal at
     height i}, as {g exponent: int product of the flat heights}."""
-    _check_ell(ell, 0)
+    ell = _int_arg(ell, "ell", 0)
     if ell == 0:
         return Poly.const(1)
     total = {}
@@ -119,7 +120,7 @@ def moment_consistency(L: int) -> bool:
     """Triple agreement, as exact polynomials, of the moments of order
     1..L: the operator column equals the Lukasiewicz sum in g and every v_k,
     and the Lukasiewicz sum at v = (1, 0, 0, ...) equals the Motzkin sum."""
-    for ell in range(1, L + 1):
+    for ell in range(1, _int_arg(L, "L", 1) + 1):
         luk = limit_moment_poly(ell)
         if jacobi_moment_symbolic(ell) != luk:
             return False
@@ -134,8 +135,7 @@ def functional_equation_check(L: int) -> bool:
     """Verify z*G(z) - 1 = G(z) G(z - g) for the Plancherel-case Cauchy
     transform, as formal power series in 1/z through order z^{-L}, exactly
     as polynomials in g."""
-    if L < 2:
-        raise ValueError("L must be >= 2")
+    L = _int_arg(L, "L", 2)
     gv = Poly.var("g")
     moments = [motzkin_moment_poly(ell) for ell in range(0, L + 1)]
     # coefficient of z^{-k} in G(z) is moments[k-1]
@@ -232,14 +232,12 @@ def _corners(ag, width):
         yield lam, lo
 
 
-def _corner_scale(g, n: int, tol: float, dps: int | None):
-    """Check the arguments; return |g| and the bisection width, as floats or,
+def _corner_scale(g, tol: float, dps: int | None):
+    """Check g and tol; return |g| and the bisection width, as floats or,
     with dps, as mpmath floats of the current context."""
     g = Fraction(g)
     if g == 0:
         raise ValueError("g must be nonzero")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if not (isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if dps is None:
@@ -254,7 +252,7 @@ def _working_precision(dps: int | None):
         return nullcontext()
     import mpmath
 
-    return mpmath.workdps(dps + 10)
+    return mpmath.workdps(_int_arg(dps, "dps", 1) + 10)
 
 
 def bessel_order_zeros(g, n: int, tol: float = 1e-10,
@@ -269,8 +267,9 @@ def bessel_order_zeros(g, n: int, tol: float = 1e-10,
     floats; this is needed to resolve the exponentially narrow excess of the
     deep zero spacings over |g| that double precision flattens out.
     """
+    n = _int_arg(n, "n", 1)
     with _working_precision(dps):
-        ag, width = _corner_scale(g, n, tol, dps)
+        ag, width = _corner_scale(g, tol, dps)
         zeros = [z for _, z in islice(_corners(ag, width), n)]
     return BesselZeroList(Fraction(g), zeros, width)
 
@@ -293,9 +292,10 @@ def plancherel_limit_shape(g, n_steps: int = 8, tol: float = 1e-10,
     within 64 times the width the bisection reached, times the corner's
     size when that is above 1."""
     g = Fraction(g)
+    n_steps = _int_arg(n_steps, "n_steps", 1)
     minima, maxima = [], []
     with _working_precision(dps):
-        ag, width = _corner_scale(g, n_steps, tol, dps)
+        ag, width = _corner_scale(g, tol, dps)
         # the width the bisection reaches: 10^-dps, or in floats tol but
         # never below the double spacing
         reached = width if dps is not None else max(width, sys.float_info.epsilon)
@@ -327,8 +327,8 @@ def staircase_transition_atoms(shape: StaircaseShape, n: int, N_trunc: int,
     """Masses mu_i = prod_{j<=N}(x_i - y_j)/prod_{j<=N, j!=i}(x_i - x_j) of
     the first n atoms at truncation level N_trunc, with the difference
     between levels N and N-1 reported as a sensitivity estimate."""
-    if n < 1 or N_trunc < n:
-        raise ValueError("need N_trunc >= n >= 1")
+    n = _int_arg(n, "n", 1)
+    N_trunc = _int_arg(N_trunc, "N_trunc", n)
     xs, ys = list(shape.minima), list(shape.maxima)
     if shape.orientation == "extends_to_-inf":
         xs, ys = xs[::-1], ys[::-1]  # walk outward from the anchored side

@@ -9,6 +9,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from .exactnum import _int_arg, _positive_arg
+
 
 class Partition:
     """Weakly decreasing tuple of positive integers; the empty partition is
@@ -17,11 +19,9 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
-        for i, p in enumerate(parts):
-            if p < 1:
-                raise ValueError(f"parts must be positive, got {parts}")
-            if i and parts[i - 1] < p:
+        parts = tuple([_int_arg(p, "parts", 1) for p in parts])
+        for i in range(1, len(parts)):
+            if parts[i - 1] < parts[i]:
                 raise ValueError(f"parts must be weakly decreasing, got {parts}")
         self.parts = parts
 
@@ -133,17 +133,17 @@ def _factorial(n: int) -> int:
 def falling_factorial(n, k: int):
     """n(n-1)...(n-k+1); exact for int or Fraction n."""
     acc = 1
-    for i in range(k):
+    for i in range(_int_arg(k, "k", 0)):
         acc *= n - i
     return acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def partitions_of(n: int):
     """All partitions of n, ascending lexicographically (a linear extension
-    of dominance order, smallest (1^n) first)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    of dominance order, smallest (1^n) first).  The cache is typed, so a
+    value that is no int (3.0, True) never reaches the entry of an int."""
+    n = _int_arg(n, "n", 0)
 
     def gen(remaining, cap):
         if remaining == 0:
@@ -164,9 +164,7 @@ def j_alpha(p: Partition, alpha) -> Fraction:
 
     With alpha = a/q each factor is (x + q)(x + a)/q^2 for the integer
     x = a*arm + q*leg, so the product runs over ints and divides once."""
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    alpha = _positive_arg(alpha, "alpha")
     q = alpha.denominator
     return Fraction(_hook_pairs(p.parts, alpha.numerator, q), q ** (2 * sum(p.parts)))
 

@@ -10,7 +10,7 @@ from functools import lru_cache, partial
 from math import lcm
 
 from ._records import Frozen
-from .exactnum import sqrt_exact
+from .exactnum import _int_arg, _positive_arg, sqrt_exact
 from .jack import Specialization
 from .polynomials import Poly
 from .series import joint_cumulant
@@ -123,13 +123,8 @@ def _general_steps(y, remaining, cap):
         yield k
 
 
-def _check_ell(ell, least: int) -> None:
-    """Refuse an order that is not an int, or is below least."""
-    if isinstance(ell, bool) or not isinstance(ell, int):
-        raise ValueError(f"ell must be an int, got {ell!r}")
-    if ell < least:
-        raise ValueError(f"ell must be >= {least}" if least else
-                         "ell must be nonnegative")
+# The caches of the path functions are typed, so an order that is no int
+# (3.0, True) never reaches the entry of an int: it misses, and is refused.
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -137,14 +132,14 @@ def enumerate_lukasiewicz(ell: int):
     """All Lukasiewicz paths of length ell: no horizontal step at height 0,
     every down step of degree 1.  Deterministic (DFS) order.  The path sums
     come from :func:`_luk_transfer`; this listing is their test oracle."""
-    _check_ell(ell, 1)
+    ell = _int_arg(ell, "ell", 1)
     return _enumerate_heights(ell, _luk_steps, ell)
 
 
 @lru_cache(maxsize=None, typed=True)
 def enumerate_motzkin(ell: int):
     """Motzkin subset: additionally all up steps have degree 1."""
-    _check_ell(ell, 1)
+    ell = _int_arg(ell, "ell", 1)
     return _enumerate_heights(ell, _motzkin_steps, ell)
 
 
@@ -194,7 +189,7 @@ def _enumerate_site(length: int, height_cap: int, ext_budget: int):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def count_lukasiewicz(ell: int) -> int:
     """Independent count of Lukasiewicz paths by memoized recursion over
     (remaining, height) states; used as an oracle for the enumerator."""
@@ -211,7 +206,7 @@ def count_lukasiewicz(ell: int) -> int:
             total += walks(remaining - 1, y + k)
         return total
 
-    return walks(ell, 0)
+    return walks(_int_arg(ell, "ell", 0), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +294,8 @@ def _matchings(downs, ups, require_all):
 
 
 def _lengths_tuple(lengths):
-    lengths = tuple(lengths)
-    for x in lengths:
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise ValueError(f"site lengths must be ints, got {x!r}")
-    if any(x < 1 for x in lengths):
-        raise ValueError("site lengths must be positive")
-    return lengths
+    """The site lengths as a tuple of ints >= 1, each read by ``_int_arg``."""
+    return tuple([_int_arg(x, "lengths", 1) for x in lengths])
 
 
 @lru_cache(maxsize=None)
@@ -492,9 +482,7 @@ def statistic_f(stats, a, b, v):
 
 def _v1_half_power(v, ell: int):
     """v_1^{-ell/2} as an exact rational; odd ell requires square v_1."""
-    v1 = v(1)
-    if v1 <= 0:
-        raise ValueError("v_1 must be positive")
+    v1 = _positive_arg(v(1), "v_1")
     if ell % 2 == 0:
         return v1 ** (-(ell // 2))
     root = sqrt_exact(v1)
@@ -574,7 +562,7 @@ def limit_moment_poly(ell: int) -> Poly:
     """Unnormalized limiting moment as a polynomial in g and v1, v2, ...:
     the Lukasiewicz sum of prod (i*g)^{#horiz at height i} * v_j^{#up deg j},
     by the transfer over heights."""
-    _check_ell(ell, 1)
+    ell = _int_arg(ell, "ell", 1)
     # every coefficient counts paths with positive weights, so none is 0
     return Poly._of({_monomial(key, ell): Fraction(c)
                      for key, c in _luk_transfer(ell, False).items()})
@@ -585,7 +573,7 @@ def limit_moment(ell: int, g, v):
     Lukasiewicz sum at the point is (J^ell)_00 of the banded operator there."""
     from .limitshape import JacobiOperator, jacobi_moment
 
-    _check_ell(ell, 1)
+    ell = _int_arg(ell, "ell", 1)
     v = Specialization.of(v)
     return _v1_half_power(v, ell) * jacobi_moment(JacobiOperator(g, v), ell)
 
@@ -597,7 +585,7 @@ def shape_sum_poly(ell: int) -> Poly:
     returns keeps its weight w, and the mean of l_1/ell over the rotations
     is 1/k (the cycle lemma; l_1 the first piece's length): so this is the
     sum of w * l_1, from the first-return transfer, over ell."""
-    _check_ell(ell, 1)
+    ell = _int_arg(ell, "ell", 1)
     return Poly._of({_monomial(key, ell): Fraction(c, ell)
                      for key, c in _luk_transfer(ell, True).items()})
 
@@ -714,11 +702,7 @@ def _ribbon_transfer(lengths, a, b, v, by_returns=False, d=None,
 
 def _finite_weights(alpha, u):
     """Horizontal and pairing weights (alpha-1)/u and alpha/u^2."""
-    alpha, u = Fraction(alpha), Fraction(u)
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if u <= 0:
-        raise ValueError(f"u must be positive, got {u}")
+    alpha, u = _positive_arg(alpha, "alpha"), _positive_arg(u, "u")
     return (alpha - 1) / u, alpha / u ** 2
 
 
@@ -766,15 +750,11 @@ def depoissonized_expectation(lengths, d: int, alpha, u, v):
     """Exact conditional expectation over partitions of fixed size d: the
     ribbon sum acquires a falling factorial d(d-1)...(d-#unpaired downs+1)
     and a (alpha/u^2) factor per unpaired down step.  Requires v_1 = 1."""
-    lengths = _lengths_tuple(lengths)
-    if isinstance(d, bool) or not isinstance(d, int):
-        raise ValueError(f"d must be an int, got {d!r}")
+    lengths, d = _lengths_tuple(lengths), _int_arg(d, "d", 0)
     v = Specialization.of(v)
     if v(1) != 1:
         raise ValueError("depoissonized formulas require v_1 = 1")
     a, b = _finite_weights(alpha, u)
-    if d < 0:
-        raise ValueError(f"d must be a nonnegative integer, got {d}")
     return _ribbon_transfer(lengths, a, b, v, d=d)
 
 
@@ -786,7 +766,7 @@ def depoissonized_expectation(lengths, d: int, alpha, u, v):
 def clt_mean(ell: int, g, gp, v):
     """Limiting mean of the ell-th fluctuation observable:
     v1^{-ell/2}/(ell-1) * gp * d/dg of the 1/|S^0|-weighted Lukasiewicz sum."""
-    _check_ell(ell, 2)
+    ell = _int_arg(ell, "ell", 2)
     v = Specialization.of(v)
     return (_v1_half_power(v, ell) * Fraction(gp)
             * _at(shape_sum_poly(ell).derivative("g"), g, v) / (ell - 1))
@@ -794,8 +774,7 @@ def clt_mean(ell: int, g, gp, v):
 
 def clt_cov(k: int, l: int, g, v):
     """Limiting covariance of fluctuation observables (k, l >= 2)."""
-    _check_ell(k, 1)
-    _check_ell(l, 1)
+    k, l = _int_arg(k, "k", 1), _int_arg(l, "l", 1)
     if min(k, l) == 1:
         return Fraction(0)
     v = Specialization.of(v)
@@ -808,7 +787,7 @@ def clt_cov(k: int, l: int, g, v):
 def afp_mean(ell: int, g, gp, v, vp):
     """Mean shift with character second-order data: applies the operator
     gp*d/dg + sum_i vp_i d/dv_i to the 1/|S^0|-weighted sum (v_1 = 1)."""
-    _check_ell(ell, 2)
+    ell = _int_arg(ell, "ell", 2)
     v, vp = Specialization.of(v), Specialization.of(vp)
     if v(1) != 1:
         raise ValueError("afp formulas require v_1 = 1")
@@ -854,8 +833,7 @@ def afp_cov(k: int, l: int, g, v, vkl):
     steps weighted by the v_{(deg|deg)} table (v_1 = 1).  Without pairings
     every down has degree 1 and the sites are independent, so the double
     sum factorises over the two sites."""
-    _check_ell(k, 2)
-    _check_ell(l, 2)
+    k, l = _int_arg(k, "k", 2), _int_arg(l, "l", 2)
     v = Specialization.of(v)
     if v(1) != 1:
         raise ValueError("afp formulas require v_1 = 1")

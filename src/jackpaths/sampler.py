@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from . import _kernels
 from .diagrams import StaircaseShape, _residues, corners
-from .ensembles import Ensemble, _is_negative, _size, ensemble_from_config
-from .exactnum import parse_rational
+from .ensembles import Ensemble, _is_negative, ensemble_from_config
+from .exactnum import _int_arg, _positive_arg, parse_rational
 from .partitions import Partition, _hook_pairs, partitions_of
 from .rng import SplitMix64, dyadic_fraction
 
@@ -43,9 +43,7 @@ class GrowthUnavailableError(RuntimeError):
 def growth_transitions(lam: Partition, alpha):
     """Exact one-step law: [(next partition, probability)], probabilities
     given by the transition-measure atoms of the width-alpha profile."""
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise ValueError("box dimensions must be positive")
+    alpha = _positive_arg(alpha, "alpha")
     return [(Partition(nxt), Fraction(num, rest))
             for nxt, num, rest in _one_step(lam.parts, alpha.numerator, alpha.denominator)]
 
@@ -66,7 +64,7 @@ def growth_distribution(alpha, d: int) -> dict:
     """Exact distribution on partitions of d of the growth process started
     from the empty diagram, pushed one box at a time by the chain rule."""
     dist = {Partition(): Fraction(1)}
-    for _ in range(d):
+    for _ in range(_int_arg(d, "d", 0)):
         nxt: dict = {}
         for lam, p in dist.items():
             for mu, q in growth_transitions(lam, alpha):
@@ -128,14 +126,12 @@ def _chain_keeps_law(alpha: Fraction) -> bool:
     return True
 
 
-def _growth_args(alpha, d) -> float:
+def _growth_args(alpha, d):
     """Refuse a growth draw's size d and alpha unless d is an int >= 1 and
     alpha positive and finite as a float, and refuse to draw at all unless
-    :func:`validate_growth` passed; returns alpha as the kernel's float."""
-    if isinstance(d, bool) or not isinstance(d, int):
-        raise ValueError(f"d must be an int, got {d!r}")
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    :func:`validate_growth` passed; returns d as an int and alpha as the
+    kernel's float."""
+    d = _int_arg(d, "d", 1)
     try:
         x = float(alpha)
     except OverflowError:
@@ -145,13 +141,13 @@ def _growth_args(alpha, d) -> float:
     if not validate_growth():
         raise GrowthUnavailableError(
             "growth chain failed exact validation; use exact_sample")
-    return x
+    return d, x
 
 
 def growth_sample(alpha, d: int, rng: SplitMix64) -> Partition:
     """Draw one partition of size d from the growth chain (floating-point
     masses; the law itself is certified by :func:`validate_growth`)."""
-    x = _growth_args(alpha, d)
+    d, x = _growth_args(alpha, d)
     return Partition(_kernels.growth_draw_parts(d, x, rng.next_u64()))
 
 
@@ -309,10 +305,7 @@ def run_sampler(config: dict, seed: int, count: int,
     splits the draws over max(1, min(count, :func:`usable_cpus`))
     processes (see :func:`_growth_draws`): with count 0 it forks nothing.
     Exact runs draw in this process."""
-    if isinstance(count, bool) or not isinstance(count, int):
-        raise ValueError(f"count must be an int, got {count!r}")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    count = _int_arg(count, "count", 0)
     root = SplitMix64(seed)
     run = SampleRun(config, seed, count, method)
     if method == "exact":
@@ -324,9 +317,7 @@ def run_sampler(config: dict, seed: int, count: int,
         if variant != "plancherel":
             raise ValueError(f"the growth method samples the plancherel "
                              f"variant only, not {variant!r}; use exact")
-        alpha = parse_rational(config["alpha"])
-        d = _size(config["d"], "d")
-        x = _growth_args(alpha, d)
+        d, x = _growth_args(parse_rational(config["alpha"]), config["d"])
         seeds = [root.substream(i).next_u64() for i in range(count)]
         run.backend = _kernels.BACKEND
         run.growth_validated = True
@@ -356,6 +347,7 @@ def empirical_stats(run: SampleRun, observables) -> dict:
 def scaled_profile(lam: Partition, alpha, d: int) -> StaircaseShape:
     """Profile of the balanced rescaling (box sqrt(alpha/d) x 1/sqrt(alpha d)),
     with float corners (the scale factors are irrational in general)."""
+    d = _int_arg(d, "d", 1)
     w = math.sqrt(float(alpha) / d)
     h = 1.0 / math.sqrt(float(alpha) * d)
     return StaircaseShape(*corners(lam.parts, w, h))

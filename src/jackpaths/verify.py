@@ -15,7 +15,7 @@ from .ensembles import (CharacterMeasure, ConditionalJackThoma, JackPlancherel,
                         JackSchurWeyl, JackThoma, PoissonInterval,
                         _boolean_growth_constant, _poisson_tail,
                         _truncation_degree)
-from .exactnum import sqrt_ext
+from .exactnum import _int_arg, _positive_arg, sqrt_ext
 from .jack import hall_inner, jack_basis, ns_apply
 from .limitshape import (bessel_j, bessel_order_zeros,
                          functional_equation_check, moment_consistency)
@@ -52,7 +52,7 @@ def noncrossing_partitions(n: int):
             out += [(block,) + combo for combo in partials]
         return out
 
-    yield from rec(tuple(range(n)))
+    yield from rec(tuple(range(_int_arg(n, "n", 0))))
 
 
 def nc_moment_poly(ell: int) -> Poly:
@@ -61,7 +61,7 @@ def nc_moment_poly(ell: int) -> Poly:
     the partitions are counted by their multiset of block sizes, and each
     multiset gives one monomial."""
     counts = {}
-    for pi in noncrossing_partitions(ell):
+    for pi in noncrossing_partitions(_int_arg(ell, "ell", 0)):
         if all(len(block) > 1 for block in pi):
             sizes = tuple(sorted(len(block) for block in pi))
             counts[sizes] = counts.get(sizes, 0) + 1
@@ -75,12 +75,10 @@ def boolean_products_observable(lengths, alpha, u):
     The Boolean numerators come from one :func:`diagrams._boolean_pricer`,
     so partitions passed in a walk of :meth:`JackThoma.support` are each
     priced from the one before by one box."""
-    lengths = tuple(lengths)
-    if not lengths or not all(isinstance(ell, int) and not isinstance(ell, bool)
-                              and ell >= 1 for ell in lengths):
-        raise ValueError(f"lengths must be a nonempty sequence of ints >= 1, "
-                         f"got {lengths}")
-    alpha, u = Fraction(alpha), Fraction(u)
+    lengths = [_int_arg(ell, "lengths", 1) for ell in lengths]
+    if not lengths:
+        raise ValueError("lengths must be nonempty")
+    alpha, u = _positive_arg(alpha, "alpha"), _positive_arg(u, "u")
     price = _boolean_pricer(alpha / u, 1 / u, max(lengths))
     order = sum(lengths)
 
@@ -113,6 +111,7 @@ def suite_normalization(dmax: int = 8):
     from .ensembles import JackMeasure, ThomaPoint, thoma_specialization
     from .jack import Specialization
 
+    dmax = _int_arg(dmax, "dmax", 1)
     v = [Fraction(1), Fraction(1, 2), Fraction(1, 3)]
     for alpha in NORMALIZATION_ALPHAS:
         thoma = JackThoma(alpha, Fraction(2),
@@ -220,6 +219,7 @@ def suite_poisson_oracle(total: int = 7, tail_eps=Fraction(1, 10 ** 12)):
     """Criterion 4: the ribbon formula for expectations of Boolean-observable
     products equals the truncated brute-force sum within the certified tail
     radius (< 1e-12) for every length multiset with sum <= ``total``."""
+    total, tail_eps = _int_arg(total, "total", 1), _positive_arg(tail_eps, "tail_eps")
     multisets = _length_multisets(total)
     for alpha, u, vrule, label in ORACLE_PARAMETER_SETS:
         ens = JackThoma(alpha, u, vrule, check_positivity=False)

@@ -93,7 +93,7 @@ FINITE_ARGS = ["finite-expectation", "--lengths", "3"]
 
 def test_finite_expectation_negative_d_exits_2(capsys):
     assert cli.main(FINITE_ARGS + ["--alpha", "2", "--u", "3", "--d", "-1"]) == 2
-    assert "d must be a nonnegative integer" in capsys.readouterr().err
+    assert "error: d must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_finite_expectation_zero_alpha_exits_2(capsys):
@@ -232,7 +232,7 @@ def test_verify_json_names_the_growth_kernel_of_growth_suites(capsys, monkeypatc
 def test_sample_negative_d_exits_2(capsys):
     assert cli.main(["sample", "--d", "-2"]) == 2
     err = capsys.readouterr().err
-    assert "d must be a nonnegative integer" in err
+    assert "error: d must be >= 0, got -2" in err
 
 
 def test_sample_conditional_thoma_above_the_cap_exits_2():

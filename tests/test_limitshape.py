@@ -177,32 +177,31 @@ def test_cauchy_transform_equation_at_every_v(g, v):
 
 
 G, V = Fraction(1, 2), [Fraction(1), Fraction(1, 3)]
-ORDER_CHECKS = {  # name: (a call of one order, the least order it takes)
-    "jacobi_moment": (lambda ell: jacobi_moment(plancherel_operator(G), ell), 0),
-    "jacobi_moment_symbolic": (jacobi_moment_symbolic, 0),
-    "motzkin_moment_poly": (motzkin_moment_poly, 0),
-    "limit_moment_poly": (limit_moment_poly, 1),
-    "shape_sum_poly": (shape_sum_poly, 1),
-    "limit_moment": (lambda ell: limit_moment(ell, G, V), 1),
-    "moment_duality_check": (moment_duality_check, 1),
-    "clt_mean": (lambda ell: clt_mean(ell, G, 3, V), 2),
-    "afp_mean": (lambda ell: afp_mean(ell, G, 3, V, [0, 1]), 2),
-    "clt_cov_k": (lambda k: clt_cov(k, 3, G, V), 1),
-    "clt_cov_l": (lambda l: clt_cov(3, l, G, V), 1),
-    "afp_cov_k": (lambda k: afp_cov(k, 3, G, V, {}), 2),
-    "afp_cov_l": (lambda l: afp_cov(3, l, G, V, {}), 2),
+ORDER_CHECKS = {  # name: (a call of one order, its argument, the least order)
+    "jacobi_moment": (lambda ell: jacobi_moment(plancherel_operator(G), ell), "ell", 0),
+    "jacobi_moment_symbolic": (jacobi_moment_symbolic, "ell", 0),
+    "motzkin_moment_poly": (motzkin_moment_poly, "ell", 0),
+    "limit_moment_poly": (limit_moment_poly, "ell", 1),
+    "shape_sum_poly": (shape_sum_poly, "ell", 1),
+    "limit_moment": (lambda ell: limit_moment(ell, G, V), "ell", 1),
+    "moment_duality_check": (moment_duality_check, "ell", 1),
+    "clt_mean": (lambda ell: clt_mean(ell, G, 3, V), "ell", 2),
+    "afp_mean": (lambda ell: afp_mean(ell, G, 3, V, [0, 1]), "ell", 2),
+    "clt_cov_k": (lambda k: clt_cov(k, 3, G, V), "k", 1),
+    "clt_cov_l": (lambda l: clt_cov(3, l, G, V), "l", 1),
+    "afp_cov_k": (lambda k: afp_cov(k, 3, G, V, {}), "k", 2),
+    "afp_cov_l": (lambda l: afp_cov(3, l, G, V, {}), "l", 2),
 }
 
 
 @pytest.mark.parametrize("name", ORDER_CHECKS)
 def test_moment_legs_refuse_an_ell_that_is_not_a_nonnegative_int(name):
-    moment, least = ORDER_CHECKS[name]
+    moment, arg, least = ORDER_CHECKS[name]
     moment(3)  # first, so that a cache holding 3 is tried with 3.0
     for bad in (2.5, 3.0, True, "3", None):
-        with pytest.raises(ValueError, match="^ell must be an int"):
+        with pytest.raises(ValueError, match=f"^{arg} must be an int, got {bad!r}$"):
             moment(bad)
-    below = f">= {least}" if least else "nonnegative"
-    with pytest.raises(ValueError, match=f"^ell must be {below}$"):
+    with pytest.raises(ValueError, match=f"^{arg} must be >= {least}, got {least - 1}$"):
         moment(least - 1)
 
 

@@ -482,13 +482,13 @@ def test_ribbon_formulas_refuse_site_lengths_and_d_that_are_not_ints():
     v = [1]
     for bad in (2.5, 2.0, True, "3", Fraction(2)):
         for call in (finite_expectation, finite_moment_s, finite_cumulant_s):
-            with pytest.raises(ValueError, match="^site lengths must be ints"):
+            with pytest.raises(ValueError, match="^lengths must be an int"):
                 call((bad,), 2, 3, v)
-        with pytest.raises(ValueError, match="^site lengths must be ints"):
+        with pytest.raises(ValueError, match="^lengths must be an int"):
             depoissonized_expectation((2, bad), 2, 2, 3, v)
         with pytest.raises(ValueError, match="^d must be an int"):
             depoissonized_expectation((2,), bad, 2, 3, v)
     with pytest.raises(ValueError, match="^d must be an int"):
         depoissonized_expectation((2,), False, 2, 3, v)
-    with pytest.raises(ValueError, match="^site lengths must be positive$"):
+    with pytest.raises(ValueError, match="^lengths must be >= 1, got 0$"):
         finite_expectation((2, 0), 2, 3, v)
