@@ -62,7 +62,7 @@ class PowerSumPoly(_SparseTerms):
 
     def diff_p(self, k: int) -> "PowerSumPoly":
         """Partial derivative with respect to p_k."""
-        out = {}
+        k, out = _int_arg(k, "k", 1), {}
         for mu, coeff in self.terms.items():
             m = mu.multiplicity(k)
             if m:
@@ -366,13 +366,15 @@ class Specialization:
     def of(v) -> "Specialization":
         """p_k -> v_k, for v a Specialization, a callable k -> v_k, a dict
         {k: v_k} or a sequence (v_1, v_2, ...); a dict or sequence is zero
-        where it has no entry."""
+        where it has no entry.  A dict key is an int or its decimal text
+        (a JSON key)."""
         if isinstance(v, Specialization):
             return v
         if callable(v):
             return Specialization(v)
         if isinstance(v, dict):
-            table = {int(k): Fraction(x) for k, x in v.items()}
+            table = {_int_arg(int(k) if isinstance(k, str) and k.isdecimal() else k,
+                              "key", 1): Fraction(x) for k, x in v.items()}
             return Specialization(lambda k: table.get(k, 0), "table")
         seq = tuple(Fraction(x) for x in v)
         return Specialization(lambda k: seq[k - 1] if k <= len(seq) else 0,

@@ -1,4 +1,5 @@
-"""High/low-temperature limit shapes: banded-operator moments, the
+"""High/low-temperature limit shapes: banded-operator moments (an integer
+column at a rational point, with its tangent, and a symbolic column), the
 Cauchy-transform functional equation, real-order Bessel evaluation,
 staircase corners (the Bessel order-zeros) as eigenvalues of the
 Plancherel operator, semi-infinite staircase construction, and truncated
@@ -12,7 +13,7 @@ import warnings
 from contextlib import nullcontext
 from fractions import Fraction
 from itertools import islice
-from math import comb, isfinite, prod
+from math import comb, isfinite, lcm, prod
 
 from ._records import Frozen, Record
 from .diagrams import DiscreteMeasure, StaircaseShape
@@ -47,33 +48,50 @@ def plancherel_operator(g) -> JacobiOperator:
     return JacobiOperator(g, [Fraction(1)])
 
 
-def jacobi_moment(op: JacobiOperator, ell: int) -> Fraction:
-    """(J^ell)_{0,0} at a rational point, as the top of J^ell e_0.  J^t e_0
-    is zero past row t, so step t makes rows 0..t+1; each band is read once,
-    and neither the 1 nor a zero is multiplied."""
-    ell = _int_arg(ell, "ell", 0)
-    g = Fraction(op.g)
-    bands = [(k, x) for k in range(1, ell) if (x := Fraction(op.v(k))) != 0]
-    col = [Fraction(1)]
+def _operator_column(g, v, ell: int, dg, dv):
+    """D, then the ints m_t = D^t (J^t)_{0,0} for t = 0..ell at the point
+    (g, v), then their tangents dm_t along the direction (dg, dv): D is the
+    common denominator of g, dg and the bands read.  J^t e_0 is zero past
+    row t, so step t makes rows 0..t+1 and the last step row 0 only; each
+    band is read once, and a band zero in both v and dv is skipped."""
+    g, dg = Fraction(g), Fraction(dg)
+    bands = [(k, Fraction(v(k)), Fraction(dv(k))) for k in range(1, ell)]
+    bands = [b for b in bands if b[1] or b[2]]
+    D = lcm(g.denominator, dg.denominator,
+            *(x.denominator for _, *xs in bands for x in xs))
+    G, dG = int(g * D), int(dg * D)
+    bands = [(k, int(x * D), int(dx * D)) for k, x, dx in bands]
+    col, dcol, m, dm = [1], [0], [1], [0]
     for t in range(ell):
-        new = []
+        new, dnew = [], []
         for i in range(t + 2 if t + 1 < ell else 1):
-            acc = col[i - 1] if i else Fraction(0)
-            if 0 < i <= t and g != 0:
-                acc = acc + g * i * col[i]
-            for k, x in bands:
-                if i + k > t:
+            acc, dacc = (D * col[i - 1], D * dcol[i - 1]) if i else (0, 0)
+            if 0 < i < len(col):
+                acc += i * G * col[i]
+                dacc += i * (G * dcol[i] + dG * col[i])
+            for k, x, dx in bands:
+                if i + k >= len(col):
                     break
-                if col[i + k] != 0:
-                    acc = acc + x * col[i + k]
+                acc += x * col[i + k]
+                dacc += x * dcol[i + k] + dx * col[i + k]
             new.append(acc)
-        col = new
-    return col[0]
+            dnew.append(dacc)
+        col, dcol = new, dnew
+        m.append(col[0])
+        dm.append(dcol[0])
+    return D, m, dm
+
+
+def jacobi_moment(op: JacobiOperator, ell: int) -> Fraction:
+    """(J^ell)_{0,0} at a rational point: the top of the operator column."""
+    ell = _int_arg(ell, "ell", 0)
+    D, m, _ = _operator_column(op.g, op.v, ell, 0, lambda k: 0)
+    return Fraction(m[ell], D ** ell)
 
 
 def jacobi_moment_symbolic(ell: int) -> Poly:
-    """(J^ell)_{0,0} with g and every v_k symbolic: jacobi_moment's column
-    over ints, keyed by exponents as digits in base ell + 1 (g the units, v_k
+    """(J^ell)_{0,0} with g and every v_k symbolic: the operator column
+    over int dicts, keyed by exponents as digits in base ell + 1 (g the units, v_k
     the (ell + 1)^k digit).  The diagonal multiplies by i and bumps g."""
     ell = _int_arg(ell, "ell", 0)
     base = ell + 1

@@ -1,7 +1,8 @@
 """Excursions, Lukasiewicz/Motzkin paths, and ribbon paths with pairings,
 together with every path-weighted formula: exact finite-parameter
 expectations and cumulants, depoissonized expectations, and the limiting
-moment / mean-shift / covariance formulas as exact sparse polynomials."""
+moment / mean-shift / covariance formulas at a rational point, with the
+limiting moments also as exact sparse polynomials."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from ._records import Frozen
 from .exactnum import _int_arg, _positive_arg, sqrt_exact
 from .jack import Specialization
 from .polynomials import Poly
-from .series import joint_cumulant
+from .series import joint_cumulant, series_inv, series_mul
 
 RIBBON_CAP = 14  # largest total length the ribbon enumeration oracle lists
 
@@ -498,42 +499,31 @@ def _v1_half_power(v, ell: int):
 # ---------------------------------------------------------------------------
 
 
-def _luk_step(rows: list, left: int, shift: list) -> list:
-    """One step of :func:`_luk_transfer`: new row y takes the down step from
-    y + 1, the horizontal y*g at y and the up step v_j from y - j; a height
-    above the ``left`` steps to come cannot return, so rows stop there."""
-    new = []
-    for y in range(left + 1):
-        row = dict(rows[y + 1]) if y + 1 < len(rows) else {}
-        get = row.get
-        if 0 < y < len(rows):
-            for key, c in rows[y].items():
-                row[key] = get(key, 0) + c * y
-        for j in range(max(1, y + 1 - len(rows)), y + 1):
-            dkey = shift[j - 1]
-            for key, c in rows[y - j].items():
-                key += dkey
-                row[key] = get(key, 0) + c
-        new.append(row)
-    return new
-
-
-def _luk_transfer(ell: int, first_return: bool) -> dict:
+def _luk_transfer(ell: int) -> dict:
     """The weighted Lukasiewicz sum of length ell as {key: int}, by a
     transfer over heights: a key packs the exponents of v_1, v_2, ... as
     digits in base ell + 1 (v_1 the units), and the int carries the factors
-    i of the (i*g) weights.  With ``first_return`` the paths not yet back at
-    zero are carried apart, and a first return at step t multiplies by t."""
+    i of the (i*g) weights.  New row y takes the down step from y + 1, the
+    horizontal y*g at y and the up step v_j from y - j; a height above the
+    steps left cannot return, so rows stop there."""
     shift = [(ell + 1) ** j for j in range(ell)]
-    back, out = ([{}], [{0: 1}]) if first_return else ([{0: 1}], [])
+    rows = [{0: 1}]
     for t in range(1, ell + 1):
-        back = _luk_step(back, ell - t, shift)
-        if out:
-            out = _luk_step(out, ell - t, shift)
-            for key, c in out[0].items():  # the first returns, at step t
-                back[0][key] = back[0].get(key, 0) + c * t
-            out[0] = {}
-    return back[0]
+        new = []
+        for y in range(ell - t + 1):
+            row = dict(rows[y + 1]) if y + 1 < len(rows) else {}
+            get = row.get
+            if 0 < y < len(rows):
+                for key, c in rows[y].items():
+                    row[key] = get(key, 0) + c * y
+            for j in range(max(1, y + 1 - len(rows)), y + 1):
+                dkey = shift[j - 1]
+                for key, c in rows[y - j].items():
+                    key += dkey
+                    row[key] = get(key, 0) + c
+            new.append(row)
+        rows = new
+    return rows[0]
 
 
 def _monomial(key: int, ell: int) -> tuple:
@@ -550,13 +540,6 @@ def _monomial(key: int, ell: int) -> tuple:
     return tuple(sorted(mono + [("g", flat)] if flat else mono))
 
 
-def _at(poly: Poly, g, v) -> Fraction:
-    """The value of a polynomial in g and v1, v2, ... at g and v_k = v(k)."""
-    assignment = {name: v(int(name[1:])) for name in poly.variables() - {"g"}}
-    assignment["g"] = Fraction(g)
-    return poly.evaluate(assignment)
-
-
 @lru_cache(maxsize=None, typed=True)
 def limit_moment_poly(ell: int) -> Poly:
     """Unnormalized limiting moment as a polynomial in g and v1, v2, ...:
@@ -565,7 +548,7 @@ def limit_moment_poly(ell: int) -> Poly:
     ell = _int_arg(ell, "ell", 1)
     # every coefficient counts paths with positive weights, so none is 0
     return Poly._of({_monomial(key, ell): Fraction(c)
-                     for key, c in _luk_transfer(ell, False).items()})
+                     for key, c in _luk_transfer(ell).items()})
 
 
 def limit_moment(ell: int, g, v):
@@ -578,16 +561,18 @@ def limit_moment(ell: int, g, v):
     return _v1_half_power(v, ell) * jacobi_moment(JacobiOperator(g, v), ell)
 
 
-@lru_cache(maxsize=None, typed=True)
-def shape_sum_poly(ell: int) -> Poly:
-    """Like :func:`limit_moment_poly` but with the 1/|S^0| weight of the
-    fundamental-functional limit.  Rotating a path's k pieces between
-    returns keeps its weight w, and the mean of l_1/ell over the rotations
-    is 1/k (the cycle lemma; l_1 the first piece's length): so this is the
-    sum of w * l_1, from the first-return transfer, over ell."""
-    ell = _int_arg(ell, "ell", 1)
-    return Poly._of({_monomial(key, ell): Fraction(c, ell)
-                     for key, c in _luk_transfer(ell, True).items()})
+def _shape_sum_tangent(ell: int, g, v, dg, dv) -> Fraction:
+    """The derivative along (dg, dv), at (g, v), of the Lukasiewicz sum of
+    length ell with the 1/|S^0| weight of the fundamental-functional limit.
+    A path is a sequence of primitive paths, and rotating its k pieces keeps
+    its weight (the cycle lemma), so that sum is [x^ell] log m(x) with m(x)
+    = sum_t (J^t)_00 x^t, and its derivative [x^ell] dm/m.  The operator
+    column gives m and dm in ints over D^t: with x = D y, the coefficient is
+    [y^ell] dm/m over D^ell."""
+    from .limitshape import _operator_column
+
+    D, m, dm = _operator_column(g, v, ell, dg, dv)
+    return series_mul(dm, series_inv(m, ell), ell)[ell] / D ** ell
 
 
 def moment_duality_check(ell: int) -> bool:
@@ -769,7 +754,7 @@ def clt_mean(ell: int, g, gp, v):
     ell = _int_arg(ell, "ell", 2)
     v = Specialization.of(v)
     return (_v1_half_power(v, ell) * Fraction(gp)
-            * _at(shape_sum_poly(ell).derivative("g"), g, v) / (ell - 1))
+            * _shape_sum_tangent(ell, g, v, 1, lambda k: 0) / (ell - 1))
 
 
 def clt_cov(k: int, l: int, g, v):
@@ -786,18 +771,14 @@ def clt_cov(k: int, l: int, g, v):
 
 def afp_mean(ell: int, g, gp, v, vp):
     """Mean shift with character second-order data: applies the operator
-    gp*d/dg + sum_i vp_i d/dv_i to the 1/|S^0|-weighted sum (v_1 = 1)."""
+    gp*d/dg + sum_{i>=2} vp_i d/dv_i to the 1/|S^0|-weighted sum (v_1 = 1,
+    held fixed)."""
     ell = _int_arg(ell, "ell", 2)
     v, vp = Specialization.of(v), Specialization.of(vp)
     if v(1) != 1:
         raise ValueError("afp formulas require v_1 = 1")
-    base = shape_sum_poly(ell)
-    acc = Poly.const(Fraction(gp)) * base.derivative("g")
-    for name in base.variables() - {"g", "v1"}:
-        vpi = vp(int(name[1:]))
-        if vpi:
-            acc = acc + Poly.const(vpi) * base.derivative(name)
-    return _at(acc, g, v) / (ell - 1)
+    return _shape_sum_tangent(ell, g, v, gp,
+                              lambda k: vp(k) if k > 1 else 0) / (ell - 1)
 
 
 def _vkl_lookup(vkl, x: int, y: int):
@@ -818,11 +799,9 @@ def _marked_site_sums(ell: int, g, v) -> dict:
     whose v_n is dropped (d/dv_n of the shape sum), and -1 for a down step.
     Every down has degree 1, so a path with e_n up steps of degree n has
     sum_n n*e_n downs."""
-    poly = shape_sum_poly(ell)
     out = {-1: Fraction(0)}
-    for name in poly.variables() - {"g"}:
-        n = int(name[1:])
-        out[n] = _at(poly.derivative(name), g, v)
+    for n in range(1, ell):
+        out[n] = _shape_sum_tangent(ell, g, v, 0, lambda k: int(k == n))
         out[-1] += n * v(n) * out[n]
     return out
 

@@ -305,7 +305,7 @@ def run_sampler(config: dict, seed: int, count: int,
     splits the draws over max(1, min(count, :func:`usable_cpus`))
     processes (see :func:`_growth_draws`): with count 0 it forks nothing.
     Exact runs draw in this process."""
-    count = _int_arg(count, "count", 0)
+    seed, count = _int_arg(seed, "seed", None), _int_arg(count, "count", 0)
     root = SplitMix64(seed)
     run = SampleRun(config, seed, count, method)
     if method == "exact":

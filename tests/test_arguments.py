@@ -105,6 +105,9 @@ ACCEPTED = [  # (a call with numpy integers or rational forms, the plain call)
     (lambda: AnisotropicDiagram(LAM, "3/2", 0.5).transition_measure().atoms,
      lambda: AnisotropicDiagram(LAM, Fraction(3, 2), Fraction(1, 2))
      .transition_measure().atoms),
+    (lambda: [limit_moment(4, G, v) for v in ({"1": 1, "2": "1/3"},
+                                                {_int64(1): 1, _int64(2): "1/3"})],
+     lambda: [limit_moment(4, G, V)] * 2),
 ]
 
 
@@ -117,3 +120,9 @@ def test_arguments_are_read_at_the_boundary(name, call):
     with pytest.raises(ValueError) as refusal:
         call()
     assert str(refusal.value).startswith(f"{name} must be ")
+
+
+@pytest.mark.parametrize("key", [2.7, 2.0, True, "2.5", " 2", "two", None, 0, "0", "-1"])
+def test_specialization_keys_are_ints_or_their_decimal_text(key):
+    with pytest.raises(ValueError, match=r"^key must be (an int|>= 1), got "):
+        limit_moment(4, G, {key: Fraction(1, 3)})

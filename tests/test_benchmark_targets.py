@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps named package functions and methods
-(perfbench/layers.py); a rename of any of them must fail here, not only
-under ``perfbench/run.py --trace 1``."""
+(perfbench/layers.py), and reads the lru_cache counters of two of them; a
+rename of any of them, or a dropped cache, must fail here, not only under
+``perfbench/run.py --trace 1``."""
 
 import sys
 from pathlib import Path
@@ -28,10 +29,16 @@ def test_every_benchmark_target_is_wrapped_and_restored():
         for t, (owner, _) in owners.items():
             attr = t.qualname.split(".")[-1]
             assert getattr(vars(owner)[attr], "__traced__", False), t.qualname
+        traced = layers.cache_counters()
     finally:
         tracer.uninstall()
     for owner, before in owners.values():
         assert vars(owner) == before
+    plain = layers.cache_counters()
+    assert traced == plain and all(type(n) is int for n in plain.values())
+    assert sorted(plain) == [f"paths.{fn}.{kind}"
+                             for fn in ("all_ribbons", "limit_moment_poly")
+                             for kind in ("hits", "misses")]
 
 
 def test_power_sums_are_not_polys():

@@ -25,6 +25,18 @@ def test_power_sum_arithmetic():
     assert (p1 * p2).coefficient(Partition([2, 1])) == 1
 
 
+def test_power_sum_derivatives_refuse_a_k_that_is_not_an_int():
+    sq = PowerSumPoly.p(2) * PowerSumPoly.p(2)
+    assert sq.diff_p(2) == PowerSumPoly.p(2).scale(2)
+    for bad in (2.5, True, 2.0, "2"):
+        with pytest.raises(ValueError, match=f"^k must be an int, got {bad!r}$"):
+            sq.diff_p(bad)
+        with pytest.raises(ValueError, match=f"^k must be an int, got {bad!r}$"):
+            sq.lower(bad, ALPHA)
+    with pytest.raises(ValueError, match="^k must be >= 1, got 0$"):
+        sq.diff_p(0)
+
+
 def test_jack_degree_two():
     assert jack_polynomial(Partition([1]), ALPHA) == PowerSumPoly.p(1)
     J2 = jack_polynomial(Partition([2]), ALPHA)

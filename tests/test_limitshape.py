@@ -20,7 +20,7 @@ from jackpaths.partitions import Partition
 from jackpaths.jack import Specialization
 from jackpaths.paths import (afp_cov, afp_mean, clt_cov, clt_mean,
                              enumerate_motzkin, limit_moment, limit_moment_poly,
-                             moment_duality_check, shape_sum_poly)
+                             moment_duality_check)
 from jackpaths.polynomials import Poly
 
 
@@ -116,7 +116,9 @@ def _cauchy_sides(g, v, L, sign):
 
 
 def _at(poly, g, v):
-    return paths._at(poly, g, Specialization.of(v))
+    v = Specialization.of(v)
+    return poly.evaluate({"g": Fraction(g), **{name: v(int(name[1:]))
+                                               for name in poly.variables() - {"g"}}})
 
 
 def test_jacobi_moment_symbolic_equals_the_generic_operator():
@@ -154,7 +156,10 @@ def test_limit_moment_is_the_lukasiewicz_polynomial_at_the_point():
 def test_numeric_moments_do_not_run_the_lukasiewicz_transfer(monkeypatch):
     wanted = {"limit_moment": lambda: limit_moment(9, Fraction(1, 2), LIMIT_V),
               "jacobi_moment_symbolic": lambda: jacobi_moment_symbolic(9),
-              "motzkin_moment_poly": lambda: motzkin_moment_poly(9)}
+              "motzkin_moment_poly": lambda: motzkin_moment_poly(9),
+              "clt_mean": lambda: clt_mean(9, Fraction(1, 2), 3, LIMIT_V),
+              "afp_mean": lambda: afp_mean(9, Fraction(1, 2), 3, V, [0, 1, 2]),
+              "afp_cov": lambda: afp_cov(4, 5, Fraction(1, 2), V, {(2, 3): 1})}
     want = {name: call() for name, call in wanted.items()}
 
     def refuse(*args):
@@ -182,7 +187,6 @@ ORDER_CHECKS = {  # name: (a call of one order, its argument, the least order)
     "jacobi_moment_symbolic": (jacobi_moment_symbolic, "ell", 0),
     "motzkin_moment_poly": (motzkin_moment_poly, "ell", 0),
     "limit_moment_poly": (limit_moment_poly, "ell", 1),
-    "shape_sum_poly": (shape_sum_poly, "ell", 1),
     "limit_moment": (lambda ell: limit_moment(ell, G, V), "ell", 1),
     "moment_duality_check": (moment_duality_check, "ell", 1),
     "clt_mean": (lambda ell: clt_mean(ell, G, 3, V), "ell", 2),

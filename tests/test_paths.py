@@ -1,17 +1,21 @@
+import hashlib
 from fractions import Fraction
+from functools import cache
+from math import isqrt
 
 import pytest
 
+from jackpaths.jack import Specialization
 from jackpaths.partitions import falling_factorial
-from jackpaths.paths import (RIBBON_DP_LIMIT, EnumerationCapError, afp_cov,
-                             afp_mean, clt_cov, clt_mean, count_lukasiewicz,
+from jackpaths.paths import (RIBBON_DP_LIMIT, EnumerationCapError,
+                             _marked_site_sums, afp_cov, afp_mean, clt_cov,
+                             clt_mean, count_lukasiewicz,
                              depoissonized_expectation,
                              enumerate_lukasiewicz, enumerate_motzkin,
                              finite_cumulant_s, finite_expectation,
                              finite_moment_s, is_pi_connected, limit_moment,
                              limit_moment_poly, moment_duality_check,
-                             ribbon_stats, set_partitions, shape_sum_poly,
-                             statistic_f)
+                             ribbon_stats, set_partitions, statistic_f)
 from jackpaths.polynomials import Poly
 
 
@@ -247,10 +251,12 @@ def test_limit_moment_poly_structure():
     assert p4.evaluate({"g": Fraction(0), "v1": 1, "v2": 0, "v3": 0}) == 2
     assert p4.derivative("g").derivative("g").evaluate(
         {"g": 0, "v1": 1, "v2": 0, "v3": 0}) == 2  # g^2 coefficient 1, twice diff
-    s3 = shape_sum_poly(3)
-    assert s3.evaluate({"g": Fraction(2), "v1": 1, "v2": Fraction(5)}) == 7
+    # the shape sum of length 3 is g*v1 + v2: marked steps on its paths
+    assert _marked_site_sums(3, Fraction(2), Specialization.of([1, 5])) == {
+        -1: 1 * 1 * 2 + 2 * 5 * 1, 1: 2, 2: 1}
 
 
+@cache
 def _enumerated_sum(ell, by_returns):
     """The literal path sum: one Poly product per step of every listed
     Lukasiewicz path, times 1/|S^0| when ``by_returns``."""
@@ -272,17 +278,43 @@ def _enumerated_sum(ell, by_returns):
 
 def test_path_sums_match_enumeration():
     for ell in range(1, 11):
-        for dp, by_returns in ((limit_moment_poly, False), (shape_sum_poly, True)):
-            got, want = dp(ell).terms, _enumerated_sum(ell, by_returns).terms
-            assert got == want, (dp.__name__, ell)
-            assert all(type(c) is Fraction for c in got.values())
+        got, want = limit_moment_poly(ell).terms, _enumerated_sum(ell, False).terms
+        assert got == want, ell
+        assert all(type(c) is Fraction for c in got.values())
+
+
+# v_1 = 1 for the afp formulas, and v_1 = 4 a square for odd clt orders
+MEAN_POINTS = [(Fraction(1, 2), [1, Fraction(1, 3)]),
+               (Fraction(-1, 3), [1, Fraction(-1, 2), 0, Fraction(1, 4)]),
+               (Fraction(7, 5), [4, 0, Fraction(1, 5), Fraction(-2, 3)])]
+
+
+def test_mean_shifts_are_derivatives_of_the_enumerated_shape_sum():
+    """clt_mean, afp_mean and the marked-step sums against the Poly
+    derivatives, at each point, of the listed paths' 1/|S^0|-weighted sum."""
+    vp = [Fraction(5), Fraction(-2, 3), Fraction(7), Fraction(1, 9)]
+    for ell in range(2, 11):
+        shape = _enumerated_sum(ell, True)
+        for g, v in MEAN_POINTS:
+            at = {"g": g, **{f"v{n}": Fraction(x) for n, x in enumerate(v, 1)}}
+            at.update({f"v{n}": Fraction(0) for n in range(len(v) + 1, ell)})
+            dg = shape.derivative("g").evaluate(at)
+            dv = {n: shape.derivative(f"v{n}").evaluate(at) for n in range(1, ell)}
+            pref = Fraction(1, isqrt(v[0])) ** ell  # v_1^{-ell/2}
+            assert clt_mean(ell, g, 3, v) == pref * 3 * dg / (ell - 1), (ell, g)
+            assert _marked_site_sums(ell, g, Specialization.of(v)) == {
+                -1: sum(n * at[f"v{n}"] * dv[n] for n in dv), **dv}, (ell, g)
+            if v[0] == 1:
+                want = (2 * dg + sum(x * dv.get(n, 0) for n, x in enumerate(vp, 2)))
+                assert afp_mean(ell, g, 2, v, [9] + vp) == want / (ell - 1), (ell, g)
 
 
 def test_shape_sums_are_the_log_of_the_moment_series():
-    """shape_sum_ell = [x^ell] log(1 + sum_n M_n x^n), M_n the limit moments:
-    log M(x) = -log(1 - P(x)) = sum_k P^k / k with P the primitive paths,
-    which is the 1/k weight.  L = log M by n L_n = n M_n - sum_{j<n} j L_j
-    M_{n-j}, in Poly products."""
+    """The listed 1/|S^0|-weighted sum of length ell is [x^ell] log(1 +
+    sum_n M_n x^n), M_n the limit moments: log M(x) = -log(1 - P(x)) =
+    sum_k P^k / k with P the primitive paths, which is the 1/k weight, and
+    what the mean shifts differentiate.  L = log M by n L_n = n M_n -
+    sum_{j<n} j L_j M_{n-j}, in Poly products."""
     M = [Poly.const(1)] + [limit_moment_poly(n) for n in range(1, 11)]
     L = [Poly.const(0)]
     for n in range(1, 11):
@@ -290,14 +322,52 @@ def test_shape_sums_are_the_log_of_the_moment_series():
         for j in range(1, n):
             acc = acc - j * L[j] * M[n - j]
         L.append(Fraction(1, n) * acc)
-        assert shape_sum_poly(n).terms == L[n].terms, n
+        assert _enumerated_sum(n, True).terms == L[n].terms, n
 
 
 def test_path_sums_reject_ell_below_one():
-    for dp in (limit_moment_poly, shape_sum_poly):
-        for ell in (0, -1):
-            with pytest.raises(ValueError):
-                dp(ell)
+    for ell in (0, -1):
+        with pytest.raises(ValueError):
+            limit_moment_poly(ell)
+
+
+GS = (Fraction(0), Fraction(1, 2), Fraction(-1, 3), Fraction(7, 5))
+VS = ([1], [1, Fraction(1, 3)], [Fraction(9, 4), Fraction(1, 2), 0, Fraction(-1, 4)],
+      [4, 0, Fraction(1, 5)], [1, Fraction(-1, 2), Fraction(1, 4)], [2, 1], [0, 1])
+VPS = ([], [0, 1], [0, 5, Fraction(-2, 3)], [7, 0, 0, Fraction(1, 9)])
+VKL = {(2, 2): Fraction(1, 3), (2, 3): Fraction(1, 5), (3, 3): Fraction(-1, 2)}
+
+
+def test_mean_shift_grid_is_pinned():
+    """clt_mean, afp_mean and afp_cov over a grid of orders and points, with
+    their refusals (v_1 = 0, an odd order at a v_1 that is not a square),
+    digest to the values of the shape-sum polynomial they replaced."""
+    lines = []
+
+    def record(f, *args):
+        try:
+            x = f(*args)
+            lines.append(f"{type(x).__name__} {x}")
+        except Exception as e:
+            lines.append(f"!{type(e).__name__}: {e}")
+
+    for ell in range(2, 25):
+        for g in GS:
+            for v in VS:
+                record(clt_mean, ell, g, 3, v)
+                if v[0] == 1:
+                    for gp in (0, 2):
+                        for vp in VPS:
+                            record(afp_mean, ell, g, gp, v, vp)
+    for k in range(2, 8):
+        for l in range(k, 15 - k):
+            for g in GS:
+                for v in VS:
+                    if v[0] == 1:
+                        record(afp_cov, k, l, g, v, VKL)
+    assert (len(lines), sum(x.startswith("!") for x in lines)) == (3284, 136)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "c69d8ef115306a4a308071434e8739a01216a50c9da49330ef63fbf68b10242e")
 
 
 def test_set_partitions_counts():

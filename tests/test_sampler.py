@@ -387,6 +387,19 @@ def test_run_sampler_refuses_a_count_that_is_not_an_int():
                 run_sampler(cfg, 0, count, method=method)
 
 
+def test_run_sampler_reads_the_seed_as_an_int_and_masks_it():
+    cfg = {"variant": "plancherel", "alpha": "1/2", "d": 4}
+    for method in ("exact", "growth"):
+        def draws(seed):
+            return run_sampler(cfg, seed, 3, method=method).collected
+
+        assert draws(-1) == draws(2 ** 64 - 1)
+        assert draws(2 ** 64 + 5) == draws(5)
+        for bad in (True, 2.5, "7", None):
+            with pytest.raises(ValueError, match=f"^seed must be an int, got {bad!r}$"):
+                run_sampler(cfg, bad, 1, method=method)
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
