@@ -50,30 +50,37 @@ def plancherel_operator(g) -> JacobiOperator:
 
 def _operator_column(g, v, ell: int, dg, dv):
     """D, then the ints m_t = D^t (J^t)_{0,0} for t = 0..ell at the point
-    (g, v), then their tangents dm_t along the direction (dg, dv): D is the
-    common denominator of g, dg and the bands read.  J^t e_0 is zero past
-    row t, so step t makes rows 0..t+1 and the last step row 0 only; each
-    band is read once, and a band zero in both v and dv is skipped."""
+    (g, v), then their tangents dm_t along (dg, dv): dv maps an offset k to
+    the change of v_k (k >= 1) or of the lower band J_{i,i+k} (k <= -1; 1
+    at k = -1, else 0), and D is the common denominator of g, dg and the
+    bands read.  With low the deepest lower offset in dv (1 if none), step t
+    makes rows 0..t+low and the last step row 0 only; upper bands are read
+    up to ell + low - 2, each once, and a band zero in J and dv is skipped."""
     g, dg = Fraction(g), Fraction(dg)
-    bands = [(k, Fraction(v(k)), Fraction(dv(k))) for k in range(1, ell)]
+    low = max([1] + [-k for k in dv])
+    bands = [(k, Fraction(k == -1 if k < 0 else v(k)), Fraction(dv.get(k, 0)))
+             for k in range(-low, ell + low - 1) if k]
     bands = [b for b in bands if b[1] or b[2]]
     D = lcm(g.denominator, dg.denominator,
             *(x.denominator for _, *xs in bands for x in xs))
-    G, dG = int(g * D), int(dg * D)
-    bands = [(k, int(x * D), int(dx * D)) for k, x, dx in bands]
-    col, dcol, m, dm = [1], [0], [1], [0]
+    G, dG = D // g.denominator * g.numerator, D // dg.denominator * dg.numerator
+    bands = [(k, D // x.denominator * x.numerator, D // dx.denominator * dx.numerator)
+             for k, x, dx in bands]
+    col, dcol, m, dm = [1] + [0] * (low - 1), [0] * low, [1], [0]
     for t in range(ell):
         new, dnew = [], []
-        for i in range(t + 2 if t + 1 < ell else 1):
-            acc, dacc = (D * col[i - 1], D * dcol[i - 1]) if i else (0, 0)
+        for i in range(t + low + 1 if t + 1 < ell else 1):
+            acc = dacc = 0
             if 0 < i < len(col):
-                acc += i * G * col[i]
-                dacc += i * (G * dcol[i] + dG * col[i])
+                acc = i * G * col[i]
+                dacc = i * (G * dcol[i] + dG * col[i])
             for k, x, dx in bands:
-                if i + k >= len(col):
+                j = i + k
+                if j >= len(col):
                     break
-                acc += x * col[i + k]
-                dacc += x * dcol[i + k] + dx * col[i + k]
+                if j >= 0:
+                    acc += x * col[j]
+                    dacc += x * dcol[j] + dx * col[j]
             new.append(acc)
             dnew.append(dacc)
         col, dcol = new, dnew
@@ -85,7 +92,7 @@ def _operator_column(g, v, ell: int, dg, dv):
 def jacobi_moment(op: JacobiOperator, ell: int) -> Fraction:
     """(J^ell)_{0,0} at a rational point: the top of the operator column."""
     ell = _int_arg(ell, "ell", 0)
-    D, m, _ = _operator_column(op.g, op.v, ell, 0, lambda k: 0)
+    D, m, _ = _operator_column(op.g, op.v, ell, 0, {})
     return Fraction(m[ell], D ** ell)
 
 

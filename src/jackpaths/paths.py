@@ -1,8 +1,8 @@
 """Excursions, Lukasiewicz/Motzkin paths, and ribbon paths with pairings,
 together with every path-weighted formula: exact finite-parameter
-expectations and cumulants, depoissonized expectations, and the limiting
-moment / mean-shift / covariance formulas at a rational point, with the
-limiting moments also as exact sparse polynomials."""
+expectations and cumulants and depoissonized expectations, by a ribbon
+transfer, and the limiting moment / mean-shift / covariance formulas at a
+rational point, by the operator column, the moments also as polynomials."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from ._records import Frozen
 from .exactnum import _int_arg, _positive_arg, sqrt_exact
 from .jack import Specialization
 from .polynomials import Poly
-from .series import joint_cumulant, series_inv, series_mul
+from .series import joint_cumulant
 
 RIBBON_CAP = 14  # largest total length the ribbon enumeration oracle lists
 
@@ -567,12 +567,15 @@ def _shape_sum_tangent(ell: int, g, v, dg, dv) -> Fraction:
     A path is a sequence of primitive paths, and rotating its k pieces keeps
     its weight (the cycle lemma), so that sum is [x^ell] log m(x) with m(x)
     = sum_t (J^t)_00 x^t, and its derivative [x^ell] dm/m.  The operator
-    column gives m and dm in ints over D^t: with x = D y, the coefficient is
-    [y^ell] dm/m over D^ell."""
+    column gives m and dm in ints over D^t, m_0 = 1: with x = D y, dm/m is
+    q_n = dm_n - sum_{i=1..n} m_i q_{n-i} in y, and [x^ell] is q_ell/D^ell."""
     from .limitshape import _operator_column
 
     D, m, dm = _operator_column(g, v, ell, dg, dv)
-    return series_mul(dm, series_inv(m, ell), ell)[ell] / D ** ell
+    q = []
+    for n in range(ell + 1):
+        q.append(dm[n] - sum(m[i] * q[n - i] for i in range(1, n + 1)))
+    return Fraction(q[ell], D ** ell)
 
 
 def moment_duality_check(ell: int) -> bool:
@@ -602,24 +605,21 @@ def moment_duality_check(ell: int) -> bool:
 RIBBON_DP_LIMIT = 30
 
 
-def _ribbon_transfer(lengths, a, b, v, by_returns=False, d=None,
-                     one_pairing=False) -> Fraction:
+def _ribbon_transfer(lengths, a, b, v, by_returns=False, d=None) -> Fraction:
     """The weighted sum over the ribbon paths on the given sites, by one
-    transfer over the steps, left to right, instead of listing the ribbons.
-    A set of pairings is recorded as a history (P. Flajolet, 1980;
-    X. G. Viennot, 1983): a down step of degree n >= 2 opens, a degree-1
-    down opens or stays unpaired, and an up step of degree n stays unpaired
-    (weight v_n) or closes one of the c_n open downs of its degree (weight
-    c_n*n*b).  A horizontal step at height i weighs i*a.  The state is
-    (height, sorted open degrees, returns to zero in the current site,
-    unpaired downs so far).
+    transfer over the steps, left to right, instead of listing the ribbons;
+    only the finite-parameter formulas read it.  A set of pairings is
+    recorded as a history (P. Flajolet, 1980; X. G. Viennot, 1983): a down
+    step of degree n >= 2 opens, a degree-1 down opens or stays unpaired,
+    and an up step of degree n stays unpaired (weight v_n) or closes one of
+    the c_n open downs of its degree (weight c_n*n*b).  A horizontal step at
+    height i weighs i*a.  The state is (height, sorted open degrees, returns
+    to zero in the current site, unpaired downs so far).
 
     At each site's end the height is 0, and the site's return count z gives
     its weight 1/z (``by_returns``) or its filter z = 1.  With ``d`` set,
     the j-th unpaired down weighs (d - j + 1)*b: the falling factorial of
-    the fixed-size formula.  With ``one_pairing``, one pairing joins two
-    sites: the first site only opens, one down in all, and the second only
-    closes.
+    the fixed-size formula.
 
     The potential y + sum(n + 1 over open downs n) falls by at most one per
     step and must reach 0, so a state whose potential exceeds the steps left
@@ -636,16 +636,13 @@ def _ribbon_transfer(lengths, a, b, v, by_returns=False, d=None,
     den = D ** total
     states = {(0, (), 0, 0): 1}
     left = total
-    for site, length in enumerate(lengths):
-        may_open = not one_pairing or site == 0
-        may_close = not one_pairing or site == 1
+    for length in lengths:
         for s in range(length - 1, -1, -1):  # steps left in the site after this
             left -= 1
             nxt = {}
             for (y, opens, z, k), w in states.items():
                 phi = y + sum(opens) + len(opens)
                 moves = []  # (height, opens, unpaired downs, factor)
-                can_open = may_open and phi < left and not (one_pairing and opens)
                 # the last step of a site lands on 0: a down of degree y
                 for j in range(max(y, 1) if s == 0 else 1, y + 1):
                     if j == 1:
@@ -653,7 +650,7 @@ def _ribbon_transfer(lengths, a, b, v, by_returns=False, d=None,
                             moves.append((y - 1, opens, k, D))
                         elif d > k:
                             moves.append((y - 1, opens, k + 1, (d - k) * B))
-                    if can_open:
+                    if phi < left:
                         moves.append((y - j, tuple(sorted(opens + (j,))), k, D))
                 if s:
                     if y and A and phi <= left:
@@ -661,11 +658,10 @@ def _ribbon_transfer(lengths, a, b, v, by_returns=False, d=None,
                     for j in range(1, left - phi + 1):
                         if V[j]:
                             moves.append((y + j, opens, k, V[j]))
-                    if may_close:
-                        for j in set(opens):
-                            i = opens.index(j)
-                            moves.append((y + j, opens[:i] + opens[i + 1:], k,
-                                          opens.count(j) * j * B))
+                    for j in set(opens):
+                        i = opens.index(j)
+                        moves.append((y + j, opens[:i] + opens[i + 1:], k,
+                                      opens.count(j) * j * B))
                 for y2, opens2, k2, factor in moves:
                     if not y2 and s and (s == 1 or not by_returns):
                         continue  # stuck at 0, or a return the filter forbids
@@ -675,8 +671,6 @@ def _ribbon_transfer(lengths, a, b, v, by_returns=False, d=None,
         merged = {}
         L = lcm(*range(1, length + 1)) if by_returns else 1
         for (_, opens, z, k), w in states.items():
-            if one_pairing and site == 0 and len(opens) != 1:
-                continue
             key = (0, opens, 0, k)
             merged[key] = merged.get(key, 0) + w * (L // z)
         states = merged
@@ -754,19 +748,18 @@ def clt_mean(ell: int, g, gp, v):
     ell = _int_arg(ell, "ell", 2)
     v = Specialization.of(v)
     return (_v1_half_power(v, ell) * Fraction(gp)
-            * _shape_sum_tangent(ell, g, v, 1, lambda k: 0) / (ell - 1))
+            * _shape_sum_tangent(ell, g, v, 1, {}) / (ell - 1))
 
 
 def clt_cov(k: int, l: int, g, v):
-    """Limiting covariance of fluctuation observables (k, l >= 2)."""
+    """Limiting covariance of fluctuation observables (k, l >= 2): the
+    one-pairing two-site sum of :func:`_pairing_sums`."""
     k, l = _int_arg(k, "k", 1), _int_arg(l, "l", 1)
     if min(k, l) == 1:
         return Fraction(0)
     v = Specialization.of(v)
     pref = _v1_half_power(v, k + l) / ((k - 1) * (l - 1))
-    # connected with one pairing: it crosses from the first site to the second
-    return pref * _ribbon_transfer((k, l), Fraction(g), Fraction(1), v,
-                                   by_returns=True, one_pairing=True)
+    return pref * _pairing_sums(k, l, g, v)[0]
 
 
 def afp_mean(ell: int, g, gp, v, vp):
@@ -778,7 +771,7 @@ def afp_mean(ell: int, g, gp, v, vp):
     if v(1) != 1:
         raise ValueError("afp formulas require v_1 = 1")
     return _shape_sum_tangent(ell, g, v, gp,
-                              lambda k: vp(k) if k > 1 else 0) / (ell - 1)
+                              {k: vp(k) for k in range(2, ell)}) / (ell - 1)
 
 
 def _vkl_lookup(vkl, x: int, y: int):
@@ -801,26 +794,34 @@ def _marked_site_sums(ell: int, g, v) -> dict:
     sum_n n*e_n downs."""
     out = {-1: Fraction(0)}
     for n in range(1, ell):
-        out[n] = _shape_sum_tangent(ell, g, v, 0, lambda k: int(k == n))
+        out[n] = _shape_sum_tangent(ell, g, v, 0, {n: 1})
         out[-1] += n * v(n) * out[n]
     return out
 
 
+def _pairing_sums(k: int, l: int, g, v):
+    """The one-pairing sum of sites k and l, then site l's marked sums.  The
+    pairing joins a down step of degree n < l on site k to an up step of
+    degree n on site l, with weight n: sum_n n*A_k(n)*C_l(n), C_l(n) site
+    l's tangent along v_n and A_k(n) site k's along the lower band J_{i,i-n},
+    which marks a down step of degree n; that is one tangent of site k."""
+    second = _marked_site_sums(l, g, v)
+    lower = {-n: n * second[n] for n in range(1, l)}
+    return _shape_sum_tangent(k, g, v, 0, lower), second
+
+
 def afp_cov(k: int, l: int, g, v, vkl):
-    """Covariance with character second-order data: the one-pairing
-    connected sum plus the zero-pairing double sum over non-horizontal
-    steps weighted by the v_{(deg|deg)} table (v_1 = 1).  Without pairings
-    every down has degree 1 and the sites are independent, so the double
-    sum factorises over the two sites."""
+    """Covariance with character second-order data: the one-pairing sum of
+    :func:`_pairing_sums` plus the zero-pairing double sum over
+    non-horizontal steps weighted by the v_{(deg|deg)} table (v_1 = 1).
+    Without pairings every down has degree 1 and the sites are independent,
+    so the double sum factorises over the two sites."""
     k, l = _int_arg(k, "k", 2), _int_arg(l, "l", 2)
     v = Specialization.of(v)
     if v(1) != 1:
         raise ValueError("afp formulas require v_1 = 1")
-    g = Fraction(g)
-    total = _ribbon_transfer((k, l), g, Fraction(1), v, by_returns=True,
-                             one_pairing=True)
-    first, second = _marked_site_sums(k, g, v), _marked_site_sums(l, g, v)
-    for c1, s1 in first.items():
+    total, second = _pairing_sums(k, l, g, v)
+    for c1, s1 in _marked_site_sums(k, g, v).items():
         for c2, s2 in second.items():
             total += _vkl_lookup(vkl, c1, c2) * s1 * s2
     return total / ((k - 1) * (l - 1))

@@ -88,6 +88,22 @@ def test_finite_expectation_beyond_enumeration(capsys):
     assert "exceeds the ribbon limit" in capsys.readouterr().err
 
 
+def test_covariances_run_past_the_ribbon_limit(capsys):
+    # the covariances read the operator column, not the ribbon transfer, so
+    # a total length of 32 runs where the finite formulas exit 2
+    from fractions import Fraction
+
+    from jackpaths.exactnum import format_rational
+    from jackpaths.paths import afp_cov, clt_cov
+
+    g, v = Fraction(1, 2), [1, Fraction(1, 3)]
+    for cmd, want in (("clt", clt_cov(16, 16, g, v)),
+                      ("afp", afp_cov(16, 16, g, v, {}))):
+        assert cli.main([cmd, "--cov", "16", "16", "--g", "1/2",
+                         "--v", "1", "1/3"]) == 0
+        assert capsys.readouterr().out.strip() == format_rational(want)
+
+
 FINITE_ARGS = ["finite-expectation", "--lengths", "3"]
 
 

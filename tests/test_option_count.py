@@ -6,7 +6,7 @@ from pathlib import Path
 
 import jackpaths
 
-OPTION_PIN = 35
+OPTION_PIN = 34
 
 
 def defaulted_parameters(root: Path) -> int:

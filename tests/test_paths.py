@@ -208,18 +208,20 @@ def test_afp_cov_reduces_to_depoissonized_covariance():
 
 
 def _leading_b_coefficient(k, l, g, v):
-    """Exact leading coefficient, in the pairing weight b = alpha/u^2, of
-    the finite-parameter joint cumulant along the slice alpha = 1 + g*u
-    (where the horizontal weight equals g identically): fit the cumulant,
-    a cubic in b with no constant term, through three exact points."""
-    us = [Fraction(1), Fraction(2), Fraction(4)]
-    bs, ys = [], []
-    for u in us:
+    """Exact b^1 coefficient, in the pairing weight b = alpha/u^2, of the
+    finite-parameter joint cumulant along the slice alpha = 1 + g*u (where
+    the horizontal weight equals g identically).  A pairing takes two of the
+    k + l steps, so the cumulant is a polynomial in b of degree at most
+    (k + l) // 2 with no constant term: fit it through that many exact
+    points u = 1, 2, ...  The cumulant comes from the ribbon transfer, so
+    this shares no code with the operator column behind clt_cov."""
+    n = (k + l) // 2
+    rows = []
+    for u in range(1, n + 1):
         alpha = 1 + g * u
-        bs.append(alpha / u ** 2)
-        ys.append(finite_cumulant_s([k, l], alpha, u, v))
-    rows = [[b, b ** 2, b ** 3, y] for b, y in zip(bs, ys)]
-    n = 3
+        b = alpha / u ** 2
+        rows.append([b ** e for e in range(1, n + 1)]
+                    + [finite_cumulant_s([k, l], alpha, u, v)])
     for c in range(n):
         p = next(r for r in range(c, n) if rows[r][c] != 0)
         rows[c], rows[p] = rows[p], rows[c]
@@ -229,13 +231,15 @@ def _leading_b_coefficient(k, l, g, v):
             if r != c and rows[r][c]:
                 f = rows[r][c]
                 rows[r] = [a - f * b2 for a, b2 in zip(rows[r], rows[c])]
-    return rows[0][3]
+    return rows[0][n]
 
 
 def test_clt_cov_matches_finite_parameter_extrapolation():
+    # (8, 8) and (10, 8) are past RIBBON_CAP, where no ribbon is listed;
+    # g >= 0 keeps alpha = 1 + g*u positive at every u
     v = [Fraction(1), Fraction(1, 3), Fraction(1, 7)]
     for g in (Fraction(0), Fraction(1, 2)):
-        for k, l in [(2, 2), (2, 3), (3, 3), (2, 4)]:
+        for k, l in [(2, 2), (2, 3), (3, 3), (2, 4), (8, 8), (10, 8)]:
             lead = _leading_b_coefficient(k, l, g, v)
             assert lead == (k - 1) * (l - 1) * clt_cov(k, l, g, v), (g, k, l)
 
@@ -339,9 +343,10 @@ VKL = {(2, 2): Fraction(1, 3), (2, 3): Fraction(1, 5), (3, 3): Fraction(-1, 2)}
 
 
 def test_mean_shift_grid_is_pinned():
-    """clt_mean, afp_mean and afp_cov over a grid of orders and points, with
-    their refusals (v_1 = 0, an odd order at a v_1 that is not a square),
-    digest to the values of the shape-sum polynomial they replaced."""
+    """clt_mean, afp_mean, afp_cov and clt_cov over a grid of orders and
+    points, with their refusals (v_1 = 0, an odd order at a v_1 that is not
+    a square), digest to the values of the shape-sum polynomial and of the
+    one-pairing ribbon transfer that they replaced."""
     lines = []
 
     def record(f, *args):
@@ -365,9 +370,16 @@ def test_mean_shift_grid_is_pinned():
                 for v in VS:
                     if v[0] == 1:
                         record(afp_cov, k, l, g, v, VKL)
-    assert (len(lines), sum(x.startswith("!") for x in lines)) == (3284, 136)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "c69d8ef115306a4a308071434e8739a01216a50c9da49330ef63fbf68b10242e")
+    for k in range(1, 13):
+        for l in range(1, 13):
+            for g in GS:
+                for v in VS:
+                    record(clt_cov, k, l, g, v)
+    assert (len(lines), sum(x.startswith("!") for x in lines)) == (7316, 860)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "6971b31b25ebffe816885d916c2d9cf2e8f799cb1af597be0d6fa31e8a785294")
 
 
 def test_set_partitions_counts():
@@ -526,9 +538,7 @@ def test_ribbon_formulas_reject_totals_above_the_limit():
                  lambda: finite_moment_s(over, alpha, u, v),
                  lambda: finite_cumulant_s(over, alpha, u, v),
                  lambda: finite_cumulant_s(over + (1,), alpha, u, v),
-                 lambda: depoissonized_expectation(over, 5, alpha, u, v),
-                 lambda: clt_cov(*over, Fraction(1, 2), v),
-                 lambda: afp_cov(*over, Fraction(1, 2), v, {})):
+                 lambda: depoissonized_expectation(over, 5, alpha, u, v)):
         with pytest.raises(ValueError, match="exceeds the ribbon limit"):
             call()
 
