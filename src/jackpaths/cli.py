@@ -201,7 +201,7 @@ def cmd_moments(args):
 
     if args.symbolic:
         poly = limit_moment_poly(args.ell)
-        _emit(args, repr(poly), poly.to_json())
+        print(json.dumps(poly.to_json(), sort_keys=True) if args.json else repr(poly))
         return 0
     v = _v_arg(args)
     val = limit_moment(args.ell, args.g, v)

@@ -378,7 +378,14 @@ class JackThoma(JackMeasure):
 
     def support(self, D: int):
         """Yield (lam, rational_mass(lam)) for every nonzero mass with
-        |lam| <= D, an int >= 0.
+        |lam| <= D, an int >= 0, in the order of :meth:`_walk`."""
+        for parts, num, den in self._walk(D):
+            yield Partition._of(parts), Fraction(num, den)
+
+    def _walk(self, D: int):
+        """Yield (parts, num, den) for every nonzero mass num/den of a
+        partition with |parts| <= D: the parts tuple and the mass in lowest
+        terms, den > 0.
 
         In the principal form the mass is a product of cell factors, so a
         diagram holding a zero cell stays zero in every larger one: the
@@ -397,7 +404,7 @@ class JackThoma(JackMeasure):
                 for lam in partitions_of(d):
                     rm = self.rational_mass(lam)
                     if rm:
-                        yield lam, rm
+                        yield lam.parts, rm.numerator, rm.denominator
             return
         a, q = self.alpha.numerator, self.alpha.denominator
         v1, c = self._principal
@@ -423,12 +430,13 @@ class JackThoma(JackMeasure):
                     new *= (x + 2 * q) * (x + q + a)
                 num, den = num * factor * box_num, den * box_den
                 hooks = hooks // old * new * (a * j + q) * (a * j + a)
-                lam = Partition(rows + (j + 1,))
-                yield lam, Fraction(num, den * hooks)
-                yield from below(lam.parts, room - j - 1, num, den, hooks)
+                parts, whole = rows + (j + 1,), den * hooks
+                g = math.gcd(num, whole)
+                yield parts, num // g, whole // g
+                yield from below(parts, room - j - 1, num, den, hooks)
 
-        empty = Partition()
-        yield empty, self.rational_mass(empty)
+        root = self.rational_mass(Partition())
+        yield (), root.numerator, root.denominator
         yield from below((), D, 1, 1, 1)
 
 
@@ -670,13 +678,15 @@ def poisson_expectation(alpha, u, v, observable, tail_eps,
     # the products summed in ints over a common denominator M, raised to
     # the lcm only when a term's denominator does not divide it
     num, M = 0, 1
-    for lam, rm in ensemble.support(D):
-        ob = Fraction(observable(lam))
-        den = rm.denominator * ob.denominator
+    for parts, m_num, m_den in ensemble._walk(D):
+        ob = observable(Partition._of(parts))
+        if not isinstance(ob, Fraction):
+            ob = Fraction(ob)
+        den = m_den * ob.denominator
         if M % den:
             L = math.lcm(M, den)
             num, M = num * (L // M), L
-        num += rm.numerator * ob.numerator * (M // den)
+        num += m_num * ob.numerator * (M // den)
     total = Fraction(num, M)
     bound, margin = _poisson_tail(U, D, C, r)
     return PoissonInterval(total, bound, margin, U, D)

@@ -394,7 +394,8 @@ class Specialization:
                               f"principal({format_rational(u)},{format_rational(c)})")
 
     def __call__(self, k: int) -> Fraction:
-        return Fraction(self.rule(_int_arg(k, "k", 1)))
+        x = self.rule(_int_arg(k, "k", 1))
+        return x if type(x) is Fraction else Fraction(x)
 
     def on_partition(self, mu: Partition) -> Fraction:
         return math.prod((self(part) for part in mu.parts), start=Fraction(1))

@@ -25,6 +25,13 @@ class Partition:
                 raise ValueError(f"parts must be weakly decreasing, got {parts}")
         self.parts = parts
 
+    @classmethod
+    def _of(cls, parts: tuple):
+        """Wrap a tuple of parts that is already a partition, unchecked."""
+        out = cls.__new__(cls)
+        out.parts = parts
+        return out
+
     # -- basic statistics ------------------------------------------------
 
     def size(self) -> int:

@@ -599,9 +599,11 @@ def moment_duality_check(ell: int) -> bool:
 # ---------------------------------------------------------------------------
 
 # Largest total site length the ribbon transfer takes.  Measured on 2 vCPUs
-# with Python 3.11.7: at total 30 a one- or two-site call takes at most
-# 1 s and a 12-site cumulant, the slowest shape found, 3.7 s; at total 40 a
-# one- or two-site moment takes 8-10 s.
+# with Python 3.11.7, at alpha = 2, u = 3 and v_k = 1/k: at total 30 the
+# slowest call found, the one-site moment of (30,), takes 1.7 s, the
+# two-site moment of (15, 15) 1.2 s and a 12-site cumulant (six 3s and six
+# 2s, v = (1, 1/3, 1/7, 2/5)) 0.3 s; at total 40 the one-site moment takes
+# 25 s.
 RIBBON_DP_LIMIT = 30
 
 
@@ -821,7 +823,8 @@ def afp_cov(k: int, l: int, g, v, vkl):
     if v(1) != 1:
         raise ValueError("afp formulas require v_1 = 1")
     total, second = _pairing_sums(k, l, g, v)
-    for c1, s1 in _marked_site_sums(k, g, v).items():
+    first = second if k == l else _marked_site_sums(k, g, v)
+    for c1, s1 in first.items():
         for c2, s2 in second.items():
             total += _vkl_lookup(vkl, c1, c2) * s1 * s2
     return total / ((k - 1) * (l - 1))

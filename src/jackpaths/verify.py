@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from . import paths
-from .diagrams import _boolean_pricer, diagram_booleans
+from .diagrams import _boolean_pricer, _cleared, diagram_booleans
 from .ensembles import (CharacterMeasure, ConditionalJackThoma, JackPlancherel,
                         JackSchurWeyl, JackThoma, PoissonInterval,
                         _boolean_growth_constant, _poisson_tail,
@@ -80,14 +80,15 @@ def boolean_products_observable(lengths, alpha, u):
         raise ValueError("lengths must be nonempty")
     alpha, u = _positive_arg(alpha, "alpha"), _positive_arg(u, "u")
     price = _boolean_pricer(alpha / u, 1 / u, max(lengths))
-    order = sum(lengths)
+    # the pricer's den is the (w, h) diagram's, the same for every partition
+    scale = _cleared(alpha / u, 1 / u)[2] ** sum(lengths)
 
     def obs(lam: Partition):
-        nums, den = price(lam.parts)
+        nums = price(lam.parts)[0]
         out = 1
         for ell in lengths:
             out *= nums[ell - 1]
-        return Fraction(out, den ** order)
+        return Fraction(out, scale)
 
     return obs
 
@@ -188,25 +189,26 @@ ORACLE_PARAMETER_SETS = (
 
 def boolean_product_sums(weighted, w, h, multisets) -> dict:
     """{lengths: sum of mass * prod_i B_{l_i} of the (w, h) diagram of lam}
-    over the (lam, rational mass) pairs ``weighted``, for each multiset; a
-    multiset's prefix must come before it.
+    over the triples (parts, num, den) of ``weighted``, each the parts of a
+    partition and its rational mass num/den with den > 0, for each multiset;
+    a multiset's prefix must come before it.
 
     The sums run over Python ints: the masses over their common
     denominator M, and B_l = nums[l - 1] / den**l, so each multiset divides
     once, by M * den**(sum of lengths).  The numerators come from one
     :func:`diagrams._boolean_pricer`, which carries each partition's series
-    from its parent when ``weighted`` walks as :meth:`JackThoma.support`
-    does.  No pairs give 0 for every multiset, and no multisets give {}."""
+    from its parent when ``weighted`` walks as :meth:`JackThoma._walk`
+    does.  No triples give 0 for every multiset, and no multisets give {}."""
     weighted = list(weighted)
     if not weighted or not multisets:
         return dict.fromkeys(multisets, Fraction(0))
-    M = math.lcm(*(rm.denominator for _, rm in weighted))
+    M = math.lcm(*(m_den for _, _, m_den in weighted))
     price = _boolean_pricer(w, h, max(map(max, multisets)))
     sums = dict.fromkeys(multisets, 0)
-    for lam, rm in weighted:  # den depends only on (w, h)
-        nums, den = price(lam.parts)
+    for parts, m_num, m_den in weighted:  # den depends only on (w, h)
+        nums, den = price(parts)
         # each multiset extends its prefix, which comes earlier
-        prods = {(): rm.numerator * (M // rm.denominator)}
+        prods = {(): m_num * (M // m_den)}
         for lengths in multisets:
             val = prods[lengths[:-1]] * nums[lengths[-1] - 1]
             prods[lengths] = val
@@ -230,7 +232,7 @@ def suite_poisson_oracle(total: int = 7, tail_eps=Fraction(1, 10 ** 12)):
             D = _truncation_degree(U, worst, total, tail_eps)
         except ArithmeticError:
             return False, f"tail target unreachable at {label}"
-        sums = boolean_product_sums(ens.support(D), alpha / u, 1 / u, multisets)
+        sums = boolean_product_sums(ens._walk(D), alpha / u, 1 / u, multisets)
         for lengths in multisets:
             expect = paths.finite_expectation(lengths, alpha, u, vrule)
             C = _boolean_growth_constant(alpha, u, lengths)
@@ -269,7 +271,9 @@ def suite_depoissonized():
     for alpha, u, v_char, v_formula in DEPOISSONIZED_SETS:
         for d in range(1, dmax + 1):
             masses = ConditionalJackThoma(alpha, d, v_char).masses()
-            sums = boolean_product_sums(masses.items(), alpha / u, 1 / u, multisets)
+            weighted = [(lam.parts, m.numerator, m.denominator)
+                        for lam, m in masses.items()]
+            sums = boolean_product_sums(weighted, alpha / u, 1 / u, multisets)
             for lengths in multisets:
                 formula = paths.depoissonized_expectation(
                     lengths, d, alpha, u, v_formula)

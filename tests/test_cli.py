@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -42,6 +43,31 @@ def test_moments_symbolic_json_beyond_enumeration():
     out = run_cli("moments", "--ell", "14", "--symbolic", "--json")
     assert out.returncode == 0
     assert json.loads(out.stdout) == jacobi_moment_symbolic(14).to_json()
+
+
+@pytest.mark.parametrize("ell, json_flag, digest", [
+    (1, False, "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    (1, True, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    (6, False, "69436ea18f204cd6097a8ae28c5b592f4dbd30468b057e103c71a3f9d1c044bf"),
+    (6, True, "0d03678ec595e13125e5242ed77db67b78989c36ebcf4cddbac81718074b7e05"),
+    (10, False, "77d460b44298220e05973b2d1de2b084a6abea968aba2be0d5d0c61e5a781d70"),
+    (10, True, "452c0b5519e12518ffeb09c0cd672dcae1596d0d5e439ec96bcb07138cacb00c"),
+])
+def test_moments_symbolic_output_is_pinned(ell, json_flag, digest, capsys):
+    argv = ["moments", "--ell", str(ell), "--symbolic"] + ["--json"] * json_flag
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_moments_symbolic_json_builds_no_text(monkeypatch, capsys):
+    from jackpaths.polynomials import Poly
+
+    def refuse(self):
+        raise AssertionError("repr built under --json")
+
+    monkeypatch.setattr(Poly, "__repr__", refuse)
+    assert cli.main(["moments", "--ell", "6", "--symbolic", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)
 
 
 def test_python_dash_m_runs_the_cli():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -14,7 +15,8 @@ from jackpaths.diagrams import (AnisotropicDiagram, DiscreteMeasure,
                                 diagram_booleans, observable_family,
                                 observables, profile, rescale_observable,
                                 transition_measure)
-from jackpaths.ensembles import ConditionalJackThoma, JackThoma
+from jackpaths.ensembles import (ConditionalJackThoma, JackThoma,
+                                 _boolean_growth_constant, poisson_expectation)
 from jackpaths.limitshape import plancherel_limit_shape
 from jackpaths.partitions import Partition, partitions_of
 from jackpaths.rng import SplitMix64
@@ -346,26 +348,57 @@ def test_oracle_integer_sums_equal_fraction_sums():
         weighted = [(lam, ens.rational_mass(lam))
                     for d in range(1, D + 1) for lam in partitions_of(d)]
         want = _fraction_sums(weighted, alpha / u, 1 / u, multisets)
-        assert boolean_product_sums(ens.support(D), alpha / u, 1 / u,
+        assert boolean_product_sums(ens._walk(D), alpha / u, 1 / u,
                                     multisets) == want
     # the fixed-size case of criterion 5: conditioned masses, one size at a time
     alpha, u, v, _ = DEPOISSONIZED_SETS[1]
     for d in range(1, 7):
         masses = ConditionalJackThoma(alpha, d, v).masses()
-        assert boolean_product_sums(masses.items(), alpha / u, 1 / u, multisets) == \
+        weighted = [(lam.parts, m.numerator, m.denominator)
+                    for lam, m in masses.items()]
+        assert boolean_product_sums(weighted, alpha / u, 1 / u, multisets) == \
             _fraction_sums(masses.items(), alpha / u, 1 / u, multisets)
 
 
 def test_boolean_product_sums_of_nothing():
-    lam = Partition([2, 1])
     assert boolean_product_sums([], 1, 1, [(1,), (1, 2)]) == {
         (1,): Fraction(0), (1, 2): Fraction(0)}
     assert boolean_product_sums([], 1, 1, []) == {}
-    assert boolean_product_sums([(lam, Fraction(1, 3))], 1, 1, []) == {}
+    assert boolean_product_sums([((2, 1), 1, 3)], 1, 1, []) == {}
 
 
 # the truncation degrees suite_poisson_oracle reaches at total 7
 ORACLE_SUITE_DEGREES = (24, 30, 30)
+
+
+def test_poisson_oracle_is_pinned():
+    """The oracle's certified intervals and criterion 4's Boolean product
+    sums digest to the values they had when the support walk yielded
+    (Partition, Fraction) pairs."""
+    eps, lines = Fraction(1, 100000), []
+    for alpha, u, vrule, label in ORACLE_PARAMETER_SETS:
+        for lengths in ((4,), (2, 2), (3, 1), (1, 1, 1)):
+            iv = poisson_expectation(
+                alpha, u, vrule, boolean_products_observable(lengths, alpha, u),
+                eps, lengths_hint=lengths)
+            lines.append(f"{label} {lengths} {iv.rational_sum} {iv.tail_bound} "
+                         f"{iv.margin} {iv.exponent} {iv.degree}")
+    # a v that is not principal, priced by rational_mass, with a growth bound
+    v = [Fraction(1), Fraction(1, 2), Fraction(1, 5)]
+    C = _boolean_growth_constant(Fraction(2), Fraction(1), (2,))
+    iv = poisson_expectation(2, 1, v, boolean_products_observable((2,), 2, 1), eps,
+                             growth_bound=(C, 2))
+    lines.append(f"not principal {iv.rational_sum} {iv.tail_bound} "
+                 f"{iv.margin} {iv.exponent} {iv.degree}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "a945273c4cd7ace3db0669fc8f86c911469058f8fe78251d9a81c9f80c4ecc1c")
+    multisets, lines = _length_multisets(7), []
+    for (alpha, u, vrule, label), D in zip(ORACLE_PARAMETER_SETS, ORACLE_SUITE_DEGREES):
+        ens = JackThoma(alpha, u, vrule, check_positivity=False)
+        sums = boolean_product_sums(ens._walk(D), alpha / u, 1 / u, multisets)
+        lines += [f"{label} {lengths} {x}" for lengths, x in sums.items()]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "3fb56e174cfebb3f4a64c522d5cded938afe031ef40be4dbbaedde55d2559c1f")
 
 
 def _oracle_walks():

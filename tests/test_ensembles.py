@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import re
@@ -310,6 +311,34 @@ def test_support_is_the_nonzero_part_of_the_sweep(alpha, u, v):
     assert len(walked) == len(set(walked))
     assert set(walked) == _swept_support(ens, 12)
     assert all(type(mass) is Fraction for _, mass in walked)
+
+
+def test_support_order_is_pinned():
+    """support(D) yields the (Partition, Fraction) pairs of the integer walk,
+    in its order, and digests to the pairs and order it had before the walk
+    yielded ints."""
+    lines = []
+    for alpha, u, v in SUPPORT_SETS:
+        ens = JackThoma(alpha, u, v, check_positivity=False)
+        walked = list(ens.support(12))
+        assert all(type(lam) is Partition and type(mass) is Fraction
+                   for lam, mass in walked)
+        assert walked == [(Partition(parts), Fraction(num, den))
+                          for parts, num, den in ens._walk(12)]
+        lines += [f"{lam.parts} {mass}" for lam, mass in walked]
+    assert len(lines) == 850
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "68ba2bff6749216d011027b5b2dd2d7d6d338527135c6ff9dbf9c04b6e5fe7b6")
+
+
+@pytest.mark.parametrize("observable", [
+    lambda lam: lam.size() - len(lam), lambda lam: 0.5 * (lam.size() - len(lam)),
+    lambda lam: Fraction(lam.size() - len(lam), 3)])
+def test_poisson_expectation_reads_int_float_and_fraction_observables(observable):
+    alpha, u, v = SUPPORT_SETS[1]
+    want = _reference_expectation(alpha, u, v, observable, Fraction(1, 10 ** 6), (1, 1))
+    assert poisson_expectation(alpha, u, v, observable, Fraction(1, 10 ** 6),
+                               growth_bound=(1, 1)) == want
 
 
 def test_support_walk_prices_the_oracle_sets_at_the_suite_degrees():

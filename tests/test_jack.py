@@ -197,6 +197,19 @@ def test_specialization_of_reads_every_form_alike():
 
 
 
+class _FractionSubclass(Fraction):
+    pass
+
+
+@pytest.mark.parametrize("value", [3, -2.5, True, Fraction(-3, 7),
+                                   _FractionSubclass(5, 4)])
+def test_specialization_returns_a_fraction_of_any_rule_value(value):
+    got = Specialization(lambda k: value)(2)
+    assert type(got) is Fraction and got == Fraction(value)
+    if type(value) is Fraction:
+        assert got is value
+
+
 @pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(1), Fraction(7, 2)])
 def test_content_product_is_the_principal_jack_value(alpha):
     # Stanley's alpha-content formula against the power-sum expansion of J_lam

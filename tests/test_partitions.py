@@ -49,6 +49,15 @@ def test_validation():
         Partition([2, 0])
 
 
+def test_unchecked_partition_equals_the_checked_one():
+    for d in range(9):
+        for lam in partitions_of(d):
+            checked, unchecked = Partition(lam.parts), Partition._of(lam.parts)
+            assert type(unchecked) is Partition
+            assert unchecked == checked and hash(unchecked) == hash(checked)
+            assert unchecked.parts is lam.parts
+
+
 def test_union_and_dominance():
     assert Partition([4, 2, 1]).union(Partition([5, 3, 1])) == \
         Partition([5, 4, 3, 2, 1, 1])

@@ -382,6 +382,22 @@ def test_mean_shift_grid_is_pinned():
         "6971b31b25ebffe816885d916c2d9cf2e8f799cb1af597be0d6fa31e8a785294")
 
 
+# four points of v_1 = 1, one at a negative g
+AFP_POINTS = ((Fraction(1, 2), [1, Fraction(1, 3)]),
+              (Fraction(-1, 3), [1, Fraction(-1, 2), Fraction(1, 4)]),
+              (Fraction(7, 5), [1, 0, Fraction(1, 5)]),
+              (Fraction(0), [1, 2, 0, Fraction(-1, 9)]))
+
+
+def test_afp_cov_grid_is_pinned():
+    """afp_cov for k, l in 2..12, with k == l among them, digests to the
+    values it had before k == l read one site's marked sums once."""
+    lines = [f"{k} {l} {g} {afp_cov(k, l, g, v, VKL)}" for g, v in AFP_POINTS
+             for k in range(2, 13) for l in range(2, 13)]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "adebe31550ff0ded4160eacad89021269e13f4ef29ce7f5073ab9617b9057c16")
+
+
 def test_set_partitions_counts():
     # Bell numbers
     for n, b in [(0, 1), (1, 1), (2, 2), (3, 5), (4, 15)]:
