@@ -436,7 +436,8 @@ def test_vkl_from_config_means_the_json_object(tmp_path: Path, capsys):
     assert "--config: argument --vkl: " in capsys.readouterr().err
 
 
-def test_readme_commands_parse():
+def _readme_commands():
+    """Every ``jackpaths ...`` line of the README's sh blocks, as words."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     commands = []
     for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
@@ -444,6 +445,11 @@ def test_readme_commands_parse():
             words = shlex.split(line, comments=True)
             if words[:1] == ["jackpaths"]:
                 commands.append(words)
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
     assert commands
     parser = cli.build_parser()
     for words in commands:
@@ -545,3 +551,129 @@ def test_growth_header_records_provenance(tmp_path: Path):
 def test_parsers_keep_their_own_subcommands():
     first, second = cli.build_parser(), cli.build_parser()
     assert first.subcommands["moments"] is not second.subcommands["moments"]
+
+
+# command line -> sha256 of "exit code NUL stdout NUL stderr", run in a
+# directory holding PINNED_CONFIG as conf.json, with help and usage text
+# wrapped at 80 columns and the seconds cut out of verify's lines
+PINNED_CONFIG = {"g": "1/2", "alpha": "3", "n": 2}
+PINNED_CALLS = [
+    # the README's commands
+    ("verify --suite all",
+     "1a8c38422f6717ceda186aea13f66e53b07610decf9bcecbdac82c148c35d3ca"),
+    ("verify --suite normalization eigenrelation",
+     "7517af203f5ebbe2b69c8793977f6ed98aecca52b6dea35f5a408867cef20775"),
+    ("verify --suite normalization --d 6",
+     "8ae30815c28114d999ae389baaac1b44950250b0191865af2163de51a8889ca4"),
+    ("moments --ell 4 --g 1/2 --plancherel",
+     "1428c79ee9c7df8fb2e1869c4ddde9e35bf04b4c503ece747e7d71e1c53eaec7"),
+    ("moments --ell 5 --symbolic --json",
+     "3c981f2cb40b33877c5808450758a50373526ecf291638f6bfa007f729f37320"),
+    ("finite-expectation --lengths 2 2 --alpha 2 --u 2 --v 1 1/2",
+     "8ebd49832c9c81e919a4ce42d638521467abefdf419cba74628decaa48fbe7e3"),
+    ("finite-expectation --lengths 2 --alpha 2 --u 2 --v 1 --d 5",
+     "e5c15d3de7a8c8bff2e4f9b77d606f7fc350044dfa190ae1cde62614eccb30a7"),
+    ("clt --cov 2 2 --g 0 --v 1",
+     "63400b7c6c5bc09fc7350f2c6543f5de81c3648cd8adcf18a16d7bfa62aba7de"),
+    ("afp --cov 4 4 --g 1/2 --v 1 --vkl '{\"2,2\": \"1/3\"}'",
+     "ac651af1c78e5d7e069e56688c769b203182cba875ee2009c46db3e8665cc038"),
+    ("bessel-zeros --g -1/4 -n 3",
+     "5ae4834cd56ff4d43de03e2531a40e0ff8c5c3c86d284ba0be1d64c69e34f5d7"),
+    ("limit-shape --g -1/4 --n-steps 8 --csv shape.csv --svg shape.svg",
+     "b0efbbc43054beee753cd10fab49ea0fe2fabdba420e72d0ba74fe2a0222dbf9"),
+    ("sample --ensemble plancherel --alpha 1/100 --d 1600 --n 200 --seed 1 "
+     "--method growth --out samples.jsonl",
+     "b0efbbc43054beee753cd10fab49ea0fe2fabdba420e72d0ba74fe2a0222dbf9"),
+    ("render --partition 4,3,1,1 --w 2 --h 1/2 --svg diagram.svg",
+     "b0efbbc43054beee753cd10fab49ea0fe2fabdba420e72d0ba74fe2a0222dbf9"),
+    # growth draws on stdout
+    ("sample --method growth --alpha 1/100 --d 1600 --n 6 --seed 11",
+     "7628a351c1e95f17caf4a005caca5d5573b318072a62c62a15ea401911d6064d"),
+    # a config file, in each spelling of the option
+    ("--config conf.json moments --ell 4 --plancherel",
+     "1428c79ee9c7df8fb2e1869c4ddde9e35bf04b4c503ece747e7d71e1c53eaec7"),
+    ("--config=conf.json sample --d 4 --seed 3",
+     "e9426b7734b354f5951f68761ba905686ef15758c41d822c80d4cd772deff47e"),
+    ("--conf conf.json moments --ell 4 --plancherel",
+     "1428c79ee9c7df8fb2e1869c4ddde9e35bf04b4c503ece747e7d71e1c53eaec7"),
+    # usage errors of the top-level parser and of a subcommand's
+    ("--config -x moments --ell 4",
+     "2a8c1d5e5b2303165ee23f484b824dc312c88237c3a360bce70d0cefe685dded"),
+    ("--config",
+     "2a8c1d5e5b2303165ee23f484b824dc312c88237c3a360bce70d0cefe685dded"),
+    ("--config conf.json",
+     "36b4aa6188612c27705a35508b1bd0eed767780751e5a5fe178cb20343ee628d"),
+    ("moments --ell 4 --config conf.json",
+     "1a2263d6bbdc52c957f2187a5e4807a7d6c377e35032151dd8ac041c86064f0c"),
+    ("moments --ell 4 --=x",
+     "9214e92086d81f65dd1de7ffe954e07dab8d0bcebd1362d935eda7cbebf61c73"),
+    ("moments --ell 4 extra",
+     "fc6bdb27c4783f1bb387b124330e736fe486d91fba8254fcedfff68fac39fa93"),
+    ("nosuch",
+     "9da2438059305f460b64958f91a8850ca2331bda88bed37c9c3d8ffa0c2ba946"),
+    ("",
+     "36b4aa6188612c27705a35508b1bd0eed767780751e5a5fe178cb20343ee628d"),
+    ("moments --ell x",
+     "5e9503f93a5d19f897d2585156fc54de0dbcf656fddb5f9965a2f0f6712a20e0"),
+    ("moments",
+     "42a1e60c14a4c39faeb3679eaab7a5daa9f5133691ab93a014e7401118cb60de"),
+    # help
+    ("-h",
+     "708eaf06824af9d2881478f5939e7b161753b18bd0b3593ce53669a8d33f36ef"),
+    ("moments --help",
+     "589b8d6e2e1d6f4670333d9bb773f925a2f9980f981f91e294738ef1f883193e"),
+    ("verify --help",
+     "40af1ee6995a3d22d5dbcf85f1ae6d2a588ce6a8d0e5fd163ffb12b6f3257580"),
+]
+
+
+def _call(argv, capsys):
+    """(exit code, stdout, stderr) of ``cli.main(argv)``."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("line, digest", PINNED_CALLS)
+def test_cli_calls_are_pinned(line, digest, tmp_path: Path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    (tmp_path / "conf.json").write_text(json.dumps(PINNED_CONFIG))
+    code, out, err = _call(shlex.split(line), capsys)
+    out = re.sub(r" +\d+\.\d\ds  ", "  ", out)
+    blob = f"{code}\0{out}\0{err}".encode()
+    assert hashlib.sha256(blob).hexdigest() == digest, (code, out, err)
+
+
+def test_pinned_calls_cover_the_readme():
+    pinned = {tuple(shlex.split(line)) for line, _ in PINNED_CALLS}
+    assert {tuple(words[1:]) for words in _readme_commands()} <= pinned
+
+
+def test_importing_the_package_builds_no_parser():
+    # the parser's first use imports locale (through gettext); a benchmark
+    # worker imports these modules as set-up, so a parser built at import
+    # would move its cost out of the timed call
+    code = ("import argparse, sys\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def spy(self, *args, **kwargs):\n"
+            "    built.append(self)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = spy\n"
+            "import jackpaths, jackpaths.cli, jackpaths.sampler, jackpaths.verify\n"
+            "print('locale' in sys.modules, len(built))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=CHILD_ENV)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "0"]
+    # the check can see both: a parser imports locale and is counted
+    out = subprocess.run([sys.executable, "-c", code.replace(
+        "import jackpaths,", "jackpaths = __import__('jackpaths.cli').cli."
+        "build_parser(); import jackpaths,")], capture_output=True, text=True,
+        env=CHILD_ENV)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split()[0] == "True" and int(out.stdout.split()[1]) > 0

@@ -1,3 +1,5 @@
+import contextlib
+import hashlib
 import math
 import os
 import subprocess
@@ -330,6 +332,35 @@ def test_numba_backend_code_under_a_stand_in_jit(monkeypatch):
         assert {"split", "remove"} <= cases
         # bound to the numba code, the masses that validation checks are its
         assert kernels.corner_masses([3, 1, 1], 1 / 3) == python_masses
+
+
+GROWTH_PIN_GRID = [(d, alpha, seed) for d in (1, 7, 60, 400, 1600)
+                   for alpha in (1 / 400, 1 / 100, 1 / 3, 1.0, 3.0)
+                   for seed in (5, 2 ** 63 + 5)] + [(6400, 1 / 400, 11)]
+GROWTH_PIN = "0406daa534eb7fa9f7f035dfc86aa985b0153481a0c192f092f5f01cdae407ac"
+
+
+@pytest.mark.parametrize("backend", ["python", "numba code under a stand-in jit"])
+def test_growth_draws_are_pinned(backend, monkeypatch):
+    # the kernel's float operations and their order fix every draw: any
+    # rewrite of add_box must give these bytes on both backends' code
+    cases = set()
+    if backend == "python":
+        draw, add_box, buffers, cast = kernels._python_backend()
+        draw = kernels._make_draw(_spy_cases(add_box, cases), kernels._uniform)
+        _bind(monkeypatch, (draw, add_box, buffers, cast))
+        errstate = None
+    else:
+        np = pytest.importorskip("numpy")
+        _bind(monkeypatch, kernels._numba_backend(
+            types.SimpleNamespace(njit=lambda cache: (lambda func: func))))
+        errstate = np.errstate(over="ignore")  # the wrapping uint64 stream
+    with errstate or contextlib.nullcontext():
+        draws = [kernels.growth_draw_parts(d, alpha, seed)
+                 for d, alpha, seed in GROWTH_PIN_GRID]
+    assert hashlib.sha256(repr(draws).encode()).hexdigest() == GROWTH_PIN
+    if backend == "python":
+        assert cases == {"new row", "move", "split", "remove"}
 
 
 def test_growth_sample_sizes_and_determinism():
