@@ -64,37 +64,40 @@ def add_box(alpha, vals, cnts, ms, m, pick):
     # rows between the two.  The same differences price the new poles: ra
     # and rb are (z - x) times the old G at z = x + alpha and z = x - 1, as
     # ordered-ratio products pairing each other corner with the maximum next
-    # to it on the side of the pick.  Every sum adds terms of one sign (so
-    # s + 1 is formed in integers) and every factor of ra and rb lies in
-    # [0, 1]
+    # to it on the side of the pick.  Every sum adds terms of one sign, and
+    # every factor of ra and rb lies in [0, 1].  The row count s is a float
+    # that holds an integer exactly (below 2^53), so s + 1.0 is exact
     v = vals[pick]
     total = 0.0
     ra = 1.0
     rb = 1.0
-    s = 0
+    s = 0.0
     for k in range(pick - 1, -1, -1):
         p = alpha * (vals[k] - v)
         q = p - alpha
         a0 = q + s
-        b0 = p + (s + 1)
+        b0 = p + (s + 1.0)
         s += cnts[k]
         a = q + s
-        b = p + (s + 1)
+        b = p + (s + 1.0)
         ra *= a0 / a
         rb *= b0 / b
         w = ms[k] * (1.0 + alpha / (a * b))
         ms[k] = w
         total += w
-    s = 0
+    s = 0.0
     p = 0.0
+    q = -alpha
     for k in range(pick + 1, m + 1):
-        # the maximum above corner k sits at the value p of group k - 1
+        # the maximum above corner k sits at the value p of group k - 1,
+        # and q = p - alpha is carried from there
         s -= cnts[k - 1]
-        s1 = s + 1
-        a0 = p - alpha + s
+        s1 = s + 1.0
+        a0 = q + s
         b0 = p + s1
         p = alpha * (vals[k] - v)
-        a = p - alpha + s
+        q = p - alpha
+        a = q + s
         b = p + s1
         ra *= a0 / a
         rb *= b0 / b

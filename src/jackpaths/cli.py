@@ -78,9 +78,15 @@ def _write(path, text):
         raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The top-level parser; its ``subcommands`` attribute maps each
-    subcommand name to its own parser."""
+def _arg(*flags, **kwargs):
+    """One ``add_argument`` call of the command table, as (flags, kwargs)."""
+    return flags, kwargs
+
+
+def _parser(names):
+    """The top-level parser with the subcommands ``names`` of
+    :data:`_COMMANDS`, each with the arguments its entry lists; its
+    ``subcommands`` attribute maps each built name to its own parser."""
     top = argparse.ArgumentParser(
         prog="jackpaths",
         description="Exact identities and samplers for deformed random "
@@ -89,98 +95,20 @@ def build_parser() -> argparse.ArgumentParser:
     top._negative_number_matcher = _NEGATIVE_TOKEN
     commands = top.add_subparsers(dest="command", required=True)
     top.subcommands = commands.choices
-
-    def add_command(name, **kw):
-        parser = commands.add_parser(name, **kw)
+    for name in names:
+        _, help_text, arguments = _COMMANDS[name]
+        parser = commands.add_parser(name, help=help_text)
         parser._negative_number_matcher = _NEGATIVE_TOKEN
-        return parser
-
-    p = add_command("moments", help="limiting transition-measure moment")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--g", type=_rational, default=Fraction(0))
-    p.add_argument("--v", nargs="*", type=_rational, default=None,
-                   help="v_1 v_2 ... (defaults to the Plancherel direction)")
-    p.add_argument("--plancherel", action="store_true",
-                   help="shorthand for v = 1 0 0 ...")
-    p.add_argument("--symbolic", action="store_true",
-                   help="print the sparse polynomial instead of a value")
-    p.add_argument("--json", action="store_true")
-
-    p = add_command("finite-expectation",
-                    help="exact ribbon-path expectation of Boolean products")
-    p.add_argument("--lengths", nargs="+", type=int, required=True)
-    p.add_argument("--alpha", type=_rational, required=True)
-    p.add_argument("--u", type=_rational, required=True)
-    p.add_argument("--v", nargs="*", type=_rational, default=[Fraction(1)])
-    p.add_argument("--cumulant", action="store_true",
-                   help="joint cumulant of shape functionals instead")
-    p.add_argument("--d", type=int, default=None,
-                   help="condition on fixed size d (falling-factorial formula)")
-    p.add_argument("--json", action="store_true")
-
-    p = add_command("clt", help="limiting mean shift / covariance")
-    p.add_argument("--mean", type=int, metavar="ELL")
-    p.add_argument("--cov", nargs=2, type=int, metavar=("K", "L"))
-    p.add_argument("--g", type=_rational, default=Fraction(0))
-    p.add_argument("--gp", type=_rational, default=Fraction(0))
-    p.add_argument("--v", nargs="*", type=_rational, default=[Fraction(1)])
-    p.add_argument("--json", action="store_true")
-
-    p = add_command("afp", help="second-order formulas with character data")
-    p.add_argument("--mean", type=int, metavar="ELL")
-    p.add_argument("--cov", nargs=2, type=int, metavar=("K", "L"))
-    p.add_argument("--g", type=_rational, default=Fraction(0))
-    p.add_argument("--gp", type=_rational, default=Fraction(0))
-    p.add_argument("--v", nargs="*", type=_rational, default=[Fraction(1)])
-    p.add_argument("--vp", nargs="*", type=_rational, default=[])
-    p.add_argument("--vkl", type=_vkl_table, default={},
-                   help='JSON like {"2,2": "1/3"} for the second-cumulant table')
-    p.add_argument("--json", action="store_true")
-
-    p = add_command("sample", help="draw random diagrams")
-    p.add_argument("--ensemble", default="plancherel",
-                   choices=("plancherel", "schur_weyl", "conditional_thoma"))
-    p.add_argument("--alpha", type=_rational, default=Fraction(1))
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--K", type=int, default=None)
-    p.add_argument("--u", type=_rational, default=None)
-    p.add_argument("--v", nargs="*", type=_rational, default=None)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--method", choices=("exact", "growth"), default="exact")
-    p.add_argument("--out", default=None, help="write samples as JSONL")
-    p.add_argument("--profile-csv", default=None,
-                   help="write the mean scaled profile as CSV")
-    p.add_argument("--svg", default=None, help="render the mean profile")
-
-    p = add_command("limit-shape", help="staircase limit shape")
-    p.add_argument("--g", type=_rational, required=True)
-    p.add_argument("--n-steps", type=int, default=8)
-    p.add_argument("--csv", default=None, help="write (x, omega) samples")
-    p.add_argument("--json-out", default=None, help="write corner coordinates")
-    p.add_argument("--svg", default=None, help="render the staircase")
-
-    p = add_command("bessel-zeros", help="order-zeros of the edge function")
-    p.add_argument("--g", type=_rational, required=True)
-    p.add_argument("-n", type=int, default=3)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--json", action="store_true")
-
-    p = add_command("verify", help="run verification suites")
-    p.add_argument("--suite", nargs="+", default=["all"])
-    p.add_argument("--d", type=int, default=None,
-                   help="size cap (>= 1) of the normalization suite")
-    p.add_argument("--out", default=None,
-                   help="directory for emitted overlays")
-    p.add_argument("--json", action="store_true")
-
-    p = add_command("render", help="render a partition profile as SVG")
-    p.add_argument("--partition", required=True,
-                   help='comma-separated parts, e.g. "4,3,1,1"')
-    p.add_argument("--w", type=_rational, default=Fraction(1))
-    p.add_argument("--h", type=_rational, default=Fraction(1))
-    p.add_argument("--svg", required=True)
+        for flags, kwargs in arguments():
+            parser.add_argument(*flags, **kwargs)
     return top
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """A fresh top-level parser with all nine subcommands, as ``jackpaths
+    --help`` lists them; its ``subcommands`` attribute maps each
+    subcommand name to its own parser."""
+    return _parser(_COMMANDS)
 
 
 def _emit(args, human: str, payload):
@@ -232,8 +160,7 @@ def cmd_clt(args):
     from .paths import clt_cov, clt_mean
 
     if (args.mean is None) == (args.cov is None):
-        print("choose exactly one of --mean/--cov", file=sys.stderr)
-        return 2
+        raise ValueError("choose exactly one of --mean/--cov")
     if args.mean is not None:
         val = clt_mean(args.mean, args.g, args.gp, args.v)
     else:
@@ -246,8 +173,7 @@ def cmd_afp(args):
     from .paths import afp_cov, afp_mean
 
     if (args.mean is None) == (args.cov is None):
-        print("choose exactly one of --mean/--cov", file=sys.stderr)
-        return 2
+        raise ValueError("choose exactly one of --mean/--cov")
     if args.mean is not None:
         val = afp_mean(args.mean, args.g, args.gp, args.v, args.vp)
     else:
@@ -377,23 +303,122 @@ def cmd_render(args):
     from .partitions import Partition
     from .serialize import profiles_svg, shape_points
 
-    parts = [int(x) for x in args.partition.split(",") if x.strip()]
+    try:
+        parts = [int(x) for x in args.partition.split(",") if x.strip()]
+    except ValueError:
+        raise ValueError(f"--partition: expected comma-separated integer parts, "
+                         f"got {args.partition!r}") from None
     shape = AnisotropicDiagram(Partition(parts), args.w, args.h).profile()
     _write(args.svg, profiles_svg([(shape_points(shape), "#cc7722")]))
     return 0
 
 
+def _mean_or_cov():
+    """The arguments of the --mean or --cov point of clt and afp."""
+    return [
+        _arg("--mean", type=int, metavar="ELL"),
+        _arg("--cov", nargs=2, type=int, metavar=("K", "L")),
+        _arg("--g", type=_rational, default=Fraction(0)),
+        _arg("--gp", type=_rational, default=Fraction(0)),
+        _arg("--v", nargs="*", type=_rational, default=[Fraction(1)]),
+    ]
+
+
+# name -> (run, help, arguments): the one list of each subcommand's
+# arguments, made afresh (default lists and all) for each parser that
+# build_parser builds with all of them, or main with the one argv names
 _COMMANDS = {
-    "moments": cmd_moments,
-    "finite-expectation": cmd_finite_expectation,
-    "clt": cmd_clt,
-    "afp": cmd_afp,
-    "sample": cmd_sample,
-    "limit-shape": cmd_limit_shape,
-    "bessel-zeros": cmd_bessel_zeros,
-    "verify": cmd_verify,
-    "render": cmd_render,
+    "moments": (cmd_moments, "limiting transition-measure moment", lambda: [
+        _arg("--ell", type=int, required=True),
+        _arg("--g", type=_rational, default=Fraction(0)),
+        _arg("--v", nargs="*", type=_rational, default=None,
+             help="v_1 v_2 ... (defaults to the Plancherel direction)"),
+        _arg("--plancherel", action="store_true",
+             help="shorthand for v = 1 0 0 ..."),
+        _arg("--symbolic", action="store_true",
+             help="print the sparse polynomial instead of a value"),
+        _arg("--json", action="store_true"),
+    ]),
+    "finite-expectation": (cmd_finite_expectation, "exact ribbon-path "
+                           "expectation of Boolean products", lambda: [
+        _arg("--lengths", nargs="+", type=int, required=True),
+        _arg("--alpha", type=_rational, required=True),
+        _arg("--u", type=_rational, required=True),
+        _arg("--v", nargs="*", type=_rational, default=[Fraction(1)]),
+        _arg("--cumulant", action="store_true",
+             help="joint cumulant of shape functionals instead"),
+        _arg("--d", type=int, default=None,
+             help="condition on fixed size d (falling-factorial formula)"),
+        _arg("--json", action="store_true"),
+    ]),
+    "clt": (cmd_clt, "limiting mean shift / covariance", lambda: [
+        *_mean_or_cov(),
+        _arg("--json", action="store_true"),
+    ]),
+    "afp": (cmd_afp, "second-order formulas with character data", lambda: [
+        *_mean_or_cov(),
+        _arg("--vp", nargs="*", type=_rational, default=[]),
+        _arg("--vkl", type=_vkl_table, default={},
+             help='JSON like {"2,2": "1/3"} for the second-cumulant table'),
+        _arg("--json", action="store_true"),
+    ]),
+    "sample": (cmd_sample, "draw random diagrams", lambda: [
+        _arg("--ensemble", default="plancherel",
+             choices=("plancherel", "schur_weyl", "conditional_thoma")),
+        _arg("--alpha", type=_rational, default=Fraction(1)),
+        _arg("--d", type=int, required=True),
+        _arg("--K", type=int, default=None),
+        _arg("--u", type=_rational, default=None),
+        _arg("--v", nargs="*", type=_rational, default=None),
+        _arg("--n", type=int, default=1),
+        _arg("--seed", type=int, default=0),
+        _arg("--method", choices=("exact", "growth"), default="exact"),
+        _arg("--out", default=None, help="write samples as JSONL"),
+        _arg("--profile-csv", default=None,
+             help="write the mean scaled profile as CSV"),
+        _arg("--svg", default=None, help="render the mean profile"),
+    ]),
+    "limit-shape": (cmd_limit_shape, "staircase limit shape", lambda: [
+        _arg("--g", type=_rational, required=True),
+        _arg("--n-steps", type=int, default=8),
+        _arg("--csv", default=None, help="write (x, omega) samples"),
+        _arg("--json-out", default=None, help="write corner coordinates"),
+        _arg("--svg", default=None, help="render the staircase"),
+    ]),
+    "bessel-zeros": (cmd_bessel_zeros, "order-zeros of the edge function", lambda: [
+        _arg("--g", type=_rational, required=True),
+        _arg("-n", type=int, default=3),
+        _arg("--tol", type=float, default=1e-10),
+        _arg("--json", action="store_true"),
+    ]),
+    "verify": (cmd_verify, "run verification suites", lambda: [
+        _arg("--suite", nargs="+", default=["all"]),
+        _arg("--d", type=int, default=None,
+             help="size cap (>= 1) of the normalization suite"),
+        _arg("--out", default=None, help="directory for emitted overlays"),
+        _arg("--json", action="store_true"),
+    ]),
+    "render": (cmd_render, "render a partition profile as SVG", lambda: [
+        _arg("--partition", required=True,
+             help='comma-separated parts, e.g. "4,3,1,1"'),
+        _arg("--w", type=_rational, default=Fraction(1)),
+        _arg("--h", type=_rational, default=Fraction(1)),
+        _arg("--svg", required=True),
+    ]),
 }
+
+
+def _named_command(argv):
+    """The subcommand that ``argv`` names in one of the plain forms
+    [cmd, ...], ["--config", X, cmd, ...] with X not starting with "-", or
+    ["--config=X", cmd, ...]; None for any other argv."""
+    if argv[:1] == ["--config"] and len(argv) > 1 and not argv[1].startswith("-"):
+        rest = argv[2:]
+    elif argv[:1] and argv[0].startswith("--config="):
+        rest = argv[1:]
+    else:
+        rest = argv
+    return rest[0] if rest and rest[0] in _COMMANDS else None
 
 
 def _config_value(action, val):
@@ -431,13 +456,22 @@ def _config_value(action, val):
 
 
 def main(argv=None) -> int:
-    """Run one command on a fresh :func:`build_parser`.  The --config
-    values become the subcommand's defaults and ``argv`` is parsed again,
-    so a flag in any spelling argparse accepts (--alpha=2, abbreviations)
-    overrides them."""
-    parser = build_parser()
+    """Run one command.  An argv that names its subcommand in a plain form
+    (see :func:`_named_command`) is parsed by a fresh parser holding that
+    subcommand alone, and a usage error of its top level is reported by the
+    full parser, whose usage lists every command; any other argv (help, an
+    abbreviated --config, an unknown or missing command) is parsed by a
+    fresh :func:`build_parser`.  The --config values become the
+    subcommand's defaults and ``argv`` is parsed again, so a flag in any
+    spelling argparse accepts (--alpha=2, abbreviations) overrides them."""
     if argv is None:
         argv = sys.argv[1:]
+    name = _named_command(argv)
+    if name is None:
+        parser = build_parser()
+    else:
+        parser = _parser([name])
+        parser.error = lambda message: build_parser().error(message)
     args = parser.parse_args(argv)
     try:
         defaults = _load_config(args.config)
@@ -454,7 +488,7 @@ def main(argv=None) -> int:
                         command.error(f"--config: {exc}")
             command.set_defaults(**values)
             args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

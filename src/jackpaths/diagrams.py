@@ -256,12 +256,18 @@ def boolean_numerators(parts, w, h, ell: int):
     :func:`_boolean_pricer` gives the same numerators, carried along a walk.
     """
     big_w, big_h, den = _cleared(w, h)
+    return _corner_series(parts, big_w, big_h, _int_arg(ell, "ell", 0))[1:], den
+
+
+def _corner_series(parts, big_w, big_h, ell):
+    """Minus the series of :func:`boolean_numerators` to order ell, [-1,
+    nums...], from the corners of ``parts`` on the cleared sides W, H."""
     xs, ys = corners(parts, big_w, big_h)
-    coeffs = [-1] + [0] * _int_arg(ell, "ell", 0)  # minus the series: nums = coeffs[1:]
+    coeffs = [-1] + [0] * ell
     for x, y in zip(xs, ys):
         _mul_div(coeffs, x, y)
     _mul_div(coeffs, xs[-1], 0)
-    return coeffs[1:], den
+    return coeffs
 
 
 def _boolean_pricer(w, h, ell: int):
@@ -278,6 +284,7 @@ def _boolean_pricer(w, h, ell: int):
     the parent there.
     """
     big_w, big_h, den = _cleared(w, h)
+    ell = _int_arg(ell, "ell", 0)
     chain = []  # (size, parts, series), sizes strictly increasing
 
     def price(parts):
@@ -294,7 +301,7 @@ def _boolean_pricer(w, h, ell: int):
                 _mul_div(coeffs, x - big_h, x)
                 _mul_div(coeffs, x + big_w, x + big_w - big_h)
         if coeffs is None:
-            coeffs = [-1] + boolean_numerators(parts, w, h, ell)[0]
+            coeffs = _corner_series(parts, big_w, big_h, ell)
         chain.append((size, parts, coeffs))
         return coeffs[1:], den
 

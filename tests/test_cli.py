@@ -313,11 +313,24 @@ def test_long_limit_shape_stops_at_the_resolvable_corners():
     assert len(json.loads(out.stdout)["maxima"]) == 16
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(tmp_path: Path, capsys):
     out = run_cli("moments", "--ell", "4", "--g", "nonsense")
     assert out.returncode == 2
     out2 = run_cli("clt", "--g", "1/2")  # neither --mean nor --cov
     assert out2.returncode == 2
+    assert out2.stderr == "error: choose exactly one of --mean/--cov\n"
+    for argv in (["afp", "--g", "1/2"], ["clt", "--mean", "3", "--cov", "2", "2"],
+                 ["afp", "--mean", "3", "--cov", "2", "2"]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", "error: choose exactly one of --mean/--cov\n")
+    # a part that is no integer is named by its argument
+    svg = tmp_path / "p.svg"
+    for parts in ("3,x", "2.5,1"):
+        assert cli.main(["render", "--partition", parts, "--svg", str(svg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --partition: ")
+        assert repr(parts) in err
+    assert not svg.exists()
 
 
 def test_config_file_defaults(tmp_path: Path):
@@ -637,7 +650,8 @@ def _call(argv, capsys):
     return code, out, err
 
 
-@pytest.mark.parametrize("line, digest", PINNED_CALLS)
+@pytest.mark.parametrize("line, digest", PINNED_CALLS,
+                         ids=[line or "(no arguments)" for line, _ in PINNED_CALLS])
 def test_cli_calls_are_pinned(line, digest, tmp_path: Path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")
@@ -677,3 +691,38 @@ def test_importing_the_package_builds_no_parser():
         env=CHILD_ENV)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split()[0] == "True" and int(out.stdout.split()[1]) > 0
+
+
+def test_a_call_builds_only_the_subcommand_it_names(tmp_path: Path, monkeypatch,
+                                                    capsys):
+    built = []
+    real = cli._parser
+
+    def spy(names):
+        parser = real(names)
+        built.append(sorted(parser.subcommands))
+        return parser
+
+    monkeypatch.setattr(cli, "_parser", spy)
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"g": "1/2"}))
+    for argv in (["moments", "--ell", "4"], ["--config", str(cfg), "moments", "--ell", "4"],
+                 [f"--config={cfg}", "moments", "--ell", "4"]):
+        built.clear()
+        assert cli.main(argv) == 0
+        assert built == [["moments"]]
+    everything = sorted(cli._COMMANDS)
+    assert len(everything) == 9
+    built.clear()
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    assert built == [everything]
+    built.clear()
+    assert cli.main(["--conf", str(cfg), "moments", "--ell", "4"]) == 0
+    assert built == [everything]
+    # a usage error of the top level is reported by the full parser
+    built.clear()
+    with pytest.raises(SystemExit):
+        cli.main(["moments", "--ell", "4", "extra"])
+    assert built == [["moments"], everything]
+    capsys.readouterr()
