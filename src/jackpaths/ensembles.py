@@ -108,15 +108,18 @@ def totally_positive_spec(a, c) -> Specialization:
 
 def _principal_form(v: Specialization):
     """Detect v_k = v1 * c^{k-1}: returns (v1, c) or None.  Plancherel is
-    the c = 0 case.  Only geometric tails within k <= 80 count."""
+    the c = 0 case.  Only geometric tails within k <= 80 count.  Each v_k
+    is read once and checked against N/D = v1 c^{k-1} in ints."""
     v1 = v(1)
     if v1 == 0:
         return None
     c = v(2) / v1
-    term = v1
-    for k in range(2, 81):
-        term *= c  # v1 * c^(k-1)
-        if v(k) != term:
+    p, q = c.numerator, c.denominator
+    N, D = v1.numerator * p, v1.denominator * q
+    for k in range(3, 81):  # at c = 0, N = 0 and this asks v_k = 0
+        x = v(k)
+        N, D = N * p, D * q
+        if x.numerator * D != x.denominator * N:
             return None
     return v1, c
 
@@ -315,16 +318,20 @@ class JackMeasure(Ensemble):
         super().__init__(alpha, None)
         self.rho1 = rho1
         self.rho2 = rho2
+        self.cross = self._cross()
+        self.exponent = sum((t / (k * self.alpha) for k, t in self.cross.items()),
+                            Fraction(0))
+
+    def _cross(self) -> dict:
+        """{k: rho_1(p_k) rho_2(p_k)} over the nonzero k <= CROSS_WINDOW."""
         cross = {}
         for k in range(1, CROSS_WINDOW + 1):
-            t = rho2(k)  # rho_1 is read only where rho_2 is nonzero
+            t = self.rho2(k)  # rho_1 is read only where rho_2 is nonzero
             if t:
-                t *= rho1(k)
+                t *= self.rho1(k)
                 if t:
                     cross[k] = t
-        self.cross = cross
-        self.exponent = sum((t / (k * self.alpha) for k, t in cross.items()),
-                            Fraction(0))
+        return cross
 
     def rational_mass(self, lam: Partition) -> Fraction:
         poly = jack_basis(lam.size(), self.alpha)[lam]
@@ -358,13 +365,18 @@ class JackThoma(JackMeasure):
     def __init__(self, alpha, u, v, check_positivity: bool = True):
         u = _positive_arg(u, "u")
         v = Specialization.of(v)
-        super().__init__(alpha, Specialization(lambda k: u * v(k)),
-                         Specialization.plancherel(u))
         self.u = u
         self.v1 = v(1)
+        super().__init__(alpha, Specialization(lambda k: u * v(k)),
+                         Specialization.plancherel(u))
         self._principal = _principal_form(v)
         if check_positivity:
             self.validate_positivity()
+
+    def _cross(self) -> dict:
+        """rho_2 is Plancherel at u, so only k = 1 can interact: u^2 v_1."""
+        t = self.u * self.u * self.v1
+        return {1: t} if t else {}
 
     def rational_mass(self, lam: Partition) -> Fraction:
         """J_lam(u*v) J_lam(Plancherel(u)) / j_lam.  In the principal form
@@ -607,18 +619,23 @@ def _exp_bounds(U: Fraction, slack: Fraction):
 def _poisson_tail(U: Fraction, D: int, C: Fraction, r: int):
     """Rational upper bound on sum_{i>D} U^i/i! * C * i^r (the e^{-U}
     factor is bounded by 1).  Returns (bound, margin) where the bound
-    exceeds the true sum by at least the margin."""
-    term = U ** (D + 1) / _factorial(D + 1) * C * Fraction(D + 1) ** r
-    total = Fraction(0)
+    exceeds the true sum by at least the margin.  With U = p/q the terms
+    are summed in ints over q^i i! den(C) up to the first i whose next term
+    is at most half of it; the margin is the geometric rest from there."""
+    p, q = U.numerator, U.denominator
     i = D + 1
+    power, scale = p ** i * C.numerator, q ** i * _factorial(i) * C.denominator
+    total, w = 0, i ** r
     while True:
-        total += term
-        ratio = U * Fraction(i + 1, i) ** r / (i + 1)
-        if ratio <= Fraction(1, 2):
-            rem = term * ratio / (1 - ratio)
-            return total + 2 * rem, rem
-        term *= ratio
-        i += 1
+        t = power * w  # the term U^i/i! C i^r is t / scale
+        total += t
+        w_next = (i + 1) ** r
+        a, b = p * w_next, q * (i + 1) * w  # the next term over this one, a / b
+        if 2 * a <= b:
+            rem, den = t * a, scale * (b - a)
+            return Fraction(total * (b - a) + 2 * rem, den), Fraction(rem, den)
+        power, scale, total = power * p, scale * q * (i + 1), total * q * (i + 1)
+        w, i = w_next, i + 1
         if i > D + 4000:
             raise ArithmeticError("tail bound did not converge")
 
@@ -651,15 +668,28 @@ def _truncation_degree(U: Fraction, C: Fraction, r: int, tail_eps) -> int:
     return D
 
 
+class ScaledObservable(Record):
+    """The observable lam -> num(lam.parts) / den, for an int-valued ``num``
+    and one int den > 0: :func:`poisson_expectation` sums the ints num(parts)
+    against the masses and divides by den once."""
+
+    num: object
+    den: int
+
+    def __call__(self, lam: Partition) -> Fraction:
+        return Fraction(self.num(lam.parts), self.den)
+
+
 def poisson_expectation(alpha, u, v, observable, tail_eps,
                         growth_bound=None, lengths_hint=None) -> PoissonInterval:
     """Brute-force oracle: sum mass * observable over the support of the
     measure up to a truncation degree chosen so the certified tail is below
     tail_eps, a positive rational.
 
-    ``growth_bound`` is (C, r) with |observable(lam)| <= C |lam|^r; when
-    omitted it is derived for products of Boolean observables with total
-    order given by ``lengths_hint``.
+    ``observable`` maps a Partition to an int, float or Fraction, or is a
+    :class:`ScaledObservable`.  ``growth_bound`` is (C, r) with
+    |observable(lam)| <= C |lam|^r; when omitted it is derived for products
+    of Boolean observables with total order given by ``lengths_hint``.
     """
     alpha, u = _positive_arg(alpha, "alpha"), _positive_arg(u, "u")
     ensemble = JackThoma(alpha, u, v, check_positivity=False)
@@ -675,19 +705,23 @@ def poisson_expectation(alpha, u, v, observable, tail_eps,
     else:
         C, r = Fraction(growth_bound[0]), _int_arg(growth_bound[1], "growth_bound", 0)
     D = _truncation_degree(U, C, r, tail_eps)
+    if isinstance(observable, ScaledObservable):
+        value, scale = observable.num, observable.den
+    else:
+        value, scale = (lambda parts: observable(Partition._of(parts))), 1
     # the products summed in ints over a common denominator M, raised to
     # the lcm only when a term's denominator does not divide it
     num, M = 0, 1
     for parts, m_num, m_den in ensemble._walk(D):
-        ob = observable(Partition._of(parts))
-        if not isinstance(ob, Fraction):
+        ob = value(parts)
+        if not isinstance(ob, (int, Fraction)):
             ob = Fraction(ob)
         den = m_den * ob.denominator
         if M % den:
             L = math.lcm(M, den)
             num, M = num * (L // M), L
         num += m_num * ob.numerator * (M // den)
-    total = Fraction(num, M)
+    total = Fraction(num, M * scale)
     bound, margin = _poisson_tail(U, D, C, r)
     return PoissonInterval(total, bound, margin, U, D)
 

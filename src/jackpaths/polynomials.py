@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import format_rational
+from .exactnum import _int_arg, format_rational
 
 Monomial = tuple  # tuple[tuple[str, int], ...]
 
@@ -145,8 +145,7 @@ class Poly(_SparseTerms):
         return (-self) + other
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
+        n = _int_arg(n, "n", 0)
         out = Poly.const(1)
         base = self
         while n:

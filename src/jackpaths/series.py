@@ -8,8 +8,11 @@ import math
 from fractions import Fraction
 from functools import cache
 
+from .exactnum import _int_arg
+
 
 def series_mul(a, b, order):
+    order = _int_arg(order, "order", 0)
     out = [Fraction(0)] * (order + 1)
     for i, ai in enumerate(a[: order + 1]):
         if ai == 0:
@@ -26,6 +29,7 @@ def series_inv(a, order):
     With a_k = A_k/D over integers, the integers T_0 = 1,
     T_n = -sum_k A_k A_0^{k-1} T_{n-k} give [t^n] 1/a = D T_n / A_0^{n+1},
     so the recursion runs over ints and each coefficient divides once."""
+    order = _int_arg(order, "order", 0)
     if a[0] == 0:
         raise ZeroDivisionError("series has no inverse (zero constant term)")
     coeffs = a[: order + 1]
@@ -48,6 +52,7 @@ def series_inv(a, order):
 
 def series_log(a, order):
     """log of a series with constant term 1, via log(a) = integral of a'/a."""
+    order = _int_arg(order, "order", 0)
     if a[0] != 1:
         raise ValueError("series_log needs constant term 1")
     if order == 0:

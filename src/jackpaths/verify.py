@@ -13,7 +13,7 @@ from . import paths
 from .diagrams import _boolean_pricer, _cleared, diagram_booleans
 from .ensembles import (CharacterMeasure, ConditionalJackThoma, JackPlancherel,
                         JackSchurWeyl, JackThoma, PoissonInterval,
-                        _boolean_growth_constant, _poisson_tail,
+                        ScaledObservable, _boolean_growth_constant, _poisson_tail,
                         _truncation_degree)
 from .exactnum import _int_arg, _positive_arg, sqrt_ext
 from .jack import hall_inner, jack_basis, ns_apply
@@ -69,28 +69,27 @@ def nc_moment_poly(ell: int) -> Poly:
                  for sizes, count in counts.items()})
 
 
-def boolean_products_observable(lengths, alpha, u):
+def boolean_products_observable(lengths, alpha, u) -> ScaledObservable:
     """Per-partition exact value of prod_i B_{l_i} of the (alpha/u, 1/u)
     rescaled diagram; ``lengths`` must be a nonempty sequence of ints >= 1.
-    The Boolean numerators come from one :func:`diagrams._boolean_pricer`,
-    so partitions passed in a walk of :meth:`JackThoma.support` are each
-    priced from the one before by one box."""
+    The value is an int numerator over the one denominator den**sum(lengths)
+    of the (w, h) diagram.  The Boolean numerators come from one
+    :func:`diagrams._boolean_pricer`, so partitions passed in a walk of
+    :meth:`JackThoma.support` are each priced from the one before by one box."""
     lengths = [_int_arg(ell, "lengths", 1) for ell in lengths]
     if not lengths:
         raise ValueError("lengths must be nonempty")
     alpha, u = _positive_arg(alpha, "alpha"), _positive_arg(u, "u")
     price = _boolean_pricer(alpha / u, 1 / u, max(lengths))
-    # the pricer's den is the (w, h) diagram's, the same for every partition
-    scale = _cleared(alpha / u, 1 / u)[2] ** sum(lengths)
 
-    def obs(lam: Partition):
-        nums = price(lam.parts)[0]
+    def num(parts):
+        nums = price(parts)[0]
         out = 1
         for ell in lengths:
             out *= nums[ell - 1]
-        return Fraction(out, scale)
+        return out
 
-    return obs
+    return ScaledObservable(num, _cleared(alpha / u, 1 / u)[2] ** sum(lengths))
 
 
 def _length_multisets(total: int):

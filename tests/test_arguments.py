@@ -19,8 +19,10 @@ from jackpaths.limitshape import (bessel_order_zeros, functional_equation_check,
                                   staircase_transition_atoms)
 from jackpaths.partitions import Partition, falling_factorial, partitions_of
 from jackpaths.paths import count_lukasiewicz, finite_expectation, limit_moment
+from jackpaths.polynomials import Poly
 from jackpaths.rng import SplitMix64
 from jackpaths.sampler import growth_distribution, growth_sample, run_sampler
+from jackpaths.series import series_inv, series_log, series_mul
 
 G = Fraction(-1, 4)
 LAM = Partition([2, 1])
@@ -30,6 +32,8 @@ REGIME = AsymptoticRegime.make(G)
 SPEC = Specialization.of([5, 2, 3])
 V = [1, Fraction(1, 3)]
 CFG = {"variant": "plancherel", "alpha": "1/2", "d": 3}
+POLY = Poly.var("g") + 2
+SERIES = [Fraction(1), Fraction(1, 2), Fraction(-1, 3)]
 
 
 def _cached_then(first, then):
@@ -108,10 +112,30 @@ ACCEPTED = [  # (a call with numpy integers or rational forms, the plain call)
     (lambda: [limit_moment(4, G, v) for v in ({"1": 1, "2": "1/3"},
                                                 {_int64(1): 1, _int64(2): "1/3"})],
      lambda: [limit_moment(4, G, V)] * 2),
+    (lambda: POLY ** _int64(3), lambda: POLY * POLY * POLY),
+    (lambda: POLY ** 0, lambda: Poly.const(1)),
+    (lambda: [f(_int64(4)) for f in (lambda o: series_mul(SERIES, SERIES, o),
+                                      lambda o: series_inv(SERIES, o),
+                                      lambda o: series_log(SERIES, o))],
+     lambda: [series_mul(SERIES, SERIES, 4), series_inv(SERIES, 4), series_log(SERIES, 4)]),
+]
+
+INNER_REFUSED = [  # the inner layers: a Poly's power and a series' order
+    ("n", lambda: POLY ** True),
+    ("n", lambda: POLY ** 2.5),
+    ("n", lambda: POLY ** Fraction(2)),
+    ("n", lambda: POLY ** -1),
+    ("order", lambda: series_mul(SERIES, SERIES, -1)),
+    ("order", lambda: series_mul(SERIES, SERIES, 2.0)),
+    ("order", lambda: series_inv(SERIES, 2.5)),
+    ("order", lambda: series_inv(SERIES, -1)),
+    ("order", lambda: series_log(SERIES, True)),
+    ("order", lambda: series_log(SERIES, "2")),
 ]
 
 
-@pytest.mark.parametrize("name, call", REFUSED + [(None, pair) for pair in ACCEPTED])
+@pytest.mark.parametrize("name, call", REFUSED + [(None, pair) for pair in ACCEPTED]
+                         + INNER_REFUSED)
 def test_arguments_are_read_at_the_boundary(name, call):
     if name is None:  # a positive control: the same value, of the same type
         got, want = call[0](), call[1]()

@@ -512,7 +512,79 @@ def _geometric_until(v1, c, last):
     (_geometric_until(Fraction(1), Fraction(1, 2), 2), None),
     (lambda k: Fraction(0) if k == 1 else Fraction(1), None),
     ([Fraction(1), Fraction(1, 2), Fraction(1, 4)], None),
+    # positive, negative and zero ratios, broken at k = 80 or past the window
+    (lambda k: Fraction(3, 2) * Fraction(2, 7) ** (k - 1), (Fraction(3, 2), Fraction(2, 7))),
+    (lambda k: Fraction(7, 2) if k == 1 else 0, (Fraction(7, 2), 0)),
+    (_geometric_until(Fraction(1), Fraction(-4), 79), None),
+    (_geometric_until(Fraction(1), Fraction(-4), 80), (1, -4)),
+    (_geometric_until(Fraction(2), Fraction(0), 79), None),
+    (_geometric_until(Fraction(2), Fraction(0), 80), (2, 0)),
+    (_geometric_until(Fraction(2), Fraction(0), 2), None),
+    # rules that return ints, floats and bools
+    (lambda k: 5 * 3 ** (k - 1), (5, 3)),
+    (lambda k: 3 * (-2) ** (k - 1), (3, -2)),
+    (lambda k: 0.5 ** (k - 1), (1, Fraction(1, 2))),
+    (lambda k: -1.5 * 0.25 ** (k - 1), (Fraction(-3, 2), Fraction(1, 4))),
+    (lambda k: 0.1 * 0.1 ** (k - 1), None),  # the floats are not one geometric tail
+    (lambda k: k == 1, (1, 0)),
+    (lambda k: True, (1, 1)),
+    (lambda k: k != 1, None),
+    (lambda k: 0, None),
 ])
 def test_principal_form_is_unchanged(rule, want):
     v = Specialization.of(rule)
     assert _principal_form(v) == _powered_principal_form(v) == want
+    if want is not None:
+        assert [type(x) for x in _principal_form(v)] == [Fraction, Fraction]
+
+
+def test_principal_form_reads_each_term_once():
+    calls = []
+
+    def rule(k):
+        calls.append(k)
+        return Fraction(1, 3) ** (k - 1)
+
+    assert _principal_form(Specialization.of(rule)) == (1, Fraction(1, 3))
+    assert calls == list(range(1, 81))
+
+
+def _tail_grid_lines():
+    lines = []
+    for U in (Fraction(1, 3), Fraction(1), Fraction(2), Fraction(7, 2), Fraction(4),
+              Fraction(21, 2)):
+        for C in (Fraction(1), Fraction(3, 7), Fraction(16)):
+            for r in (0, 1, 4, 7):
+                for D in (0, 4, 9, 20):
+                    lines.append(f"tail {U} {D} {C} {r} {_poisson_tail(U, D, C, r)}")
+                for eps in (Fraction(1, 100), Fraction(1, 10 ** 5), Fraction(1, 10 ** 12)):
+                    try:
+                        D = _truncation_degree(U, C, r, eps)
+                    except ArithmeticError as err:
+                        D = str(err)
+                    lines.append(f"degree {U} {C} {r} {eps} {D}")
+    return lines
+
+
+def test_poisson_tail_grid_is_pinned():
+    lines = _tail_grid_lines()
+    assert len(lines) == 504
+    assert all(type(x) is Fraction for U in (Fraction(1, 3), Fraction(4))
+               for x in _poisson_tail(U, 9, Fraction(3, 7), 4))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "6faa6e3384c67fd7bc8165f7a3d2fc15ab22ee6b18d042df9d43cca4c43fee3f")
+
+
+@pytest.mark.parametrize("v", [
+    [Fraction(3, 2), Fraction(1, 2), 7], {1: Fraction(2, 5), 3: 1}, {2: 1},
+    lambda k: Fraction(-1, 3) ** (k - 1), lambda k: 0 if k == 1 else k, [0, 1]])
+@pytest.mark.parametrize("alpha, u", [(Fraction(2), Fraction(3, 2)), (Fraction(1, 3), 1)])
+def test_thoma_cross_and_exponent_are_the_jack_measure_ones(v, alpha, u):
+    thoma = JackThoma(alpha, u, v, check_positivity=False)
+    spec = Specialization.of(v)
+    generic = JackMeasure(alpha, Specialization(lambda k: Fraction(u) * spec(k)),
+                          Specialization.plancherel(u))
+    assert thoma.cross == generic.cross
+    assert thoma.exponent == generic.exponent
+    assert type(thoma.exponent) is Fraction
+    assert [type(t) for t in thoma.cross.values()] == [Fraction] * len(generic.cross)
