@@ -234,14 +234,18 @@ def _cleared(w, h):
             h.numerator * (den // h.denominator), den)
 
 
-def _mul_div(coeffs, a, b):
-    """Multiply the power series ``coeffs`` in T by (1 - aT) and divide it by
-    (1 - bT), in place, truncated at its length."""
-    prev = coeffs[0]
-    for n in range(1, len(coeffs)):
-        cur = coeffs[n]
-        coeffs[n] = cur - a * prev + b * coeffs[n - 1]
-        prev = cur
+def _mul_div(nums, a, b, c, d):
+    """The coefficients of T, T^2, ... of the power series -1 + sum_n
+    nums[n - 1] T^n times (1 - aT)(1 - bT) / ((1 - cT)(1 - dT)), truncated
+    at the same order, as a new list, in one pass over the coefficients."""
+    prev = mid = out = -1  # the input, times (1 - aT)/(1 - cT), output
+    new = []
+    for cur in nums:
+        nxt = cur - a * prev + c * mid
+        out = nxt - b * mid + d * out
+        new.append(out)
+        prev, mid = cur, nxt
+    return new
 
 
 def boolean_numerators(parts, w, h, ell: int):
@@ -256,18 +260,21 @@ def boolean_numerators(parts, w, h, ell: int):
     :func:`_boolean_pricer` gives the same numerators, carried along a walk.
     """
     big_w, big_h, den = _cleared(w, h)
-    return _corner_series(parts, big_w, big_h, _int_arg(ell, "ell", 0))[1:], den
+    return _corner_series(parts, big_w, big_h, _int_arg(ell, "ell", 0)), den
 
 
 def _corner_series(parts, big_w, big_h, ell):
-    """Minus the series of :func:`boolean_numerators` to order ell, [-1,
-    nums...], from the corners of ``parts`` on the cleared sides W, H."""
+    """The nums of :func:`boolean_numerators` to order ell, from the corners
+    of ``parts`` on the cleared sides W, H, taken two at a time."""
     xs, ys = corners(parts, big_w, big_h)
-    coeffs = [-1] + [0] * ell
-    for x, y in zip(xs, ys):
-        _mul_div(coeffs, x, y)
-    _mul_div(coeffs, xs[-1], 0)
-    return coeffs
+    ys.append(0)  # one minimum more than maxima
+    if len(xs) % 2:  # a factor pair (1 - 0T)/(1 - 0T)
+        xs.append(0)
+        ys.append(0)
+    nums = [0] * ell
+    for k in range(0, len(xs), 2):
+        nums = _mul_div(nums, xs[k], xs[k + 1], ys[k], ys[k + 1])
+    return nums
 
 
 def _boolean_pricer(w, h, ell: int):
@@ -275,35 +282,37 @@ def _boolean_pricer(w, h, ell: int):
 
     Adding the cell (i, j) at the cleared profile minimum X = W j - H i
     multiplies prod(1 - X_i T)/prod(1 - Y_j T) by
-    (1 - (X - H)T)(1 - (X + W)T) / ((1 - XT)(1 - (X + W - H)T)).  The pricer
-    keeps the series of a chain of partitions of increasing size, the
-    last-box ancestors of the last one priced, and prices a partition from
+    (1 - (X - H)T)(1 - (X + W)T) / ((1 - XT)(1 - (X + W - H)T)), applied in
+    one pass over the parent's coefficients by :func:`_mul_div`, which also
+    builds the corner series two corners at a time.  The pricer keeps the
+    series of a chain of partitions of increasing size, the last-box
+    ancestors of the last one priced, and prices a partition from
     its parent (the last row one box shorter) when the parent is on the
     chain; any other partition is priced from its corners.  A pre-order walk
     of the last-box tree, such as :meth:`JackThoma.support`, always finds
-    the parent there.
+    the parent there.  The nums list returned is the one the chain keeps:
+    read it, do not change it.
     """
     big_w, big_h, den = _cleared(w, h)
     ell = _int_arg(ell, "ell", 0)
-    chain = []  # (size, parts, series), sizes strictly increasing
+    chain = []  # (size, parts, nums), sizes strictly increasing
 
     def price(parts):
         parts = tuple(parts)
         size = sum(parts)
         while chain and chain[-1][0] >= size:
             chain.pop()
-        coeffs = None
+        nums = None
         if parts and chain:
             i, j = len(parts) - 1, parts[-1] - 1  # the last box
-            if chain[-1][1] == (parts[:-1] + (j,) if j else parts[:-1]):
-                coeffs = chain[-1][2][:]
+            _, parent, series = chain[-1]
+            if parent == (parts[:-1] + (j,) if j else parts[:-1]):
                 x = big_w * j - big_h * i
-                _mul_div(coeffs, x - big_h, x)
-                _mul_div(coeffs, x + big_w, x + big_w - big_h)
-        if coeffs is None:
-            coeffs = _corner_series(parts, big_w, big_h, ell)
-        chain.append((size, parts, coeffs))
-        return coeffs[1:], den
+                nums = _mul_div(series, x - big_h, x + big_w, x, x + big_w - big_h)
+        if nums is None:
+            nums = _corner_series(parts, big_w, big_h, ell)
+        chain.append((size, parts, nums))
+        return nums, den
 
     return price
 

@@ -45,7 +45,7 @@ class Partition:
         return self.size() - self.length()
 
     def multiplicity(self, i: int) -> int:
-        return sum(1 for p in self.parts if p == i)
+        return self.parts.count(_int_arg(i, "i", None))
 
     def multiplicities(self) -> dict:
         out = {}

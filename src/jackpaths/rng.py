@@ -6,6 +6,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .exactnum import _int_arg
+
 MASK64 = (1 << 64) - 1
 DYADIC_WORDS = 2  # 64-bit words in a fresh dyadic draw
 GAMMA = 0x9E3779B97F4A7C15
@@ -38,7 +40,7 @@ class SplitMix64:
     __slots__ = ("seed", "counter")
 
     def __init__(self, seed: int):
-        self.seed = seed & MASK64
+        self.seed = _int_arg(seed, "seed", None) & MASK64
         self.counter = 0
 
     def next_u64(self) -> int:
@@ -62,7 +64,7 @@ class SplitMix64:
         return (n << 64) | self.next_u64(), bits + 64
 
     def substream(self, index: int) -> "SplitMix64":
-        return SplitMix64(substream_seed(self.seed, index))
+        return SplitMix64(substream_seed(self.seed, _int_arg(index, "index", None)))
 
 
 def dyadic_fraction(n: int, bits: int) -> Fraction:

@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
+from operator import add
 
 from . import paths
 from .diagrams import _boolean_pricer, _cleared, diagram_booleans
@@ -189,31 +190,44 @@ ORACLE_PARAMETER_SETS = (
 def boolean_product_sums(weighted, w, h, multisets) -> dict:
     """{lengths: sum of mass * prod_i B_{l_i} of the (w, h) diagram of lam}
     over the triples (parts, num, den) of ``weighted``, each the parts of a
-    partition and its rational mass num/den with den > 0, for each multiset;
-    a multiset's prefix must come before it.
+    partition and its rational mass num/den with den > 0, for each multiset
+    of ``multisets``: a nonempty tuple of ints >= 1 whose prefix (all but its
+    last length) comes earlier in the list, or a ValueError names it.
 
     The sums run over Python ints: the masses over their common
     denominator M, and B_l = nums[l - 1] / den**l, so each multiset divides
-    once, by M * den**(sum of lengths).  The numerators come from one
-    :func:`diagrams._boolean_pricer`, which carries each partition's series
-    from its parent when ``weighted`` walks as :meth:`JackThoma._walk`
-    does.  No triples give 0 for every multiset, and no multisets give {}."""
+    once, by M * den**(sum of lengths).  Once per call the multisets become
+    a prefix plan, one row (index of the prefix's product, last length - 1)
+    per distinct multiset; per partition the plan fills a list of products
+    from the mass and adds it into a list of sums.  The numerators come from
+    one :func:`diagrams._boolean_pricer`, which carries each partition's
+    series from its parent when ``weighted`` walks as
+    :meth:`JackThoma._walk` does.  No triples give 0 for every multiset, and
+    no multisets give {}."""
+    index, plan = {(): 0}, []  # product 0 is the mass
+    for lengths in multisets:
+        if not (type(lengths) is tuple and lengths
+                and all(type(l) is int and l >= 1 for l in lengths)
+                and lengths[:-1] in index):
+            raise ValueError("multisets must be nonempty tuples of ints >= 1, "
+                             f"each after its prefix, got {lengths!r}")
+        if lengths not in index:
+            plan.append((index[lengths[:-1]], lengths[-1] - 1))
+            index[lengths] = len(index)
     weighted = list(weighted)
-    if not weighted or not multisets:
+    if not weighted or not plan:
         return dict.fromkeys(multisets, Fraction(0))
     M = math.lcm(*(m_den for _, _, m_den in weighted))
-    price = _boolean_pricer(w, h, max(map(max, multisets)))
-    sums = dict.fromkeys(multisets, 0)
+    price = _boolean_pricer(w, h, max(last for _, last in plan) + 1)
+    sums = [0] * len(index)
     for parts, m_num, m_den in weighted:  # den depends only on (w, h)
         nums, den = price(parts)
-        # each multiset extends its prefix, which comes earlier
-        prods = {(): m_num * (M // m_den)}
-        for lengths in multisets:
-            val = prods[lengths[:-1]] * nums[lengths[-1] - 1]
-            prods[lengths] = val
-            sums[lengths] += val
-    return {lengths: Fraction(val, M * den ** sum(lengths))
-            for lengths, val in sums.items()}
+        prods = [m_num * (M // m_den)]
+        for prefix, last in plan:
+            prods.append(prods[prefix] * nums[last])
+        sums = [*map(add, sums, prods)]
+    return {lengths: Fraction(sums[k], M * den ** sum(lengths))
+            for lengths, k in index.items() if k}
 
 
 def suite_poisson_oracle(total: int = 7, tail_eps=Fraction(1, 10 ** 12)):

@@ -20,7 +20,7 @@ from jackpaths.limitshape import (bessel_order_zeros, functional_equation_check,
 from jackpaths.partitions import Partition, falling_factorial, partitions_of
 from jackpaths.paths import count_lukasiewicz, finite_expectation, limit_moment
 from jackpaths.polynomials import Poly
-from jackpaths.rng import SplitMix64
+from jackpaths.rng import SplitMix64, substream_seed
 from jackpaths.sampler import growth_distribution, growth_sample, run_sampler
 from jackpaths.series import series_inv, series_log, series_mul
 
@@ -134,8 +134,27 @@ INNER_REFUSED = [  # the inner layers: a Poly's power and a series' order
 ]
 
 
+RNG_AND_PARTITION = [  # seeds, substream indices and Partition.multiplicity
+    ("seed", lambda: SplitMix64(True)),
+    ("seed", lambda: SplitMix64(2.5)),
+    ("seed", lambda: SplitMix64("3")),
+    ("index", lambda: SplitMix64(1).substream(True)),
+    ("index", lambda: SplitMix64(1).substream(2.5)),
+    ("i", lambda: Partition([3, 2, 2]).multiplicity("2")),
+    ("i", lambda: Partition([3, 2, 2]).multiplicity(2.0)),
+    (None, (lambda: SplitMix64(_int64(5)).next_u64(), lambda: SplitMix64(5).next_u64())),
+    (None, (lambda: SplitMix64(-3).seed, lambda: (1 << 64) - 3)),
+    (None, (lambda: SplitMix64(7).substream(_int64(2)).next_u64(),
+            lambda: SplitMix64(7).substream(2).next_u64())),
+    (None, (lambda: SplitMix64(7).substream(-1).seed, lambda: substream_seed(7, -1))),
+    (None, (lambda: Partition([3, 2, 2]).multiplicity(_int64(2)), lambda: 2)),
+    (None, (lambda: [Partition([3, 2, 2]).multiplicity(i) for i in (-1, 0, 1, 4)],
+            lambda: [0, 0, 0, 0])),
+]
+
+
 @pytest.mark.parametrize("name, call", REFUSED + [(None, pair) for pair in ACCEPTED]
-                         + INNER_REFUSED)
+                         + INNER_REFUSED + RNG_AND_PARTITION)
 def test_arguments_are_read_at_the_boundary(name, call):
     if name is None:  # a positive control: the same value, of the same type
         got, want = call[0](), call[1]()

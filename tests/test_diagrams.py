@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -350,7 +351,10 @@ def test_oracle_integer_sums_equal_fraction_sums():
         want = _fraction_sums(weighted, alpha / u, 1 / u, multisets)
         assert boolean_product_sums(ens._walk(D), alpha / u, 1 / u,
                                     multisets) == want
-    # the fixed-size case of criterion 5: conditioned masses, one size at a time
+    # the fixed-size case of criterion 5: conditioned masses, one size at a
+    # time, priced off the walk, with the prefix plan of every multiset of
+    # sum <= 7
+    multisets = _length_multisets(7)
     alpha, u, v, _ = DEPOISSONIZED_SETS[1]
     for d in range(1, 7):
         masses = ConditionalJackThoma(alpha, d, v).masses()
@@ -365,6 +369,28 @@ def test_boolean_product_sums_of_nothing():
         (1,): Fraction(0), (1, 2): Fraction(0)}
     assert boolean_product_sums([], 1, 1, []) == {}
     assert boolean_product_sums([((2, 1), 1, 3)], 1, 1, []) == {}
+
+
+def _principal_walk():
+    """The support walk of JackThoma(2, 2, v_k = 1/2^(k-1)) to size 6, the
+    (w, h) = (1, 1/2) diagrams."""
+    return JackThoma(2, 2, lambda k: Fraction(1, 2 ** (k - 1)),
+                     check_positivity=False)._walk(6)
+
+
+@pytest.mark.parametrize("multisets", [
+    [(3,), (0,)], [(1, 2)], [()], [(2,), (2, -1)], [(1.0,)], [(True,)],
+    [[1]], [(1,), "1"]])
+def test_boolean_product_sums_refuses_malformed_multisets(multisets):
+    with pytest.raises(ValueError, match=r"^multisets must be .*, got " +
+                       re.escape(repr(multisets[-1])) + "$"):
+        boolean_product_sums(_principal_walk(), 1, Fraction(1, 2), multisets)
+
+
+def test_boolean_product_sums_count_a_repeated_multiset_once():
+    once = boolean_product_sums(_principal_walk(), 1, Fraction(1, 2), [(2,), (2, 1)])
+    assert boolean_product_sums(_principal_walk(), 1, Fraction(1, 2),
+                                [(2,), (2,), (2, 1), (2,)]) == once
 
 
 # the truncation degrees suite_poisson_oracle reaches at total 7
