@@ -21,10 +21,10 @@ ordered-ratio products of the corner differences that the same pass forms
 for the factors.  So one pass over the groups prices every corner, and a
 step costs O(m) for m groups.  The fresh masses come from the state, not
 from the old masses, so their rounding does not build up along a draw.
-The draw loop and :func:`corner_masses` both go through that helper; the
-latter builds the state of a partition from the empty diagram column by
-column, a chain that meets every kind of update, so the exact-law
-validation checks the arithmetic that the draws use.
+The draw loop and :func:`child_state` both go through that helper; the
+exact-law validation grows each state from one parent by the latter, a
+chain that meets every kind of update, so it checks the arithmetic that
+the draws use.
 """
 
 from __future__ import annotations
@@ -245,12 +245,8 @@ def _draw_state(d: int, alpha: float, seed: int):
     """Run one draw on the backend's own buffers; returns (m, vals, cnts,
     ms): the number of groups, the groups and the corner masses the draw
     loop ends with (unnormalised)."""
-    cap = state_capacity(d)
-    vals = _buffers(cap, "int")
-    cnts = _buffers(cap, "int")
-    ms = _buffers(cap + 1, "float")
-    m = _draw(d, float(alpha), _cast(seed), vals, cnts, ms)
-    return m, vals, cnts, ms
+    _, _, vals, cnts, ms = empty_state(d)
+    return _draw(d, float(alpha), _cast(seed), vals, cnts, ms), vals, cnts, ms
 
 
 def growth_draw_parts(d: int, alpha: float, seed: int):
@@ -263,24 +259,24 @@ def growth_draw_parts(d: int, alpha: float, seed: int):
     return parts
 
 
-def corner_masses(parts, alpha: float):
-    """The kernel's normalised transition masses at the partition ``parts``
-    (descending), in kernel order: index i is the i-th minimum, descending,
-    so the last index is the new bottom row.  The state is grown from the
-    empty diagram column by column through the draws' add-a-box helper (the
-    compiled one when numba is present)."""
-    cap = len(parts) + 3  # the chain's states have at most len(parts) groups
-    vals = _buffers(cap, "int")
-    cnts = _buffers(cap, "int")
+def empty_state(d: int):
+    """The state (m, total, vals, cnts, ms) of the empty diagram, on new
+    buffers of the backend with room for every state of size <= d."""
+    cap = state_capacity(d)
     ms = _buffers(cap + 1, "float")
     ms[0] = 1.0
-    m, total, alpha = 0, 1.0, float(alpha)
-    for col in range(parts[0] if parts else 0):
-        # the rows reaching column col + 1, top to bottom: the first box
-        # extends group 0, later ones group 1 (the rows below the ones done);
-        # the first column starts the rows at the bottom corner
-        height = sum(1 for p in parts if p > col)
-        for row in range(height):
-            pick = m if col == 0 else min(row, 1)
-            m, total = _add_box(alpha, vals, cnts, ms, m, pick)
+    return 0, 1.0, _buffers(cap, "int"), _buffers(cap, "int"), ms
+
+
+def child_state(state, alpha: float, pick: int):
+    """``state`` with a box added at its corner ``pick``, on copies of its
+    buffers, through the draws' add-a-box helper (compiled under numba)."""
+    vals, cnts, ms = (buf.copy() for buf in state[2:])
+    return (*_add_box(alpha, vals, cnts, ms, state[0], pick), vals, cnts, ms)
+
+
+def state_masses(state):
+    """A state's normalised transition masses in kernel order: index i is
+    the i-th minimum, descending, so the last index is the new bottom row."""
+    m, total, _, _, ms = state
     return [float(ms[i] / total) for i in range(m + 1)]

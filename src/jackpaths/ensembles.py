@@ -9,11 +9,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, reduce
+from operator import mul
 
 from ._records import Frozen, Record
 from .exactnum import (SqrtExt, _int_arg, _positive_arg, alpha_half_power,
                        parse_rational, sqrt_ext)
-from .jack import Specialization, jack_basis, _factorial
+from .jack import Specialization, _factorial, _theta_rows, jack_basis
 from .partitions import (Partition, _cleared_content, content_product, j_alpha,
                          partitions_of)
 from .series import joint_cumulant
@@ -247,9 +248,9 @@ class CharacterMeasure(Ensemble):
         exact in Q(sqrt(alpha)) (chi's values are rational or in
         Q(sqrt(alpha))).  chi is cleared once to the ints x_mu, y_mu over one
         denominator D; a mass is two integer dot products of x and y with
-        the theta row of lam, cleared over the lcm L of its denominators."""
+        lam's integer row of :func:`jack._theta_rows`, over its lead and D."""
         alpha, d = self.alpha, self.d
-        split = {}
+        split = []  # per mu: the parts over 1 and over sqrt(alpha)
         for mu, c in self.chi.items():
             if isinstance(c, SqrtExt) and c.alpha != alpha:
                 raise ValueError("character value from another extension")
@@ -257,22 +258,14 @@ class CharacterMeasure(Ensemble):
             # alpha^{-w/2} is h for even w and h * sqrt(alpha) for odd w
             w = mu.weight()
             h = alpha ** -((w + 1) // 2)
-            split[mu] = (cb * alpha * h, ca * h) if w % 2 else (ca * h, cb * h)
-        D = math.lcm(*(z.denominator for xy in split.values() for z in xy))
-        weight = {mu: (x.numerator * (D // x.denominator),
-                       y.numerator * (D // y.denominator))
-                  for mu, (x, y) in split.items()}
-        basis, top = jack_basis(d, alpha), alpha ** d * _factorial(d)
-        solution = {}
-        for lam in partitions_of(d):
-            terms = basis[lam].terms
-            L = math.lcm(*(t.denominator for t in terms.values()))
-            x = y = 0
-            for mu, t in terms.items():
-                t = t.numerator * (L // t.denominator)
-                x += t * weight[mu][0]
-                y += t * weight[mu][1]
-            pref = top / (j_alpha(lam, alpha) * L * D)
+            split.append((cb * alpha * h, ca * h) if w % 2 else (ca * h, cb * h))
+        D = math.lcm(*(z.denominator for xy in split for z in xy))
+        xs, ys = ([z.numerator * (D // z.denominator) for z in zs] for zs in zip(*split))
+        top, solution = alpha ** d * _factorial(d), {}
+        rows = _theta_rows(d, alpha.numerator, alpha.denominator)
+        for lam, theta in zip(partitions_of(d), rows):
+            x, y = sum(map(mul, theta, xs)), sum(map(mul, theta, ys))
+            pref = top / (j_alpha(lam, alpha) * theta[0] * D)
             solution[lam] = sqrt_ext(pref * x, pref * y, alpha)
         return solution
 

@@ -115,59 +115,62 @@ def hall_inner(f: PowerSumPoly, g: PowerSumPoly, alpha):
 
 @lru_cache(maxsize=None)
 def _powersum_in_monomials(d: int):
-    """Expansion of every p_mu (|mu| = d) in the monomial basis of degree d,
-    as {mu: {nu: integer coeff}}: p_mu = p_rest p_r, r the last part of mu,
-    with p_rest from the table of degree d - r; m_nu p_r sums m_kappa times
-    the count of w + r in kappa, r added to a part w of nu or appended (w = 0)."""
+    """The integer matrix R of p_mu = sum R[mu][kappa] m_kappa, |mu| = d,
+    indexed as partitions_of(d), as (cols, diag): cols[k] lists the nonzero
+    (j, R[j][k]) above the diagonal diag[k] (R is triangular in dominance
+    order).  R[mu][kappa] counts the maps from the parts of mu onto the rows
+    of kappa that fill each row; the parts sent to the last row s form a
+    partition S of s, in prod_v C(m_v(mu), m_v(S)) ways, and the rest is
+    counted by the table of degree d - s."""
     if not d:
-        return {Partition(): {Partition(): 1}}
-    key = {mu.parts: mu for mu in partitions_of(d)}
-    out = {}
-    for mu in partitions_of(d):
-        r = mu.parts[-1]
-        vec: dict = {}
-        for nu, c in _powersum_in_monomials(d - r)[Partition(mu.parts[:-1])].items():
-            padded = nu.parts + (0,)
-            for w in set(padded):
-                grown = list(padded)
-                grown[padded.index(w)] = w + r
-                kappa = tuple(sorted(filter(None, grown), reverse=True))
-                vec[kappa] = vec.get(kappa, 0) + c * kappa.count(w + r)
-        out[mu] = {key[kappa]: c for kappa, c in vec.items()}
-    return out
+        return [[]], [1]
+    tuples = [[lam.parts for lam in partitions_of(n)] for n in range(d + 1)]
+    index = [{mu: j for j, mu in enumerate(ts)} for ts in tuples]
+    cols, diag = [], []
+    for kappa in tuples[d]:
+        s = kappa[-1]
+        low, (low_cols, low_diag) = tuples[d - s], _powersum_in_monomials(d - s)
+        i, acc = index[d - s][kappa[:-1]], {}
+        for j, c in low_cols[i] + [(i, low_diag[i])]:
+            if s == 1:  # the one S = (1,), so mu is low[j] with a 1 appended
+                mu = low[j] + (1,)
+                acc[index[d][mu]] = acc.get(index[d][mu], 0) + c * mu.count(1)
+                continue
+            for S in tuples[s]:
+                mu, w = tuple(sorted(low[j] + S, reverse=True)), c
+                for v in set(S):
+                    w *= math.comb(mu.count(v), S.count(v))
+                acc[index[d][mu]] = acc.get(index[d][mu], 0) + w
+        diag.append(acc.pop(len(cols)))
+        cols.append(sorted(acc.items()))
+    return cols, diag
 
 
 @lru_cache(maxsize=None)
 def _recursion_tables(d: int):
     """The alpha-free data of Stanley's recursion at degree d, indexed as
     partitions_of(d): rho_mu = A[mu] - (2/alpha) B[mu] with
-    A = sum mu_i(mu_i - 1) and B = sum (i - 1) mu_i; the raisings of each
-    mu as [(index of nu, summed weight mu_i - mu_j + 2t)] over
-    nu = sort(mu + t(e_i - e_j)), i < j, 1 <= t <= mu_j; and the columns
-    [(index of nu, R[nu][mu])], nu before mu, and the diagonal of the
-    integer matrix R of p_nu = sum R[nu][mu] m_mu."""
-    parts = partitions_of(d)
-    index = {mu.parts: k for k, mu in enumerate(parts)}
-    rho_a = [sum(x * (x - 1) for x in mu.parts) for mu in parts]
-    rho_b = [sum(i * x for i, x in enumerate(mu.parts)) for mu in parts]
+    A = sum mu_i(mu_i - 1) and B = sum (i - 1) mu_i, and the raisings of
+    each mu as [(index of nu, summed weight mu_i - mu_j + 2t)] over
+    nu = sort(mu + t(e_i - e_j)), i < j, 1 <= t <= mu_j.  Distinct values
+    u = mu_i >= v = mu_j and t give distinct nu, so each pair of values is
+    taken once, its weight times the number of pairs (i, j) holding it."""
+    index = {lam.parts: k for k, lam in enumerate(partitions_of(d))}
+    rho_a = [sum(x * (x - 1) for x in mu) for mu in index]
+    rho_b = [sum(i * x for i, x in enumerate(mu)) for mu in index]
     raisings = []
-    for mu in parts:
-        acc: dict = {}
-        m = list(mu.parts)
-        for i in range(len(m)):
-            for j in range(i + 1, len(m)):
-                for t in range(1, m[j] + 1):
-                    nu = m[:]
-                    nu[i] += t
-                    nu[j] -= t
-                    k = index[tuple(sorted(filter(None, nu), reverse=True))]
-                    acc[k] = acc.get(k, 0) + m[i] - m[j] + 2 * t
-        raisings.append(list(acc.items()))
-    p2m = _powersum_in_monomials(d)
-    cols = [[(j, p2m[nu][mu]) for j, nu in enumerate(parts[:k]) if mu in p2m[nu]]
-            for k, mu in enumerate(parts)]
-    diag = [p2m[mu][mu] for mu in parts]
-    return rho_a, rho_b, raisings, cols, diag
+    for mu in index:
+        vals, out = sorted(set(mu), reverse=True), []
+        for n, u in enumerate(vals):
+            for v in vals[n:]:
+                pairs = mu.count(u) * mu.count(v) if v < u else math.comb(mu.count(u), 2)
+                for t in range(1, v + 1) if pairs else ():
+                    nu = sorted(mu + (u + t, v - t), reverse=True)
+                    nu.remove(u)
+                    nu.remove(v)
+                    out.append((index[tuple(filter(None, nu))], pairs * (u - v + 2 * t)))
+        raisings.append(out)
+    return rho_a, rho_b, raisings
 
 
 def _monomial_row(d: int, k: int, a: int, q: int) -> list:
@@ -177,14 +180,16 @@ def _monomial_row(d: int, k: int, a: int, q: int) -> list:
     (rho_lam - rho_mu) c_mu = (2/alpha) sum w c_nu over the raisings nu of
     mu, times a, is the integer equation (a dA - 2q dB) c_mu = 2q sum w c_nu;
     the common factor s grows only by what each c_mu needs."""
-    rho_a, rho_b, raisings, _, _ = _recursion_tables(d)
+    rho_a, rho_b, raisings = _recursion_tables(d)
     row = [0] * len(rho_a)
     row[k] = 1
     for i in range(k - 1, -1, -1):
-        x = 2 * q * sum(w * row[j] for j, w in raisings[i])
+        x = 0
+        for j, w in raisings[i]:
+            x += w * row[j]
         if not x:
             continue  # mu is not dominated by lam, nor is any raising of it
-        den = a * (rho_a[k] - rho_a[i]) - 2 * q * (rho_b[k] - rho_b[i])
+        x, den = 2 * q * x, a * (rho_a[k] - rho_a[i]) - 2 * q * (rho_b[k] - rho_b[i])
         if not den:
             raise ArithmeticError(f"rho_lam = rho_mu at lam, mu = "
                                   f"{partitions_of(d)[k]}, {partitions_of(d)[i]}")
@@ -198,20 +203,30 @@ def _monomial_row(d: int, k: int, a: int, q: int) -> list:
     return row
 
 
-def _powersum_row(d: int, c: list) -> list:
-    """Integer multiples of theta with theta R = c, by forward substitution
-    in ascending lex order (R is triangular in dominance order)."""
-    _, _, _, cols, diag = _recursion_tables(d)
-    tau = 1
-    theta = []
-    for ck, col, r in zip(c, cols, diag):
-        y = tau * ck - sum(theta[j] * rjk for j, rjk in col)
-        g = math.gcd(y, r)
-        if g != r:
-            tau *= r // g
-            theta = [t * (r // g) for t in theta]
-        theta.append(y // g)
-    return theta
+@lru_cache(maxsize=None)
+def _theta_rows(d: int, a: int, q: int) -> list:
+    """The Jack basis of degree d at alpha = a/q in integers, indexed as
+    partitions_of(d): row k is theta with theta R = c, c the
+    :func:`_monomial_row` of k, by forward substitution down the columns of
+    R; its lead theta[0] times the element is theta in power sums.  Degrees
+    above DEGREE_CAP are refused."""
+    if d > DEGREE_CAP:
+        raise ValueError(f"degree {d} above cap {DEGREE_CAP}")
+    cols, diag = _powersum_in_monomials(d)
+    rows = []
+    for k in range(len(diag)):
+        tau, theta = 1, []
+        for ck, col, r in zip(_monomial_row(d, k, a, q), cols, diag):
+            y = tau * ck
+            for j, rjk in col:
+                y -= theta[j] * rjk
+            g = math.gcd(y, r)
+            if g != r:
+                tau *= r // g
+                theta = [t * (r // g) for t in theta]
+            theta.append(y // g)
+        rows.append(tuple(theta))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -223,27 +238,19 @@ def jack_basis(d: int, alpha):
     """All Jack elements of degree d in the power-sum basis, memoized per
     (d, alpha).  Each comes from Stanley's triangular recursion for the
     eigenfunctions of the Laplace-Beltrami operator in the monomial basis,
-    then a triangular solve back to power sums, in integers; it is
-    normalized so the coefficient of p_{1^d} equals 1.  Degrees above
-    DEGREE_CAP are refused."""
+    then a triangular solve back to power sums, in integers
+    (:func:`_theta_rows`); it is normalized so the coefficient of p_{1^d}
+    equals 1.  Degrees above DEGREE_CAP are refused."""
     d, alpha = _int_arg(d, "d", 0), _positive_arg(alpha, "alpha")
-    if d > DEGREE_CAP:
-        raise ValueError(f"degree {d} above cap {DEGREE_CAP}")
-    key = (d, alpha)
     with _cache_lock:
-        cached = _basis_cache.get(key)
-    if cached is not None:
-        return cached
-    parts = partitions_of(d)
-    a, q = alpha.numerator, alpha.denominator
-    basis = {}
-    for k, lam in enumerate(parts):
-        theta = _powersum_row(d, _monomial_row(d, k, a, q))
-        lead = theta[0]  # the coefficient of p_{1^d}
-        basis[lam] = PowerSumPoly._of({mu: Fraction(t, lead)
-                                       for mu, t in zip(parts, theta) if t})
-    with _cache_lock:
-        _basis_cache[key] = basis
+        basis = _basis_cache.get((d, alpha))
+    if basis is None:
+        parts, rows = partitions_of(d), _theta_rows(d, alpha.numerator, alpha.denominator)
+        basis = {lam: PowerSumPoly._of({mu: Fraction(t, theta[0])
+                                        for mu, t in zip(parts, theta) if t})
+                 for lam, theta in zip(parts, rows)}
+        with _cache_lock:
+            _basis_cache[d, alpha] = basis
     return basis
 
 

@@ -73,15 +73,9 @@ def growth_distribution(alpha, d: int) -> dict:
     return dist
 
 
-def kernel_matches_law(lam: Partition, alpha, law=None) -> bool:
-    """Whether the float kernel's corner masses at ``lam`` agree with the
-    exact one-step law (``_one_step`` at lam and alpha unless given) to
-    KERNEL_REL_TOL relative.  The kernel lists the minima descending, the
-    law ascending."""
-    floats = _kernels.corner_masses(lam.parts, float(alpha))
-    if law is None:
-        alpha = Fraction(alpha)
-        law = _one_step(lam.parts, alpha.numerator, alpha.denominator)
+def _masses_match(floats, law) -> bool:
+    """Whether the float kernel's masses (minima descending) agree with the
+    exact one-step law (ascending) to KERNEL_REL_TOL relative."""
     exact = [num / rest for _, num, rest in law]  # int division rounds correctly
     return len(floats) == len(exact) and all(
         abs(f - mass) <= KERNEL_REL_TOL * mass for f, mass in zip(floats[::-1], exact))
@@ -106,18 +100,25 @@ def _chain_keeps_law(alpha: Fraction) -> bool:
     With N = j_lam q^(2n) the law alpha^n n!/j_lam at lam of size n is
     a^n q^n n!/N, so by induction on n the chain reproduces it iff at every
     lam of size n >= 1, N * sum of num/(N_mu rest) = a q n, summed over the
-    parents mu of lam and their atoms num/rest that add lam's box."""
+    parents mu of lam and their atoms num/rest that add lam's box.  The
+    kernel grows each state from its first parent: atom i is corner m - i."""
     a, q = alpha.numerator, alpha.denominator
     sums = {}  # parts -> (s, t): the sum over the parents so far is s/t
+    states = {(): _kernels.empty_state(GROWTH_VALIDATION_SIZE)}
     for n in range(GROWTH_VALIDATION_SIZE + 1):
         pushed = {}
         for lam in partitions_of(n):
             hooks = _hook_pairs(lam.parts, a, q)
             s, t = sums.pop(lam.parts, (0, 1))
-            law = _one_step(lam.parts, a, q)
-            if n and hooks * s != a * q * n * t or not kernel_matches_law(lam, alpha, law):
+            law, state = _one_step(lam.parts, a, q), states.pop(lam.parts, None)
+            if n and hooks * s != a * q * n * t or not _masses_match(
+                    _kernels.state_masses(state), law):
                 return False
-            for nxt, num, rest in law:
+            if n == GROWTH_VALIDATION_SIZE:
+                continue  # no state past the last size is checked
+            for i, (nxt, num, rest) in enumerate(law):
+                if nxt not in pushed:
+                    states[nxt] = _kernels.child_state(state, float(alpha), state[0] - i)
                 s, t = pushed.get(nxt, (0, 1))
                 pushed[nxt] = (s * hooks * rest + num * t, t * hooks * rest)
         if sums:  # the chain reached a state that is no partition of n

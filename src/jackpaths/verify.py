@@ -191,8 +191,8 @@ def boolean_product_sums(weighted, w, h, multisets) -> dict:
     """{lengths: sum of mass * prod_i B_{l_i} of the (w, h) diagram of lam}
     over the triples (parts, num, den) of ``weighted``, each the parts of a
     partition and its rational mass num/den with den > 0, for each multiset
-    of ``multisets``: a nonempty tuple of ints >= 1 whose prefix (all but its
-    last length) comes earlier in the list, or a ValueError names it.
+    of ``multisets``: a nonempty tuple of ints >= 1 (read by ``_int_arg``)
+    whose prefix comes earlier in the list, or a ValueError names it.
 
     The sums run over Python ints: the masses over their common
     denominator M, and B_l = nums[l - 1] / den**l, so each multiset divides
@@ -205,18 +205,20 @@ def boolean_product_sums(weighted, w, h, multisets) -> dict:
     :meth:`JackThoma._walk` does.  No triples give 0 for every multiset, and
     no multisets give {}."""
     index, plan = {(): 0}, []  # product 0 is the mass
-    for lengths in multisets:
-        if not (type(lengths) is tuple and lengths
-                and all(type(l) is int and l >= 1 for l in lengths)
-                and lengths[:-1] in index):
+    for given in multisets:
+        try:  # each length is read as boolean_products_observable reads it
+            lengths = tuple(_int_arg(l, "lengths", 1) for l in given)
+        except (TypeError, ValueError):
+            lengths = ()
+        if not (type(given) is tuple and lengths and lengths[:-1] in index):
             raise ValueError("multisets must be nonempty tuples of ints >= 1, "
-                             f"each after its prefix, got {lengths!r}")
+                             f"each after its prefix, got {given!r}")
         if lengths not in index:
             plan.append((index[lengths[:-1]], lengths[-1] - 1))
             index[lengths] = len(index)
     weighted = list(weighted)
     if not weighted or not plan:
-        return dict.fromkeys(multisets, Fraction(0))
+        return dict.fromkeys(list(index)[1:], Fraction(0))
     M = math.lcm(*(m_den for _, _, m_den in weighted))
     price = _boolean_pricer(w, h, max(last for _, last in plan) + 1)
     sums = [0] * len(index)

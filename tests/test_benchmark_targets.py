@@ -4,6 +4,7 @@ rename of any of them, or a dropped cache, must fail here, not only under
 ``perfbench/run.py --trace 1``."""
 
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -11,6 +12,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import layers  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
+from jackpaths import jack  # noqa: E402
 from jackpaths.jack import PowerSumPoly  # noqa: E402
 from jackpaths.polynomials import Poly  # noqa: E402
 
@@ -45,3 +47,13 @@ def test_power_sums_are_not_polys():
     # perfbench/ops.canon tests isinstance(x, Poly) before PowerSumPoly, so a
     # PowerSumPoly that were a Poly would change the `characters` digests.
     assert not issubclass(PowerSumPoly, Poly)
+
+
+def test_jack_basis_cache_is_keyed_by_degree_and_fraction():
+    # layers._jack_basis_probe counts jack_basis hits and misses by looking
+    # up (d, Fraction(alpha)) in jack._basis_cache before the call
+    jack.jack_basis(3, 2)
+    assert (3, Fraction(2)) in jack._basis_cache
+    assert layers._jack_basis_probe((3, 2), {})
+    assert layers._jack_basis_probe((), {"d": 3, "alpha": "2"})
+    assert jack._basis_cache[3, Fraction(2)] is jack.jack_basis(3, Fraction(2))

@@ -387,6 +387,22 @@ def test_boolean_product_sums_refuses_malformed_multisets(multisets):
         boolean_product_sums(_principal_walk(), 1, Fraction(1, 2), multisets)
 
 
+def test_boolean_product_sums_read_numpy_lengths_as_ints():
+    # the same integer-argument rule as boolean_products_observable
+    np = pytest.importorskip("numpy")
+    want = boolean_product_sums(_principal_walk(), 1, Fraction(1, 2), [(2,), (2, 1)])
+    for cast in (np.int64, np.int32, np.uint8):
+        got = boolean_product_sums(_principal_walk(), 1, Fraction(1, 2),
+                                   [(cast(2),), (cast(2), cast(1))])
+        assert got == want
+        assert all(type(l) is int for lengths in got for l in lengths)
+        assert all(type(x) is Fraction for x in got.values())
+        empty = boolean_product_sums([], 1, 1, [(cast(2),)])
+        assert empty == {(2,): 0} and type(next(iter(empty))[0]) is int
+    with pytest.raises(ValueError, match=r"^multisets must be "):
+        boolean_product_sums(_principal_walk(), 1, 1, [(np.int64(0),)])
+
+
 def test_boolean_product_sums_count_a_repeated_multiset_once():
     once = boolean_product_sums(_principal_walk(), 1, Fraction(1, 2), [(2,), (2, 1)])
     assert boolean_product_sums(_principal_walk(), 1, Fraction(1, 2),

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -223,3 +225,23 @@ def test_content_product_is_the_principal_jack_value(alpha):
                     got = content_product(lam, alpha, x, c)
                     assert type(got) is Fraction
                     assert got == spec.apply(basis[lam])
+
+
+PIN_ALPHAS = (Fraction(1, 3), Fraction(2, 3), Fraction(1), Fraction(3, 2), Fraction(2),
+              Fraction(7, 2))
+JACK_BASIS_PIN = "27913ac4b447a23ae504f4db0da7bd38ab206fa7467d734ec6547d870fcdfcfd"
+
+
+def test_jack_basis_is_pinned():
+    """Every Jack element of degree <= 10 at six alphas, one line per
+    element in basis order, [alpha, lam, [{p_mu, coeff}]] with the terms in
+    PowerSumPoly.to_json order, digests to the value the Fraction tables of
+    the recursion gave."""
+    lines = []
+    for alpha in PIN_ALPHAS:
+        for d in range(11):
+            for lam, J in jack_basis(d, alpha).items():
+                assert all(type(c) is Fraction for c in J.terms.values())
+                lines.append(json.dumps([str(alpha), list(lam.parts), J.to_json()]))
+    assert len(lines) == 6 * sum(len(partitions_of(d)) for d in range(11))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == JACK_BASIS_PIN

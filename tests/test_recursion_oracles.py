@@ -41,10 +41,26 @@ def _invert(mat):
     return [row[n:] for row in aug]
 
 
+def powersum_table(d):
+    """_powersum_in_monomials(d), (columns above the diagonal, diagonal),
+    read back as {mu: {nu: coefficient of m_nu in p_mu}}; every column
+    lists nonzero int entries above its diagonal, rows ascending."""
+    parts = partitions_of(d)
+    cols, diag = _powersum_in_monomials(d)
+    assert len(cols) == len(diag) == len(parts)
+    table = {mu: {} for mu in parts}
+    for k, (col, r) in enumerate(zip(cols, diag)):
+        assert [j for j, _ in col] == sorted({j for j, _ in col}), (d, k)
+        for j, c in col + [(k, r)]:
+            assert type(c) is int and c and j <= k, (d, k, j)
+            table[parts[j]][parts[k]] = c
+    return table
+
+
 def monomials_in_powersums(d):
     """{nu: PowerSumPoly equal to m_nu}, by inverting the p -> m matrix."""
     parts = list(partitions_of(d))
-    p2m = _powersum_in_monomials(d)
+    p2m = powersum_table(d)
     inv = _invert([[Fraction(p2m[mu].get(nu, 0)) for nu in parts] for mu in parts])
     return {nu: PowerSumPoly({parts[i]: inv[j][i] for i in range(len(parts))
                               if inv[j][i]})
@@ -190,11 +206,9 @@ def direct_powersum_in_monomials(d):
 
 def test_powersum_table_by_one_part_equals_the_direct_expansion():
     for d in range(0, 11):
-        got, want = _powersum_in_monomials(d), direct_powersum_in_monomials(d)
+        got, want = powersum_table(d), direct_powersum_in_monomials(d)
         assert list(got) == list(partitions_of(d)), d
         assert got == want, d
-        assert all(type(nu) is Partition and type(c) is int
-                   for row in got.values() for nu, c in row.items())
 
 
 def per_pair_character_mass(lam, alpha, chi):

@@ -18,7 +18,7 @@ from jackpaths.partitions import Partition, partitions_of
 from jackpaths.rng import SplitMix64, mix64, stream_word
 from jackpaths.sampler import (exact_sample, growth_distribution,
                                growth_sample, growth_transitions,
-                               kernel_matches_law, mean_profile, run_sampler,
+                               mean_profile, run_sampler,
                                scaled_profile, validate_growth)
 
 
@@ -100,6 +100,30 @@ def _ordered_ratio_masses(parts, alpha):
     return [x / total for x in masses]
 
 
+def corner_masses(parts, alpha):
+    """The kernel's normalised masses at ``parts``, its state grown from the
+    empty diagram column by column through the bound add-a-box helper.  In
+    column col + 1 the rows reaching it take a box each, top to bottom: the
+    first column starts each row at the bottom corner; in a later one the
+    first box extends group 0 and the others group 1 (the rows below the
+    ones done)."""
+    state, alpha = kernels.empty_state(sum(parts)), float(alpha)
+    for col in range(parts[0] if parts else 0):
+        for row in range(sum(1 for p in parts if p > col)):
+            pick = state[0] if col == 0 else min(row, 1)
+            state = kernels.child_state(state, alpha, pick)
+    return kernels.state_masses(state)
+
+
+def kernel_matches_law(lam, alpha, law=None):
+    """Whether the kernel's masses at ``lam``, grown column by column, match
+    the exact one-step law (at lam and alpha unless given)."""
+    if law is None:
+        alpha = Fraction(alpha)
+        law = sampler._one_step(lam.parts, alpha.numerator, alpha.denominator)
+    return sampler._masses_match(corner_masses(lam.parts, float(alpha)), law)
+
+
 def _spy_cases(add_box, cases):
     """``add_box`` recording which update each call made."""
 
@@ -116,7 +140,7 @@ def test_corner_masses_match_the_ordered_ratio_oracle():
     for alpha in (1 / 400, 1 / 100, 1 / 3, 1.0, 2.0, 400.0):
         for n in range(13):
             for lam in partitions_of(n):
-                got = kernels.corner_masses(lam.parts, alpha)
+                got = corner_masses(lam.parts, alpha)
                 want = _ordered_ratio_masses(lam.parts, alpha)
                 assert len(got) == len(want) == len(set(lam.parts)) + 1
                 assert all(abs(g - w) <= 1e-13 * w for g, w in zip(got, want)), \
@@ -135,7 +159,7 @@ def test_corner_masses_chain_meets_every_update(monkeypatch):
     monkeypatch.setattr(kernels, "_add_box", _spy_cases(kernels._add_box, cases))
     # (2, 2) column by column: a new row, the bottom corner moves down, the
     # group of two rows splits, and the second row's corner is removed
-    kernels.corner_masses([2, 2], 0.5)
+    corner_masses([2, 2], 0.5)
     assert cases == {"new row", "move", "split", "remove"}
 
 
@@ -217,22 +241,54 @@ def test_draw_masses_match_law_at_the_end_of_a_large_draw():
 
 
 def test_validate_growth_catches_a_wrong_kernel_mass(monkeypatch):
-    true_masses = kernels.corner_masses
+    # the validation reads each state's masses through state_masses
+    true_masses = kernels.state_masses
 
-    def skewed(parts, alpha):
-        masses = true_masses(parts, alpha)
+    def skewed(state):
+        masses = true_masses(state)
         if len(masses) == 3:
             masses[1] *= 1 + 1e-9
         return masses
 
     monkeypatch.setattr(sampler, "_growth_validated", None)
-    monkeypatch.setattr(kernels, "corner_masses", skewed)
+    monkeypatch.setattr(kernels, "state_masses", skewed)
     try:
         assert validate_growth() is False
     finally:
         sampler._growth_validated = None
     monkeypatch.undo()
     assert validate_growth() is True
+
+
+def test_validation_grows_each_state_from_one_parent(monkeypatch):
+    # one add-a-box call per state of size 1..GROWTH_VALIDATION_SIZE, and
+    # the parents' boxes meet every kind of update
+    cases, calls = set(), []
+    spy = _spy_cases(kernels._add_box, cases)
+    monkeypatch.setattr(kernels, "_add_box",
+                        lambda *args: calls.append(args[-1]) or spy(*args))
+    states = sum(len(partitions_of(n))
+                 for n in range(1, sampler.GROWTH_VALIDATION_SIZE + 1))
+    for alpha in sampler.GROWTH_VALIDATION_ALPHAS:
+        calls.clear()
+        assert sampler._chain_keeps_law(alpha)
+        assert len(calls) == states == 66
+    assert cases == {"new row", "move", "split", "remove"}
+
+
+def test_child_state_leaves_its_parent_as_it_is():
+    root = kernels.empty_state(8)
+    one = kernels.child_state(root, 0.5, 0)  # (1): a new row
+    two = kernels.child_state(one, 0.5, 0)  # (2): the corner moves right
+    down = kernels.child_state(one, 0.5, 1)  # (1, 1): the bottom corner moves down
+    assert root[:2] == (0, 1.0) and list(root[2][:2]) == list(root[3][:2]) == [0, 0]
+    assert one[0] == 1 and list(one[2][:2]) == list(one[3][:2]) == [1, 0]
+    assert (two[0], two[2][0], two[3][0]) == (1, 2, 1)
+    assert (down[0], down[2][0], down[3][0]) == (1, 1, 2)
+    for state, parts in ((one, (1,)), (two, (2,)), (down, (1, 1))):
+        want = _ordered_ratio_masses(parts, 0.5)
+        assert all(abs(g - w) <= 1e-13 * w
+                   for g, w in zip(kernels.state_masses(state), want, strict=True))
 
 
 @pytest.mark.parametrize("skew", ["one-step mass", "plancherel mass"])
@@ -315,7 +371,7 @@ def test_numba_backend_code_under_a_stand_in_jit(monkeypatch):
     numba_code = kernels._numba_backend(
         types.SimpleNamespace(njit=lambda cache: (lambda func: func)))
     _bind(monkeypatch, python)
-    python_masses = kernels.corner_masses([3, 1, 1], 1 / 3)
+    python_masses = corner_masses([3, 1, 1], 1 / 3)
     with np.errstate(over="ignore"):
         for d, alpha, seed in ((120, 0.5, 7), (200, 0.01, 2 ** 63 + 5), (300, 1.0, 3)):
             _bind(monkeypatch, python)
@@ -331,7 +387,7 @@ def test_numba_backend_code_under_a_stand_in_jit(monkeypatch):
              buffers(cap + 1, "float"))
         assert {"split", "remove"} <= cases
         # bound to the numba code, the masses that validation checks are its
-        assert kernels.corner_masses([3, 1, 1], 1 / 3) == python_masses
+        assert corner_masses([3, 1, 1], 1 / 3) == python_masses
 
 
 GROWTH_PIN_GRID = [(d, alpha, seed) for d in (1, 7, 60, 400, 1600)
