@@ -6,8 +6,11 @@ numba can be imported, ``numba.njit`` compiles that source over numpy
 arrays (backend "numba"); otherwise the same source runs as Python over
 lists (backend "python").  The backend is fixed at import (:data:`BACKEND`)
 and is the only one that runs.  Both consume the same counter-based uniform
-stream and perform the same float operations in the same order.  numpy is
-imported only on the numba path.
+stream and perform the same float operations in the same order.  A draw
+fills its d - 1 uniforms from the stream once, before its loop (one Python
+loop with the mix inline, or one compiled uint64 loop), and the loop reads
+them in order; the first box needs none, so the loop starts past it with no
+per-step test.  numpy is imported only on the numba path.
 
 The state is the groups of equal parts (vals, cnts) and the masses ms[i] of
 its addable corners, the residues of Kerov's transition function
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import math
 
-from .rng import _MIX1, _MIX2, GAMMA, mix64
+from .rng import _MIX1, _MIX2, GAMMA, MASK64
 
 INV53 = 2.0 ** -53
 
@@ -50,7 +53,9 @@ def state_capacity(d: int) -> int:
 # k <= m is the minimum x_k = alpha * vals[k] - (rows above group k), so
 # corner m (value 0) is the new bottom row.  Differences of corners are
 # taken as alpha * (integer) - (integer), never as differences of rounded
-# positions.
+# positions.  Every buffer holds floats: vals and cnts hold integers, exact
+# below 2^53, so the loops do float arithmetic only (interpreted, an int
+# operand costs a generic operation) and every difference is still exact.
 # ---------------------------------------------------------------------------
 
 
@@ -72,14 +77,16 @@ def add_box(alpha, vals, cnts, ms, m, pick):
     ra = 1.0
     rb = 1.0
     s = 0.0
+    s1 = 1.0
     for k in range(pick - 1, -1, -1):
         p = alpha * (vals[k] - v)
         q = p - alpha
         a0 = q + s
-        b0 = p + (s + 1.0)
+        b0 = p + s1
         s += cnts[k]
+        s1 = s + 1.0
         a = q + s
-        b = p + (s + 1.0)
+        b = p + s1
         ra *= a0 / a
         rb *= b0 / b
         w = ms[k] * (1.0 + alpha / (a * b))
@@ -112,19 +119,19 @@ def add_box(alpha, vals, cnts, ms, m, pick):
     # pass gives exactly 0 (a factor with zero numerator), so the total
     # gains both
     if pick == m:
-        if m > 0 and vals[m - 1] == 1:      # the bottom corner moves down
-            cnts[m - 1] += 1
+        if m > 0 and vals[m - 1] == 1.0:    # the bottom corner moves down
+            cnts[m - 1] += 1.0
             ms[m] = fresh_b
         else:                               # a new bottom row starts
-            vals[m] = 1
-            cnts[m] = 1
+            vals[m] = 1.0
+            cnts[m] = 1.0
             ms[m] = fresh_a
             ms[m + 1] = fresh_b
             m += 1
-    elif pick > 0 and vals[pick - 1] == v + 1:
-        cnts[pick - 1] += 1
-        cnts[pick] -= 1
-        if cnts[pick] > 0:                  # the corner moves down a row
+    elif pick > 0 and vals[pick - 1] == v + 1.0:
+        cnts[pick - 1] += 1.0
+        cnts[pick] -= 1.0
+        if cnts[pick] > 0.0:                # the corner moves down a row
             ms[pick] = fresh_b
         else:                               # the corner is removed
             for j in range(pick, m):
@@ -132,53 +139,62 @@ def add_box(alpha, vals, cnts, ms, m, pick):
                 cnts[j] = cnts[j + 1]
                 ms[j] = ms[j + 1]
             m -= 1
-    elif cnts[pick] == 1:                   # the corner moves right
-        vals[pick] = v + 1
+    elif cnts[pick] == 1.0:                 # the corner moves right
+        vals[pick] = v + 1.0
         ms[pick] = fresh_a
     else:                                   # the group splits in two
-        cnts[pick] -= 1
+        cnts[pick] -= 1.0
         for j in range(m, pick, -1):
             vals[j] = vals[j - 1]
             cnts[j] = cnts[j - 1]
             ms[j + 1] = ms[j]
-        vals[pick] = v + 1
-        cnts[pick] = 1
+        vals[pick] = v + 1.0
+        cnts[pick] = 1.0
         ms[pick] = fresh_a
         ms[pick + 1] = fresh_b
         m += 1
     return m, total + fresh_a + fresh_b
 
 
-def _uniform(seed, counter):
-    """Uniform double in [0, 1) from word #counter of the seed's stream
-    (rng.stream_word, one call fewer per box)."""
-    return (mix64(seed + (counter + 1) * GAMMA) >> 11) * INV53
+def stream_uniforms(seed, n):
+    """Uniform doubles in [0, 1) from words 0..n-1 of the seed's stream:
+    rng.stream_word with its mix written inline, the counter's multiple of
+    GAMMA carried as a running sum."""
+    gamma, m1, m2, mask, inv53 = GAMMA, _MIX1, _MIX2, MASK64, INV53
+    us = [0.0] * n
+    z = seed & mask
+    for c in range(n):
+        z = (z + gamma) & mask
+        x = ((z ^ (z >> 30)) * m1) & mask
+        x = ((x ^ (x >> 27)) * m2) & mask
+        us[c] = ((x ^ (x >> 31)) >> 11) * inv53
+    return us
 
 
-def _make_draw(add_box, uniform):
+def _make_draw(add_box, fill):
     """The draw loop over the given helpers (closure variables, so numba
-    can compile the loop against its own compiled helpers)."""
+    can compile the loop against its own compiled helpers): ``add_box`` and
+    ``fill(seed, n)``, the first n uniforms of the seed's stream."""
 
     def growth_draw(d, alpha, seed, vals, cnts, ms):
         """Grow d boxes from the empty diagram (vals, cnts zero); the state
         and its corner masses are left in vals/cnts/ms and the number of
         groups is returned."""
-        m = 0
         ms[0] = 1.0
-        total = 1.0
-        counter = 0
-        for _ in range(d):
-            pick = 0
-            if m > 0:
-                target = uniform(seed, counter) * total
-                counter += 1
-                acc = 0.0
-                pick = m
-                for i in range(m + 1):
-                    acc += ms[i]
-                    if target < acc:
-                        pick = i
-                        break
+        if d == 0:
+            return 0
+        # the empty diagram has one corner, so the first box takes no word
+        # and every later state has at least one group
+        m, total = add_box(alpha, vals, cnts, ms, 0, 0)
+        for u in fill(seed, d - 1):
+            target = u * total
+            acc = 0.0
+            pick = m
+            for i in range(m + 1):
+                acc += ms[i]
+                if target < acc:
+                    pick = i
+                    break
             m, total = add_box(alpha, vals, cnts, ms, m, pick)
         return m
 
@@ -186,15 +202,17 @@ def _make_draw(add_box, uniform):
 
 
 # ---------------------------------------------------------------------------
-# Backends: (draw loop, add-a-box helper, buffer factory, seed cast)
+# Backends: (draw loop, add-a-box helper, stream fill, buffer factory,
+# seed cast)
 # ---------------------------------------------------------------------------
 
 
 def _python_backend():
-    def buffers(n, dtype):
-        return [0] * n if dtype == "int" else [0.0] * n
+    def buffers(n):
+        return [0.0] * n
 
-    return _make_draw(add_box, _uniform), add_box, buffers, int
+    return (_make_draw(add_box, stream_uniforms), add_box, stream_uniforms,
+            buffers, int)
 
 
 def _numba_backend(numba):
@@ -208,20 +226,23 @@ def _numba_backend(numba):
     inv53 = INV53
 
     @njit
-    def uniform(seed, counter):
+    def fill(seed, n):
         # rng.stream_word in wrapping uint64 arithmetic
-        z = seed + (np.uint64(counter) + one) * gamma
-        z = (z ^ (z >> s30)) * m1
-        z = (z ^ (z >> s27)) * m2
-        z = z ^ (z >> s31)
-        return float(z >> s11) * inv53
+        us = np.empty(n, np.float64)
+        for c in range(n):
+            z = seed + (np.uint64(c) + one) * gamma
+            z = (z ^ (z >> s30)) * m1
+            z = (z ^ (z >> s27)) * m2
+            z = z ^ (z >> s31)
+            us[c] = float(z >> s11) * inv53
+        return us
 
     compiled_add_box = njit(add_box)
 
-    def buffers(n, dtype):
-        return np.zeros(n, dtype=np.int64 if dtype == "int" else np.float64)
+    def buffers(n):
+        return np.zeros(n)
 
-    return (njit(_make_draw(compiled_add_box, uniform)), compiled_add_box,
+    return (njit(_make_draw(compiled_add_box, fill)), compiled_add_box, fill,
             buffers, np.uint64)
 
 
@@ -232,7 +253,7 @@ except ImportError:
     _numba = None
 HAVE_NUMBA = _numba is not None
 BACKEND = "numba" if HAVE_NUMBA else "python"
-_draw, _add_box, _buffers, _cast = (
+_draw, _add_box, _fill, _buffers, _cast = (
     _numba_backend(_numba) if HAVE_NUMBA else _python_backend())
 
 
@@ -263,9 +284,9 @@ def empty_state(d: int):
     """The state (m, total, vals, cnts, ms) of the empty diagram, on new
     buffers of the backend with room for every state of size <= d."""
     cap = state_capacity(d)
-    ms = _buffers(cap + 1, "float")
+    ms = _buffers(cap + 1)
     ms[0] = 1.0
-    return 0, 1.0, _buffers(cap, "int"), _buffers(cap, "int"), ms
+    return 0, 1.0, _buffers(cap), _buffers(cap), ms
 
 
 def child_state(state, alpha: float, pick: int):

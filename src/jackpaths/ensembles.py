@@ -109,8 +109,11 @@ def totally_positive_spec(a, c) -> Specialization:
 
 def _principal_form(v: Specialization):
     """Detect v_k = v1 * c^{k-1}: returns (v1, c) or None.  Plancherel is
-    the c = 0 case.  Only geometric tails within k <= 80 count.  Each v_k
-    is read once and checked against N/D = v1 c^{k-1} in ints."""
+    the c = 0 case.  A rule that carries its form is read from it; any
+    other is probed, and only geometric tails within k <= 80 count.  Each
+    v_k is read once and checked against N/D = v1 c^{k-1} in ints."""
+    if v.form is not None:
+        return v.form if v.form[0] else None
     v1 = v(1)
     if v1 == 0:
         return None

@@ -361,13 +361,17 @@ def ns_apply(ell: int, f: PowerSumPoly, alpha) -> PowerSumPoly:
 
 
 class Specialization:
-    """Unital algebra homomorphism determined by the values rho(p_k)."""
+    """Unital algebra homomorphism determined by the values rho(p_k).  A
+    geometric rule v_k = u * c^(k-1) made by :meth:`principal` or
+    :meth:`plancherel` carries its ``form`` (u, c); any other rule has form
+    None."""
 
-    __slots__ = ("rule", "label")
+    __slots__ = ("rule", "label", "form")
 
-    def __init__(self, rule, label="custom"):
+    def __init__(self, rule, label="custom", form=None):
         self.rule = rule
         self.label = label
+        self.form = form
 
     @staticmethod
     def of(v) -> "Specialization":
@@ -391,14 +395,15 @@ class Specialization:
     def plancherel(u):
         u = Fraction(u)
         return Specialization(lambda k: u if k == 1 else Fraction(0),
-                              f"plancherel({format_rational(u)})")
+                              f"plancherel({format_rational(u)})", (u, Fraction(0)))
 
     @staticmethod
     def principal(u, c):
         """rho(p_k) = u * c^{k-1} (geometric in k)."""
         u, c = Fraction(u), Fraction(c)
         return Specialization(lambda k: u * c ** (k - 1),
-                              f"principal({format_rational(u)},{format_rational(c)})")
+                              f"principal({format_rational(u)},{format_rational(c)})",
+                              (u, c))
 
     def __call__(self, k: int) -> Fraction:
         x = self.rule(_int_arg(k, "k", 1))

@@ -64,21 +64,35 @@ class Excursion(Frozen):
 
 
 def _walk_heights(length, step_choices, height_cap):
-    """Yield the height sequences of excursions with the given step menu."""
-
-    def rec(prefix, y, remaining):
-        if remaining == 0:
-            if y == 0:
-                yield tuple(prefix)
-            return
-        if y == 0 and remaining == 1:
-            return  # cannot move: horizontal at height 0 is banned
-        for k in step_choices(y, remaining, height_cap):
-            prefix.append(y + k)
-            yield from rec(prefix, y + k, remaining - 1)
+    """Yield the height sequences of excursions with the given step menu,
+    depth first in menu order.  The walk keeps one stack of open menus,
+    one per height of the current prefix, in place of recursion, and asks
+    for each (height, steps left) menu once."""
+    if length < 2:  # the empty excursion; one step cannot return to 0
+        if length == 0:
+            yield (0,)
+        return
+    table = {}
+    prefix = [0]
+    menus = [iter(tuple(step_choices(0, length, height_cap)))]
+    while menus:
+        for k in menus[-1]:
+            y = prefix[-1] + k
+            remaining = length - len(prefix)  # steps left after this one
+            if remaining == 0:
+                if y == 0:
+                    yield (*prefix, 0)
+            elif y or remaining > 1:  # horizontal at height 0 is banned
+                menu = table.get((y, remaining))
+                if menu is None:
+                    menu = table[y, remaining] = tuple(
+                        step_choices(y, remaining, height_cap))
+                prefix.append(y)
+                menus.append(iter(menu))
+                break
+        else:
+            menus.pop()
             prefix.pop()
-
-    yield from rec([0], 0, length)
 
 
 def _enumerate_heights(length, step_choices, height_cap):

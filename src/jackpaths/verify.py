@@ -17,7 +17,7 @@ from .ensembles import (CharacterMeasure, ConditionalJackThoma, JackPlancherel,
                         ScaledObservable, _boolean_growth_constant, _poisson_tail,
                         _truncation_degree)
 from .exactnum import _int_arg, _positive_arg, sqrt_ext
-from .jack import hall_inner, jack_basis, ns_apply
+from .jack import Specialization, hall_inner, jack_basis, ns_apply
 from .limitshape import (bessel_j, bessel_order_zeros,
                          functional_equation_check, moment_consistency)
 from .partitions import Partition, j_alpha, partitions_of
@@ -110,7 +110,6 @@ def suite_normalization(dmax: int = 8):
     """Criterion 1: every ensemble variant sums to exactly 1 on each Y_d
     (for the measures on all partitions: their sector masses are exact)."""
     from .ensembles import JackMeasure, ThomaPoint, thoma_specialization
-    from .jack import Specialization
 
     dmax = _int_arg(dmax, "dmax", 1)
     v = [Fraction(1), Fraction(1, 2), Fraction(1, 3)]
@@ -177,12 +176,12 @@ def suite_eigenrelation():
 
 ORACLE_PARAMETER_SETS = (
     # (alpha, u, v-rule, label); all have U = u^2 v_1 / alpha <= 4 and
-    # certified-positive masses (Plancherel and integer-ratio principal)
-    (Fraction(1), Fraction(1), lambda k: Fraction(1) if k == 1 else Fraction(0),
-     "plancherel U=1"),
-    (Fraction(2), Fraction(2), lambda k: Fraction(1, 2) ** (k - 1),
+    # certified-positive masses (Plancherel and integer-ratio principal).
+    # The rules carry their principal form, so no ensemble probes them
+    (Fraction(1), Fraction(1), Specialization.plancherel(1), "plancherel U=1"),
+    (Fraction(2), Fraction(2), Specialization.principal(1, Fraction(1, 2)),
      "principal c=1/2 U=2"),
-    (Fraction(1, 2), Fraction(1), lambda k: Fraction(1, 3) ** (k - 1),
+    (Fraction(1, 2), Fraction(1), Specialization.principal(1, Fraction(1, 3)),
      "principal c=1/3 U=2"),
 )
 

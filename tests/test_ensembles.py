@@ -549,6 +549,31 @@ def test_principal_form_reads_each_term_once():
     assert calls == list(range(1, 81))
 
 
+def test_a_declared_rule_prices_as_its_lambda():
+    # the oracle's rules carry their form; probed as plain lambdas they must
+    # give the same form, masses and support walk
+    from jackpaths.verify import ORACLE_PARAMETER_SETS
+
+    lambdas = (lambda k: Fraction(1) if k == 1 else Fraction(0),
+               lambda k: Fraction(1, 2) ** (k - 1),
+               lambda k: Fraction(1, 3) ** (k - 1))
+    for (alpha, u, declared, _), rule in zip(ORACLE_PARAMETER_SETS, lambdas,
+                                             strict=True):
+        probed = Specialization.of(rule)
+        assert declared.form is not None and probed.form is None
+        form = _principal_form(declared)
+        assert form is not None and form == _principal_form(probed)
+        ens, ref = (JackThoma(alpha, u, v, check_positivity=False)
+                    for v in (declared, probed))
+        assert all(ens.rational_mass(lam) == ref.rational_mass(lam)
+                   for d in range(7) for lam in partitions_of(d))
+        assert list(ens._walk(12)) == list(ref._walk(12))
+    # a zero first term has no principal form, declared or probed
+    for v in (Specialization.plancherel(0), Specialization.principal(0, 3)):
+        assert _principal_form(v) is None
+        assert _principal_form(Specialization.of(v.rule)) is None
+
+
 def _tail_grid_lines():
     lines = []
     for U in (Fraction(1, 3), Fraction(1), Fraction(2), Fraction(7, 2), Fraction(4),

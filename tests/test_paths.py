@@ -44,6 +44,34 @@ def test_lukasiewicz_counts_against_dp_oracle():
     assert len(enumerate_lukasiewicz(3)) == 2
 
 
+def _recursive_walk_heights(length, step_choices, height_cap):
+    """The walk by recursive generators, as a reference for the stack walk."""
+
+    def rec(prefix, y, remaining):
+        if remaining == 0:
+            if y == 0:
+                yield tuple(prefix)
+            return
+        if y == 0 and remaining == 1:
+            return
+        for k in step_choices(y, remaining, height_cap):
+            prefix.append(y + k)
+            yield from rec(prefix, y + k, remaining - 1)
+            prefix.pop()
+
+    yield from rec([0], 0, length)
+
+
+def test_stack_walk_yields_the_recursive_walk():
+    from jackpaths.paths import _luk_steps, _motzkin_steps, _walk_heights
+
+    for steps in (_luk_steps, _motzkin_steps):
+        for ell in range(11):
+            for cap in {ell, 2, 1}:
+                assert (list(_walk_heights(ell, steps, cap))
+                        == list(_recursive_walk_heights(ell, steps, cap))), (steps, ell, cap)
+
+
 def test_motzkin_counts():
     assert len(enumerate_motzkin(2)) == 1
     assert len(enumerate_motzkin(3)) == 1

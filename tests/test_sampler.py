@@ -149,8 +149,9 @@ def test_corner_masses_match_the_ordered_ratio_oracle():
 
 def _bind(monkeypatch, backend):
     """Make the kernel's module-level bindings those of ``backend``, a
-    (draw, add_box, buffers, cast) tuple, for the rest of the test."""
-    for name, value in zip(("_draw", "_add_box", "_buffers", "_cast"), backend):
+    (draw, add_box, fill, buffers, cast) tuple, for the rest of the test."""
+    for name, value in zip(("_draw", "_add_box", "_fill", "_buffers", "_cast"),
+                           backend):
         monkeypatch.setattr(kernels, name, value)
 
 
@@ -172,9 +173,9 @@ def _spied_draw(d, alpha, seed, check):
         return m, total
 
     cap = kernels.state_capacity(d)
-    draw = kernels._make_draw(spy, kernels._uniform)
-    return draw(d, alpha, seed, kernels._buffers(cap, "int"),
-                kernels._buffers(cap, "int"), kernels._buffers(cap + 1, "float"))
+    draw = kernels._make_draw(spy, kernels._fill)
+    return draw(d, alpha, seed, kernels._buffers(cap), kernels._buffers(cap),
+                kernels._buffers(cap + 1))
 
 
 def test_every_box_of_a_draw_matches_the_ordered_ratio_oracle(monkeypatch):
@@ -210,7 +211,7 @@ def _draw_matches_law(d, alpha, seed):
     """Whether the corner masses that the draw loop ends with match the
     exact one-step law at the state it ends in."""
     m, vals, cnts, ms = kernels._draw_state(d, float(alpha), seed)
-    lam = Partition([vals[k] for k in range(m) for _ in range(cnts[k])])
+    lam = Partition([int(vals[k]) for k in range(m) for _ in range(int(cnts[k]))])
     assert lam.size() == d
     law = growth_transitions(lam, alpha)
     total = sum(ms[:m + 1])
@@ -238,6 +239,41 @@ def test_kernel_masses_match_law_along_a_long_draw():
 def test_draw_masses_match_law_at_the_end_of_a_large_draw():
     # the benchmark's largest configuration: 6400 ratio updates in a row
     assert _draw_matches_law(6400, Fraction(1, 400), 20260809)
+
+
+KERNEL_CHECK_GRID = ([(d, alpha) for d in (400, 1600, 6400)
+                      for alpha in (Fraction(1, 400), Fraction(1, 100))]
+                     + [(d, alpha) for d in (400, 1600)
+                        for alpha in (Fraction(1), Fraction(3))])
+
+
+def test_kernel_matches_the_law_at_the_states_its_draws_visit():
+    # each draw is replayed box by box through the add-a-box helper with the
+    # draw's own words and search, and must end where the draw does, so the
+    # states checked (every 200th and the last) are the draw's own
+    for d, alpha in KERNEL_CHECK_GRID:
+        x = float(alpha)
+        m, total, vals, cnts, ms = kernels.empty_state(d)
+        m, total = kernels._add_box(x, vals, cnts, ms, m, 0)
+        for n, u in enumerate(kernels._fill(kernels._cast(11), d - 1), start=2):
+            target = u * total
+            acc = 0.0
+            pick = m
+            for i in range(m + 1):
+                acc += ms[i]
+                if target < acc:
+                    pick = i
+                    break
+            m, total = kernels._add_box(x, vals, cnts, ms, m, pick)
+            if n % 200 and n < d:
+                continue
+            parts = [int(vals[k]) for k in range(m) for _ in range(int(cnts[k]))]
+            law = growth_transitions(Partition(parts), alpha)
+            masses = kernels.state_masses((m, total, vals, cnts, ms))
+            assert len(masses) == len(law), (d, alpha, n)
+            assert all(abs(f - mass) <= sampler.KERNEL_REL_TOL * mass
+                       for f, (_, mass) in zip(masses[::-1], law)), (d, alpha, n)
+        assert parts == kernels.growth_draw_parts(d, x, 11), (d, alpha)
 
 
 def test_validate_growth_catches_a_wrong_kernel_mass(monkeypatch):
@@ -379,15 +415,33 @@ def test_numba_backend_code_under_a_stand_in_jit(monkeypatch):
             _bind(monkeypatch, numba_code)
             assert kernels.growth_draw_parts(d, alpha, seed) == want
         # the last draw reaches a split and a removal
-        _, add_box, buffers, _ = python
+        _, add_box, fill, buffers, _ = python
         cases = set()
-        draw = kernels._make_draw(_spy_cases(add_box, cases), kernels._uniform)
+        draw = kernels._make_draw(_spy_cases(add_box, cases), fill)
         cap = kernels.state_capacity(300)
-        draw(300, 1.0, 3, buffers(cap, "int"), buffers(cap, "int"),
-             buffers(cap + 1, "float"))
+        draw(300, 1.0, 3, buffers(cap), buffers(cap), buffers(cap + 1))
         assert {"split", "remove"} <= cases
         # bound to the numba code, the masses that validation checks are its
         assert corner_masses([3, 1, 1], 1 / 3) == python_masses
+
+
+@pytest.mark.parametrize("backend", ["python", "numba code under a stand-in jit"])
+def test_the_fill_is_the_stream(backend):
+    # a draw's uniforms, filled at once, are words 0, 1, ... of its seed's
+    # stream in SplitMix64's 53-bit form, on both backends' code
+    if backend == "python":
+        _, _, fill, _, cast = kernels._python_backend()
+        errstate = None
+    else:
+        np = pytest.importorskip("numpy")
+        _, _, fill, _, cast = kernels._numba_backend(
+            types.SimpleNamespace(njit=lambda cache: (lambda func: func)))
+        errstate = np.errstate(over="ignore")  # the wrapping uint64 stream
+    with errstate or contextlib.nullcontext():
+        for seed in (5, 2 ** 63 + 5):
+            for n in (0, 1, 300):
+                want = [(stream_word(seed, c) >> 11) * 2 ** -53 for c in range(n)]
+                assert [float(u) for u in fill(cast(seed), n)] == want, (seed, n)
 
 
 GROWTH_PIN_GRID = [(d, alpha, seed) for d in (1, 7, 60, 400, 1600)
@@ -402,9 +456,9 @@ def test_growth_draws_are_pinned(backend, monkeypatch):
     # rewrite of add_box must give these bytes on both backends' code
     cases = set()
     if backend == "python":
-        draw, add_box, buffers, cast = kernels._python_backend()
-        draw = kernels._make_draw(_spy_cases(add_box, cases), kernels._uniform)
-        _bind(monkeypatch, (draw, add_box, buffers, cast))
+        draw, add_box, fill, buffers, cast = kernels._python_backend()
+        draw = kernels._make_draw(_spy_cases(add_box, cases), fill)
+        _bind(monkeypatch, (draw, add_box, fill, buffers, cast))
         errstate = None
     else:
         np = pytest.importorskip("numpy")
