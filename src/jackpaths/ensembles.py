@@ -702,25 +702,20 @@ def poisson_expectation(alpha, u, v, observable, tail_eps,
         C, r = Fraction(growth_bound[0]), _int_arg(growth_bound[1], "growth_bound", 0)
     D = _truncation_degree(U, C, r, tail_eps)
     if isinstance(observable, ScaledObservable):
-        # int values over the masses' common denominator M
-        walk, value = list(ensemble._walk(D)), observable.num
-        M = math.lcm(*(m_den for _, _, m_den in walk))
-        num = sum(m_num * (M // m_den) * value(parts) for parts, m_num, m_den in walk)
-        total = Fraction(num, M * observable.den)
+        value, scale = observable.num, observable.den
     else:
-        # the products summed in ints over a common denominator M, raised to
-        # the lcm only when a term's denominator does not divide it
-        num, M = 0, 1
-        for parts, m_num, m_den in ensemble._walk(D):
-            ob = observable(Partition._of(parts))
-            if not isinstance(ob, (int, Fraction)):
-                ob = Fraction(ob)
-            den = m_den * ob.denominator
-            if M % den:
-                L = math.lcm(M, den)
-                num, M = num * (L // M), L
-            num += m_num * ob.numerator * (M // den)
-        total = Fraction(num, M)
+        value, scale = lambda p: Fraction(observable(Partition._of(p))), 1
+    # the products summed in ints over a common denominator M, raised to the
+    # lcm only when a term's denominator does not divide it
+    num, M = 0, 1
+    for parts, m_num, m_den in ensemble._walk(D):
+        ob = value(parts)
+        den = m_den * ob.denominator
+        if M % den:
+            L = math.lcm(M, den)
+            num, M = num * (L // M), L
+        num += m_num * ob.numerator * (M // den)
+    total = Fraction(num, M * scale)
     bound, margin = _poisson_tail(U, D, C, r)
     return PoissonInterval(total, bound, margin, U, D)
 

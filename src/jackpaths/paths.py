@@ -612,12 +612,11 @@ def moment_duality_check(ell: int) -> bool:
 # Ribbon sums by one transfer
 # ---------------------------------------------------------------------------
 
-# Largest total site length the ribbon transfer takes.  Measured on 2 vCPUs
-# with Python 3.11.7, at alpha = 2, u = 3 and v_k = 1/k: at total 30 the
-# slowest call found, the one-site moment of (30,), takes 1.7 s, the
-# two-site moment of (15, 15) 1.2 s and a 12-site cumulant (six 3s and six
-# 2s, v = (1, 1/3, 1/7, 2/5)) 0.3 s; at total 40 the one-site moment takes
-# 25 s.
+# Largest total site length the ribbon transfer takes, with each site weighed
+# at its first return.  Medians of five on 2 vCPUs, Python 3.11.7, alpha = 2,
+# u = 3, v_k = 1/k: at total 30 the one-site moment of (30,) takes 0.73 s, the
+# two-site moment of (15, 15) 0.65 s and a 12-site cumulant (six 3s and six
+# 2s, v = (1, 1/3, 1/7, 2/5)) 0.23 s; at total 40 (one run) (40,) takes 7 s.
 RIBBON_DP_LIMIT = 30
 
 
@@ -629,18 +628,25 @@ def _ribbon_transfer(lengths, a, b, v, by_returns=False, d=None) -> Fraction:
     step of degree n >= 2 opens, a degree-1 down opens or stays unpaired,
     and an up step of degree n stays unpaired (weight v_n) or closes one of
     the c_n open downs of its degree (weight c_n*n*b).  A horizontal step at
-    height i weighs i*a.  The state is (height, sorted open degrees, returns
-    to zero in the current site, unpaired downs so far).
+    height i weighs i*a.  With ``d`` set, the j-th unpaired down weighs
+    (d - j + 1)*b: the falling factorial of the fixed-size formula.  The
+    state is (height, sorted open degrees, whether the site has returned to
+    zero yet, unpaired downs so far).
 
-    At each site's end the height is 0, and the site's return count z gives
-    its weight 1/z (``by_returns``) or its filter z = 1.  With ``d`` set,
-    the j-th unpaired down weighs (d - j + 1)*b: the falling factorial of
-    the fixed-size formula.
+    A site of length l that returns to zero z times weighs 1/z
+    (``by_returns``) or is kept only if z = 1; the transfer weighs it t/l,
+    t the step of its first return (l under the filter).  That gives the
+    same sums, not the same ribbons: cut at its returns, a site is pieces
+    of lengths n_1..n_z, the sum over the ribbons with those pieces does
+    not depend on their order (an expectation of a product of Boolean
+    cumulants; the falling factorial reads only how many downs are
+    unpaired), and over the z rotations n_1/l adds up to 1, as 1/z does
+    (the cycle lemma; A. Dvoretzky and Th. Motzkin, 1947).
 
     The potential y + sum(n + 1 over open downs n) falls by at most one per
     step and must reach 0, so a state whose potential exceeds the steps left
     is pruned.  Values are integers over the common denominator D of a, b
-    and the v_n, with one factor of D per step."""
+    and the v_n, with one factor of D per step and one of l per site."""
     total = sum(lengths)
     if total > RIBBON_DP_LIMIT:
         raise ValueError(f"total length {total} exceeds the ribbon limit "
@@ -650,13 +656,15 @@ def _ribbon_transfer(lengths, a, b, v, by_returns=False, d=None) -> Fraction:
     A, B, *V = (w.numerator * (D // w.denominator) for w in weights)
     V.insert(0, 0)  # V[n] is v_n over D
     den = D ** total
-    states = {(0, (), 0, 0): 1}
+    states = {(0, (), False, 0): 1}
     left = total
     for length in lengths:
+        den *= length
         for s in range(length - 1, -1, -1):  # steps left in the site after this
             left -= 1
             nxt = {}
-            for (y, opens, z, k), w in states.items():
+            for (y, opens, returned, k), w in states.items():
+                returned = returned and s < length - 1  # reset at a site start
                 phi = y + sum(opens) + len(opens)
                 moves = []  # (height, opens, unpaired downs, factor)
                 # the last step of a site lands on 0: a down of degree y
@@ -681,16 +689,11 @@ def _ribbon_transfer(lengths, a, b, v, by_returns=False, d=None) -> Fraction:
                 for y2, opens2, k2, factor in moves:
                     if not y2 and s and (s == 1 or not by_returns):
                         continue  # stuck at 0, or a return the filter forbids
-                    key = (y2, opens2, z + (not y2), k2)
+                    if not (y2 or returned):
+                        factor *= length - s  # the step of the site's first return
+                    key = (y2, opens2, returned or not y2, k2)
                     nxt[key] = nxt.get(key, 0) + w * factor
             states = nxt
-        merged = {}
-        L = lcm(*range(1, length + 1)) if by_returns else 1
-        for (_, opens, z, k), w in states.items():
-            key = (0, opens, 0, k)
-            merged[key] = merged.get(key, 0) + w * (L // z)
-        states = merged
-        den *= L
     return Fraction(sum(w for (_, opens, _, _), w in states.items()
                         if not opens), den)
 
@@ -791,15 +794,15 @@ def afp_mean(ell: int, g, gp, v, vp):
 
 
 def _vkl_lookup(vkl, x: int, y: int):
-    """Second-cumulant table with the boundary conventions: (-1|-1) = -1,
-    any slot containing 1 or a single -1 vanishes."""
+    """Second-cumulant table, a callable or a dict, with the boundary
+    conventions: (-1|-1) = -1, any slot containing 1 or a single -1 vanishes."""
     if x == -1 and y == -1:
         return Fraction(-1)
     if x == -1 or y == -1 or x == 1 or y == 1:
         return Fraction(0)
     if callable(vkl):
         return Fraction(vkl(x, y))
-    return Fraction(dict(vkl).get((x, y), dict(vkl).get((y, x), 0)))
+    return Fraction(vkl.get((x, y), vkl.get((y, x), 0)))
 
 
 def _marked_site_sums(ell: int, g, v) -> dict:
@@ -836,6 +839,7 @@ def afp_cov(k: int, l: int, g, v, vkl):
     v = Specialization.of(v)
     if v(1) != 1:
         raise ValueError("afp formulas require v_1 = 1")
+    vkl = vkl if callable(vkl) or isinstance(vkl, dict) else dict(vkl)
     total, second = _pairing_sums(k, l, g, v)
     first = second if k == l else _marked_site_sums(k, g, v)
     for c1, s1 in first.items():

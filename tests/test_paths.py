@@ -475,22 +475,24 @@ def _enumerated_finite(lengths, alpha, u, v, by_returns=False,
     return total
 
 
-def _enumerated_cov(k, l, g, v, vkl=None):
+@cache
+def _enumerated_cov_terms(k, l, g, v):
     """The literal two-site sums behind clt_cov/afp_cov, before the
-    prefactor: connected ribbons with one pairing (weight n per pairing),
-    plus, with ``vkl``, the ribbons without pairings summed over every
-    pair of non-horizontal steps on the two sites (class -1 for a down,
-    the degree for an up, whose v factor is dropped)."""
+    prefactor and the vkl table: the connected ribbons with one pairing
+    (weight n per pairing), and the ribbons without pairings summed over
+    every pair of non-horizontal steps on the two sites, by the pair's
+    classes (-1 for a down, the degree for an up, whose v factor is
+    dropped), at v_1 = 1."""
     from jackpaths.jack import Specialization
-    from jackpaths.paths import _all_ribbons, _info_of, _vkl_lookup
+    from jackpaths.paths import _all_ribbons, _info_of
 
     v = Specialization.of(v)
-    total = Fraction(0)
+    paired, by_class = Fraction(0), {}
     for rp in _all_ribbons((k, l)):
         if len(rp.pairings) > 1 or (rp.pairings and not is_pi_connected(rp)):
             continue
-        if not rp.pairings and vkl is None:
-            continue
+        if not rp.pairings and v(1) != 1:
+            continue  # only afp_cov reads the class sums, and only at v_1 = 1
         stats = ribbon_stats(rp)
         base = Fraction(1, stats["s0_per_site"][0] * stats["s0_per_site"][1])
         for i, cnt in stats["horizontal_by_height"].items():
@@ -500,7 +502,7 @@ def _enumerated_cov(k, l, g, v, vkl=None):
             (n, _), = stats["pair_by_degree"].items()
             for m, cnt in ups.items():
                 base *= v(m) ** cnt
-            total += n * base
+            paired += n * base
             continue
         info = _info_of(rp.sites)
         classes = [[], []]
@@ -510,11 +512,23 @@ def _enumerated_cov(k, l, g, v, vkl=None):
                 classes[info.site_of[pos]].append(-1 if deg < 0 else deg)
         for c1 in classes[0]:
             for c2 in classes[1]:
-                term = _vkl_lookup(vkl, c1, c2) * base
+                term = base
                 for m, cnt in ups.items():
                     term *= v(m) ** (cnt - (c1 == m) - (c2 == m))
-                total += term
-    return total
+                by_class[c1, c2] = by_class.get((c1, c2), 0) + term
+    return paired, by_class
+
+
+def _enumerated_cov(k, l, g, v, vkl=None):
+    """The one-pairing sum of :func:`_enumerated_cov_terms`, plus, with
+    ``vkl``, its zero-pairing sums weighted by the table."""
+    from jackpaths.paths import _vkl_lookup
+
+    paired, by_class = _enumerated_cov_terms(k, l, g, tuple(v))
+    if vkl is None:
+        return paired
+    return paired + sum(_vkl_lookup(vkl, c1, c2) * s
+                        for (c1, c2), s in by_class.items())
 
 
 FINITE_SETS = ((Fraction(2), Fraction(3), [1, Fraction(1, 2), Fraction(-1, 3)]),
@@ -538,6 +552,37 @@ def test_finite_formulas_match_enumeration():
                         _enumerated_finite(lengths, alpha, u, v, d=6))
                 assert got == want, (lengths, alpha)
                 assert all(type(x) is Fraction for x in got)
+
+
+FINITE_PIN_SHAPES = ((2,), (5,), (9,), (14,), (3, 3), (4, 2, 2), (6, 4),
+                     (5, 5, 3), (2, 2, 2, 2, 2), (8, 8))
+FINITE_PIN_POINTS = ((Fraction(2), 3, [1, Fraction(1, 2)]),
+                     (Fraction(1, 2), 2, [1, 0, Fraction(1, 3)]),
+                     (Fraction(3, 2), 3, [1, Fraction(-1, 2), Fraction(1, 4),
+                                          Fraction(1, 7)]))
+
+
+def test_finite_formula_grid_is_pinned():
+    """The finite expectations, moments and cumulants, the depoissonized
+    expectations and the 1/|S^0|-weighted transfer at a fixed size d (which
+    no public formula reads) digest to the values of the transfer that
+    carried each site's return count."""
+    from jackpaths.paths import _ribbon_transfer
+
+    lines = []
+    for lengths in FINITE_PIN_SHAPES:
+        for alpha, u, v in FINITE_PIN_POINTS:
+            a, b = (alpha - 1) / u, alpha / u ** 2
+            vals = [f(lengths, alpha, u, v) for f in
+                    (finite_expectation, finite_moment_s, finite_cumulant_s)]
+            vals += [depoissonized_expectation(lengths, d, alpha, u, v)
+                     for d in (3, 9, 16)]
+            vals += [_ribbon_transfer(lengths, a, b, Specialization.of(v), True, d)
+                     for d in (5, 12)]
+            lines += [f"{lengths} {alpha} {x}" for x in vals]
+    assert len(lines) == 240
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "4784115d849374d617fb80bfbeaa9402890aba25f0511bcee3042e1082f2ec16")
 
 
 def test_covariances_match_enumeration():
