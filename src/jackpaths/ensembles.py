@@ -13,10 +13,10 @@ from operator import mul
 
 from ._records import Frozen, Record
 from .exactnum import (SqrtExt, _int_arg, _positive_arg, alpha_half_power,
-                       parse_rational, sqrt_ext)
+                       parse_rational, sqrt_exact)
 from .jack import Specialization, _factorial, _theta_rows, jack_basis
-from .partitions import (Partition, _cleared_content, content_product, j_alpha,
-                         partitions_of)
+from .partitions import (Partition, _cleared_content, _content_ints, _hook_pairs,
+                         content_product, j_alpha, partitions_of)
 from .series import joint_cumulant
 
 
@@ -184,10 +184,13 @@ def _is_negative(value) -> bool:
 def _conditioned_principal(lam: Partition, alpha: Fraction, ratio) -> Fraction:
     """The mass alpha^d d! J_lam(p_k -> ratio^{k-1}) / j_lam, d = |lam|, of the
     principal Jack-Thoma measure of v_k = ratio^{k-1} conditioned on size d
-    (:func:`content_product` is 1 at ratio 0)."""
-    d = lam.size()
-    return (alpha ** d * _factorial(d) * content_product(lam, alpha, 1, ratio)
-            / j_alpha(lam, alpha))
+    (:func:`content_product` is 1 at ratio 0).  With alpha = a/q, j_lam is
+    H / q^(2d) for the hook product H and J_lam is C / L^d for the cleared
+    content product C, so the mass is one Fraction a^d q^d d! C / (L^d H)."""
+    parts, a, q = lam.parts, alpha.numerator, alpha.denominator
+    d = sum(parts)
+    C, L = _content_ints(parts, alpha, 1, ratio) if ratio else (1, 1)
+    return Fraction((a * q) ** d * _factorial(d) * C, L ** d * _hook_pairs(parts, a, q))
 
 
 class JackPlancherel(Ensemble):
@@ -251,25 +254,38 @@ class CharacterMeasure(Ensemble):
         exact in Q(sqrt(alpha)) (chi's values are rational or in
         Q(sqrt(alpha))).  chi is cleared once to the ints x_mu, y_mu over one
         denominator D; a mass is two integer dot products of x and y with
-        lam's integer row of :func:`jack._theta_rows`, over its lead and D."""
+        lam's integer row of :func:`jack._theta_rows`, over its lead and D.
+        With alpha = a/q and lam's hook product H (j_lam = H / q^(2d)), each
+        part of a mass is one Fraction a^d q^d d! x / (H lead D); whether
+        alpha is a square is decided once."""
         alpha, d = self.alpha, self.d
-        split = []  # per mu: the parts over 1 and over sqrt(alpha)
+        a, q = alpha.numerator, alpha.denominator
+        split = []  # per mu: ints (x, y, den), the parts over 1 and over sqrt(alpha)
         for mu, c in self.chi.items():
             if isinstance(c, SqrtExt) and c.alpha != alpha:
                 raise ValueError("character value from another extension")
             ca, cb = (c.a, c.b) if isinstance(c, SqrtExt) else (Fraction(c), 0)
-            # alpha^{-w/2} is h for even w and h * sqrt(alpha) for odd w
+            # alpha^{-w/2} is (q/a)^k for w = 2k and (q/a)^k sqrt(alpha) for w = 2k - 1
             w = mu.weight()
-            h = alpha ** -((w + 1) // 2)
-            split.append((cb * alpha * h, ca * h) if w % 2 else (ca * h, cb * h))
-        D = math.lcm(*(z.denominator for xy in split for z in xy))
-        xs, ys = ([z.numerator * (D // z.denominator) for z in zs] for zs in zip(*split))
-        top, solution = alpha ** d * _factorial(d), {}
-        rows = _theta_rows(d, alpha.numerator, alpha.denominator)
-        for lam, theta in zip(partitions_of(d), rows):
+            k = (w + 1) // 2
+            s, t = ca.numerator * cb.denominator * q ** k, cb.numerator * ca.denominator
+            den = ca.denominator * cb.denominator * a ** k
+            split.append((t * a * q ** (k - 1), s, den) if w % 2 else (s, t * q ** k, den))
+        D = math.lcm(*(den for _, _, den in split))
+        xs = [x * (D // den) for x, _, den in split]
+        ys = [y * (D // den) for _, y, den in split]
+        top, root, solution = (a * q) ** d * _factorial(d), sqrt_exact(alpha), {}
+        for lam, theta in zip(partitions_of(d), _theta_rows(d, a, q)):
             x, y = sum(map(mul, theta, xs)), sum(map(mul, theta, ys))
-            pref = top / (j_alpha(lam, alpha) * theta[0] * D)
-            solution[lam] = sqrt_ext(pref * x, pref * y, alpha)
+            den = _hook_pairs(lam.parts, a, q) * theta[0] * D
+            if root is not None:  # alpha = root^2, so the mass is rational
+                solution[lam] = Fraction(top * (x * root.denominator + y * root.numerator),
+                                         den * root.denominator)
+            elif y:
+                solution[lam] = SqrtExt._of(Fraction(top * x, den), Fraction(top * y, den),
+                                            alpha)
+            else:
+                solution[lam] = Fraction(top * x, den)
         return solution
 
     def mass(self, lam: Partition):
@@ -459,9 +475,19 @@ def character_measure(alpha, d: int, chi) -> dict:
 
 
 def conditional_thoma_character(v, d: int) -> dict:
-    """The multiplicative table chi(mu) = prod v_{mu_i} on partitions of d."""
-    v = Specialization.of(v)
-    return {mu: v.on_partition(mu) for mu in partitions_of(_int_arg(d, "d", 0))}
+    """The multiplicative table chi(mu) = prod v_{mu_i} on partitions of d,
+    each value one Fraction of the products of the numerators and of the
+    denominators of v_1..v_d."""
+    v, d = Specialization.of(v), _int_arg(d, "d", 0)
+    vs = [v(k) for k in range(1, d + 1)]
+    table = {}
+    for mu in partitions_of(d):
+        num = den = 1
+        for part in mu.parts:
+            num *= vs[part - 1].numerator
+            den *= vs[part - 1].denominator
+        table[mu] = Fraction(num, den)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -651,17 +677,20 @@ def _boolean_growth_constant(alpha, u, lengths) -> Fraction:
 TRUNCATION_CAP = 60
 
 
-def _truncation_degree(U: Fraction, C: Fraction, r: int, tail_eps) -> int:
-    """The first degree D = max(4, ceil(2U)), +2, +4, ... whose certified
-    tail bound (see :func:`_poisson_tail`) is at most tail_eps; raises
-    ArithmeticError once D passes ``TRUNCATION_CAP``."""
+def _truncation_degree(U: Fraction, C: Fraction, r: int, tail_eps):
+    """(D, bound, margin) for the first degree D = max(4, ceil(2U)), +2,
+    +4, ... whose certified tail bound (see :func:`_poisson_tail`) is at
+    most tail_eps, with that bound and its margin; raises ArithmeticError
+    once D passes ``TRUNCATION_CAP``."""
     D = max(4, int(math.ceil(2 * float(U))))
-    while _poisson_tail(U, D, C, r)[0] > tail_eps:
+    while True:
+        bound, margin = _poisson_tail(U, D, C, r)
+        if bound <= tail_eps:
+            return D, bound, margin
         D += 2
         if D > TRUNCATION_CAP:
             raise ArithmeticError(
                 f"tail target {tail_eps} unreachable below degree {TRUNCATION_CAP}")
-    return D
 
 
 class ScaledObservable(Record):
@@ -700,7 +729,7 @@ def poisson_expectation(alpha, u, v, observable, tail_eps,
         C, r = _boolean_growth_constant(alpha, u, lengths_hint), sum(lengths_hint)
     else:
         C, r = Fraction(growth_bound[0]), _int_arg(growth_bound[1], "growth_bound", 0)
-    D = _truncation_degree(U, C, r, tail_eps)
+    D, bound, margin = _truncation_degree(U, C, r, tail_eps)
     if isinstance(observable, ScaledObservable):
         value, scale = observable.num, observable.den
     else:
@@ -715,9 +744,7 @@ def poisson_expectation(alpha, u, v, observable, tail_eps,
             L = math.lcm(M, den)
             num, M = num * (L // M), L
         num += m_num * ob.numerator * (M // den)
-    total = Fraction(num, M * scale)
-    bound, margin = _poisson_tail(U, D, C, r)
-    return PoissonInterval(total, bound, margin, U, D)
+    return PoissonInterval(Fraction(num, M * scale), bound, margin, U, D)
 
 
 # ---------------------------------------------------------------------------

@@ -74,14 +74,26 @@ def sqrt_exact(q: Fraction):
 class SqrtExt:
     """Number a + b*sqrt(alpha) with a, b, alpha rational, alpha > 0 not a
     perfect square and b != 0 (those cases collapse to Fraction via
-    :func:`sqrt_ext`).  Supports field arithmetic and exact comparison."""
+    :func:`sqrt_ext`; the constructor refuses them).  Supports field
+    arithmetic and exact comparison.  Inside one extension a result is
+    built directly, with no new check of alpha: a Fraction when its sqrt
+    part is 0, else a SqrtExt that keeps the Fractions it is handed."""
 
     __slots__ = ("a", "b", "alpha")
 
     def __init__(self, a, b, alpha):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.alpha = Fraction(alpha)
+        a, b, alpha = Fraction(a), Fraction(b), Fraction(alpha)
+        if not b or alpha <= 0 or sqrt_exact(alpha) is not None:
+            raise ValueError(f"SqrtExt needs b != 0 and a positive non-square alpha, "
+                             f"got b = {b}, alpha = {alpha}; use sqrt_ext")
+        self.a, self.b, self.alpha = a, b, alpha
+
+    @classmethod
+    def _of(cls, a: Fraction, b: Fraction, alpha: Fraction):
+        """Wrap Fractions a, b != 0 and a non-square alpha > 0, unchecked."""
+        out = cls.__new__(cls)
+        out.a, out.b, out.alpha = a, b, alpha
+        return out
 
     # -- helpers ------------------------------------------------------
 
@@ -94,21 +106,13 @@ class SqrtExt:
             return Fraction(other), Fraction(0)
         return None
 
+    def _make(self, a: Fraction, b: Fraction):
+        """a + b*sqrt(alpha) in this extension: a when b = 0."""
+        return SqrtExt._of(a, b, self.alpha) if b else a
+
     def sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return -1 if a < 0 else (1 if a > 0 else 0)
-        if a == 0:
-            return -1 if b < 0 else 1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with b^2*alpha
-        lhs, rhs = a * a, b * b * self.alpha
-        if a > 0:  # b < 0
-            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-        return 1 if lhs < rhs else (-1 if lhs > rhs else 0)
+        alpha = self.alpha
+        return _ext_sign(self.a, self.b, alpha.numerator, alpha.denominator)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -116,18 +120,18 @@ class SqrtExt:
         co = self._coerce(other)
         if co is None:
             return NotImplemented
-        return sqrt_ext(self.a + co[0], self.b + co[1], self.alpha)
+        return self._make(self.a + co[0], self.b + co[1])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SqrtExt(-self.a, -self.b, self.alpha)
+        return SqrtExt._of(-self.a, -self.b, self.alpha)
 
     def __sub__(self, other):
         co = self._coerce(other)
         if co is None:
             return NotImplemented
-        return sqrt_ext(self.a - co[0], self.b - co[1], self.alpha)
+        return self._make(self.a - co[0], self.b - co[1])
 
     def __rsub__(self, other):
         return (-self) + other
@@ -137,16 +141,14 @@ class SqrtExt:
         if co is None:
             return NotImplemented
         c, d = co
-        return sqrt_ext(self.a * c + self.b * d * self.alpha,
-                        self.a * d + self.b * c, self.alpha)
+        return self._make(self.a * c + self.b * d * self.alpha, self.a * d + self.b * c)
 
     __rmul__ = __mul__
 
     def inverse(self):
+        # never 0: alpha is no square and b != 0
         den = self.a * self.a - self.b * self.b * self.alpha
-        if den == 0:
-            raise ZeroDivisionError("zero element of Q(sqrt(alpha))")
-        return sqrt_ext(self.a / den, -self.b / den, self.alpha)
+        return SqrtExt._of(self.a / den, -self.b / den, self.alpha)
 
     def __truediv__(self, other):
         co = self._coerce(other)
@@ -155,8 +157,8 @@ class SqrtExt:
         if co[1] == 0:
             if co[0] == 0:
                 raise ZeroDivisionError
-            return sqrt_ext(self.a / co[0], self.b / co[0], self.alpha)
-        return self * SqrtExt(co[0], co[1], self.alpha).inverse()
+            return SqrtExt._of(self.a / co[0], self.b / co[0], self.alpha)
+        return self * SqrtExt._of(co[0], co[1], self.alpha).inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -189,7 +191,8 @@ class SqrtExt:
         co = self._coerce(other)
         if co is None:
             raise TypeError(f"cannot compare SqrtExt with {type(other)!r}")
-        return sqrt_ext_sign(self.a - co[0], self.b - co[1], self.alpha)
+        alpha = self.alpha
+        return _ext_sign(self.a - co[0], self.b - co[1], alpha.numerator, alpha.denominator)
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -221,14 +224,19 @@ def sqrt_ext(a, b, alpha):
     root = sqrt_exact(alpha)
     if root is not None:
         return a + b * root
-    return SqrtExt(a, b, alpha)
+    return SqrtExt._of(a, b, alpha)
 
 
-def sqrt_ext_sign(a, b, alpha) -> int:
-    val = sqrt_ext(a, b, alpha)
-    if isinstance(val, Fraction):
-        return -1 if val < 0 else (1 if val > 0 else 0)
-    return val.sign()
+def _ext_sign(x, y, a: int, q: int) -> int:
+    """The sign of x + y sqrt(a/q) for rationals (or ints) x, y, where
+    a/q > 0 is no square whenever y != 0 (at y = 0 it is not read).  Where
+    x and y have opposite signs it is the sign of the larger square, x^2 q
+    against y^2 a, which are never equal."""
+    if not y:
+        return (x > 0) - (x < 0)
+    if (x >= 0) == (y > 0):
+        return 1 if y > 0 else -1
+    return (1 if x > 0 else -1) if x * x * q > y * y * a else (1 if y > 0 else -1)
 
 
 def alpha_half_power(alpha, k: int):

@@ -176,9 +176,11 @@ def j_alpha(p: Partition, alpha) -> Fraction:
     return Fraction(_hook_pairs(p.parts, alpha.numerator, q), q ** (2 * sum(p.parts)))
 
 
-def _hook_pairs(parts, a: int, q: int) -> int:
+@lru_cache(maxsize=None)
+def _hook_pairs(parts: tuple, a: int, q: int) -> int:
     """j_alpha times q^(2|parts|) for alpha = a/q: the integer product over
-    cells of (x + q)(x + a), x = a*arm + q*leg."""
+    cells of (x + q)(x + a), x = a*arm + q*leg.  Cached, so each (parts, a,
+    q) is built once per process."""
     cols = [0] * (parts[0] if parts else 0)
     for row in parts:
         for j in range(row):
@@ -195,21 +197,25 @@ def content_product(p: Partition, alpha, x, c):
     """J_p at the principal specialization p_k -> x c^{k-1}, by Stanley's
     alpha-content formula: the product over cells (i, j) of
     x + c (alpha (j-1) - (i-1)), for alpha, x and c ints or Fractions.
-    At c = 0 it is x^|p|, in the type of x; otherwise a Fraction.
-
-    Over L = lcm(den x, den c * den alpha) every factor is an integer, so
-    the product runs over ints and divides once."""
-    size = sum(p.parts)
+    At c = 0 it is x^|p|, in the type of x; otherwise a Fraction."""
     if not c:
-        return x ** size
+        return x ** sum(p.parts)
+    num, L = _content_ints(p.parts, alpha, x, c)
+    return Fraction(num, L ** sum(p.parts))
+
+
+def _content_ints(parts: tuple, alpha, x, c):
+    """(C, L) with the content product of :func:`content_product` equal to
+    C / L^|parts|: over L = lcm(den x, den c * den alpha) every cell factor
+    is an integer, so the product runs over ints."""
     a, q = alpha.numerator, alpha.denominator
     L, base, scale = _cleared_content(alpha, x, c)
     num = 1
-    for i, row in enumerate(p.parts):
+    for i, row in enumerate(parts):
         start = base - scale * q * i
         for j in range(row):
             num *= start + scale * a * j
-    return Fraction(num, L ** size)
+    return num, L
 
 
 def _cleared_content(alpha, x, c):

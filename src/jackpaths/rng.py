@@ -4,8 +4,6 @@ index) pairs reproduce identical streams across ports."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .exactnum import _int_arg
 
 MASK64 = (1 << 64) - 1
@@ -66,6 +64,3 @@ class SplitMix64:
     def substream(self, index: int) -> "SplitMix64":
         return SplitMix64(substream_seed(self.seed, _int_arg(index, "index", None)))
 
-
-def dyadic_fraction(n: int, bits: int) -> Fraction:
-    return Fraction(n, 1 << bits)

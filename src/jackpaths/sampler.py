@@ -11,7 +11,6 @@ With numba, the parent compiles the kernel before it forks.
 
 from __future__ import annotations
 
-import bisect
 import math
 import os
 from fractions import Fraction
@@ -19,9 +18,9 @@ from fractions import Fraction
 from . import _kernels
 from .diagrams import StaircaseShape, _residues, corners
 from .ensembles import Ensemble, _is_negative, ensemble_from_config
-from .exactnum import _int_arg, _positive_arg, parse_rational
+from .exactnum import SqrtExt, _ext_sign, _int_arg, _positive_arg, parse_rational
 from .partitions import Partition, _hook_pairs, partitions_of
-from .rng import SplitMix64, dyadic_fraction
+from .rng import SplitMix64
 
 EXACT_SAMPLE_CAP = 25
 GROWTH_VALIDATION_ALPHAS = (Fraction(1, 3), Fraction(1), Fraction(2))
@@ -236,41 +235,64 @@ def _growth_draws(d: int, x: float, seeds, workers: int) -> list:
 def exact_sample(ensemble: Ensemble, rng: SplitMix64) -> Partition:
     """Draw a partition with exactly the ensemble's mass, by refining a
     dyadic uniform against the exact cumulative masses (starting at 128
-    bits, so no float boundary bias is possible)."""
+    bits, so no float boundary bias is possible).  The draw n / 2^bits is
+    compared with each cumulative mass (A + B sqrt(a/q)) / L in ints, as
+    n L against 2^bits (A + B sqrt(a/q))."""
     if ensemble.d is None:
         raise ValueError("exact_sample needs a fixed-size ensemble")
     if ensemble.d > EXACT_SAMPLE_CAP:
         raise ValueError(
             f"d = {ensemble.d} above the exact-sampling cap "
             f"{EXACT_SAMPLE_CAP}; use growth_sample")
-    lams, cum = _cumulative(ensemble)
+    lams, L, A, B, a, q = _cumulative(ensemble)
     n, bits = rng.next_dyadic()
     while True:
-        lo = dyadic_fraction(n, bits)
-        hi = dyadic_fraction(n + 1, bits)
-        idx = bisect.bisect_right(cum, lo)  # cum[-1] == 1 > lo
-        if hi <= cum[idx]:
-            return lams[idx]
+        # the first i with n / 2^bits < cum_i (cum_last = 1 > n / 2^bits) ...
+        nL, lo, hi = n * L, 0, len(lams) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _ext_sign((A[mid] << bits) - nL, B[mid] << bits, a, q) > 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        # ... is the draw's unless (n + 1) / 2^bits passes cum_i as well
+        if _ext_sign((A[lo] << bits) - nL - L, B[lo] << bits, a, q) >= 0:
+            return lams[lo]
         n, bits = rng.extend_dyadic(n, bits)
 
 
 def _cumulative(ensemble: Ensemble):
+    """The cumulative masses of a fixed-size ensemble, in the order of
+    ``partitions_of(d)``, as one integer table (lams, L, A, B, a, q): the
+    i-th cumulative mass is (A[i] + B[i] sqrt(a/q)) / L.  B is all 0 (and
+    a = q = 1) for rational masses.  Cached on the ensemble."""
     hit = getattr(ensemble, "_cumulative_cache", None)
     if hit is not None:
         return hit
-    lams = sorted(partitions_of(ensemble.d))
-    cum = []
-    acc = Fraction(0)
+    lams, alpha, split = partitions_of(ensemble.d), None, []
     for lam in lams:
         m = ensemble.mass(lam)
         if _is_negative(m):
             raise ValueError(f"cannot sample a signed measure (mass at {lam})")
-        acc = acc + m
-        cum.append(acc)
-    if cum[-1] != 1:
+        if isinstance(m, SqrtExt):
+            if alpha is not None and m.alpha != alpha:
+                raise ValueError("mixing different quadratic extensions")
+            alpha = m.alpha
+            split.append((m.a, m.b))
+        else:
+            split.append((Fraction(m), 0))
+    L = math.lcm(*(z.denominator for ab in split for z in ab))
+    A, B, sa, sb = [], [], 0, 0
+    for x, y in split:
+        sa += x.numerator * (L // x.denominator)
+        sb += y.numerator * (L // y.denominator)
+        A.append(sa)
+        B.append(sb)
+    if A[-1] != L or B[-1]:
         raise ValueError("masses do not sum to 1")
-    ensemble._cumulative_cache = (lams, cum)
-    return lams, cum
+    a, q = (alpha.numerator, alpha.denominator) if alpha is not None else (1, 1)
+    ensemble._cumulative_cache = (lams, L, A, B, a, q)
+    return ensemble._cumulative_cache
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 from operator import add
 
-from . import paths
+from . import _kernels, paths
 from .diagrams import _boolean_pricer, _cleared, diagram_booleans
 from .ensembles import (CharacterMeasure, ConditionalJackThoma, JackPlancherel,
                         JackSchurWeyl, JackThoma, PoissonInterval,
@@ -22,7 +22,8 @@ from .limitshape import (bessel_j, bessel_order_zeros,
                          functional_equation_check, moment_consistency)
 from .partitions import Partition, j_alpha, partitions_of
 from .polynomials import Poly
-from .sampler import run_sampler, validate_growth
+from .rng import SplitMix64
+from .sampler import _masses_match, _one_step, run_sampler, validate_growth
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +244,7 @@ def suite_poisson_oracle(total: int = 7, tail_eps=Fraction(1, 10 ** 12)):
         scale = max(alpha / u, 1 / u)
         worst = Fraction(2) ** (total - 1) * max(scale, 1) ** total
         try:
-            D = _truncation_degree(U, worst, total, tail_eps)
+            D = _truncation_degree(U, worst, total, tail_eps)[0]
         except ArithmeticError:
             return False, f"tail target unreachable at {label}"
         sums = boolean_product_sums(ens._walk(D), alpha / u, 1 / u, multisets)
@@ -395,9 +396,17 @@ def suite_sampler_law():
     return True, f"exact law d <= 8; MC means within 4 sigma at {mc_draws} draws"
 
 
+# lln-low-temperature checks the kernel at the final states of this many of
+# its draws
+LLN_KERNEL_CHECKS = 4
+
+
 def suite_lln_low_temperature(out_dir: str | None = None):
     """Criterion 12: empirical first-row mean at g = -1/4, d = 1600 within
-    0.05 of 1.336; optionally writes the staircase overlay CSV/SVG."""
+    0.05 of 1.336; optionally writes the staircase overlay CSV/SVG.  The
+    first LLN_KERNEL_CHECKS draws are redrawn in this process, and the
+    kernel's corner masses at each final state must match the exact
+    one-step law there to KERNEL_REL_TOL."""
     draws, d, seed = 200, 1600, 20260809
     g = Fraction(-1, 4)
     alpha = 1 / (g * g * d)
@@ -408,7 +417,30 @@ def suite_lln_low_temperature(out_dir: str | None = None):
         _write_overlay(run, g, alpha, d, out_dir)
     if abs(mean - 1.336) > 0.05:
         return False, f"mean lam_1/(-g d) = {mean:.4f} vs 1.336"
-    return True, f"mean lam_1/(-g d) = {mean:.4f} (target 1.336 +- 0.05)"
+    failure = _kernel_at_final_states(run, alpha, LLN_KERNEL_CHECKS)
+    if failure:
+        return False, failure
+    return True, (f"mean lam_1/(-g d) = {mean:.4f} (target 1.336 +- 0.05); "
+                  f"kernel = exact law at {LLN_KERNEL_CHECKS} final states")
+
+
+def _kernel_at_final_states(run, alpha: Fraction, count: int):
+    """None if the kernel's corner masses match the exact one-step law to
+    KERNEL_REL_TOL at the final states of the growth run's first ``count``
+    draws, each redrawn in this process from its seed; else what failed."""
+    d, x, root = run.config["d"], float(alpha), SplitMix64(run.seed)
+    for i in range(count):
+        m, vals, cnts, ms = _kernels._draw_state(d, x, root.substream(i).next_u64())
+        parts = [int(vals[k]) for k in range(m) for _ in range(int(cnts[k]))]
+        if parts != list(run.collected[i].parts):
+            return f"draw {i} redrawn in process differs"
+        # the draw keeps its running total to itself; the masses' own sum
+        # normalizes them alike, to rounding
+        state = (m, sum(ms[k] for k in range(m + 1)), vals, cnts, ms)
+        if not _masses_match(_kernels.state_masses(state),
+                             _one_step(parts, alpha.numerator, alpha.denominator)):
+            return f"kernel masses differ from the exact law after draw {i}"
+    return None
 
 
 def _write_overlay(run, g, alpha, d, out_dir):

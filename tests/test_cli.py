@@ -573,7 +573,7 @@ PINNED_CONFIG = {"g": "1/2", "alpha": "3", "n": 2}
 PINNED_CALLS = [
     # the README's commands
     ("verify --suite all",
-     "1a8c38422f6717ceda186aea13f66e53b07610decf9bcecbdac82c148c35d3ca"),
+     "1a0e34659227691dc506688b1aae655878ed0f09e6c53a0540e38ac70b75f494"),
     ("verify --suite normalization eigenrelation",
      "7517af203f5ebbe2b69c8793977f6ed98aecca52b6dea35f5a408867cef20775"),
     ("verify --suite normalization --d 6",

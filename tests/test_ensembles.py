@@ -366,7 +366,7 @@ def _reference_expectation(alpha, u, v, observable, tail_eps, growth_bound):
     # the sum one Fraction at a time, over the partitions of every size
     ens = JackThoma(alpha, u, v, check_positivity=False)
     C, r = Fraction(growth_bound[0]), growth_bound[1]
-    D = _truncation_degree(ens.exponent, C, r, Fraction(tail_eps))
+    D = _truncation_degree(ens.exponent, C, r, Fraction(tail_eps))[0]
     total = Fraction(0)
     for d in range(D + 1):
         for lam in partitions_of(d):
@@ -584,7 +584,9 @@ def _tail_grid_lines():
                     lines.append(f"tail {U} {D} {C} {r} {_poisson_tail(U, D, C, r)}")
                 for eps in (Fraction(1, 100), Fraction(1, 10 ** 5), Fraction(1, 10 ** 12)):
                     try:
-                        D = _truncation_degree(U, C, r, eps)
+                        D, bound, margin = _truncation_degree(U, C, r, eps)
+                        # the bound and margin accepted at D are the tail's there
+                        assert (bound, margin) == _poisson_tail(U, D, C, r)
                     except ArithmeticError as err:
                         D = str(err)
                     lines.append(f"degree {U} {C} {r} {eps} {D}")
@@ -613,3 +615,13 @@ def test_thoma_cross_and_exponent_are_the_jack_measure_ones(v, alpha, u):
     assert thoma.exponent == generic.exponent
     assert type(thoma.exponent) is Fraction
     assert [type(t) for t in thoma.cross.values()] == [Fraction] * len(generic.cross)
+
+
+def test_conditional_thoma_character_is_the_product_over_parts():
+    # the table from the ints of v_1..v_d equals the Fraction product
+    for v in ([1, Fraction(1, 2), Fraction(-2, 3)], [1, 0, Fraction(5, 7), 3], [1]):
+        spec = Specialization.of(v)
+        for d in (0, 1, 5, 8):
+            table = conditional_thoma_character(v, d)
+            assert table == {mu: spec.on_partition(mu) for mu in partitions_of(d)}
+            assert all(type(x) is Fraction for x in table.values())

@@ -77,6 +77,10 @@ def test_enumeration_counts():
                 assert not mu.dominates(lam) or lam.dominates(mu)
 
 
+def test_partitions_come_in_ascending_lexicographic_order():
+    assert all(list(partitions_of(d)) == sorted(partitions_of(d)) for d in range(13))
+
+
 def test_j_alpha_examples():
     alpha = Fraction(5, 7)
     assert j_alpha(Partition([1]), alpha) == alpha

@@ -10,10 +10,11 @@ from fractions import Fraction
 import pytest
 
 import jackpaths._kernels as kernels
-from jackpaths import sampler
+from jackpaths import sampler, verify
 from jackpaths.diagrams import AnisotropicDiagram, observable_family, transition_measure
-from jackpaths.ensembles import JackPlancherel
-from jackpaths.exactnum import sqrt_ext
+from jackpaths.ensembles import (CharacterMeasure, ConditionalJackThoma,
+                                 JackPlancherel, JackSchurWeyl)
+from jackpaths.exactnum import SqrtExt, sqrt_ext
 from jackpaths.partitions import Partition, partitions_of
 from jackpaths.rng import SplitMix64, mix64, stream_word
 from jackpaths.sampler import (exact_sample, growth_distribution,
@@ -274,6 +275,22 @@ def test_kernel_matches_the_law_at_the_states_its_draws_visit():
             assert all(abs(f - mass) <= sampler.KERNEL_REL_TOL * mass
                        for f, (_, mass) in zip(masses[::-1], law)), (d, alpha, n)
         assert parts == kernels.growth_draw_parts(d, x, 11), (d, alpha)
+
+
+def test_lln_kernel_check_reads_the_final_states_of_its_draws(monkeypatch):
+    alpha = Fraction(1, 10)
+    run = run_sampler({"variant": "plancherel", "alpha": "1/10", "d": 120},
+                      seed=3, count=3, method="growth")
+    assert verify._kernel_at_final_states(run, alpha, 3) is None
+    true_masses = kernels.state_masses
+    monkeypatch.setattr(kernels, "state_masses", lambda state: [
+        f * (1 + 1e-9) if i == 1 else f for i, f in enumerate(true_masses(state))])
+    assert verify._kernel_at_final_states(run, alpha, 3) == (
+        "kernel masses differ from the exact law after draw 0")
+    monkeypatch.undo()
+    run.collected[1] = run.collected[2]
+    assert verify._kernel_at_final_states(run, alpha, 3) == (
+        "draw 1 redrawn in process differs")
 
 
 def test_validate_growth_catches_a_wrong_kernel_mass(monkeypatch):
@@ -676,7 +693,8 @@ def test_exact_sample_at_a_dyadic_boundary():
     assert exact_sample(even, _StubDyadic((1 << 127) - 1)) == Partition([1, 1])
     # cum = [5/12, 1]: the first interval holding 5/12 is refined once more
     tilted = JackPlancherel(Fraction(5, 7), 2)
-    assert sampler._cumulative(tilted)[1] == [Fraction(5, 12), 1]
+    _, L, A, B, _, _ = sampler._cumulative(tilted)
+    assert [Fraction(x, L) for x in A] == [Fraction(5, 12), 1] and B == [0, 0]
     n = (5 << 128) // 12
     for word, want in ((0, [1, 1]), ((1 << 64) - 1, [2])):
         rng = _StubDyadic(n, [word])
@@ -708,6 +726,125 @@ def test_exact_sample_handles_quadratic_masses():
     p = math.sqrt(2) - 1
     sigma = math.sqrt(p * (1 - p) / n)
     assert abs(hits / n - p) < 4 * sigma
+
+
+EXACT_PIN_SIZES = (2, 6, 9)
+EXACT_PIN_SEEDS = (5, 6, 2 ** 63 + 5)
+
+
+def _exact_pin_ensembles(d):
+    """The fixed-size ensembles of the exact pins at size d, labelled:
+    Plancherel at three alphas, Schur-Weyl with K = 3 plain and dual, a
+    conditional Thoma measure at a non-square alpha (masses in Q(sqrt 2),
+    signed from d = 6 on), the rational Schur-Weyl table (2/3)^w(mu) at
+    alpha = 4, and a Q(sqrt 2) table at alpha = 2: the specialization
+    p_k -> 2^(-k/2) for k >= 2, p_1 -> 1 (a Thoma point a_1 = 1/sqrt 2 with
+    the rest on the Plancherel part), so chi_k = 1/sqrt 2 and the masses are
+    positive."""
+    root_half = SqrtExt(0, Fraction(1, 2), 2)
+    quadratic = {mu: math.prod((root_half for k in mu.parts if k > 1), start=Fraction(1))
+                 for mu in partitions_of(d)}
+    rational = {mu: Fraction(2, 3) ** mu.weight() for mu in partitions_of(d)}
+    return [(f"plancherel {a}", JackPlancherel(a, d))
+            for a in (Fraction(5, 7), Fraction(2), Fraction(1, 3))] + [
+        ("schur_weyl 2 K3", JackSchurWeyl(2, d, 3)),
+        ("schur_weyl 2 K3 dual", JackSchurWeyl(2, d, 3, dual=True)),
+        ("conditional_thoma 2", ConditionalJackThoma(2, d, [1, Fraction(1, 2), Fraction(1, 3)])),
+        ("character 4 rational", CharacterMeasure(4, d, rational)),
+        ("character 2 quadratic", CharacterMeasure(2, d, quadratic))]
+
+
+def _exact_canon(x):
+    if isinstance(x, SqrtExt):
+        return f"S {x.a} {x.b} {x.alpha}"
+    return f"{type(x).__name__} {x}"
+
+
+def test_fixed_size_masses_are_pinned():
+    # each mass's type and exact value, in partition order
+    lines = [f"{label} {d} {lam.parts} {_exact_canon(m)}"
+             for d in EXACT_PIN_SIZES for label, ens in _exact_pin_ensembles(d)
+             for lam, m in ens.masses().items()]
+    assert len(lines) == 8 * (2 + 11 + 30)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "ac95e7ef8bc459cca5eaae822e49e3be15a3dbd59deda8441436680daaf0b4e7")
+
+
+def _floor_scaled(c, bits):
+    """floor(c 2^bits) for a Fraction or a SqrtExt c: with c = a + b sqrt(p/q),
+    b 2^bits sqrt(p/q) = s sqrt(N) / M for N = bn^2 p q and M = bd q, and
+    sqrt(N) is irrational, so adding it to an integer numerator moves the
+    floor of the quotient by at most the floor of ad sqrt(N)."""
+    if not isinstance(c, SqrtExt):
+        return c.numerator * 2 ** bits // c.denominator
+    a, b = c.a * 2 ** bits, c.b * 2 ** bits
+    p, q = c.alpha.numerator, c.alpha.denominator
+    M, N = b.denominator * q, b.numerator ** 2 * p * q
+    r = math.isqrt(N * a.denominator ** 2)
+    top = a.numerator * M + (r if b > 0 else -r - 1)
+    return top // (a.denominator * M)
+
+
+def test_exact_draws_are_pinned():
+    # 200 seeded draws per ensemble, size and seed (no seeded draw refines:
+    # a 128-bit interval meets a boundary with chance about 2^-123), then
+    # draws placed on every boundary of the cumulative masses, refined by
+    # one word (0, 2^64 - 1) or by two (the word that keeps the boundary
+    # inside, then 2^63): each records its partition and its extensions.
+    # The grid and the digests were fixed at the Fraction search this pins
+    lines = []
+    for d in EXACT_PIN_SIZES:
+        for label, ens in _exact_pin_ensembles(d):
+            for seed in EXACT_PIN_SEEDS:
+                root = SplitMix64(seed)
+                try:
+                    draws = [exact_sample(ens, root.substream(i)).parts
+                             for i in range(200)]
+                except ValueError as err:
+                    draws = f"refused: {err}"
+                lines.append(f"{label} {d} {seed} {draws}")
+            if label == "conditional_thoma 2" and d > 2:
+                continue  # signed
+            acc = Fraction(0)
+            for m in list(ens.masses().values())[:-1]:
+                acc = acc + m
+                if acc == 1:
+                    break  # the rest have mass 0
+                n, inner = _floor_scaled(acc, 128), _floor_scaled(acc, 192)
+                for words in ([0], [2 ** 64 - 1], [inner - (n << 64), 2 ** 63]):
+                    rng = _StubDyadic(n, words + [0])
+                    lam = exact_sample(ens, rng)
+                    lines.append(f"{label} {d} {n} {words} {lam.parts} "
+                                 f"{len(words) + 1 - len(rng.extensions)}")
+    assert len(lines) == 849
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "c0281749945d4deba92ca2b97d44b22c7c158ff9e0d322388cc3b6250b8304f2")
+
+
+class _Table:
+    """A fixed-size stand-in ensemble with the given masses on partitions of 2."""
+
+    variant = "synthetic"
+    d = 2
+
+    def __init__(self, one_one, two):
+        self.masses = {Partition([1, 1]): one_one, Partition([2]): two}
+
+    def mass(self, lam):
+        return self.masses[lam]
+
+
+@pytest.mark.parametrize("masses, message", [
+    ((Fraction(3, 2), Fraction(-1, 2)), r"cannot sample a signed measure \(mass at Partition\(\[2\]\)\)"),
+    ((sqrt_ext(2, -1, 2), sqrt_ext(-1, 1, 2) - 1),
+     r"cannot sample a signed measure \(mass at Partition\(\[2\]\)\)"),
+    ((Fraction(1, 3), Fraction(1, 3)), "masses do not sum to 1"),
+    ((sqrt_ext(2, -1, 2), Fraction(1, 2)), "masses do not sum to 1"),
+    ((sqrt_ext(2, -1, 2), sqrt_ext(-1, 1, 3)), "mixing different quadratic extensions"),
+])
+def test_exact_sample_refuses_a_table_it_cannot_draw(masses, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        exact_sample(_Table(*masses), SplitMix64(1))
 
 
 def test_scaled_profile_shape_functional_is_one():
