@@ -178,11 +178,11 @@ def _make_draw(add_box, fill):
 
     def growth_draw(d, alpha, seed, vals, cnts, ms):
         """Grow d boxes from the empty diagram (vals, cnts zero); the state
-        and its corner masses are left in vals/cnts/ms and the number of
-        groups is returned."""
+        and its corner masses are left in vals/cnts/ms, and the number of
+        groups and the running total of the masses are returned."""
         ms[0] = 1.0
         if d == 0:
-            return 0
+            return 0, 1.0
         # the empty diagram has one corner, so the first box takes no word
         # and every later state has at least one group
         m, total = add_box(alpha, vals, cnts, ms, 0, 0)
@@ -196,7 +196,7 @@ def _make_draw(add_box, fill):
                     pick = i
                     break
             m, total = add_box(alpha, vals, cnts, ms, m, pick)
-        return m
+        return m, total
 
     return growth_draw
 
@@ -263,21 +263,15 @@ _draw, _add_box, _fill, _buffers, _cast = (
 
 
 def _draw_state(d: int, alpha: float, seed: int):
-    """Run one draw on the backend's own buffers; returns (m, vals, cnts,
-    ms): the number of groups, the groups and the corner masses the draw
-    loop ends with (unnormalised)."""
+    """Run one draw on the backend's own buffers; returns the state (m,
+    total, vals, cnts, ms) the draw loop ends with, its running total included."""
     _, _, vals, cnts, ms = empty_state(d)
-    return _draw(d, float(alpha), _cast(seed), vals, cnts, ms), vals, cnts, ms
+    return (*_draw(d, float(alpha), _cast(seed), vals, cnts, ms), vals, cnts, ms)
 
 
 def growth_draw_parts(d: int, alpha: float, seed: int):
-    """One growth-chain draw at size d; returns the partition as a list of
-    parts (descending)."""
-    m, vals, cnts, _ = _draw_state(d, alpha, seed)
-    parts = []
-    for k in range(m):
-        parts.extend([int(vals[k])] * int(cnts[k]))
-    return parts
+    """One growth-chain draw at size d; returns its parts (descending)."""
+    return state_parts(_draw_state(d, alpha, seed))
 
 
 def empty_state(d: int):
@@ -301,3 +295,9 @@ def state_masses(state):
     the i-th minimum, descending, so the last index is the new bottom row."""
     m, total, _, _, ms = state
     return [float(ms[i] / total) for i in range(m + 1)]
+
+
+def state_parts(state):
+    """A state's partition as a list of parts (descending)."""
+    m, _, vals, cnts, _ = state
+    return [int(vals[k]) for k in range(m) for _ in range(int(cnts[k]))]

@@ -232,12 +232,10 @@ def cmd_bessel_zeros(args):
     from .limitshape import bessel_order_zeros
 
     zl = bessel_order_zeros(args.g, args.n, tol=args.tol)
-    zeros = [float(z) for z in zl.zeros]
-    edges = [-zeros[i] - (i + 1) * float(args.g) for i in range(len(zeros))]
     if args.json:
-        print(json.dumps({"zeros": zeros, "edges": edges}))
+        print(json.dumps({"zeros": zl.zeros, "edges": zl.edges}))
     else:
-        for i, (z, e) in enumerate(zip(zeros, edges), start=1):
+        for i, (z, e) in enumerate(zip(zl.zeros, zl.edges), start=1):
             print(f"l_{i} = {z:+.6f}   edge_{i} = {e:+.6f}")
     return 0
 

@@ -754,8 +754,9 @@ def poisson_expectation(alpha, u, v, observable, tail_eps,
 
 def ensemble_from_config(cfg: dict) -> Ensemble:
     """Build an ensemble from a JSON/TOML-style mapping: keys variant,
-    alpha ("p/q"), d, K, u, v (list of "p/q"), thoma {a, b, c}.  A missing
-    key raises ValueError."""
+    alpha ("p/q"), d, K, u, v (list of "p/q"), thoma {a, b, c}, and the
+    bools dual and check_positivity.  A missing key, or a flag that is not
+    a bool, raises ValueError."""
 
     def need(key):
         if key not in cfg:
@@ -763,17 +764,22 @@ def ensemble_from_config(cfg: dict) -> Ensemble:
                 f"ensemble config {cfg.get('variant')!r} lacks the key {key!r}")
         return cfg[key]
 
+    def flag(key, default):
+        if not isinstance(value := cfg.get(key, default), bool):
+            raise ValueError(f"ensemble config key {key!r} must be a bool, got {value!r}")
+        return value
+
     variant = need("variant")
     alpha = parse_rational(need("alpha"))
     if variant == "plancherel":
         return JackPlancherel(alpha, need("d"))
     if variant == "schur_weyl":
         return JackSchurWeyl(alpha, need("d"), need("K"),
-                             dual=bool(cfg.get("dual", False)))
+                             dual=flag("dual", False))
     if variant == "thoma":
         v = [parse_rational(x) for x in need("v")]
         return JackThoma(alpha, parse_rational(need("u")), v,
-                         check_positivity=bool(cfg.get("check_positivity", True)))
+                         check_positivity=flag("check_positivity", True))
     if variant == "conditional_thoma":
         v = [parse_rational(x) for x in need("v")]
         return ConditionalJackThoma(alpha, need("d"), v)

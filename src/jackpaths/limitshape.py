@@ -215,6 +215,11 @@ class BesselZeroList(Record):
     zeros: list
     precision: object
 
+    @property
+    def edges(self) -> list:
+        """The edge limits k|g| - z_k, k = 1, 2, ..., as floats, equal for g and -g."""
+        return [k * float(abs(self.g)) - float(z) for k, z in enumerate(self.zeros, 1)]
+
 
 # ---------------------------------------------------------------------------
 # Staircase corners as eigenvalues of the Plancherel operator

@@ -240,10 +240,10 @@ def exact_sample(ensemble: Ensemble, rng: SplitMix64) -> Partition:
     n L against 2^bits (A + B sqrt(a/q))."""
     if ensemble.d is None:
         raise ValueError("exact_sample needs a fixed-size ensemble")
-    if ensemble.d > EXACT_SAMPLE_CAP:
-        raise ValueError(
-            f"d = {ensemble.d} above the exact-sampling cap "
-            f"{EXACT_SAMPLE_CAP}; use growth_sample")
+    if ensemble.d > EXACT_SAMPLE_CAP:  # the growth chain draws plancherel only
+        advice = "; use growth_sample" if ensemble.variant == "plancherel" else ""
+        raise ValueError(f"d = {ensemble.d} above the exact-sampling cap "
+                         f"{EXACT_SAMPLE_CAP}{advice}")
     lams, L, A, B, a, q = _cumulative(ensemble)
     n, bits = rng.next_dyadic()
     while True:
@@ -357,8 +357,7 @@ def run_sampler(config: dict, seed: int, count: int,
 def empirical_stats(run: SampleRun, observables) -> dict:
     """Per-observable mean and variance over a run; ``observables`` is a
     list of (name, callable on Partition) pairs."""
-    table = {}
-    n = len(run.collected)
+    table, n = {}, len(run.collected)
     for name, func in observables:
         vals = [float(func(lam)) for lam in run.collected]
         mean = sum(vals) / n if n else float("nan")
@@ -382,7 +381,4 @@ def mean_profile(run: SampleRun, alpha, d: int, grid) -> list:
     if not run.collected:
         raise ValueError("a mean profile needs at least one draw")
     shapes = [scaled_profile(lam, alpha, d) for lam in run.collected]
-    out = []
-    for u in grid:
-        out.append((u, sum(s.evaluate(u) for s in shapes) / len(shapes)))
-    return out
+    return [(u, sum(s.evaluate(u) for s in shapes) / len(shapes)) for u in grid]

@@ -23,7 +23,8 @@ from .limitshape import (bessel_j, bessel_order_zeros,
 from .partitions import Partition, j_alpha, partitions_of
 from .polynomials import Poly
 from .rng import SplitMix64
-from .sampler import _masses_match, _one_step, run_sampler, validate_growth
+from .sampler import (_masses_match, _one_step, empirical_stats, run_sampler,
+                      validate_growth)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +347,7 @@ def suite_bessel_edge():
         lo, hi = (bessel_j(-(z + s) / ag, 2 / ag) for s in (-1e-8, 1e-8))
         if lo * hi >= 0:
             return False, f"J keeps its sign across the zero {z:.4f}"
-    edges = [-zl.zeros[i] - (i + 1) * float(g) for i in range(3)]
-    for e, t in zip(edges, (1.336, 0.924, 0.647)):
+    for e, t in zip(zl.edges, (1.336, 0.924, 0.647)):
         if abs(e - t) > tol:
             return False, f"edge {e:.4f} vs {t}"
     return True, ("zeros -1.086/-0.424/0.102 and edges 1.336/0.924/0.647 "
@@ -376,23 +376,18 @@ def suite_sampler_law():
     # v geometric with ratio 1/2 at alpha = 4 comes from an integer
     # Schur-Weyl parameter, so the conditioned measure is certified positive;
     # u = sqrt(alpha) makes the formula and character parameters coincide
-    alpha, u = Fraction(4), Fraction(2)
-    d = 6
+    alpha, u, d = Fraction(4), Fraction(2), 6
     v = [Fraction(1, 2) ** k for k in range(d)]
     cfg = {"variant": "conditional_thoma", "alpha": "4", "d": d,
            "v": [f"1/{2 ** k}" for k in range(d)]}
     run = run_sampler(cfg, seed=seed, count=mc_draws, method="exact")
-    obs = boolean_products_observable([2], alpha, u)
-    obs3 = boolean_products_observable([3], alpha, u)
-    for name, lengths, func in (("B2", [2], obs), ("B3", [3], obs3)):
-        target = float(paths.depoissonized_expectation(lengths, d, alpha, u, v))
-        vals = [float(func(lam)) for lam in run.collected]
-        mean = sum(vals) / len(vals)
-        var = sum((x - mean) ** 2 for x in vals) / (len(vals) - 1)
-        sigma = math.sqrt(var / len(vals))
+    observables = [(k, boolean_products_observable([k], alpha, u)) for k in (2, 3)]
+    for k, s in empirical_stats(run, observables).items():
+        target = float(paths.depoissonized_expectation([k], d, alpha, u, v))
+        sigma = math.sqrt(s["variance"] / s["count"])
         # the epsilon absorbs float accumulation for deterministic observables
-        if abs(mean - target) > 4 * sigma + 1e-9 * (abs(target) + 1):
-            return False, f"{name}: {mean:.6f} vs {target:.6f} (4 sigma)"
+        if abs(s["mean"] - target) > 4 * sigma + 1e-9 * (abs(target) + 1):
+            return False, f"B{k}: {s['mean']:.6f} vs {target:.6f} (4 sigma)"
     return True, f"exact law d <= 8; MC means within 4 sigma at {mc_draws} draws"
 
 
@@ -412,31 +407,29 @@ def suite_lln_low_temperature(out_dir: str | None = None):
     alpha = 1 / (g * g * d)
     cfg = {"variant": "plancherel", "alpha": alpha, "d": d}
     run = run_sampler(cfg, seed=seed, count=draws, method="growth")
-    mean = sum(l.parts[0] for l in run.collected) / draws / float(-g * d)
+    row = empirical_stats(run, [("row", lambda lam: lam.parts[0])])["row"]
+    mean = row["mean"] / float(-g * d)
     if out_dir is not None:
         _write_overlay(run, g, alpha, d, out_dir)
     if abs(mean - 1.336) > 0.05:
         return False, f"mean lam_1/(-g d) = {mean:.4f} vs 1.336"
-    failure = _kernel_at_final_states(run, alpha, LLN_KERNEL_CHECKS)
-    if failure:
+    if failure := _kernel_at_final_states(run, alpha, LLN_KERNEL_CHECKS):
         return False, failure
     return True, (f"mean lam_1/(-g d) = {mean:.4f} (target 1.336 +- 0.05); "
                   f"kernel = exact law at {LLN_KERNEL_CHECKS} final states")
 
 
 def _kernel_at_final_states(run, alpha: Fraction, count: int):
-    """None if the kernel's corner masses match the exact one-step law to
-    KERNEL_REL_TOL at the final states of the growth run's first ``count``
-    draws, each redrawn in this process from its seed; else what failed."""
+    """None if the kernel's corner masses, over the running total that every
+    pick read, match the exact one-step law to KERNEL_REL_TOL at the final
+    states of the growth run's first ``count`` draws, each redrawn in this
+    process from its seed; else what failed."""
     d, x, root = run.config["d"], float(alpha), SplitMix64(run.seed)
     for i in range(count):
-        m, vals, cnts, ms = _kernels._draw_state(d, x, root.substream(i).next_u64())
-        parts = [int(vals[k]) for k in range(m) for _ in range(int(cnts[k]))]
+        state = _kernels._draw_state(d, x, root.substream(i).next_u64())
+        parts = _kernels.state_parts(state)
         if parts != list(run.collected[i].parts):
             return f"draw {i} redrawn in process differs"
-        # the draw keeps its running total to itself; the masses' own sum
-        # normalizes them alike, to rounding
-        state = (m, sum(ms[k] for k in range(m + 1)), vals, cnts, ms)
         if not _masses_match(_kernels.state_masses(state),
                              _one_step(parts, alpha.numerator, alpha.denominator)):
             return f"kernel masses differ from the exact law after draw {i}"

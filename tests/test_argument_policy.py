@@ -1,14 +1,16 @@
 """Pins where integer arguments are read: ``exactnum._int_arg`` is the one
 place that decides what an int is and says "must be an int".  Outside
-exactnum, ``isinstance(..., bool)`` is left only to ``cli._config_value``,
-which checks that a config switch is true or false."""
+exactnum, ``isinstance(..., bool)`` is left only to the two readers of a
+config switch, which check that it is true or false: ``cli._config_value``
+and ``ensembles.ensemble_from_config`` (its ``dual`` and
+``check_positivity``)."""
 
 import ast
 from pathlib import Path
 
 import jackpaths
 
-BOOL_CHECKS_ALLOWED = {("cli", "_config_value")}
+BOOL_CHECKS_ALLOWED = {("cli", "_config_value"), ("ensembles", "ensemble_from_config.flag")}
 
 
 def _module_trees():

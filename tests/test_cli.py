@@ -156,6 +156,18 @@ def test_bessel_zeros_values():
     assert abs(data["edges"][0] - 1.336) < 1e-3
 
 
+def test_bessel_zeros_edges_are_the_same_for_both_signs_of_g(capsys):
+    # the staircase is built from |g|, so the zeros z_k and the edges
+    # k|g| - z_k do not depend on the sign of g
+    out = {}
+    for g in ("1/4", "-1/4"):
+        assert cli.main(["bessel-zeros", "--g", g, "-n", "3", "--json"]) == 0
+        out[g] = json.loads(capsys.readouterr().out)
+    assert out["1/4"] == out["-1/4"]
+    assert all(abs(e - t) < 1e-3
+               for e, t in zip(out["1/4"]["edges"], (1.336, 0.924, 0.647), strict=True))
+
+
 def test_sample_reproducible_bytes(tmp_path: Path):
     args = ("sample", "--ensemble", "plancherel", "--alpha", "1/2", "--d",
             "6", "--n", "5", "--seed", "9")
@@ -283,6 +295,15 @@ def test_sample_conditional_thoma_above_the_cap_exits_2():
                   "--v", "1", "1/2", timeout=60)
     assert out.returncode == 2
     assert "above the exact-sampling cap" in out.stderr
+
+
+def test_sample_above_the_cap_points_to_growth_for_plancherel_only(capsys):
+    # the growth method draws the plancherel variant only
+    assert cli.main(["sample", "--ensemble", "schur_weyl", "--K", "2", "--d", "30"]) == 2
+    err = capsys.readouterr().err
+    assert "above the exact-sampling cap" in err and "growth" not in err
+    assert cli.main(["sample", "--ensemble", "plancherel", "--d", "30"]) == 2
+    assert "above the exact-sampling cap 25; use growth_sample" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])

@@ -251,6 +251,24 @@ def test_ensemble_from_config():
         ensemble_from_config({"variant": "nope", "alpha": "1"})
 
 
+@pytest.mark.parametrize("key, cfg", [
+    ("dual", {"variant": "schur_weyl", "alpha": "2", "d": 3, "K": 2}),
+    ("check_positivity", {"variant": "thoma", "alpha": "1", "u": "1",
+                          "v": ["1", "-1"]})])
+def test_config_flags_take_bools_only(key, cfg):
+    # "false" is a true string: read with bool(), it would set the flag
+    for bad in ("false", "true", 0, 1, None):
+        with pytest.raises(ValueError, match=f"key '{key}' must be a bool"):
+            ensemble_from_config({**cfg, key: bad})
+    assert ensemble_from_config({**cfg, key: False}).variant == cfg["variant"]
+    if key == "dual":
+        assert ensemble_from_config({**cfg, key: True}).dual is True
+        assert ensemble_from_config(cfg).dual is False
+    else:  # v_2 = -1 gives a negative mass, which the default check refuses
+        with pytest.raises(PositivityError):
+            ensemble_from_config(cfg)
+
+
 def test_character_measure_refuses_a_table_missing_a_partition():
     with pytest.raises(ValueError, match=r"lacks the partition Partition\(\[3\]\)"):
         CharacterMeasure(2, 3, {Partition([1, 1, 1]): 1,

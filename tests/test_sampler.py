@@ -201,24 +201,46 @@ def test_unnormalised_masses_stay_a_probability_measure():
     def check(vals, cnts, ms, m, total):
         assert abs(total - 1.0) <= 1e-12
 
-    m = _spied_draw(6400, 1 / 400, 20260809, check)
-    assert m > 1
+    m, total = _spied_draw(6400, 1 / 400, 20260809, check)
+    assert m > 1 and abs(total - 1.0) <= 1e-12
     for alpha in (1.0, 3.0):
-        m, _, _, ms = kernels._draw_state(2000, alpha, 20260809)
+        m, total, _, _, ms = kernels._draw_state(2000, alpha, 20260809)
         assert abs(sum(ms[:m + 1]) - 1.0) <= 1e-12
+        assert abs(total - 1.0) <= 1e-12
+
+
+def test_lln_kernel_check_reads_the_draws_running_total(monkeypatch):
+    # a running total scaled after the draw's last box leaves its state as
+    # it is; every pick read that total, so the check must see it
+    d, alpha = 200, Fraction(1, 100)
+    run = run_sampler({"variant": "plancherel", "alpha": alpha, "d": d},
+                      seed=20260809, count=1, method="growth")
+    assert verify._kernel_at_final_states(run, alpha, 1) is None
+    boxes = []
+
+    def spy(alpha, vals, cnts, ms, m, pick):
+        m, total = kernels._add_box(alpha, vals, cnts, ms, m, pick)
+        boxes.append(pick)
+        return m, total * (1 + 1e-9) if len(boxes) == d else total
+
+    monkeypatch.setattr(kernels, "_draw", kernels._make_draw(spy, kernels._fill))
+    assert (verify._kernel_at_final_states(run, alpha, 1)
+            == "kernel masses differ from the exact law after draw 0")
+    assert len(boxes) == d
 
 
 def _draw_matches_law(d, alpha, seed):
-    """Whether the corner masses that the draw loop ends with match the
-    exact one-step law at the state it ends in."""
-    m, vals, cnts, ms = kernels._draw_state(d, float(alpha), seed)
-    lam = Partition([int(vals[k]) for k in range(m) for _ in range(int(cnts[k]))])
+    """Whether the corner masses that the draw loop ends with, over its own
+    running total and over their sum, match the exact one-step law at the
+    state it ends in."""
+    state = kernels._draw_state(d, float(alpha), seed)
+    m, total, _, _, ms = state
+    lam = Partition(kernels.state_parts(state))
     assert lam.size() == d
     law = growth_transitions(lam, alpha)
-    total = sum(ms[:m + 1])
     return len(law) == m + 1 and all(
-        abs(ms[m - i] / total - mass) <= sampler.KERNEL_REL_TOL * mass
-        for i, (_, mass) in enumerate(law))
+        abs(ms[m - i] / norm - mass) <= sampler.KERNEL_REL_TOL * mass
+        for norm in (total, sum(ms[:m + 1])) for i, (_, mass) in enumerate(law))
 
 
 def test_kernel_masses_match_law_along_a_long_draw():
